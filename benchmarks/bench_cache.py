@@ -13,7 +13,8 @@ Two experiments over the crossover site (3 departments, 20 professors,
 * CACHE — the Example 7.2 query run cold then warm under each policy.
   ``off`` must reproduce the uncached engine bit-for-bit, ``per_query``
   must re-download everything each query, and ``cross_query`` must answer
-  the warm query from revalidations alone (0 downloads).
+  the warm query from revalidations alone (0 downloads) without parsing a
+  page again (``wraps`` 0: the wrapped tuple lives on the cache entry).
 * CACHE-PLAN — cache-aware plan selection.  Cold, Algorithm 1 picks the
   pointer-chase plan.  After the pointer-join plan's pages are warmed,
   :meth:`CacheEstimate.from_cache` re-ranks the candidates and the join
@@ -27,6 +28,7 @@ import argparse
 
 import pytest
 
+from repro.qa.oracle import counted_wraps
 from repro.sitegen import UniversityConfig
 from repro.sites import university
 
@@ -49,7 +51,9 @@ QUICK_CONFIG = UniversityConfig()
 
 POLICIES = ["off", "per_query", "cross_query"]
 
-COLUMNS = ["policy", "run", "pages", "light", "saved", "sim seconds", "rows"]
+COLUMNS = [
+    "policy", "run", "pages", "light", "saved", "wraps", "sim seconds", "rows",
+]
 
 
 def run_sweep(config):
@@ -70,7 +74,8 @@ def run_sweep(config):
         if policy != "off":
             env.enable_cache(capacity=4096, policy=policy)
         for run in ("cold", "warm"):
-            result = env.query(SQL)
+            with counted_wraps(env.registry) as wraps:
+                result = env.query(SQL)
             rows.append(
                 {
                     "policy": policy,
@@ -78,6 +83,7 @@ def run_sweep(config):
                     "pages": result.pages,
                     "light": result.log.light_connections,
                     "saved": result.pages_saved,
+                    "wraps": len(wraps),
                     "sim seconds": f"{result.log.simulated_seconds:.2f}",
                     "rows": len(result.relation),
                 }
@@ -134,7 +140,7 @@ def plan_flip_rows(cold_planned, warm_planned):
 
 
 @pytest.fixture(scope="module")
-def sweep():
+def sweep_rows_and_raw():
     rows, raw = run_sweep(FULL_CONFIG)
     record(
         "CACHE",
@@ -144,7 +150,12 @@ def sweep():
         data=rows,
         queries={"ex72": SQL},
     )
-    return raw
+    return rows, raw
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_rows_and_raw):
+    return sweep_rows_and_raw[1]
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +217,14 @@ class TestPolicies:
         assert warm.pages == 0  # nothing changed between the two runs
         assert warm.pages_saved > 0
         assert warm.log.light_connections == warm.revalidations
+
+    def test_only_the_cross_query_warm_run_parses_nothing(
+        self, sweep_rows_and_raw
+    ):
+        rows, _ = sweep_rows_and_raw
+        for row in rows:
+            warm_cross_query = (row["policy"], row["run"]) == ("cross_query", "warm")
+            assert row["wraps"] == (0 if warm_cross_query else row["pages"]), row
 
     def test_every_run_returns_the_same_relation(self, sweep):
         reference = sweep[0][2].relation

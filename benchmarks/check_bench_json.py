@@ -14,8 +14,9 @@ Beyond structure, the gate diffs every *figure* the paper's cost model
 cares about against the committed ``benchmarks/results/baseline.json``:
 
 * **page figures** (any row key mentioning pages/downloads — the paper's
-  cost measure C(E)) must match the baseline *exactly*: simulated page
-  counts are deterministic, so any drift is a behaviour change, not noise;
+  cost measure C(E) — or wraps, pages parsed) must match the baseline
+  *exactly*: simulated page counts are deterministic, so any drift is a
+  behaviour change, not noise;
 * **makespan figures** (simulated seconds) may improve freely but fail
   the gate when more than 10% above baseline;
 * **CPU figures** (any key mentioning ``cpu`` — per-experiment
@@ -62,7 +63,7 @@ EXPECTED = {
 REQUIRED_KEYS = ("bench", "title", "schema", "rows", "metrics")
 
 #: Row keys carrying page-count figures (the paper's C(E)): exact match.
-PAGE_MARKERS = ("page", "download")
+PAGE_MARKERS = ("page", "download", "wrap")
 #: Row keys carrying simulated-makespan figures: bounded regression.
 SECONDS_MARKERS = ("seconds", "sim time")
 #: Row keys carrying real process-CPU figures: loose regression.

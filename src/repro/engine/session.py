@@ -18,11 +18,13 @@ Below the session sits the optional *cross-query*
 :class:`~repro.web.cache.PageCache` (``cache=``, forwarded to the client):
 the session guarantees one download per page per query, the page cache
 turns repeat downloads across queries into free hits or light-connection
-revalidations.
+revalidations — and, because a cache entry owns the tuples wrapped from its
+bytes, into pages that need no parsing either.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.clock import BatchSchedule
@@ -124,16 +126,9 @@ class QuerySession:
 
         Returns the plain nested tuple, or None when the page is missing.
         """
-        key = (page_scheme, url)
-        if key not in self._tuples:
-            resource = self.fetch(url)
-            if resource is None:
-                self._tuples[key] = None
-            else:
-                self._tuples[key] = self.registry.wrap(
-                    page_scheme, url, resource.html
-                )
-        return self._tuples[key]
+        if (page_scheme, url) not in self._tuples:
+            self.fetch(url)
+        return self._tuple(page_scheme, url)
 
     def fetch_tuples(
         self,
@@ -151,18 +146,33 @@ class QuerySession:
         )
         result: dict[str, dict] = {}
         for url in urls:
-            key = (page_scheme, url)
-            if key not in self._tuples:
-                resource = self._resources.get(url)
-                if resource is None:
-                    self._tuples[key] = None
-                else:
-                    self._tuples[key] = self.registry.wrap(
-                        page_scheme, url, resource.html
-                    )
-            if self._tuples[key] is not None:
-                result[url] = self._tuples[key]
+            plain = self._tuple(page_scheme, url)
+            if plain is not None:
+                result[url] = plain
         return result
+
+    def _tuple(self, page_scheme: str, url: str) -> Optional[dict]:
+        """The already-fetched page at ``url`` as a ``page_scheme`` tuple —
+        the session's one wrap site.  A client-side snapshot (cache entry,
+        navigator hand-off) carries the tuples wrapped from its bytes so
+        far: take the tuple from there, or leave it there for the next
+        query.  Shared, therefore read-only.  A wrap that raises records
+        nothing."""
+        key = (page_scheme, url)
+        if key in self._tuples:
+            return self._tuples[key]
+        resource = self._resources.get(url)
+        plain = None
+        if resource is not None:
+            # a live server object carries no tuples: nothing is retained
+            known = resource.tuples if resource.tuples is not None else {}
+            plain = known.get(page_scheme)
+            if plain is None:
+                plain = known[page_scheme] = self.registry.wrap(
+                    page_scheme, url, resource.html
+                )
+        self._tuples[key] = plain
+        return plain
 
     def touched_resources(self) -> dict[str, Optional[WebResource]]:
         """URL → resource for every page an evaluation through this
@@ -170,10 +180,18 @@ class QuerySession:
         ``None`` marks URLs that turned out missing).  Seeded-but-unused
         pages (:meth:`seed_resources`) are excluded — this is exactly the
         page set a solo run of the same evaluation would have requested,
-        which is what the multi-query server fans out per prefix."""
-        return {
-            url: self._resources.get(url) for (_scheme, url) in self._tuples
-        }
+        which is what the multi-query server fans out per prefix.  Each
+        page goes out as a snapshot carrying the tuples wrapped here, so
+        whoever it is seeded into does not parse it again."""
+        pages: dict[str, Optional[WebResource]] = {}
+        for (page_scheme, url), plain in self._tuples.items():
+            resource = pages.get(url) or self._resources.get(url)
+            if resource is not None:
+                if resource.tuples is None:  # live server object: copy
+                    resource = replace(resource, tuples={})
+                resource.tuples[page_scheme] = plain
+            pages[url] = resource
+        return pages
 
     @property
     def pages_downloaded(self) -> int:

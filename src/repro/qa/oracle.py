@@ -50,7 +50,9 @@ and asserts, cell by cell:
    bit-for-bit the reference execution; page counts are invariant under
    the worker count; a fully warm cross-query cache downloads zero pages
    and revalidates exactly the reference page set; a stale cache
-   re-downloads exactly the touched pages.
+   re-downloads exactly the touched pages; a warm cache parses nothing and
+   a stale one parses exactly what it re-downloaded (the wrapped tuple
+   lives on the cache entry).
 
 Any violation lands in the cell's report record with a reproducible cell
 id (see :mod:`repro.qa.report` and ``docs/TESTING.md``).
@@ -60,8 +62,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from repro.engine.pipeline import EXECUTION_MODES
 from repro.errors import RetriesExhaustedError
@@ -78,6 +81,7 @@ from repro.views.conjunctive import ConjunctiveQuery
 from repro.web.cache import CachePolicy, NO_CACHE, PageCache
 from repro.web.client import AccessLog, CostSummary, FetchConfig, RetryPolicy
 from repro.web.server import FaultPolicy
+from repro.wrapper.wrapper import WrapperRegistry
 
 __all__ = [
     "CACHE_MODES",
@@ -88,8 +92,30 @@ __all__ = [
     "Cell",
     "DifferentialOracle",
     "MatrixSpec",
+    "counted_wraps",
     "relation_digest",
 ]
+
+
+@contextmanager
+def counted_wraps(registry: WrapperRegistry) -> Iterator[list[tuple[str, str]]]:
+    """Log every ``registry.wrap`` call made inside the block as
+    ``(page_scheme, url)``.  The count is taken here, from outside, so that
+    it never becomes a field of ``ExecutionResult`` / ``CostSummary`` and
+    journal and EXPLAIN output stay what they were."""
+    calls: list[tuple[str, str]] = []
+    inner = registry.wrap
+
+    def wrap(page_scheme: str, url: str, html: str) -> dict:
+        calls.append((page_scheme, url))
+        return inner(page_scheme, url, html)
+
+    registry.wrap = wrap  # instance attribute shadowing the method
+    try:
+        yield calls
+    finally:
+        del registry.wrap
+
 
 #: All cache-matrix dimensions, in canonical order.
 CACHE_MODES = (
@@ -446,37 +472,39 @@ class DifferentialOracle:
                 journal=journal,
             )
             try:
-                shared_run = execute_shared(
-                    env,
-                    plan.expr,
-                    options,
-                    navigator=navigator,
-                    client=clone,
-                    request_id=cell.cell_id,
-                )
+                with counted_wraps(env.registry) as wraps:
+                    shared_run = execute_shared(
+                        env,
+                        plan.expr,
+                        options,
+                        navigator=navigator,
+                        client=clone,
+                        request_id=cell.cell_id,
+                    )
                 result = shared_run.result
                 query_delta = result.log
             except RetriesExhaustedError as err:
                 error = err
-                query_delta = clone.log.snapshot()
+                query_delta = clone.log  # private clone, nobody else writes it
             finally:
                 server.fault_policy = None
             delta = navigator.log.merge(query_delta)
         else:
             before = env.client.log.snapshot()
             try:
-                result = env.executor.execute(
-                    plan.expr,
-                    options=QueryOptions(
-                        cache=cache,
-                        fetch=FetchConfig(max_workers=cell.workers),
-                        retry=self.spec.retry,
-                        tracer=tracer,
-                        execution=cell.exec_mode,
-                        journal=journal,
-                    ),
-                    request_id=cell.cell_id,
-                )
+                with counted_wraps(env.registry) as wraps:
+                    result = env.executor.execute(
+                        plan.expr,
+                        options=QueryOptions(
+                            cache=cache,
+                            fetch=FetchConfig(max_workers=cell.workers),
+                            retry=self.spec.retry,
+                            tracer=tracer,
+                            execution=cell.exec_mode,
+                            journal=journal,
+                        ),
+                        request_id=cell.cell_id,
+                    )
             except RetriesExhaustedError as err:
                 error = err
             finally:
@@ -538,7 +566,9 @@ class DifferentialOracle:
                     f"{record.relation_digest} != baseline {baseline.digest} "
                     f"({baseline.rows} rows)"
                 )
-            violations.extend(self._check_costs(cell, delta, reference, touched))
+            violations.extend(
+                self._check_costs(cell, delta, reference, touched, len(wraps))
+            )
             if cell.exec_mode == "server":
                 violations.extend(
                     self._check_sharing(query_delta, navigator.log, reference)
@@ -700,8 +730,10 @@ class DifferentialOracle:
         delta,
         reference: _Reference,
         touched: frozenset,
+        wraps: int,
     ) -> list[str]:
-        """Mode-specific cost laws for a successful cell.
+        """Mode-specific cost laws for a successful cell (``wraps``: pages
+        parsed during the measured run).
 
         Static modes are held to *equalities* against the serial uncached
         reference.  The ``adaptive`` / ``adaptive_pipelined`` modes may
@@ -807,6 +839,7 @@ class DifferentialOracle:
                 f"pages_saved={delta.pages_saved} "
                 f"{'>' if adaptive else '!='} reference pages {ref.pages}",
             )
+            check(wraps == 0, f"warm cache still parsed {wraps} pages")
         elif cell.cache_mode == "cross_query_stale":
             stale = len(touched & reference.urls)
             fresh = int(ref.pages) - stale
@@ -839,6 +872,11 @@ class DifferentialOracle:
                 else delta.page_downloads + delta.pages_saved == ref.pages,
                 f"downloads + pages_saved "
                 f"{'>' if adaptive else '!='} reference pages",
+            )
+            check(
+                wraps == delta.page_downloads,
+                f"stale cache parsed {wraps} pages but re-downloaded "
+                f"{delta.page_downloads}",
             )
         return problems
 

@@ -24,7 +24,11 @@ and hands each subscriber the chain's page batch for injection via
 :meth:`QuerySession.seed_resources
 <repro.engine.session.QuerySession.seed_resources>` — which bumps the
 query's ``pages_shared`` counter, keeping
-``own pages + pages_shared == solo pages`` for cache-cold runs.
+``own pages + pages_shared == solo pages`` for cache-cold runs.  The pages
+travel as snapshots carrying the tuples the navigator wrapped
+(:meth:`QuerySession.touched_resources
+<repro.engine.session.QuerySession.touched_resources>`), so a shared page
+is parsed once, by the navigator, not once more per subscriber.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.adm.links import outlink_set
+from repro.engine.session import QuerySession
 from repro.materialized.advisor import AdvisorReport, WorkloadQuery, advise
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER
@@ -118,12 +119,16 @@ def warm_cache(
                 transit += sum(
                     1 for u in transit_urls if resources.get(u) is not None
                 )
+            # wrap for link discovery through a session over the level's
+            # pages: a chosen page's tuple stays on the cache entry it was
+            # stored as (or comes from there on a re-warm)
+            session = QuerySession(client, env.registry)
+            session.seed_resources(resources)
             next_frontier: list[tuple[str, str]] = []
             for page_scheme, url in level:
-                resource = resources.get(url)
-                if resource is None:
+                plain = session.fetch_tuple(page_scheme, url)
+                if plain is None:
                     continue
-                plain = env.registry.wrap(page_scheme, url, resource.html)
                 for link_url, target in outlink_set(
                     env.scheme, page_scheme, plain
                 ):

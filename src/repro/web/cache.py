@@ -10,7 +10,9 @@ materialized store to ordinary query execution:
 
 * :class:`PageCache` — an in-memory LRU of page bodies keyed by URL, each
   entry a frozen snapshot of ``html`` + ``Last-Modified`` (server resources
-  are mutable; the cache must observe staleness, not alias it away);
+  are mutable; the cache must observe staleness, not alias it away) that
+  also owns the tuples wrapped from that ``html``, so a served page is not
+  parsed again;
 * :class:`CachePolicy` — ``off`` (bit-for-bit the uncached engine),
   ``per_query`` (entries live for one query), ``cross_query`` (entries
   persist; the first touch per query revalidates with a light connection,
@@ -34,7 +36,7 @@ import enum
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar
 
 from repro.errors import WebError
@@ -110,20 +112,25 @@ class CacheEntry:
 
     ``page_scheme`` is carried along so the cache-aware cost model can
     estimate per-page-scheme hit rates (the optimizer inspecting its own
-    cache, not the web)."""
+    cache, not the web).
+
+    ``tuples`` maps page-scheme → the tuple wrapped from this entry's own
+    ``html``, filled by whoever first wraps a snapshot of it.  It has no
+    key, capacity or freshness rule of its own: it is valid exactly as long
+    as the entry is and is garbage the moment the entry is dropped or
+    replaced.  The tuples are shared by every later query — read-only."""
 
     url: str
     html: str
     last_modified: int
     page_scheme: str = ""
+    tuples: dict = field(default_factory=dict, compare=False, repr=False)
 
     def as_resource(self) -> WebResource:
-        """A fresh :class:`WebResource` copy (never the live server object)."""
+        """A fresh :class:`WebResource` copy (never the live server object)
+        sharing this entry's ``tuples``."""
         return WebResource(
-            url=self.url,
-            html=self.html,
-            last_modified=self.last_modified,
-            page_scheme=self.page_scheme,
+            self.url, self.html, self.last_modified, self.page_scheme, self.tuples
         )
 
 

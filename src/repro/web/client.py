@@ -64,6 +64,7 @@ __all__ = [
     "CostSummary",
     "FetchConfig",
     "FetchRecord",
+    "LogMark",
     "RetryPolicy",
     "WebClient",
     "DEFAULT_RETRY_POLICY",
@@ -210,6 +211,27 @@ class CostSummary:
         )
 
 
+@dataclass(frozen=True)
+class LogMark:
+    """An :class:`AccessLog`'s counters at one instant plus the *lengths* of
+    its two append-only lists — what :meth:`AccessLog.snapshot` returns and
+    :meth:`AccessLog.delta` subtracts.  Every query takes one, so it must
+    not cost a copy of a log that grows for the life of the client."""
+
+    page_downloads: int
+    light_connections: int
+    failed_requests: int
+    bytes_downloaded: int
+    simulated_seconds: float
+    attempts: int
+    cache_hits: int
+    revalidations: int
+    pages_saved: int
+    pages_shared: int
+    urls: int
+    records: int
+
+
 @dataclass
 class AccessLog:
     """Counts of network interactions performed through a client.
@@ -238,9 +260,10 @@ class AccessLog:
     downloaded_urls: list = field(default_factory=list)
     records: list = field(default_factory=list)
 
-    def snapshot(self) -> "AccessLog":
-        """A frozen copy of the current counters."""
-        return AccessLog(
+    def snapshot(self) -> "LogMark":
+        """A frozen O(1) mark of the current counters, to hand to
+        :meth:`delta` later."""
+        return LogMark(
             page_downloads=self.page_downloads,
             light_connections=self.light_connections,
             failed_requests=self.failed_requests,
@@ -251,11 +274,11 @@ class AccessLog:
             revalidations=self.revalidations,
             pages_saved=self.pages_saved,
             pages_shared=self.pages_shared,
-            downloaded_urls=list(self.downloaded_urls),
-            records=list(self.records),
+            urls=len(self.downloaded_urls),
+            records=len(self.records),
         )
 
-    def delta(self, earlier: "AccessLog") -> "AccessLog":
+    def delta(self, earlier: "LogMark") -> "AccessLog":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
         return AccessLog(
             page_downloads=self.page_downloads - earlier.page_downloads,
@@ -268,8 +291,8 @@ class AccessLog:
             revalidations=self.revalidations - earlier.revalidations,
             pages_saved=self.pages_saved - earlier.pages_saved,
             pages_shared=self.pages_shared - earlier.pages_shared,
-            downloaded_urls=self.downloaded_urls[len(earlier.downloaded_urls):],
-            records=self.records[len(earlier.records):],
+            downloaded_urls=self.downloaded_urls[earlier.urls:],
+            records=self.records[earlier.records:],
         )
 
     def merge(self, other: "AccessLog") -> "AccessLog":
@@ -449,7 +472,9 @@ class WebClient:
         failed request.  ``cache`` overrides the client's attached cache
         for this call (pass :data:`~repro.web.cache.NO_CACHE` to bypass)."""
         cache = cache if cache is not None else self.cache
-        served = self._serve_from_cache(url, cache)
+        events: dict[tuple[str, str], int] = {}
+        served = self._serve_from_cache(url, cache, events)
+        self._count_cache_events(events, cache)
         if served is not _MISS:
             assert isinstance(served, WebResource)
             return served
@@ -584,13 +609,15 @@ class WebClient:
         ) as span:
             result: dict[str, Optional[WebResource]] = {}
             to_fetch: list[str] = []
+            events: dict[tuple[str, str], int] = {}
             for url in distinct:
-                served = self._serve_from_cache(url, cache)
+                served = self._serve_from_cache(url, cache, events)
                 if served is _MISS:
                     to_fetch.append(url)
                 else:
                     assert isinstance(served, WebResource)
                     result[url] = served
+            self._count_cache_events(events, cache)
             if schedule is not None:
                 schedule.completed = max(schedule.completed, schedule.ready)
             if not to_fetch:
@@ -701,27 +728,34 @@ class WebClient:
         self.log.attempts += 1
         self.log.simulated_seconds += self.network.head_seconds()
 
-    def _serve_from_cache(self, url: str, cache: Optional[PageCache]):
+    def _serve_from_cache(
+        self,
+        url: str,
+        cache: Optional[PageCache],
+        events: dict[tuple[str, str], int],
+    ):
         """Try to satisfy ``url`` from ``cache`` per its policy.
 
         Returns a :class:`WebResource` snapshot on success (accounting the
         hit or revalidation), or :data:`_MISS` when the URL must go to the
         network — because caching is off, the entry is absent, the page
         changed, or it vanished (the subsequent GET then reports the
-        failure through the ordinary code path)."""
+        failure through the ordinary code path).  The caller passes the
+        ``events`` tally on to :meth:`_count_cache_events`, once per call
+        or batch."""
         if cache is None or cache.policy is CachePolicy.OFF:
             return _MISS
         entry = cache.lookup(url)
         if entry is None:
             cache.note_miss()
-            self._observe_cache("miss", url, cache)
+            self._observe_cache(events, "miss", url)
             return _MISS
         if cache.policy is CachePolicy.PER_QUERY or cache.is_validated(url):
             # trusted for this query: zero connections, zero pages
             cache.note_hit()
             self.log.cache_hits += 1
             self.log.pages_saved += 1
-            self._observe_cache("hit", url, cache, entry.page_scheme)
+            self._observe_cache(events, "hit", url, entry.page_scheme)
             return entry.as_resource()
         # cross-query entry on first touch this query: one light connection
         # (counted through head(), the shared §8 code path)
@@ -731,23 +765,43 @@ class WebClient:
             cache.note_revalidation()
             self.log.revalidations += 1
             self.log.pages_saved += 1
-            self._observe_cache("revalidation", url, cache, entry.page_scheme)
+            self._observe_cache(events, "revalidation", url, entry.page_scheme)
             return entry.as_resource()
         cache.invalidate(url)  # stale or vanished: re-fetch (or fail) live
         cache.note_miss()
-        self._observe_cache("stale", url, cache, entry.page_scheme)
+        self._observe_cache(events, "stale", url, entry.page_scheme)
         return _MISS
 
     def _observe_cache(
-        self, event: str, url: str, cache: PageCache, scheme: str = ""
+        self,
+        events: dict[tuple[str, str], int],
+        event: str,
+        url: str,
+        scheme: str = "",
     ) -> None:
-        """Record one cache outcome (metrics + trace event; observational)."""
-        METRICS.counter(
-            "repro_cache_events_total",
-            "page-cache lookup outcomes by event, policy, and page scheme",
-        ).inc(event=event, policy=cache.policy.value, scheme=scheme)
+        """Record one cache outcome (observational): a trace event now, and
+        a tally in ``events`` for :meth:`_count_cache_events`."""
+        events[event, scheme] = events.get((event, scheme), 0) + 1
         if self.tracer.enabled:
             self.tracer.event(f"cache_{event}", url=url, scheme=scheme)
+
+    @staticmethod
+    def _count_cache_events(
+        events: dict[tuple[str, str], int], cache: Optional[PageCache]
+    ) -> None:
+        """Add a call's or batch's cache outcomes to the metrics registry:
+        one increment per ``(event, page scheme)``, not one per page."""
+        if not events:
+            return
+        assert cache is not None
+        counter = METRICS.counter(
+            "repro_cache_events_total",
+            "page-cache lookup outcomes by event, policy, and page scheme",
+        )
+        for (event, scheme), count in events.items():
+            counter.inc(
+                count, event=event, policy=cache.policy.value, scheme=scheme
+            )
 
     def _fetch_shared(self, url: str, retry: RetryPolicy) -> _FetchOutcome:
         """Fetch through the single-flight group: if another thread is
@@ -828,7 +882,9 @@ class WebClient:
             log.bytes_downloaded += len(outcome.resource.html)
             log.downloaded_urls.append(outcome.url)
             if cache is not None and cache.policy is not CachePolicy.OFF:
-                cache.store(outcome.resource)
+                # the caller gets the entry's snapshot, not the live server
+                # object, so the tuple it wraps lands on the entry
+                outcome.resource = cache.store(outcome.resource).as_resource()
                 cache.mark_validated(outcome.url)
         if charge_time:
             log.simulated_seconds += outcome.seconds

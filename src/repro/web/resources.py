@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 __all__ = ["WebResource", "HeadResponse"]
 
@@ -15,12 +16,19 @@ class WebResource:
     servers obviously don't expose this, and none of the query machinery
     reads it from here — it exists for test assertions and for building
     exact statistics oracles.
+
+    ``tuples`` is set only on client-side snapshots (a page served from or
+    stored into a :class:`~repro.web.cache.PageCache`, or handed over by
+    the server's navigator): page-scheme → the tuple wrapped from exactly
+    this ``html``, shared with whoever owns the snapshot.  The server's
+    live resources mutate in place and never carry one.
     """
 
     url: str
     html: str
     last_modified: int
     page_scheme: str = ""
+    tuples: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __repr__(self) -> str:
         return (

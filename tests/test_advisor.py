@@ -12,6 +12,7 @@ from repro.materialized.advisor import (
 )
 from repro.optimizer.cost import CacheEstimate
 from repro.options import QueryRequest
+from repro.qa.oracle import counted_wraps
 from repro.server import QueryServer
 from repro.sites import fuzzed
 
@@ -145,10 +146,13 @@ class TestServerWarmup:
         queries = env.site.queries()
         name = sorted(queries)[0]
         before = env.client.log.snapshot()
-        env.query(queries[name])
+        with counted_wraps(env.registry) as wraps:
+            env.query(queries[name])
         delta = env.client.log.delta(before)
         assert delta.page_downloads == 0
         assert delta.light_connections > 0
+        # ... and parses nothing: the crawl left its tuples on the entries
+        assert wraps == []
 
     def test_unchosen_pages_stay_out_of_the_cache(self, workload):
         env = fuzzed(17)

@@ -1,14 +1,24 @@
 """Tests for the cross-query page cache: LRU behaviour, cache policies,
-single-flight deduplication, client accounting, cache-aware costing, and
-the off-policy bit-for-bit guarantee."""
+single-flight deduplication, client accounting, cache-aware costing, the
+off-policy bit-for-bit guarantee, and the wrapped tuples a cache entry
+owns."""
 
+import copy
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import OptimizerError, WebError
-from repro.sitegen import UniversityConfig
+from repro.engine.pipeline import EXECUTION_MODES
+from repro.engine.remote import RemoteExecutor
+from repro.engine.session import QuerySession
+from repro.errors import OptimizerError, WebError, WrapperError
+from repro.nested.relation import relation_digest
+from repro.obs.metrics import METRICS
+from repro.options import QueryOptions
+from repro.qa.oracle import counted_wraps
+from repro.sitegen import SiteMutator, UniversityConfig
 from repro.sites import bibliography, movies, university
 from repro.web import (
     NO_CACHE,
@@ -243,6 +253,23 @@ class TestClientCaching:
         assert delta.light_connections == len(urls)
         assert delta.pages_saved == len(urls)
 
+    @pytest.mark.usefixtures("isolated_metrics")
+    def test_cache_events_count_pages_not_batches(self):
+        server, urls = make_server(4)
+        cache = PageCache()
+        client = WebClient(server, cache=cache)
+        client.get_batch(urls)  # four misses
+        client.get(urls[0])  # a hit
+        server.update(urls[1], "new content")
+        cache.begin_query()
+        client.get_batch(urls)  # three revalidations, one stale
+        events = METRICS.counter("repro_cache_events_total")
+        assert {
+            event: events.value(event=event, policy="cross_query", scheme="")
+            for event in ("miss", "hit", "revalidation", "stale")
+        } == {"miss": 4, "hit": 1, "revalidation": 3, "stale": 1}
+        assert events.total() == 9
+
     def test_off_policy_matches_uncached_client_bit_for_bit(self):
         server_a, urls = make_server(4)
         server_b, _ = make_server(4)
@@ -390,3 +417,240 @@ class TestCacheTransparencyAllSites:
         off = cached_env.query(sql, cache="off")
         assert off.relation.same_contents(reference.relation)
         assert off.pages == reference.pages
+
+
+# --------------------------------------------------------------------- #
+# the wrapped tuple lives and dies with its cache entry
+# --------------------------------------------------------------------- #
+
+
+class FakeRegistry:
+    """Stands in for a WrapperRegistry: wraps anything, logs every call."""
+
+    def __init__(self):
+        self.calls = []
+        self.broken = False
+
+    def wrap(self, page_scheme, url, html):
+        self.calls.append((page_scheme, url))
+        if self.broken:
+            raise WrapperError(f"cannot wrap {url}")
+        return {"URL": url, "scheme": page_scheme, "size": len(html)}
+
+
+def wrap_in_new_query(client, registry, cache, page_scheme, url):
+    """One query's worth of work on one page: fresh session, fetch, wrap."""
+    cache.begin_query()
+    session = QuerySession(client, registry, cache=cache)
+    return session.fetch_tuple(page_scheme, url)
+
+
+class TestEntryOwnedTuples:
+    """Unit level: a fake registry over an eight-page server."""
+
+    def setup_method(self):
+        self.server, self.urls = make_server()
+        self.registry = FakeRegistry()
+        self.client = WebClient(self.server)
+
+    def wrap(self, cache, url, page_scheme="S"):
+        return wrap_in_new_query(
+            self.client, self.registry, cache, page_scheme, url
+        )
+
+    def test_one_wrap_per_download_then_none(self):
+        cache = PageCache()
+        url = self.urls[0]
+        first = self.wrap(cache, url)
+        second = self.wrap(cache, url)
+        assert self.registry.calls == [("S", url)]
+        assert second is first  # shared, not re-derived
+        # the light connection still happened; only the parse was skipped
+        assert self.client.log.page_downloads == 1
+        assert self.client.log.light_connections == 1
+        assert self.client.log.revalidations == 1
+
+    def test_a_changed_page_is_wrapped_again_once(self):
+        cache = PageCache()
+        url = self.urls[0]
+        self.wrap(cache, url)
+        self.server.update(url, "x" * 7)
+        assert self.wrap(cache, url)["size"] == 7
+        self.server.touch(url)  # same bytes, new date: the entry is replaced
+        self.wrap(cache, url)
+        self.wrap(cache, url)
+        assert self.registry.calls == [("S", url)] * 3
+
+    @pytest.mark.parametrize("drop", ["evict", "invalidate", "clear", "replace"])
+    def test_the_tuple_dies_with_its_entry(self, drop):
+        cache = PageCache(capacity=1)
+        url, other = self.urls[:2]
+        self.wrap(cache, url)
+        if drop == "evict":
+            cache.store(self.server.resource(other))
+        elif drop == "invalidate":
+            cache.invalidate(url)
+        elif drop == "clear":
+            cache.clear()
+        else:
+            cache.store(self.server.resource(url))
+        self.wrap(cache, url)
+        assert self.registry.calls == [("S", url)] * 2
+
+    def test_per_query_entries_take_their_tuples_along(self):
+        cache = PageCache(policy="per_query")
+        url = self.urls[0]
+        self.wrap(cache, url)
+        # same query, second session: a free hit carrying the tuple
+        QuerySession(self.client, self.registry, cache=cache).fetch_tuple("S", url)
+        assert self.registry.calls == [("S", url)]
+        self.wrap(cache, url)  # begin_query dropped the entry
+        assert self.registry.calls == [("S", url)] * 2
+
+    def test_page_scheme_is_part_of_the_lookup(self):
+        cache = PageCache()
+        url = self.urls[0]
+        as_s = self.wrap(cache, url, "S")
+        as_t = self.wrap(cache, url, "T")
+        assert (as_s["scheme"], as_t["scheme"]) == ("S", "T")
+        assert self.wrap(cache, url, "S") is as_s
+        assert self.wrap(cache, url, "T") is as_t
+        assert self.registry.calls == [("S", url), ("T", url)]
+
+    def test_a_failed_wrap_is_not_remembered(self):
+        cache = PageCache()
+        url = self.urls[0]
+        self.registry.broken = True
+        for _ in range(2):
+            with pytest.raises(WrapperError):
+                self.wrap(cache, url)
+        self.registry.broken = False
+        assert self.wrap(cache, url)["URL"] == url
+        assert len(self.registry.calls) == 3
+
+    def test_off_retains_nothing(self):
+        url = self.urls[0]
+        for _ in range(2):
+            plain = self.wrap(NO_CACHE, url)
+        assert self.registry.calls == [("S", url)] * 2
+        assert len(NO_CACHE) == 0
+        assert plain["URL"] == url
+
+    def test_live_server_resources_never_carry_tuples(self):
+        cache = PageCache()
+        for url in self.urls:
+            self.wrap(cache, url)
+        assert all(
+            self.server.resource(url).tuples is None for url in self.urls
+        )
+        assert all(cache.lookup(url).tuples for url in self.urls)
+
+
+COURSES_SQL = "SELECT CName, Description FROM Course WHERE Session = 'Fall'"
+
+
+class TestTupleCacheEndToEnd:
+    """Whole queries over the small university site."""
+
+    def warm_env(self, shards=1):
+        env = university(UniversityConfig(n_depts=2, n_profs=6, n_courses=12))
+        cache = env.enable_cache(capacity=4096, shards=shards)
+        plan = env.plan(COURSES_SQL, cache="off").best.expr
+        cold = env.execute(plan, options=QueryOptions(cache=cache))
+        return env, cache, plan, cold
+
+    def run(self, env, cache, plan, **options):
+        with counted_wraps(env.registry) as wraps:
+            result = env.execute(plan, options=QueryOptions(cache=cache, **options))
+        return result, wraps
+
+    def test_warm_query_parses_nothing_and_still_checks_every_page(self):
+        env, cache, plan, cold = self.warm_env()
+        warm, wraps = self.run(env, cache, plan)
+        assert wraps == []
+        assert warm.pages == 0
+        assert warm.light_connections == warm.revalidations == cold.pages
+        assert warm.relation.same_contents(cold.relation)
+
+    def test_exactly_the_changed_pages_are_parsed_once(self):
+        env, cache, plan, cold = self.warm_env()
+        course = next(
+            c for c in env.site.courses if c.url in cold.log.downloaded_urls
+        )
+        touched = next(
+            url for url in cold.log.downloaded_urls if url != course.url
+        )
+        SiteMutator(env.site).update_course_description(course, "rewritten")
+        env.site.server.touch(touched)
+        stale, wraps = self.run(env, cache, plan)
+        assert sorted(url for _, url in wraps) == sorted([course.url, touched])
+        assert stale.pages == 2
+        assert stale.light_connections == cold.pages
+        assert ("rewritten" in str(stale.relation.rows)) == (
+            course.session == "Fall"
+        )
+        _, wraps = self.run(env, cache, plan)
+        assert wraps == []
+
+    def test_shard_count_changes_nothing(self):
+        def trajectory(shards):
+            env, cache, plan, cold = self.warm_env(shards)
+            steps = [(cold.pages, cold.light_connections, None)]
+            for round_no in range(3):
+                if round_no == 1:
+                    SiteMutator(env.site).revise_courses(0.5)
+                result, wraps = self.run(env, cache, plan)
+                steps.append(
+                    (result.pages, result.light_connections, sorted(wraps))
+                )
+            return steps, relation_digest(result.relation)
+
+        assert trajectory(1) == trajectory(2) == trajectory(4)
+
+    def test_no_execution_mode_writes_to_a_cached_tuple(self):
+        env, cache, plan, cold = self.warm_env()
+
+        def cached_tuples():
+            return {url: cache.lookup(url).tuples for url in cache.urls()}
+
+        pristine = copy.deepcopy(cached_tuples())
+        assert all(pristine.values())
+        for mode in EXECUTION_MODES:
+            result, wraps = self.run(env, cache, plan, execution=mode)
+            assert wraps == []
+            assert result.relation.same_contents(cold.relation)
+            assert cached_tuples() == pristine, mode
+
+    def test_four_threads_share_one_cache(self):
+        env, cache, plan, cold = self.warm_env()
+        solo = relation_digest(cold.relation)
+        digests, errors = [], []
+
+        def worker():
+            # one client per thread (an AccessLog has a single writer);
+            # the cache, its entries and their tuples are shared
+            client = WebClient(env.site.server, cache=cache)
+            executor = RemoteExecutor(env.scheme, client, env.registry)
+            try:
+                for _ in range(50):
+                    result = executor.execute(
+                        plan, options=QueryOptions(cache=cache)
+                    )
+                    digests.append(relation_digest(result.relation))
+                errors.extend(client.log.reconcile())
+            except Exception as err:  # surfaced by the assert below
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert digests == [solo] * 200

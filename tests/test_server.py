@@ -15,6 +15,7 @@ import pytest
 from repro.errors import AdmissionRejected, OptionsError
 from repro.obs.metrics import METRICS
 from repro.options import QueryOptions, QueryRequest
+from repro.qa.oracle import counted_wraps
 from repro.server import (
     QueryServer,
     ServerConfig,
@@ -182,6 +183,30 @@ class TestSharedExecution:
         assert second.pages_shared == first.pages_shared
         assert second.navigator_log.page_downloads == 0
 
+    def test_a_shared_page_is_parsed_by_the_navigator_only(self):
+        """The hand-off carries the navigator's tuples: a subscriber parses
+        its own pages and none of the shared ones, led or hot."""
+        env = fuzzed(FUZZ_SEEDS[0])
+        request = mixed_requests(env, 1)[0]
+        plan = env.plan(request.query, cache="off").best.expr
+        solo = env.execute(plan, options=COLD)
+        navigator = SharedNavigator(env.scheme, env.client, env.registry)
+        for lead in (True, False):
+            with counted_wraps(env.registry) as wraps:
+                shared = execute_shared(
+                    env, plan, options=COLD, navigator=navigator
+                )
+            assert shared.pages_shared > 0
+            assert shared.result.pages + shared.pages_shared == solo.pages
+            assert shared.result.fingerprint() == solo.fingerprint()
+            parsed = sorted(url for _, url in wraps)
+            own = sorted(shared.result.log.downloaded_urls)
+            led = sorted(shared.navigator_log.downloaded_urls)
+            assert parsed == sorted(own + led)
+            assert bool(led) == lead
+        server = env.site.server
+        assert all(server.resource(url).tuples is None for url in server.urls())
+
     def test_plan_prefixes_cover_every_entry_leaf(self, uni_env):
         plan = uni_env.plan(SQL).best.expr
         prefixes = navigation_prefixes(plan)
@@ -205,11 +230,17 @@ class TestConcurrentDigests:
             env, ServerConfig(max_workers=4, max_queue=len(requests))
         )
         try:
-            tickets = [server.submit(request) for request in requests]
-            outcomes = [ticket.outcome(timeout=300) for ticket in tickets]
+            with counted_wraps(env.registry) as wraps:
+                tickets = [server.submit(request) for request in requests]
+                outcomes = [ticket.outcome(timeout=300) for ticket in tickets]
         finally:
             server.close()
         assert all(o.ok for o in outcomes)
+        # every page is parsed by whoever downloaded it, shared pages by
+        # the navigator alone — not once more per subscriber
+        assert len(wraps) == server.navigator.log.page_downloads + sum(
+            o.result.pages for o in outcomes
+        )
         for outcome, reference in zip(outcomes, solo):
             assert (
                 outcome.result.fingerprint() == reference.fingerprint()

@@ -124,6 +124,31 @@ class TestAccessLog:
         client.get("http://x/a.html")
         assert snap.page_downloads == 0
 
+    def test_snapshot_is_constant_size_and_delta_is_unchanged(self, client):
+        """A per-query mark must not copy a log that grows for the life of
+        the client: the snapshot holds numbers only, and ``delta`` slices
+        the live lists from the remembered lengths — same result as the
+        old copy-and-subtract."""
+        urls = ["http://x/a.html", "http://x/b.html", "http://x/missing.html"]
+        for i in range(10_000):
+            try:
+                client.get(urls[i % 3])
+            except ResourceNotFound:
+                pass
+        log = client.log
+        n_urls, n_records = len(log.downloaded_urls), len(log.records)
+        snap = log.snapshot()
+        assert all(type(v) in (int, float) for v in vars(snap).values())
+        client.get_batch(urls)
+        client.head(urls[0])
+        delta = log.delta(snap)
+        assert delta.downloaded_urls == log.downloaded_urls[n_urls:]
+        assert delta.downloaded_urls == urls[:2]
+        assert delta.records == log.records[n_records:]
+        assert len(delta.records) == 3
+        assert (delta.page_downloads, delta.light_connections) == (2, 1)
+        assert delta.reconcile() == []
+
     def test_reset(self, client):
         client.get("http://x/a.html")
         client.log.reset()
