@@ -3,9 +3,13 @@
 The paper *assumes* suitable wrappers exist (Section 3.1, citing Minerva and
 EDITOR); here we build them:
 
-* :mod:`repro.wrapper.dom` — a small DOM over :mod:`html.parser`;
+* :mod:`repro.wrapper.dom` — :class:`Selector`, the element patterns specs
+  are written in;
 * :mod:`repro.wrapper.spec` — declarative extraction specs (selector-based
-  rules mapping DOM regions to attributes);
+  rules mapping page regions to attributes; pure data);
+* :mod:`repro.wrapper.extractor` — compiles a spec once and evaluates it in
+  one pass over :mod:`html.parser`'s events (no DOM is built; the DOM
+  evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
 * :mod:`repro.wrapper.wrapper` — :class:`PageWrapper` applies a spec to a
   page and yields the nested tuple; :class:`WrapperRegistry` holds one
   wrapper per page-scheme;
@@ -15,14 +19,12 @@ EDITOR); here we build them:
   sites).
 """
 
-from repro.wrapper.dom import Node, parse_html, Selector
+from repro.wrapper.dom import Selector
 from repro.wrapper.spec import AtomRule, ListRule, ExtractionSpec
 from repro.wrapper.wrapper import PageWrapper, WrapperRegistry
 from repro.wrapper.conventions import spec_for_page_scheme, registry_for_scheme
 
 __all__ = [
-    "Node",
-    "parse_html",
     "Selector",
     "AtomRule",
     "ListRule",

@@ -1,100 +1,21 @@
-"""A minimal DOM built on the standard library's :mod:`html.parser`.
+"""Selectors: the element patterns extraction specs are written in.
 
-Provides just enough to support the extraction specs: an element tree with
-tags, attributes, text, and selector-based querying.  Selectors support the
-subset ``tag.class[attr=value]`` (each part optional), which is all the
-conventions in :mod:`repro.wrapper.conventions` need — hand-written specs
-for irregular sites can combine several selectors and scoped searches.
+A :class:`Selector` is the subset ``tag.class[attr=value]`` (each part
+optional), which is all the conventions in :mod:`repro.wrapper.conventions`
+need — hand-written specs for irregular sites combine several selectors and
+scoped searches.  Selectors are pure data: :mod:`repro.wrapper.extractor`
+compiles them and matches them against :mod:`html.parser` start-tag events
+(there is no DOM).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from html.parser import HTMLParser
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import WrapperError
 
-__all__ = ["Node", "parse_html", "Selector"]
-
-#: Elements that never have closing tags.
-VOID_ELEMENTS = frozenset(
-    {"area", "base", "br", "col", "embed", "hr", "img", "input",
-     "link", "meta", "source", "track", "wbr"}
-)
-
-
-@dataclass
-class Node:
-    """An element (or the synthetic ``#root``) of the parsed document."""
-
-    tag: str
-    attrs: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)  # Node or str (text)
-    parent: Optional["Node"] = None
-
-    # ------------------------------------------------------------------ #
-    # content
-    # ------------------------------------------------------------------ #
-
-    @property
-    def classes(self) -> frozenset:
-        return frozenset((self.attrs.get("class") or "").split())
-
-    def text(self) -> str:
-        """All descendant text, whitespace-normalised."""
-        parts: list[str] = []
-
-        def walk(node: "Node") -> None:
-            for child in node.children:
-                if isinstance(child, str):
-                    parts.append(child)
-                else:
-                    walk(child)
-
-        walk(self)
-        return " ".join(" ".join(parts).split())
-
-    def own_text(self) -> str:
-        """Direct text children only, whitespace-normalised."""
-        parts = [c for c in self.children if isinstance(c, str)]
-        return " ".join(" ".join(parts).split())
-
-    # ------------------------------------------------------------------ #
-    # traversal
-    # ------------------------------------------------------------------ #
-
-    def element_children(self) -> list["Node"]:
-        return [c for c in self.children if isinstance(c, Node)]
-
-    def descendants(self, prune: Optional["Selector"] = None) -> Iterator["Node"]:
-        """Depth-first descendants.  When ``prune`` is given, nodes matching
-        it are yielded but not descended into (scoped search boundaries)."""
-        for child in self.element_children():
-            yield child
-            if prune is not None and prune.matches(child):
-                continue
-            yield from child.descendants(prune)
-
-    def find_all(
-        self, selector: "Selector", prune: Optional["Selector"] = None
-    ) -> list["Node"]:
-        """All descendants matching ``selector`` (not descending past
-        ``prune`` matches, when given)."""
-        return [n for n in self.descendants(prune) if selector.matches(n)]
-
-    def find(
-        self, selector: "Selector", prune: Optional["Selector"] = None
-    ) -> Optional["Node"]:
-        """First descendant matching ``selector`` or None."""
-        for node in self.descendants(prune):
-            if selector.matches(node):
-                return node
-        return None
-
-    def __repr__(self) -> str:
-        attrs = "".join(f" {k}={v!r}" for k, v in self.attrs.items())
-        return f"<{self.tag}{attrs} ({len(self.children)} children)>"
+__all__ = ["Selector"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +28,8 @@ class Selector:
     """
 
     tag: Optional[str] = None
-    classes: frozenset = frozenset()
-    attr_equals: Optional[tuple] = None  # (attr_name, value)
+    classes: frozenset[str] = frozenset()
+    attr_equals: Optional[tuple[str, str]] = None  # (attr_name, value)
 
     @classmethod
     def parse(cls, text: str) -> "Selector":
@@ -131,58 +52,9 @@ class Selector:
         classes = frozenset(p for p in parts[1:] if p)
         return cls(tag=tag, classes=classes, attr_equals=attr_equals)
 
-    def matches(self, node: Node) -> bool:
-        if self.tag is not None and node.tag != self.tag:
-            return False
-        if self.classes and not self.classes <= node.classes:
-            return False
-        if self.attr_equals is not None:
-            name, value = self.attr_equals
-            if node.attrs.get(name) != value:
-                return False
-        return True
-
     def __str__(self) -> str:
         text = self.tag or ""
         text += "".join(f".{c}" for c in sorted(self.classes))
         if self.attr_equals:
             text += f"[{self.attr_equals[0]}={self.attr_equals[1]}]"
         return text
-
-
-class _TreeBuilder(HTMLParser):
-    """html.parser handler that assembles the Node tree."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = Node("#root")
-        self._stack = [self.root]
-
-    def handle_starttag(self, tag: str, attrs) -> None:
-        node = Node(tag, dict(attrs), parent=self._stack[-1])
-        self._stack[-1].children.append(node)
-        if tag not in VOID_ELEMENTS:
-            self._stack.append(node)
-
-    def handle_startendtag(self, tag: str, attrs) -> None:
-        node = Node(tag, dict(attrs), parent=self._stack[-1])
-        self._stack[-1].children.append(node)
-
-    def handle_endtag(self, tag: str) -> None:
-        # tolerate unbalanced markup: pop to the nearest matching open tag
-        for i in range(len(self._stack) - 1, 0, -1):
-            if self._stack[i].tag == tag:
-                del self._stack[i:]
-                return
-
-    def handle_data(self, data: str) -> None:
-        if data.strip():
-            self._stack[-1].children.append(data)
-
-
-def parse_html(html: str) -> Node:
-    """Parse an HTML document into a :class:`Node` tree (root is ``#root``)."""
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root

@@ -1,7 +1,7 @@
 """Declarative extraction specs.
 
 An :class:`ExtractionSpec` describes how to pull one nested tuple out of a
-page's DOM: one rule per ADM attribute.  Two rule kinds exist:
+page: one rule per ADM attribute.  Two rule kinds exist:
 
 * :class:`AtomRule` — find one element and read its text, an attribute
   (``href`` for links, ``src`` for images), or its own (non-descendant)
@@ -11,21 +11,22 @@ page's DOM: one rule per ADM attribute.  Two rule kinds exist:
 
 Searches inside list items are *scoped*: they never descend into nested list
 containers, so inner lists can reuse attribute names without shadowing
-(``prune`` below).
+(:data:`LIST_BOUNDARY` below).  The rules are pure data;
+:mod:`repro.wrapper.extractor` compiles and evaluates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
-from repro.errors import ExtractionError
-from repro.wrapper.dom import Node, Selector
+from repro.wrapper.dom import Selector
 
 __all__ = ["AtomRule", "ListRule", "ExtractionSpec", "LIST_BOUNDARY"]
 
-#: Nodes matching this selector delimit nested scopes: atom searches never
-#: descend into them.  Generators mark every list container with this class.
+#: Elements matching this selector delimit nested scopes: a search sees a
+#: boundary element itself but nothing inside it.  Generators mark every
+#: list container with this class.
 LIST_BOUNDARY = Selector.parse(".attr-list")
 
 
@@ -42,27 +43,6 @@ class AtomRule:
     source: str = "text"
     optional: bool = False
 
-    def extract(self, scope: Node) -> Optional[str]:
-        node = scope.find(self.selector, prune=LIST_BOUNDARY)
-        if node is None:
-            if self.optional:
-                return None
-            raise ExtractionError(
-                f"attribute {self.attr!r}: no element matches {self.selector}"
-            )
-        if self.source == "text":
-            return node.text()
-        if self.source == "own-text":
-            return node.own_text()
-        value = node.attrs.get(self.source)
-        if value is None:
-            if self.optional:
-                return None
-            raise ExtractionError(
-                f"attribute {self.attr!r}: element lacks @{self.source}"
-            )
-        return value
-
 
 @dataclass(frozen=True)
 class ListRule:
@@ -73,24 +53,6 @@ class ListRule:
     item: Selector
     rules: Tuple[Union["AtomRule", "ListRule"], ...] = field(default_factory=tuple)
 
-    def extract(self, scope: Node) -> list[dict]:
-        # scoped search: do not descend into other list containers, so a
-        # same-named list nested inside a sibling attribute cannot shadow
-        # this one (the prune still *yields* boundary nodes, so the wanted
-        # container itself is found)
-        container = scope.find(self.container, prune=LIST_BOUNDARY)
-        if container is None:
-            raise ExtractionError(
-                f"list {self.attr!r}: no container matches {self.container}"
-            )
-        rows: list[dict] = []
-        for item in container.find_all(self.item, prune=LIST_BOUNDARY):
-            row = {}
-            for rule in self.rules:
-                row[rule.attr] = rule.extract(item)
-            rows.append(row)
-        return rows
-
 
 @dataclass(frozen=True)
 class ExtractionSpec:
@@ -98,16 +60,3 @@ class ExtractionSpec:
 
     page_scheme: str
     rules: Tuple[Union[AtomRule, ListRule], ...]
-
-    def extract(self, root: Node) -> dict:
-        """Apply every rule against the document root; returns the tuple
-        (without the URL, which the caller knows)."""
-        row = {}
-        for rule in self.rules:
-            try:
-                row[rule.attr] = rule.extract(root)
-            except ExtractionError as exc:
-                raise ExtractionError(
-                    f"{self.page_scheme}: {exc}"
-                ) from None
-        return row

@@ -15,7 +15,7 @@ from urllib.parse import urljoin
 from repro.adm.page_scheme import PageScheme, URL_ATTR
 from repro.adm.webtypes import LinkType, ListType, WebType
 from repro.errors import WrapperError
-from repro.wrapper.dom import parse_html
+from repro.wrapper.extractor import compile_spec, extract
 from repro.wrapper.spec import ExtractionSpec
 
 __all__ = ["PageWrapper", "WrapperRegistry"]
@@ -31,6 +31,7 @@ class PageWrapper:
             )
         self.page_scheme = page_scheme
         self.spec = spec
+        self._program = compile_spec(spec)
 
     def wrap(self, url: str, html: str) -> dict:
         """Extract the nested tuple for the page at ``url``.
@@ -38,8 +39,7 @@ class PageWrapper:
         The returned dict is keyed by *plain* attribute names and includes
         the implicit ``URL`` attribute.  Link values are absolute URLs.
         """
-        root = parse_html(html)
-        raw = self.spec.extract(root)
+        raw = extract(self._program, html)
         row = {URL_ATTR: url}
         for attr in self.page_scheme.attributes:
             if attr.name not in raw:

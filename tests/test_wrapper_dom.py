@@ -1,9 +1,16 @@
-"""Tests for the DOM parser and selectors."""
+"""Tests for selectors, and for the reference DOM evaluator
+(``tests/wrapper_reference.py``) the one-pass extractor is compared against.
+
+Every behaviour pinned here that a user can see (entities, comments, script
+content, void elements, prune scoping) is also asserted through
+``PageWrapper.wrap`` in ``test_wrapper_spec.py::TestUserVisibleMarkup``."""
 
 import pytest
 
 from repro.errors import WrapperError
-from repro.wrapper.dom import Selector, parse_html
+from repro.wrapper.dom import Selector
+
+from tests.wrapper_reference import matches, parse_html
 
 SAMPLE = """
 <!DOCTYPE html>
@@ -88,7 +95,7 @@ class TestSelectors:
     def test_multi_class(self):
         sel = Selector.parse("div.page.main")
         root = parse_html(SAMPLE)
-        assert sel.matches(root.find(Selector.parse("div")))
+        assert matches(sel, root.find(Selector.parse("div")))
 
     def test_find_all(self):
         root = parse_html(SAMPLE)
