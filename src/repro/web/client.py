@@ -35,10 +35,13 @@ with the cache off they are bit-for-bit those of the uncached engine.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-
-from typing import Optional, Sequence
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
 from repro.clock import BatchSchedule, Timeline
 from repro.errors import (
@@ -213,10 +216,11 @@ class CostSummary:
 
 @dataclass(frozen=True)
 class LogMark:
-    """An :class:`AccessLog`'s counters at one instant plus the *lengths* of
-    its two append-only lists — what :meth:`AccessLog.snapshot` returns and
-    :meth:`AccessLog.delta` subtracts.  Every query takes one, so it must
-    not cost a copy of a log that grows for the life of the client."""
+    """An :class:`AccessLog`'s counters at one instant plus how many entries
+    its two append-only lists had ever received — what
+    :meth:`AccessLog.snapshot` returns and :meth:`AccessLog.delta` subtracts.
+    Every query takes one, so it must not cost a copy of the log; while it
+    is alive the log keeps every entry appended after it."""
 
     page_downloads: int
     light_connections: int
@@ -232,6 +236,32 @@ class LogMark:
     records: int
 
 
+class _Tally(NamedTuple):
+    """What :meth:`AccessLog.reconcile` needs of a run of per-fetch entries,
+    held or retired."""
+
+    urls: int = 0
+    records: int = 0
+    ok: int = 0
+    attempts: int = 0
+    transient_failures: int = 0
+    not_found: int = 0
+
+    @classmethod
+    def of(cls, urls: int, records: Sequence[FetchRecord]) -> "_Tally":
+        return cls(
+            urls,
+            len(records),
+            sum(r.ok for r in records),
+            sum(r.attempts for r in records),
+            sum(r.transient_failures for r in records),
+            sum(r.error == "not_found" for r in records),
+        )
+
+    def plus(self, other: "_Tally") -> "_Tally":
+        return _Tally(*map(add, self, other))
+
+
 @dataclass
 class AccessLog:
     """Counts of network interactions performed through a client.
@@ -245,7 +275,14 @@ class AccessLog:
     pre-fetched from the multi-query server's plan-level prefix sharing
     (:mod:`repro.server`): someone else's download, injected into this
     query's session before it ran, so it appears in no fetch record here
-    — the provider's own log carries the download."""
+    — the provider's own log carries the download.
+
+    The counters are exact for the life of the log.  ``downloaded_urls`` and
+    ``records`` reach back to the oldest :class:`LogMark` still alive: taking
+    a mark folds the entries no live mark can ask for into a running
+    :class:`_Tally`, so :meth:`reconcile` stays exact, every :meth:`delta` is
+    complete, and a long-lived client holds one query's entries, not its
+    history.  A log nobody takes marks of keeps everything."""
 
     page_downloads: int = 0
     light_connections: int = 0
@@ -259,27 +296,46 @@ class AccessLog:
     pages_shared: int = 0
     downloaded_urls: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    _retired: _Tally = field(default=_Tally(), repr=False, compare=False)
+    #: weak references to the marks taken, oldest first
+    _marks: deque = field(default_factory=deque, repr=False, compare=False)
+    #: marks may be taken from any thread (fetches are accounted by one)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def snapshot(self) -> "LogMark":
         """A frozen O(1) mark of the current counters, to hand to
-        :meth:`delta` later."""
-        return LogMark(
-            page_downloads=self.page_downloads,
-            light_connections=self.light_connections,
-            failed_requests=self.failed_requests,
-            bytes_downloaded=self.bytes_downloaded,
-            simulated_seconds=self.simulated_seconds,
-            attempts=self.attempts,
-            cache_hits=self.cache_hits,
-            revalidations=self.revalidations,
-            pages_saved=self.pages_saved,
-            pages_shared=self.pages_shared,
-            urls=len(self.downloaded_urls),
-            records=len(self.records),
-        )
+        :meth:`delta` later; retires the entries older than every live mark."""
+        with self._lock:
+            mark = LogMark(
+                page_downloads=self.page_downloads,
+                light_connections=self.light_connections,
+                failed_requests=self.failed_requests,
+                bytes_downloaded=self.bytes_downloaded,
+                simulated_seconds=self.simulated_seconds,
+                attempts=self.attempts,
+                cache_hits=self.cache_hits,
+                revalidations=self.revalidations,
+                pages_saved=self.pages_saved,
+                pages_shared=self.pages_shared,
+                urls=self._retired.urls + len(self.downloaded_urls),
+                records=self._retired.records + len(self.records),
+            )
+            self._marks.append(weakref.ref(mark))
+            while (oldest := self._marks[0]()) is None:
+                self._marks.popleft()
+            urls = oldest.urls - self._retired.urls
+            records = oldest.records - self._retired.records
+            self._retired = self._retired.plus(_Tally.of(urls, self.records[:records]))
+            del self.downloaded_urls[:urls], self.records[:records]
+        return mark
 
     def delta(self, earlier: "LogMark") -> "AccessLog":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
+        with self._lock:
+            urls = self.downloaded_urls[earlier.urls - self._retired.urls :]
+            records = self.records[earlier.records - self._retired.records :]
         return AccessLog(
             page_downloads=self.page_downloads - earlier.page_downloads,
             light_connections=self.light_connections - earlier.light_connections,
@@ -291,8 +347,8 @@ class AccessLog:
             revalidations=self.revalidations - earlier.revalidations,
             pages_saved=self.pages_saved - earlier.pages_saved,
             pages_shared=self.pages_shared - earlier.pages_shared,
-            downloaded_urls=self.downloaded_urls[earlier.urls:],
-            records=self.records[earlier.records:],
+            downloaded_urls=urls,
+            records=records,
         )
 
     def merge(self, other: "AccessLog") -> "AccessLog":
@@ -328,15 +384,19 @@ class AccessLog:
         self.revalidations = 0
         self.pages_saved = 0
         self.pages_shared = 0
-        self.downloaded_urls = []
-        self.records = []
+        with self._lock:
+            self.downloaded_urls = []
+            self.records = []
+            self._retired = _Tally()
+            self._marks.clear()
 
     @property
     def cost(self) -> CostSummary:
         return CostSummary.from_log(self)
 
     def reconcile(self) -> list[str]:
-        """Cross-check the aggregate counters against the per-fetch records.
+        """Cross-check the aggregate counters against the per-fetch records
+        (those still held plus the tally of those retired).
 
         Returns a list of human-readable inconsistencies (empty when the
         log is internally consistent).  The invariants — relied on by the
@@ -362,29 +422,29 @@ class AccessLog:
             f"pages_saved={self.pages_saved} != cache_hits={self.cache_hits}"
             f" + revalidations={self.revalidations}",
         )
+        with self._lock:
+            fetched = self._retired.plus(
+                _Tally.of(len(self.downloaded_urls), self.records)
+            )
         check(
-            self.page_downloads == len(self.downloaded_urls),
+            self.page_downloads == fetched.urls,
             f"page_downloads={self.page_downloads} != "
-            f"len(downloaded_urls)={len(self.downloaded_urls)}",
+            f"len(downloaded_urls)={fetched.urls}",
         )
-        ok_records = sum(1 for r in self.records if r.ok)
         check(
-            self.page_downloads == ok_records,
+            self.page_downloads == fetched.ok,
             f"page_downloads={self.page_downloads} != "
-            f"ok records={ok_records}",
+            f"ok records={fetched.ok}",
         )
-        record_attempts = sum(r.attempts for r in self.records)
         check(
-            self.attempts == record_attempts + self.light_connections,
+            self.attempts == fetched.attempts + self.light_connections,
             f"attempts={self.attempts} != record attempts="
-            f"{record_attempts} + light_connections={self.light_connections}",
+            f"{fetched.attempts} + light_connections={self.light_connections}",
         )
-        transient = sum(r.transient_failures for r in self.records)
-        not_found = sum(1 for r in self.records if r.error == "not_found")
         check(
-            self.failed_requests == transient + not_found,
+            self.failed_requests == fetched.transient_failures + fetched.not_found,
             f"failed_requests={self.failed_requests} != transient="
-            f"{transient} + not_found={not_found}",
+            f"{fetched.transient_failures} + not_found={fetched.not_found}",
         )
         check(
             self.revalidations <= self.light_connections,

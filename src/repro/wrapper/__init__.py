@@ -8,8 +8,8 @@ EDITOR); here we build them:
 * :mod:`repro.wrapper.spec` — declarative extraction specs (selector-based
   rules mapping page regions to attributes; pure data);
 * :mod:`repro.wrapper.extractor` — compiles a spec once and evaluates it in
-  one pass over :mod:`html.parser`'s events (no DOM is built; the DOM
-  evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
+  one pass over the events of its own linear scanner (no DOM is built; the
+  DOM evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
 * :mod:`repro.wrapper.wrapper` — :class:`PageWrapper` applies a spec to a
   page and yields the nested tuple; :class:`WrapperRegistry` holds one
   wrapper per page-scheme;

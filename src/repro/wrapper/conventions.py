@@ -36,26 +36,11 @@ from repro.wrapper.wrapper import PageWrapper, WrapperRegistry
 __all__ = ["spec_for_page_scheme", "registry_for_scheme"]
 
 
+#: atom type -> (tag of its element, where its value is read)
+_ATOMS = {TextType: ("", "text"), ImageType: ("img", "src"), LinkType: ("a", "href")}
+
+
 def _rule_for(name: str, wtype: WebType) -> Union[AtomRule, ListRule]:
-    if isinstance(wtype, TextType):
-        return AtomRule(
-            attr=name,
-            selector=Selector.parse(f".attr[data-attr={name}]"),
-            source="text",
-        )
-    if isinstance(wtype, ImageType):
-        return AtomRule(
-            attr=name,
-            selector=Selector.parse(f"img.attr[data-attr={name}]"),
-            source="src",
-        )
-    if isinstance(wtype, LinkType):
-        return AtomRule(
-            attr=name,
-            selector=Selector.parse(f"a.attr[data-attr={name}]"),
-            source="href",
-            optional=wtype.optional,
-        )
     if isinstance(wtype, ListType):
         return ListRule(
             attr=name,
@@ -63,6 +48,11 @@ def _rule_for(name: str, wtype: WebType) -> Union[AtomRule, ListRule]:
             item=Selector.parse("li.item"),
             rules=tuple(_rule_for(fname, ftype) for fname, ftype in wtype.fields),
         )
+    for atom, (tag, source) in _ATOMS.items():
+        if isinstance(wtype, atom):
+            selector = Selector.parse(f"{tag}.attr[data-attr={name}]")
+            optional = isinstance(wtype, LinkType) and wtype.optional
+            return AtomRule(name, selector, source, optional)
     raise WrapperError(f"no extraction convention for type {wtype!r}")
 
 

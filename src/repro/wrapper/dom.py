@@ -4,8 +4,8 @@ A :class:`Selector` is the subset ``tag.class[attr=value]`` (each part
 optional), which is all the conventions in :mod:`repro.wrapper.conventions`
 need — hand-written specs for irregular sites combine several selectors and
 scoped searches.  Selectors are pure data: :mod:`repro.wrapper.extractor`
-compiles them and matches them against :mod:`html.parser` start-tag events
-(there is no DOM).
+compiles them and matches them against its scanner's start-tag events (there
+is no DOM).
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """One pass over the page: extraction specs compiled to a flat program and
-evaluated directly over :mod:`html.parser`'s events.
+evaluated over the events of a scanner of our own.
 
 :func:`compile_spec` resolves an :class:`ExtractionSpec` once into an
 immutable tree of scopes, each a set of *watches* (one per rule, plus one per
 list's item selector) indexed by the ``[attr=value]`` test they make;
-:func:`extract` runs it over one page with an explicit stack of open elements
-and a short list of open scopes.  No tree is built and nothing recurses on
-the page's depth.  The rules it implements (docs/TUTORIAL.md states them for
-spec authors; ``tests/wrapper_reference.py`` is the DOM evaluator the
-property test compares against):
+:func:`scan` reads a page once into start / end / data events; :func:`extract`
+runs the program over them with an explicit stack of open elements and a
+short list of open scopes.  No tree is built and nothing recurses on the
+page's depth.  docs/TUTORIAL.md states the rules for spec authors ("Tag soup"
+is the scanner's grammar); ``tests/wrapper_reference.py`` is the DOM evaluator
+over the standard library's tokenizer that the tests compare both with:
 
 * **first match, no backtracking** — per scope and rule, the first visible
   matching element in document order decides the value, even if it lacks
@@ -30,14 +31,15 @@ scheme; all run state lives in the per-call :class:`_Run`.
 
 from __future__ import annotations
 
-from html.parser import HTMLParser
-from typing import Any, NamedTuple, Optional, Sequence, Union
+import re
+from html import unescape
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ExtractionError
 from repro.wrapper.dom import Selector
 from repro.wrapper.spec import LIST_BOUNDARY, AtomRule, ExtractionSpec, ListRule
 
-__all__ = ["Program", "compile_spec", "extract"]
+__all__ = ["Program", "compile_spec", "extract", "scan", "attributes"]
 
 #: Elements that never have closing tags.
 VOID_ELEMENTS = frozenset(
@@ -57,7 +59,6 @@ _OPEN: Any = object()  # matched; its text is still being collected
 _ATTR, _TEXT, _OWN, _LIST, _ITEM = range(5)
 
 _Rule = Union[AtomRule, ListRule]
-_Attrs = list[tuple[str, Optional[str]]]
 
 
 class _Watch(NamedTuple):
@@ -65,6 +66,7 @@ class _Watch(NamedTuple):
 
     tag: Optional[str]
     classes: frozenset[str]
+    key: Optional[tuple[str, str]]  # the selector's [attr=value]: the scope's index key
     kind: int
     slot: int  # index in the scope's slot list (unused by _ITEM)
     source: str  # _ATTR: the HTML attribute to read
@@ -72,7 +74,6 @@ class _Watch(NamedTuple):
     #: item's rules; empty for atoms
     opens: "_Scope"
     rule: _Rule
-    key: Optional[tuple[str, str]]  # the selector's [attr=value]: the scope's index key
 
 
 class _Scope(NamedTuple):
@@ -89,22 +90,12 @@ class Program(NamedTuple):
     page_scheme: str
     scope: _Scope
     own_text: bool  # some rule reads "own-text"
+    #: ``search`` of what a start tag's attribute text must contain for a
+    #: selector to match it or for it to be a boundary
+    candidate: Callable[[str], object]
 
 
-_NO_SCOPE = _Scope((), (), ())
-
-
-def _watch(
-    selector: Selector, kind: int, slot: int, rule: _Rule, opens: _Scope = _NO_SCOPE
-) -> _Watch:
-    source = rule.source if isinstance(rule, AtomRule) else ""
-    return _Watch(
-        selector.tag, selector.classes, kind, slot, source, opens, rule,
-        selector.attr_equals,
-    )  # fmt: skip
-
-
-def _scope(watches: Sequence[_Watch]) -> _Scope:
+def _scope(*watches: _Watch) -> _Scope:
     keyed: dict[str, dict[Optional[str], tuple[_Watch, ...]]] = {}
     for watch in watches:
         if watch.key is not None:
@@ -112,7 +103,14 @@ def _scope(watches: Sequence[_Watch]) -> _Scope:
             table = keyed.setdefault(name, {})
             table[value] = table.get(value, ()) + (watch,)
     unkeyed = tuple(w for w in watches if w.key is None)
-    return _Scope(tuple(watches), tuple(keyed.items()), unkeyed)
+    return _Scope(watches, tuple(keyed.items()), unkeyed)
+
+
+def _watch(
+    on: Selector, kind: int, slot: int, rule: _Rule, opens: _Scope = _scope()
+) -> _Watch:
+    source = rule.source if isinstance(rule, AtomRule) else ""
+    return _Watch(on.tag, on.classes, on.attr_equals, kind, slot, source, opens, rule)
 
 
 def _compile_rules(rules: Sequence[_Rule]) -> _Scope:
@@ -120,25 +118,138 @@ def _compile_rules(rules: Sequence[_Rule]) -> _Scope:
     for slot, rule in enumerate(rules):
         if isinstance(rule, ListRule):
             item = _watch(rule.item, _ITEM, 0, rule, _compile_rules(rule.rules))
-            watches.append(_watch(rule.container, _LIST, slot, rule, _scope([item])))
+            watches.append(_watch(rule.container, _LIST, slot, rule, _scope(item)))
         else:
             kind = {"text": _TEXT, "own-text": _OWN}.get(rule.source, _ATTR)
             watches.append(_watch(rule.selector, kind, slot, rule))
-    return _scope(watches)
+    return _scope(*watches)
 
 
-def _reads_own_text(scope: _Scope) -> bool:
-    return any(w.kind == _OWN or _reads_own_text(w.opens) for w in scope.watches)
+def _all_watches(scope: _Scope) -> list[_Watch]:
+    return [x for w in scope.watches for x in (w, *_all_watches(w.opens))]
 
 
 def compile_spec(spec: ExtractionSpec) -> Program:
     """Resolve ``spec`` once; the result is what :func:`extract` runs."""
     scope = _compile_rules(spec.rules)
-    return Program(spec.page_scheme, scope, _reads_own_text(scope))
+    watches = _all_watches(scope)
+    # Per selector, one string the attribute text of a matching start tag must
+    # contain: a class, else the [attr=value] value, else "" (a tag-only
+    # selector rules nothing out).  "&": a character reference can spell any.
+    needles = {"&", _BOUNDARY_CLASS}
+    needles.update(
+        min(w.classes) if w.classes else (w.key or ("", ""))[1] for w in watches
+    )
+    candidate = re.compile("|".join(map(re.escape, sorted(needles))))
+    own_text = any(w.kind == _OWN for w in watches)
+    return Program(spec.page_scheme, scope, own_text, candidate.search)
 
 
-class _Run(HTMLParser):
-    """The state of one :func:`extract` call.
+# --------------------------------------------------------------------- #
+# the scanner: a page's text -> start / end / data events
+# (docs/TUTORIAL.md, "Tag soup", is this grammar one construct a line)
+# --------------------------------------------------------------------- #
+
+_NAME = r"[a-zA-Z][^\s/>]*"
+#: Between a start tag's name and its ``>``: separators, and names with an
+#: optional value.  A quote opens a value only directly after ``=`` and runs
+#: to its partner or to end of input, so each branch matches wherever it is
+#: tried: the repeat stops only at ``>``, ``/>``, end of input or its bound,
+#: nothing backtracks, and no character is read twice.  The bound is there
+#: because the matcher keeps state per repetition; ``scan`` resumes a longer
+#: tag where the pattern stopped.
+_ATTRIBUTES = (
+    r"""(?:\s+|/(?!>)|[^\s/>][^\s/>=]*"""
+    r"""(?:\s*=\s*(?:"[^"]*(?:"|\Z)|'[^']*(?:'|\Z)|[^\s>]*))?){0,128}"""
+)
+#: One alternative per construct; one of them matches at every position and
+#: none can fail once past its first characters, so ``finditer`` reads the
+#: page once.  A construct whose ``>`` is missing has run to end of input
+#: and is dropped.  White space after markup is skipped, never reported.
+_TOKEN = re.compile(
+    rf"""([^<]+)                              # 1: text
+    |<({_NAME})({_ATTRIBUTES})(/?)(>?)\s*     # 2-5: start tag: name, attributes, /, >
+    |</({_NAME})[^>]*(>?)\s*                  # 6-7: end tag: name, >
+    |<!--(?s:.*?)(?:-->|\Z)\s*                # comment
+    |<[!?/][^>]*>?\s*                         # <!doctype>, <![CDATA[ ]]>, <?pi>, </3>
+    |(<)                                      # 8: any other "<" is text
+    """,
+    re.VERBOSE,
+)
+_MORE_ATTRIBUTES = re.compile(rf"{_ATTRIBUTES}(/?)(>?)\s*")
+_ATTRIBUTE = re.compile(
+    r"""([^\s/>][^\s/>=]*)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*)))?"""
+)
+#: Elements whose content is text whatever it looks like, and what ends it.
+_RAW_TEXT = {
+    tag: re.compile(rf"</{tag}(?=[\s/>])", re.IGNORECASE | re.ASCII)
+    for tag in ("script", "style")
+}
+
+
+def attributes(raw: str) -> dict[str, str]:
+    """A start tag's attribute text as ``{lower-cased name: decoded value}``;
+    a name without a value has ``""``, of duplicates the last wins."""
+    values = {n.lower(): d or s or b for n, d, s, b in _ATTRIBUTE.findall(raw)}
+    if "&" in raw:
+        values = {name: unescape(value) for name, value in values.items()}
+    return values
+
+
+_Handler = Callable[[str], object]
+
+
+def scan(
+    html: str, start: Callable[[str, str, bool], object], end: _Handler, data: _Handler
+) -> None:
+    """Call ``start(tag, attribute text, opens)`` (``opens`` is false for
+    ``<x/>``), ``end(tag)`` and ``data(decoded text)`` for ``html``'s events
+    in document order, tag names lower-cased."""
+    pos = 0
+    while True:
+        for match in _TOKEN.finditer(html, pos):
+            kind = match.lastindex
+            if kind == 5:
+                tag, raw, slash, closed = match.group(2, 3, 4, 5)
+                if closed:
+                    tag = tag.lower()
+                    start(tag, raw, not slash)
+                    if tag in _RAW_TEXT and not slash:
+                        break
+                elif match.end() < len(html):
+                    break  # the pattern's bound: the tag goes on
+            elif kind == 7:
+                tag, closed = match.group(6, 7)
+                if closed:
+                    end(tag.lower())
+            elif kind == 1:
+                data(unescape(match.group()))
+            elif kind == 8:
+                data("<")
+        else:
+            return
+        pos = match.end()
+        if not closed:
+            while not closed and pos < len(html):
+                more = _MORE_ATTRIBUTES.match(html, pos)
+                assert more is not None  # every part of it is optional
+                pos, (slash, closed) = more.end(), more.groups()
+            if not closed:
+                return
+            tag = tag.lower()
+            start(tag, html[match.end(2) : more.start(1)], not slash)
+        if tag in _RAW_TEXT and not slash:
+            # the element's content, up to its end tag, is one undecoded event
+            close = _RAW_TEXT[tag].search(html, pos)
+            if close is None:
+                return
+            data(html[pos : close.start()])
+            pos = close.start()
+
+
+class _Run:
+    """The state of one :func:`extract` call; ``start`` / ``end`` / ``data``
+    are :func:`scan`'s handlers.
 
     ``_groups`` are the open scopes visible to the next element, each a
     ``(slots, scope)`` pair: the document's, one per open list item (slots =
@@ -149,28 +260,32 @@ class _Run(HTMLParser):
     """
 
     def __init__(self, program: Program) -> None:
-        super().__init__(convert_charrefs=True)
         self._slots: list[Any] = [_MISSING] * len(program.scope.watches)
         self._groups: list[tuple[list[Any], _Scope]] = [(self._slots, program.scope)]
         self._open: list[Any] = ["#root"]  # never popped: no tag is named so
         self._open_count: dict[str, int] = {}
         self._parts: list[str] = []  # every data event so far
+        self._candidate = program.candidate
         if not program.own_text:
             # nobody asks which element a data event belongs to
-            self.handle_data = self._parts.append  # type: ignore[method-assign]
+            self.data = self._parts.append  # type: ignore[method-assign]
 
-    def updatepos(self, i: int, j: int) -> int:
-        # the base class counts newlines here to keep getpos() current;
-        # nothing asks for positions, and it is a sixth of the parse
-        return j
+    def start(self, tag: str, raw: str, opens: bool) -> None:
+        opens = opens and tag not in VOID_ELEMENTS
+        entry: Any = tag
+        if self._candidate(raw) is not None:
+            # else no selector can match these attributes, and it is no boundary
+            entry = self._matched(tag, attributes(raw), opens)
+        if opens:
+            self._open.append(entry)
+            self._open_count[tag] = self._open_count.get(tag, 0) + 1
 
-    def handle_starttag(self, tag: str, attrs: _Attrs, opens: bool = True) -> None:
-        values = dict(attrs)  # last duplicate wins
-        if opens and tag in VOID_ELEMENTS:
-            opens = False
+    def _matched(self, tag: str, values: dict[str, str], opens: bool) -> Any:
+        """Fill the slots of the watches this element matches; returns its
+        entry for ``_open``."""
         classes: Optional[frozenset[str]] = None
-        scopes: Optional[list[tuple[list[Any], _Scope]]] = None  # opened here
-        captures: Optional[list[tuple[list[Any], int, list[str], int]]] = None
+        scopes: list[tuple[list[Any], _Scope]] = []  # opened here
+        captures: list[tuple[list[Any], int, list[str], int]] = []
         own: Optional[list[str]] = None
         for slots, scope in self._groups:
             watches = scope[2]
@@ -178,68 +293,49 @@ class _Run(HTMLParser):
                 found = table.get(values.get(name))
                 if found is not None:
                     watches = watches + found if watches else found
-            for watch in watches:
-                wanted = watch[0]
+            for wanted, among, _key, kind, slot, source, inner, _rule in watches:
                 if wanted is not None and wanted != tag:
                     continue
-                kind = watch[2]
-                slot = watch[3]
                 if kind != _ITEM and slots[slot] is not _MISSING:
                     continue  # first match only
-                if watch[1]:
+                if among:
                     if classes is None:
-                        classes = frozenset((values.get("class") or "").split())
-                    if not watch[1] <= classes:
+                        classes = frozenset(values.get("class", "").split())
+                    if not among <= classes:
                         continue
                 if kind == _ATTR:
-                    slots[slot] = values.get(watch[4])
-                elif kind == _TEXT or kind == _OWN:
-                    if not opens:
-                        slots[slot] = ""
-                        continue
+                    slots[slot] = values.get(source)
+                elif kind == _LIST:
+                    rows: list[Any] = []
+                    slots[slot] = rows
+                    scopes.append((rows, inner))
+                elif kind == _ITEM:
+                    row = [_MISSING] * len(inner[0])
+                    slots.append(row)
+                    scopes.append((row, inner))
+                elif not opens:
+                    slots[slot] = ""
+                else:
                     slots[slot] = _OPEN
-                    if captures is None:
-                        captures = []
                     if kind == _TEXT:
                         captures.append((slots, slot, self._parts, len(self._parts)))
                     else:
                         if own is None:
                             own = []
                         captures.append((slots, slot, own, 0))
-                else:
-                    if kind == _LIST:
-                        inner: list[Any] = []
-                        slots[slot] = inner
-                    else:
-                        inner = [_MISSING] * len(watch[5][0])
-                        slots.append(inner)
-                    if scopes is None:
-                        scopes = []
-                    scopes.append((inner, watch[5]))
         if not opens:
-            return
-        cls = values.get("class")
+            return tag
+        cls = values.get("class", "")
         # substring first: few elements get as far as the split
-        boundary = (
-            cls is not None
-            and _BOUNDARY_CLASS in cls
-            and _BOUNDARY_CLASS in cls.split()
-        )
-        if boundary or scopes or captures:
-            self._open.append((tag, self._groups, captures, own))
-            if boundary:  # hides every open scope but those it opens itself
-                self._groups = scopes or []
-            elif scopes:
-                self._groups = self._groups + scopes
-        else:
-            self._open.append(tag)
-        count = self._open_count
-        count[tag] = count.get(tag, 0) + 1
+        boundary = _BOUNDARY_CLASS in cls and _BOUNDARY_CLASS in cls.split()
+        if not (boundary or scopes or captures):
+            return tag
+        entry = (tag, self._groups, captures, own)
+        # a boundary hides every open scope but those it opens itself
+        self._groups = scopes if boundary else self._groups + scopes
+        return entry
 
-    def handle_startendtag(self, tag: str, attrs: _Attrs) -> None:
-        self.handle_starttag(tag, attrs, False)
-
-    def handle_endtag(self, tag: str) -> None:
+    def end(self, tag: str) -> None:
         count = self._open_count
         if not count.get(tag):
             return  # nothing of that name is open: a stray end tag
@@ -252,7 +348,7 @@ class _Run(HTMLParser):
             if top == tag:
                 return
 
-    def handle_data(self, data: str) -> None:
+    def data(self, data: str) -> None:
         self._parts.append(data)
         top = self._open[-1]
         if top.__class__ is not str and top[3] is not None:
@@ -260,13 +356,12 @@ class _Run(HTMLParser):
 
     def _closed(self, entry: tuple[str, Any, Any, Any]) -> str:
         tag, self._groups, captures, _ = entry
-        for slots, slot, parts, start in captures or ():
+        for slots, slot, parts, start in captures:
             slots[slot] = " ".join(" ".join(parts[start:]).split())
         return tag
 
     def finish(self) -> list[Any]:
         """End of input closes everything; returns the document's slots."""
-        self.close()
         for entry in reversed(self._open):
             if entry.__class__ is not str:
                 self._closed(entry)
@@ -305,7 +400,7 @@ def _row(scope: _Scope, slots: list[Any]) -> dict[str, Any]:
 def extract(program: Program, html: str) -> dict[str, Any]:
     """The page's raw tuple (without the URL, which the caller knows)."""
     run = _Run(program)
-    run.feed(html)
+    scan(html, run.start, run.end, run.data)
     slots = run.finish()
     try:
         return _row(program.scope, slots)

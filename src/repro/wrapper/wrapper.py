@@ -9,6 +9,7 @@ wrapper per page-scheme and is what the executors carry around.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 from urllib.parse import urljoin
 
@@ -19,6 +20,21 @@ from repro.wrapper.extractor import compile_spec, extract
 from repro.wrapper.spec import ExtractionSpec
 
 __all__ = ["PageWrapper", "WrapperRegistry"]
+
+#: Links ``urljoin`` returns as they are, whatever the base: a lower-case
+#: scheme, ``//``, an authority, then only characters it never rewrites — no
+#: white space or controls (stripped), ``;`` (parameters are re-split),
+#: brackets (checked as IPv6) or empty ``?`` / ``#`` (dropped).
+_C = r"\w.~%!$&()*+,=:@\-"
+_ABSOLUTE = re.compile(
+    rf"[a-z][a-z0-9+.-]*://[{_C}]+(?:/[{_C}/]*)?(?:\?[{_C}/?]+)?(?:#[{_C}/?#]+)?",
+    re.ASCII,
+)
+
+
+def resolve(base_url: str, link: str) -> str:
+    """``urljoin(base_url, link)``, without the work for an absolute link."""
+    return link if _ABSOLUTE.fullmatch(link) else urljoin(base_url, link)
 
 
 class PageWrapper:
@@ -50,22 +66,19 @@ class PageWrapper:
             row[attr.name] = self._coerce(attr.name, attr.wtype, raw[attr.name], url)
         return row
 
+    def _error(self, name: str, problem: str) -> WrapperError:
+        return WrapperError(f"{self.page_scheme.name}.{name}: {problem}")
+
     def _coerce(self, name: str, wtype: WebType, value, base_url: str):
         if isinstance(wtype, ListType):
             if not isinstance(value, list):
-                raise WrapperError(
-                    f"{self.page_scheme.name}.{name}: expected a list, "
-                    f"got {type(value).__name__}"
-                )
+                raise self._error(name, f"expected a list, got {type(value).__name__}")
             rows = []
             for sub in value:
                 row = {}
                 for fname, ftype in wtype.fields:
                     if fname not in sub:
-                        raise WrapperError(
-                            f"{self.page_scheme.name}.{name}: item lacks "
-                            f"field {fname!r}"
-                        )
+                        raise self._error(name, f"item lacks field {fname!r}")
                     row[fname] = self._coerce(
                         f"{name}.{fname}", ftype, sub[fname], base_url
                     )
@@ -73,16 +86,12 @@ class PageWrapper:
             return rows
         if value is None:
             if isinstance(wtype, LinkType) and not wtype.optional:
-                raise WrapperError(
-                    f"{self.page_scheme.name}.{name}: non-optional link is null"
-                )
+                raise self._error(name, "non-optional link is null")
             return None
         if isinstance(value, list):
-            raise WrapperError(
-                f"{self.page_scheme.name}.{name}: expected an atom, got a list"
-            )
+            raise self._error(name, "expected an atom, got a list")
         if isinstance(wtype, LinkType):
-            return urljoin(base_url, value)
+            return resolve(base_url, value)
         return value
 
 

@@ -125,10 +125,10 @@ class TestAccessLog:
         assert snap.page_downloads == 0
 
     def test_snapshot_is_constant_size_and_delta_is_unchanged(self, client):
-        """A per-query mark must not copy a log that grows for the life of
-        the client: the snapshot holds numbers only, and ``delta`` slices
-        the live lists from the remembered lengths — same result as the
-        old copy-and-subtract."""
+        """A per-query mark must cost neither a copy of the log nor its
+        history: the snapshot holds numbers only, a log without marks keeps
+        every entry, and taking a mark folds the entries before it into the
+        tallies ``reconcile`` reads — the delta is what it always was."""
         urls = ["http://x/a.html", "http://x/b.html", "http://x/missing.html"]
         for i in range(10_000):
             try:
@@ -136,18 +136,88 @@ class TestAccessLog:
             except ResourceNotFound:
                 pass
         log = client.log
-        n_urls, n_records = len(log.downloaded_urls), len(log.records)
+        assert (len(log.downloaded_urls), len(log.records)) == (6_667, 10_000)
         snap = log.snapshot()
         assert all(type(v) in (int, float) for v in vars(snap).values())
+        assert log.downloaded_urls == [] and log.records == []
+        assert (log.page_downloads, log.failed_requests) == (6_667, 3_333)
+        assert log.reconcile() == []
         client.get_batch(urls)
         client.head(urls[0])
         delta = log.delta(snap)
-        assert delta.downloaded_urls == log.downloaded_urls[n_urls:]
-        assert delta.downloaded_urls == urls[:2]
-        assert delta.records == log.records[n_records:]
-        assert len(delta.records) == 3
+        assert delta.downloaded_urls == log.downloaded_urls == urls[:2]
+        assert delta.records == log.records
+        assert [r.url for r in delta.records] == urls
         assert (delta.page_downloads, delta.light_connections) == (2, 1)
-        assert delta.reconcile() == []
+        assert delta.reconcile() == [] and log.reconcile() == []
+
+    def test_lists_reach_back_to_the_oldest_live_mark(self, client):
+        """20 000 fetches in marked rounds: the lists hold the rounds some
+        live mark can still ask for, never the client's history; every
+        delta is complete, the counters and ``reconcile`` stay exact."""
+        urls = ["http://x/a.html", "http://x/b.html", "http://x/missing.html"]
+        log = client.log
+        held = log.snapshot()  # an outer mark, as run_shared's: keeps all
+        for round_ in range(1, 101):
+            inner = log.snapshot()
+            assert client.get_batch(urls * 2)[urls[2]] is None
+            assert [r.url for r in log.delta(inner).records] == urls
+            assert len(log.records) == 3 * round_
+        assert len(log.delta(held).downloaded_urls) == 200
+        del held, inner
+        for round_ in range(101, 6_668):
+            before = log.snapshot()
+            # at most the round before: ``before`` still named its mark
+            assert len(log.records) <= 3 and len(log.downloaded_urls) <= 2
+            client.get_batch(urls)
+            delta = log.delta(before)
+            assert delta.downloaded_urls == urls[:2]
+            assert [(r.url, r.ok) for r in delta.records] == list(
+                zip(urls, (True, True, False))
+            )
+            assert delta.reconcile() == []
+        assert len(log.records) == 6
+        assert (log.page_downloads, log.failed_requests) == (13_334, 6_667)
+        assert log.attempts == 20_001
+        assert log.reconcile() == []
+        log.page_downloads += 1  # reconcile still sees the retired entries
+        assert len(log.reconcile()) == 2
+
+    def test_marks_taken_from_other_threads_lose_nothing(self, client):
+        """One thread fetches, five take marks and deltas as fast as they
+        can: a retirement counted twice or a delta cut short would show in
+        ``reconcile`` or in a delta that does not reconcile."""
+        import sys
+        import threading
+
+        log, done, problems = client.log, threading.Event(), []
+
+        def mark_and_read():
+            while not done.is_set():
+                mark = log.snapshot()
+                delta = log.delta(mark)
+                # (the fetching thread may be between counter and record)
+                if abs(delta.page_downloads - len(delta.records)) > 1:
+                    problems.append(delta)
+
+        threads = [threading.Thread(target=mark_and_read) for _ in range(5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(3_000):
+                client.get("http://x/a.html" if i % 2 else "http://x/b.html")
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert log.page_downloads == 3_000 and len(log.records) < 3_000
+        assert log.reconcile() == []
 
     def test_reset(self, client):
         client.get("http://x/a.html")

@@ -1,17 +1,21 @@
 """Property test: the one-pass extractor ≡ the reference DOM evaluator.
 
-``repro.wrapper.extractor`` evaluates a compiled spec over html.parser's
-events; ``tests/wrapper_reference.py`` builds a tree and walks it once per
-rule.  On every page they must produce the same raw tuple, or fail with the
-same :class:`ExtractionError` message:
+``repro.wrapper.extractor`` evaluates a compiled spec over the events of its
+own scanner; ``tests/wrapper_reference.py`` builds a tree from html.parser's
+events and walks it once per rule.  On every page they must produce the same
+raw tuple, or fail with the same :class:`ExtractionError` message:
 
 (a) every page of the generated sites (university before and after a site
-    manager's pass, bibliography, movies, fuzzed seeds);
+    manager's pass, bibliography, movies, fuzzed seeds), where the two
+    tokenizers must also agree event by event;
 (b) hostile markup assembled from a small fragment alphabet × hand-written
-    and generated specs.
+    and generated specs;
+(c) the scanner's grammar written out as data, one case per line of
+    docs/TUTORIAL.md "Tag soup": what the scanner reads is pinned here, not
+    inherited from the running interpreter's html.parser.  The constructs
+    the two read differently *on purpose* are not in (b)'s alphabet; each is
+    a case of ``DIFFERENCES`` with the value the scanner must produce.
 
-Both sides consume the running interpreter's html.parser, so the property
-does not depend on how a given Python version tokenises malformed input.
 The ``@example`` pages pin one case per semantic rule of the extractor's
 module docstring, so breaking any one rule fails this file deterministically.
 """
@@ -76,7 +80,9 @@ def assert_site_equivalent(site) -> int:
     pages = 0
     for url in sorted(server.urls()):
         resource = server.resource(url)
-        assert_equivalent(registry.wrapper(resource.page_scheme).spec, resource.html)
+        html = resource.html
+        assert reference.scanner_events(html) == reference.parser_events(html)
+        assert_equivalent(registry.wrapper(resource.page_scheme).spec, html)
         pages += 1
     return pages
 
@@ -120,7 +126,6 @@ FRAGMENTS = [
     '<a class="attr" data-attr="L">',
     '<a class=attr data-attr=L href=u2.html>',
     '<a class="attr" data-attr="L" href="first" href="u3.html?a=1&amp;b=2">',
-    '<a class="attr" data-attr="L" href>',
     '<a href="plain.html">',
     '<img class="attr" data-attr="I" src="i.gif">',
     '<img class="attr" data-attr="I">',
@@ -150,7 +155,13 @@ FRAGMENTS = [
     "<", "</", '<a href="unterminated',
 ]  # fmt: skip
 
-PAGES = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join)
+#: ``<``, ``</`` and the open quote stay in the alphabet for what they do to
+#: the markup after them; this tail closes whatever the last of them opened,
+#: because end of input inside a construct is where the grammars differ
+TERMINATOR = "\"'>"
+PAGES = st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(
+    lambda fragments: "".join(fragments) + TERMINATOR
+)
 
 S = Selector.parse
 A_SEL, L_SEL = S(".attr[data-attr=A]"), S("a.attr[data-attr=L]")
@@ -247,7 +258,12 @@ ORDER = ExtractionSpec(
     ),
 )  # fmt: skip
 
-HAND_SPECS = [conventional(False), conventional(True), NESTED, LEGACY, OWN_TEXT, ORDER]
+#: no selector of it shares a substring with the boundary class
+CELL = ExtractionSpec("P", (AtomRule("Cell", S("td.val")),))
+
+HAND_SPECS = [
+    conventional(False), conventional(True), NESTED, LEGACY, OWN_TEXT, ORDER, CELL
+]
 
 SELECTORS = st.sampled_from(
     [A_SEL, L_SEL, S("span"), S("a"), S("li"), S("li.item"), S("ul"), S("div"),
@@ -311,9 +327,15 @@ L = '<a class="attr" data-attr="L"'
 @example(conventional(True), f'{A}a</span><hr class="attr-list">{XS}{ITEM}<input class="attr-list">{A}x</span>')
 @example(conventional(True), f'<span class="attr" data-attr="A"/>after{XS}{ITEM}{A}x')
 @example(conventional(True), f"{A}one<p>two</div>three</span>four{XS}<li class=item />")
-# duplicate attributes: the last wins; valueless: None
+# duplicate attributes: the last wins
 @example(conventional(False), f'{A}a</span>{L} href="first" href="last">{XS}</ul>')
-@example(conventional(False), f"{A}a</span>{L} href>{XS}</ul>")
+# attributes are only parsed when their text could matter: a boundary nobody
+# selects, a class spelled with a character reference
+@example(CELL, '<div class="attr-list"><td class="val">in</td></div><td class="val">out</td>')
+@example(CELL, '<td class="va&#108;">spelled</td><td class="val">plain</td>')
+# a tag of more attributes than the scanner's pattern takes in one match
+@example(conventional(False), f'{A}a</span>{L}{" x=y" * 200} href="u"/>{XS}</ul>')
+@example(LEGACY, f'<ul{" / x = 1" * 99}><li>a<a{" x" * 500} href=u>n</a></li></ul>')
 # errors: the first failing rule in rule order, through list items
 @example(ORDER, f"{A}a</span>{XS}{ITEM}</li>{ITEM}{L}>")
 @example(ORDER, f"{A}a</span>{XS}</ul>")
@@ -321,3 +343,123 @@ L = '<a class="attr" data-attr="L"'
 def test_extractor_equals_reference_on_hostile_markup(spec, html):
     assert_equivalent(spec, html)
 # fmt: on
+
+
+# --------------------------------------------------------------------- #
+# (c) the scanner's grammar
+# --------------------------------------------------------------------- #
+
+
+def start(tag, opens=True, **attrs):
+    return ("start", tag, {k.rstrip("_"): v for k, v in attrs.items()}, opens)
+
+
+def end(tag):
+    return ("end", tag)
+
+
+def data(*texts):
+    return [("data", text) for text in texts]
+
+
+GRAMMAR = [
+    # text: to the next "<"; character references decoded
+    ("Fish &amp; Chips &#65;&#x42; a&nbsp;b &lt", data("Fish & Chips AB a b <")),
+    # start and end tags: names lower-cased, an end tag's tail ignored
+    ('<P Class="x">t</P >', [start("p", class_="x"), *data("t"), end("p")]),
+    ("</p class='ignored'></a/>", [end("p"), end("a")]),
+    ("<a<b x>", [start("a<b", x="")]),
+    # <x/> opens nothing
+    ("<br/><br />t", [start("br", False), start("br", False), *data("t")]),
+    # attribute values: unquoted to white space or ">", quoted over anything
+    ("<a href=u/ x=a'b\"c>", [start("a", href="u/", x="a'b\"c")]),
+    ("<a t='x > \"y\"' u=\"a\nb='c'\">", [start("a", t='x > "y"', u="a\nb='c'")]),
+    ("<a\nhref\n=\n'u'\tx = 1>", [start("a", href="u", x="1")]),
+    # "/" between attributes only separates; a name may hold anything else
+    ('<a/b / c x"y=1 =z>', [start("a", b="", c="", **{'x"y': "1", "=z": ""})]),
+    # references in values decoded, names lower-cased, the last duplicate wins
+    ('<a href="first" HREF="u?a=1&amp;b=2&lt">', [start("a", href="u?a=1&b=2<")]),
+    # a tag has as many attributes as it likes
+    (f"<a{' x=y' * 300} z>t", [start("a", x="y", z=""), *data("t")]),
+    # comments, declarations, processing instructions, bogus end tags: nothing
+    ("a<!-- <p> - -- --b -->c<!---->d", data("a", "c", "d")),
+    ("a<!DOCTYPE html>b<![CDATA[ x ]]>c<![if x]>d<!>e<?php 1 ?>f", data(*"abcdef")),
+    ("a</>b</3>c</ p>d", data(*"abcd")),
+    # script and style: text up to their end tag, undecoded
+    ("<script>a<b>&amp;<!--</p></SCRIPT x>c",
+     [start("script"), *data("a<b>&amp;<!--</p>"), end("script"), *data("c")]),
+    ("<STYLE>a</styles></style\n>", [start("style"), *data("a</styles>"), end("style")]),
+    ("<script/><b>", [start("script", False), start("b")]),
+    ("<title><b></title>", [start("title"), start("b"), end("title")]),
+    # any other "<" is text
+    ("a < b <3 <> << x", data("a", "<", "b", "<", "3", "<", ">", "<", "<", "x")),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("html, events", GRAMMAR, ids=range(len(GRAMMAR)))
+def test_scanner_grammar(html, events):
+    assert reference.scanner_events(html) == events
+
+
+#: Where the scanner differs from html.parser on purpose (3.11's reading in
+#: the comment; later patch levels moved, which is why nothing asserts it).
+DIFFERENCES = [
+    # a name without a value is "", as in HTML5; html.parser: None
+    ("<a href hidden=>", [start("a", href="", hidden="")]),
+    # end of input inside a construct drops it, as HTML5 does, and with it
+    # the rest of the page: nothing is read twice.  html.parser re-reads the
+    # construct as text up to the next ">" or "<" and carries on.
+    ("x<a href", data("x")),
+    ("x<a href=u", data("x")),
+    ("x<a href='u>y</a><b>z</b>", data("x")),
+    ('x<a href="u>y</a><b>z</b>', data("x")),
+    ("x<a", data("x")),
+    ("x</", data("x")),
+    ("x</a", data("x")),
+    ("x</a <b", data("x")),
+    ("x<!-- c --", data("x")),
+    ("x<!-- <b>y</b>", data("x")),
+    ("x<!doctype", data("x")),
+    ("x<?php", data("x")),
+    ("x<![CDATA[ y", data("x")),
+    # ... as html.parser also does for raw text without its end tag
+    ("x<script>y</scrip", [*data("x"), start("script")]),
+    # "</" directly followed by a letter starts an end tag; html.parser skips
+    # white space first
+    ("<p>a</ p>b", [start("p"), *data("a", "b")]),
+    ("<script>a</ script>b</script>", [start("script"), *data("a</ script>b"), end("script")]),
+    # a comment ends at "-->" alone; html.parser: also at "-- >"
+    ("a<!-- b -- > c -->d", data("a", "d")),
+    # "<![" … ends at the first ">", whatever it says; html.parser looks for
+    # "]]>" after CDATA[ and raises AssertionError on a keyword it does not know
+    ("a<![CDATA[ b > c ]]>d", data("a", "c ]]>d")),
+    ("a<![endif]-->b<![x", data("a", "b")),
+    # one "=" introduces a value; html.parser swallows a run of them
+    ("<a b==c>", [start("a", b="=c")]),
+    # raw text ends at "</script" + white space, "/" or ">"; html.parser only
+    # at "</script" + white space + ">"
+    ("<script>a</script x>b", [start("script"), *data("a"), end("script"), *data("b")]),
+    # white space is what str.split splits on, in a tag name too
+    ("<p\x0bx>t</p\xa0>", [start("p", x=""), *data("t"), end("p")]),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("html, events", DIFFERENCES, ids=range(len(DIFFERENCES)))
+def test_where_the_scanner_differs_from_html_parser(html, events):
+    assert reference.scanner_events(html) == events
+
+
+def test_valueless_attribute_through_the_extractor():
+    """``href`` without a value: the reference yields None (the rule fails,
+    or an optional link is null), the extractor the empty string."""
+    html = f"{A}a</span>{L} href>{XS}</ul>"
+    root = reference.parse_html(html)
+    for optional, theirs in (
+        (False, "ExtractionError: P: attribute 'L': element lacks @href"),
+        (True, {"A": "a", "L": None, "I": None, "Xs": []}),
+    ):
+        spec = conventional(optional)
+        assert outcome(lambda: reference.extract(spec, root)) == theirs
+        assert extract(compile_spec(spec), html) == {
+            "A": "a", "L": "", "I": None, "Xs": [],
+        }  # fmt: skip

@@ -8,13 +8,15 @@ page-schemes (including nested lists two levels deep) and random tuples.
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from urllib.parse import urljoin
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.adm.page_scheme import Attribute, PageScheme
 from repro.adm.webtypes import IMAGE, TEXT, link, list_of
 from repro.sitegen.html_writer import render_page
 from repro.wrapper.conventions import spec_for_page_scheme
-from repro.wrapper.wrapper import PageWrapper
+from repro.wrapper.wrapper import _ABSOLUTE, PageWrapper, resolve
 
 # text values: printable, including HTML-hostile characters
 TEXT_VALUES = st.text(
@@ -106,3 +108,61 @@ def test_wrapping_is_deterministic(pair):
     first = wrapper.wrap("http://x/p.html", html)
     second = wrapper.wrap("http://x/p.html", html)
     assert first == second
+
+
+# --------------------------------------------------------------------- #
+# link resolution: the absolute-URL fast path ≡ urljoin
+# --------------------------------------------------------------------- #
+
+URL_PIECES = st.sampled_from(
+    ["http", "HTTP", "https", "ftp", "mailto", "x-y.z+1", "1http", "ht tp", "",
+     ":", "://", ":/", "//", "/", "host", "HOST", "host:80", "user:pw@host", "h%41",
+     "[::1]", "[bad", "ho st", "a", "b.html", ".", "..", "./", "../", ";p", ";", "~",
+     "?", "?a=1&b=2", "??", "?a/b?c", "#", "#f", "#f#g", "#f?g", "%20", "%", "+", "=",
+     "&", "!$()*,'", "@", "_", "-", " ", "\t", "\n", "\r", "\x00", "\x1f", "\x7f",
+     "\xa0", "é", "\u2028", "\\", "<", '"', "^", "|", "{}"]
+)  # fmt: skip
+#: anything at all, and values the fast path does take
+LINKS = st.one_of(
+    st.lists(URL_PIECES, max_size=10).map("".join),
+    st.from_regex(_ABSOLUTE, fullmatch=True),
+)
+BASES = st.sampled_from(
+    ["http://x/a/b.html", "http://x", "https://x/a/?q#f", "HTTP://x/", "ftp://x/a/",
+     "mailto:a@x", "//x/a", "/a/b", "a/b", ""]
+)  # fmt: skip
+
+
+def joined(join, base, link):
+    try:
+        return join(base, link)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(BASES, LINKS)
+@settings(max_examples=3000, deadline=None)
+@example("http://x/a/b.html", "http://univ.example/prof/ada-lovelace.html")
+@example("http://x/a/b.html", "http://host/a;p?q=1&r=(2)#f")
+@example("http://x/a/b.html", "http://host/../a/./b")
+@example("http://x/a/b.html", "http://host/a?#")
+@example("http://x/a/b.html", "HTTP://host/a")
+@example("http://x/a/b.html", " http://host/a\n")
+def test_resolve_is_urljoin(base, link):
+    assert joined(resolve, base, link) == joined(urljoin, base, link)
+
+
+#: links the shortcut must leave to ``urljoin``
+NOT_FAST = [
+    "course/algebra-100.html", "/a", "//host/a", "HTTP://host/a", "http://host/a b",
+    "http://host/a;p", "http://[::1]/", "mailto:a@x", "http://host/a?",
+    "http://host/a#", "http://hôst/", "",
+]  # fmt: skip
+
+
+def test_the_fast_path_takes_the_generated_sites_links():
+    """What the shortcut is for: every link of a generated page is absolute
+    and inside the pattern (so no wrap of them calls ``urljoin``)."""
+    assert _ABSOLUTE.fullmatch("http://univ.example/course/algebra-100.html")
+    assert _ABSOLUTE.fullmatch("http://dblp.example/db/conf/vldb96.html?x=1#top")
+    assert not any(map(_ABSOLUTE.fullmatch, NOT_FAST))

@@ -8,6 +8,12 @@ in behaviour.  It is the *definition* the extractor is tested against
 the row operators of :mod:`repro.nested.operations` have for the QA oracle.
 It recurses on the page's depth and is an order of magnitude slower per
 rule; nothing under ``src/`` imports it.
+
+It stays on :mod:`html.parser`, which ``src/`` no longer imports: the
+tokenizer the extractor runs on (:func:`repro.wrapper.extractor.scan`) is
+compared with it event by event, :func:`parser_events` against
+:func:`scanner_events`.  docs/TUTORIAL.md ("Tag soup") lists where the two
+differ on purpose.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from typing import Iterator, Optional, Union
 
 from repro.errors import ExtractionError
 from repro.wrapper.dom import Selector
+from repro.wrapper.extractor import attributes, scan
 from repro.wrapper.spec import LIST_BOUNDARY, AtomRule, ExtractionSpec, ListRule
 
-__all__ = ["Node", "parse_html", "matches", "extract"]
+__all__ = [
+    "Node", "parse_html", "matches", "extract", "parser_events", "scanner_events",
+]  # fmt: skip
 
 #: Elements that never have closing tags.
 VOID_ELEMENTS = frozenset(
@@ -150,6 +159,52 @@ def parse_html(html: str) -> Node:
     builder.feed(html)
     builder.close()
     return builder.root
+
+
+class _Events(HTMLParser):
+    """html.parser's events as data: ``("start", tag, {attribute: value},
+    opens)``, ``("end", tag)``, ``("data", text)``."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.events: list[tuple] = []
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        self.events.append(("start", tag, dict(attrs), True))
+
+    def handle_startendtag(self, tag: str, attrs) -> None:
+        self.events.append(("start", tag, dict(attrs), False))
+
+    def handle_endtag(self, tag: str) -> None:
+        self.events.append(("end", tag))
+
+    def handle_data(self, data: str) -> None:
+        # as every consumer reads it: normalised, and nothing if that is ""
+        if data.strip():
+            self.events.append(("data", " ".join(data.split())))
+
+
+def parser_events(html: str) -> list[tuple]:
+    """``html`` as :mod:`html.parser` tokenizes it."""
+    parser = _Events()
+    parser.feed(html)
+    parser.close()
+    return parser.events
+
+
+def scanner_events(html: str) -> list[tuple]:
+    """``html`` as the extractor's scanner tokenizes it, in
+    :func:`parser_events`' shape."""
+    sink = _Events()
+    scan(
+        html,
+        lambda tag, raw, opens: sink.events.append(
+            ("start", tag, attributes(raw), opens)
+        ),
+        sink.handle_endtag,
+        sink.handle_data,
+    )
+    return sink.events
 
 
 def extract(
