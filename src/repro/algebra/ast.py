@@ -1,11 +1,22 @@
 """The NALG expression AST.
 
-Nodes are immutable, hashable dataclasses, so the optimizer can generate,
-compare and deduplicate rewritten plans freely.  Every node can compute its
-*output schema* against a web scheme; all runtime attribute names are
-*qualified* — ``alias.Attr`` or ``alias.List.Field`` — so that joins and
-repeated navigations never clash (a page-scheme navigated twice gets two
-aliases).
+Nodes are immutable and *hash-consed*: a constructor call returns the one
+live object with the fields as written (``Predicate`` atom order included —
+the rendering shows it), so the plans of a query share their subtrees.  The
+structural hash is computed once, from the children's cached hashes; ``==``
+is identity first and field equality as the fallback (selections whose
+atoms are permuted are two objects that compare equal, as they always
+did): interning is the fast path, never the definition of equality.
+
+Lifetime rule: the weak intern table keeps no node alive, and nothing
+derived from a node (schema, rendering, estimate) is stored on it — such
+facts live in a memo owned by the call that needs them (:class:`Schemas`,
+``repro.optimizer.memo.PlanMemo``) and die with that call.
+
+Every node can compute its *output schema* against a web scheme; all
+runtime attribute names are *qualified* — ``alias.Attr`` or
+``alias.List.Field`` — so that joins and repeated navigations never clash
+(a page-scheme navigated twice gets two aliases).
 
 Node inventory (paper, Section 4):
 
@@ -19,14 +30,16 @@ Node inventory (paper, Section 4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import operator
+import threading
+import weakref
+from typing import ClassVar, Optional, Tuple, Union
 
 from repro.adm.page_scheme import AttrPath, URL_ATTR
 from repro.adm.scheme import WebScheme
 from repro.adm.webtypes import LinkType, ListType, URL_TYPE, TEXT
 from repro.algebra.predicates import Predicate
-from repro.errors import AlgebraError
+from repro.errors import AlgebraError, SchemaError
 from repro.nested.schema import Field, Provenance, RelationSchema
 
 __all__ = [
@@ -38,85 +51,138 @@ __all__ = [
     "Join",
     "Unnest",
     "FollowLink",
+    "Schemas",
     "page_relation_schema",
 ]
 
 
-def _qualified_list_field(
-    alias: str, base_scheme: str, path: AttrPath, wtype: ListType
-) -> Field:
-    """Build the schema Field for a list attribute, with fully qualified
-    nested field names (``alias.Path.Field``)."""
-    elem_fields: list[Field] = []
-    for fname, ftype in wtype.fields:
-        fpath = path.child(fname)
-        if isinstance(ftype, ListType):
-            elem_fields.append(
-                _qualified_list_field(alias, base_scheme, fpath, ftype)
+def _qualified_fields(
+    alias: str, base_scheme: str, parent: Optional[AttrPath], attrs
+) -> list[Field]:
+    """Schema fields for ``(name, web type)`` attributes below ``parent``,
+    named ``alias.Path.Field``; list attributes qualify their element
+    fields the same way, recursively."""
+    fields = []
+    for name, wtype in attrs:
+        path = parent.child(name) if parent else AttrPath((name,))
+        elem = None
+        if isinstance(wtype, ListType):
+            elem = RelationSchema(
+                _qualified_fields(alias, base_scheme, path, wtype.fields)
             )
-        else:
-            elem_fields.append(
-                Field(
-                    name=fpath.qualified(alias),
-                    wtype=ftype,
-                    provenance=Provenance(alias, fpath, base_scheme),
-                )
+        fields.append(
+            Field(
+                name=path.qualified(alias),
+                wtype=wtype,
+                elem=elem,
+                provenance=Provenance(alias, path, base_scheme),
             )
-    return Field(
-        name=path.qualified(alias),
-        wtype=wtype,
-        elem=RelationSchema(elem_fields),
-        provenance=Provenance(alias, path, base_scheme),
-    )
+        )
+    return fields
 
 
 def page_relation_schema(
     scheme: WebScheme, page_scheme: str, alias: Optional[str] = None
 ) -> RelationSchema:
-    """The qualified relation schema of a page-scheme's page-relation."""
+    """The qualified relation schema of a page-scheme's page-relation.
+    Under the default alias it is a pure function of the scheme, built once
+    and kept on it (one entry per page-scheme); an alias is qualified afresh.
+    """
     alias = alias or page_scheme
-    ps = scheme.page_scheme(page_scheme)
-    fields: list[Field] = [
-        Field(
-            name=f"{alias}.{URL_ATTR}",
-            wtype=URL_TYPE,
-            provenance=Provenance(alias, AttrPath((URL_ATTR,)), page_scheme),
+    kept = scheme.__dict__.setdefault("_page_relation_schemas", {})
+    if alias == page_scheme and page_scheme in kept:
+        return kept[page_scheme]
+    attributes = scheme.page_scheme(page_scheme).attributes
+    url = Field(
+        name=f"{alias}.{URL_ATTR}",
+        wtype=URL_TYPE,
+        provenance=Provenance(alias, AttrPath((URL_ATTR,)), page_scheme),
+    )
+    schema = RelationSchema(
+        [url]
+        + _qualified_fields(
+            alias, page_scheme, None, [(a.name, a.wtype) for a in attributes]
         )
-    ]
-    for attr in ps.attributes:
-        path = AttrPath((attr.name,))
-        if isinstance(attr.wtype, ListType):
-            fields.append(
-                _qualified_list_field(alias, page_scheme, path, attr.wtype)
-            )
-        else:
-            fields.append(
-                Field(
-                    name=path.qualified(alias),
-                    wtype=attr.wtype,
-                    provenance=Provenance(alias, path, page_scheme),
-                )
-            )
-    return RelationSchema(fields)
+    )
+    if alias == page_scheme:
+        kept[page_scheme] = schema
+    return schema
 
 
-@dataclass(frozen=True)
+#: intern key → the one live node with those fields.  Weak values: a node
+#: lives exactly as long as something outside the table references it.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(cls: type, key: tuple, values: tuple) -> "Expr":
+    """The live ``cls`` node with field ``values``, created if there is none.
+    ``key`` is the fields *as written*: predicates by atom tuple, children
+    by ``id`` (interned already, and kept alive by the node itself, so the
+    id cannot be reused while the entry exists)."""
+    node = _INTERNED.get(key)
+    if node is None:
+        with _INTERN_LOCK:  # two racing constructors must agree on one object
+            node = _INTERNED.get(key)
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls._fields, values):
+                    object.__setattr__(node, name, value)
+                object.__setattr__(node, "_kids", values[: cls._arity])
+                object.__setattr__(node, "_hash", hash((cls,) + values))
+                _INTERNED[key] = node
+    return node
+
+
 class Expr:
     """Abstract base of all NALG expressions."""
 
+    __slots__ = ("_hash", "_kids", "__weakref__")
+    _fields: ClassVar[Tuple[str, ...]] = ()
+    _arity: ClassVar[int] = 0  #: the first ``_arity`` fields are the inputs
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._values() == other._values()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copies and unpickled plans go back through the constructor
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({inner})"
+
     def children(self) -> Tuple["Expr", ...]:
-        return ()
+        return self._kids
 
     def with_children(self, new_children: Tuple["Expr", ...]) -> "Expr":
-        if new_children:
-            raise AlgebraError(f"{type(self).__name__} takes no children")
-        return self
+        """The same operator over other inputs."""
+        if len(new_children) != self._arity:
+            raise AlgebraError(f"{type(self).__name__} takes {self._arity} children")
+        if all(map(operator.is_, new_children, self._kids)):
+            return self
+        return type(self)(*new_children, *self._values()[self._arity :])
 
     def output_schema(self, scheme: WebScheme) -> RelationSchema:
         """The qualified schema of this expression's result."""
-        return _schema_of(self, scheme)
+        return Schemas(scheme).of(self)
 
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
+    def _compute_schema(self, schemas: "Schemas") -> RelationSchema:
         raise NotImplementedError
 
     # convenience constructors for fluent plan building ----------------- #
@@ -146,23 +212,56 @@ class Expr:
         return Join(self, other, tuple(tuple(pair) for pair in on))
 
 
-# Schemas are cached per expression *on the scheme object itself*, so the
-# cache's lifetime is exactly the scheme's (no id-reuse hazards) and schemes
-# are treated as immutable after construction.
+class Schemas:
+    """Output schemas of the nodes one call looks at (a planning run, an
+    execution, a single :meth:`Expr.output_schema`): each node is typed
+    once, an ill-typed one keeps the error it raised.  Owned by the call
+    and dropped with it."""
+
+    __slots__ = ("scheme", "_memo")
+
+    def __init__(self, scheme: WebScheme):
+        self.scheme = scheme
+        #: node → its schema, or (error class, args) when it has none
+        self._memo: dict[Expr, Union[RelationSchema, tuple]] = {}
+
+    def get(self, expr: Expr) -> Optional[RelationSchema]:
+        """The schema of ``expr``, or None when it is ill-typed."""
+        found = self._memo.get(expr)
+        if found is None:
+            try:
+                found = expr._compute_schema(self)
+            except (AlgebraError, SchemaError) as exc:
+                # kept as data: a stored exception would pin its traceback,
+                # and through the frames this memo, in a reference cycle
+                found = (type(exc), exc.args)
+            self._memo[expr] = found
+        return None if found.__class__ is tuple else found
+
+    def of(self, expr: Expr) -> RelationSchema:
+        """The schema of ``expr``; raises what computing it raised."""
+        found = self.get(expr)
+        if found is None:
+            error, args = self._memo[expr]
+            raise error(*args)
+        return found
+
+    def link_type(self, follow: "FollowLink") -> LinkType:
+        schema = self.of(follow.child)
+        if follow.link_attr not in schema:
+            raise AlgebraError(
+                f"follow-link references unknown attribute {follow.link_attr!r} "
+                f"(have {sorted(schema.names())})"
+            )
+        wtype = schema.field(follow.link_attr).wtype
+        if not isinstance(wtype, LinkType):
+            raise AlgebraError(f"{follow.link_attr!r} is not a link attribute")
+        return wtype
+
+    def target_alias(self, follow: "FollowLink") -> str:
+        return follow.alias or self.link_type(follow).target
 
 
-def _schema_of(expr: "Expr", scheme: WebScheme) -> RelationSchema:
-    cache = scheme.__dict__.setdefault("_schema_cache", {})
-    cached = cache.get(expr)
-    if cached is None:
-        cached = expr._compute_schema(scheme)
-        if len(cache) > 65536:
-            cache.clear()
-        cache[expr] = cached
-    return cached
-
-
-@dataclass(frozen=True)
 class EntryPointScan(Expr):
     """Access an entry-point page-relation through its known URL.
 
@@ -170,23 +269,24 @@ class EntryPointScan(Expr):
     the same page-scheme occurs twice in one expression.
     """
 
-    page_scheme: str
-    alias: Optional[str] = None
+    __slots__ = _fields = ("page_scheme", "alias")
+
+    def __new__(cls, page_scheme: str, alias: Optional[str] = None):
+        return _intern(cls, (cls, page_scheme, alias), (page_scheme, alias))
 
     @property
     def name(self) -> str:
         return self.alias or self.page_scheme
 
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        if not scheme.is_entry_point(self.page_scheme):
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
+        if not schemas.scheme.is_entry_point(self.page_scheme):
             raise AlgebraError(
                 f"{self.page_scheme!r} is not an entry point; page-relations "
                 "can only be accessed by navigation (paper, Section 3.1)"
             )
-        return page_relation_schema(scheme, self.page_scheme, self.name)
+        return page_relation_schema(schemas.scheme, self.page_scheme, self.name)
 
 
-@dataclass(frozen=True)
 class ExternalRelScan(Expr):
     """A leaf naming an external relation of the relational view.
 
@@ -197,9 +297,12 @@ class ExternalRelScan(Expr):
     same external relation twice.
     """
 
-    name: str
-    attrs: Tuple[str, ...]
-    alias: Optional[str] = None
+    __slots__ = _fields = ("name", "attrs", "alias")
+
+    def __new__(
+        cls, name: str, attrs: Tuple[str, ...], alias: Optional[str] = None
+    ):
+        return _intern(cls, (cls, name, attrs, alias), (name, attrs, alias))
 
     @property
     def qualifier(self) -> str:
@@ -212,28 +315,25 @@ class ExternalRelScan(Expr):
             )
         return f"{self.qualifier}.{attr}"
 
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
         return RelationSchema(
             [Field(f"{self.qualifier}.{a}", TEXT) for a in self.attrs]
         )
 
 
-@dataclass(frozen=True)
 class Select(Expr):
     """``σ_predicate(child)``."""
 
-    child: Expr
-    predicate: Predicate
+    __slots__ = _fields = ("child", "predicate")
+    _arity = 1
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.child,)
+    def __new__(cls, child: Expr, predicate: Predicate):
+        return _intern(
+            cls, (cls, id(child), predicate.atoms), (child, predicate)
+        )
 
-    def with_children(self, new_children: Tuple[Expr, ...]) -> "Select":
-        (child,) = new_children
-        return Select(child, self.predicate)
-
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        schema = self.child.output_schema(scheme)
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
+        schema = schemas.of(self.child)
         for attr in self.predicate.attrs():
             if attr not in schema:
                 raise AlgebraError(
@@ -247,29 +347,22 @@ class Select(Expr):
         return schema
 
 
-@dataclass(frozen=True)
 class Project(Expr):
     """``π_outputs(child)``: each output is ``(out_name, in_name)``."""
 
-    child: Expr
-    outputs: Tuple[Tuple[str, str], ...]
+    __slots__ = _fields = ("child", "outputs")
+    _arity = 1
 
-    def __post_init__(self) -> None:
-        if not self.outputs:
+    def __new__(cls, child: Expr, outputs: Tuple[Tuple[str, str], ...]):
+        if not outputs:
             raise AlgebraError("projection needs at least one output")
-        out_names = [o for o, _ in self.outputs]
+        out_names = [o for o, _ in outputs]
         if len(set(out_names)) != len(out_names):
             raise AlgebraError(f"duplicate projection outputs: {out_names}")
+        return _intern(cls, (cls, id(child), outputs), (child, outputs))
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.child,)
-
-    def with_children(self, new_children: Tuple[Expr, ...]) -> "Project":
-        (child,) = new_children
-        return Project(child, self.outputs)
-
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        schema = self.child.output_schema(scheme)
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
+        schema = schemas.of(self.child)
         fields = []
         for out_name, in_name in self.outputs:
             if in_name not in schema:
@@ -284,7 +377,6 @@ class Project(Expr):
         return tuple(i for _, i in self.outputs)
 
 
-@dataclass(frozen=True)
 class Join(Expr):
     """``left ⋈_on right`` with ``on`` a tuple of (left_attr, right_attr).
 
@@ -292,20 +384,17 @@ class Join(Expr):
     query); the rewrite rules leave such joins alone.
     """
 
-    left: Expr
-    right: Expr
-    on: Tuple[Tuple[str, str], ...]
+    __slots__ = _fields = ("left", "right", "on")
+    _arity = 2
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.left, self.right)
+    def __new__(cls, left: Expr, right: Expr, on: Tuple[Tuple[str, str], ...]):
+        return _intern(
+            cls, (cls, id(left), id(right), on), (left, right, on)
+        )
 
-    def with_children(self, new_children: Tuple[Expr, ...]) -> "Join":
-        left, right = new_children
-        return Join(left, right, self.on)
-
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        left_schema = self.left.output_schema(scheme)
-        right_schema = self.right.output_schema(scheme)
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
+        left_schema = schemas.of(self.left)
+        right_schema = schemas.of(self.right)
         for lname, rname in self.on:
             if lname not in left_schema:
                 raise AlgebraError(
@@ -318,22 +407,17 @@ class Join(Expr):
         return left_schema.concat(right_schema)
 
 
-@dataclass(frozen=True)
 class Unnest(Expr):
     """The unnest-page operator ``child ∘ attr`` (``attr`` qualified)."""
 
-    child: Expr
-    attr: str
+    __slots__ = _fields = ("child", "attr")
+    _arity = 1
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.child,)
+    def __new__(cls, child: Expr, attr: str):
+        return _intern(cls, (cls, id(child), attr), (child, attr))
 
-    def with_children(self, new_children: Tuple[Expr, ...]) -> "Unnest":
-        (child,) = new_children
-        return Unnest(child, self.attr)
-
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        schema = self.child.output_schema(scheme)
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
+        schema = schemas.of(self.child)
         if self.attr not in schema:
             raise AlgebraError(
                 f"unnest references unknown attribute {self.attr!r} "
@@ -344,7 +428,6 @@ class Unnest(Expr):
         return schema.unnest(self.attr)
 
 
-@dataclass(frozen=True)
 class FollowLink(Expr):
     """The follow-link operator ``child →link_attr TargetPage``.
 
@@ -354,28 +437,16 @@ class FollowLink(Expr):
     null are dropped — they have nothing to navigate to).
     """
 
-    child: Expr
-    link_attr: str
-    alias: Optional[str] = None
+    __slots__ = _fields = ("child", "link_attr", "alias")
+    _arity = 1
 
-    def children(self) -> Tuple[Expr, ...]:
-        return (self.child,)
-
-    def with_children(self, new_children: Tuple[Expr, ...]) -> "FollowLink":
-        (child,) = new_children
-        return FollowLink(child, self.link_attr, self.alias)
+    def __new__(cls, child: Expr, link_attr: str, alias: Optional[str] = None):
+        return _intern(
+            cls, (cls, id(child), link_attr, alias), (child, link_attr, alias)
+        )
 
     def link_type(self, scheme: WebScheme) -> LinkType:
-        schema = self.child.output_schema(scheme)
-        if self.link_attr not in schema:
-            raise AlgebraError(
-                f"follow-link references unknown attribute {self.link_attr!r} "
-                f"(have {sorted(schema.names())})"
-            )
-        wtype = schema.field(self.link_attr).wtype
-        if not isinstance(wtype, LinkType):
-            raise AlgebraError(f"{self.link_attr!r} is not a link attribute")
-        return wtype
+        return Schemas(scheme).link_type(self)
 
     def target_scheme(self, scheme: WebScheme) -> str:
         return self.link_type(scheme).target
@@ -386,10 +457,8 @@ class FollowLink(Expr):
     def target_url_attr(self, scheme: WebScheme) -> str:
         return f"{self.target_alias(scheme)}.{URL_ATTR}"
 
-    def _compute_schema(self, scheme: WebScheme) -> RelationSchema:
-        child_schema = self.child.output_schema(scheme)
-        target = self.target_scheme(scheme)
+    def _compute_schema(self, schemas: Schemas) -> RelationSchema:
         target_schema = page_relation_schema(
-            scheme, target, self.target_alias(scheme)
+            schemas.scheme, schemas.link_type(self).target, self.alias
         )
-        return child_schema.concat(target_schema)
+        return schemas.of(self.child).concat(target_schema)

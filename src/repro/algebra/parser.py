@@ -36,7 +36,7 @@ import re
 from typing import Optional
 
 from repro.adm.scheme import WebScheme
-from repro.algebra.ast import EntryPointScan, Expr, Project, Select
+from repro.algebra.ast import EntryPointScan, Expr, Project, Schemas, Select
 from repro.algebra.predicates import AttrEq, Atom, Comparison, In, Predicate
 from repro.errors import ParseError
 
@@ -106,7 +106,7 @@ class _Tokens:
         return got[1]
 
 
-def _resolve(expr: Expr, scheme: WebScheme, ref: str) -> str:
+def _resolve(expr: Expr, schemas: Schemas, ref: str) -> str:
     """Resolve a possibly-short attribute reference against the current
     output schema: exact qualified name, or a dotted suffix.
 
@@ -115,7 +115,7 @@ def _resolve(expr: Expr, scheme: WebScheme, ref: str) -> str:
     ``ProfPage.PName``), so suffix matches are tie-broken toward the
     *shallowest* qualified name — the page attribute, not its anchor copy.
     Remaining ties are errors."""
-    schema = expr.output_schema(scheme)
+    schema = schemas.of(expr)
     if ref in schema:
         return ref
     matches = [
@@ -136,30 +136,10 @@ def _resolve(expr: Expr, scheme: WebScheme, ref: str) -> str:
     )
 
 
-def _parse_attr(tokens: _Tokens) -> str:
+def _scan_attr(tokens: _Tokens) -> tuple[list[str], list[int]]:
+    """The segments of a dotted name, and the token position after each."""
     parts = [tokens.expect("name")]
-    while True:
-        save = tokens.pos
-        if tokens.accept("punct", "."):
-            nxt = tokens.peek()
-            if nxt and nxt[0] == "name":
-                parts.append(tokens.next()[1])
-                continue
-            tokens.pos = save
-        break
-    return ".".join(parts)
-
-
-def _parse_attr_resolving(
-    tokens: _Tokens, expr: Expr, scheme: WebScheme
-) -> str:
-    """Parse a dotted attribute reference and resolve it, backtracking over
-    trailing segments.  Needed because ``.`` is also the unnest operator:
-    in ``-> ToDept . ProfList`` the reference is just ``ToDept`` and the
-    dot starts the next step."""
     positions = [tokens.pos]
-    parts = [tokens.expect("name")]
-    positions.append(tokens.pos)
     while True:
         save = tokens.pos
         if tokens.accept("punct", "."):
@@ -169,17 +149,25 @@ def _parse_attr_resolving(
                 positions.append(tokens.pos)
                 continue
             tokens.pos = save
-        break
+        return parts, positions
+
+
+def _parse_attr_resolving(
+    tokens: _Tokens, expr: Expr, schemas: Schemas
+) -> str:
+    """Parse a dotted attribute reference and resolve it, backtracking over
+    trailing segments.  Needed because ``.`` is also the unnest operator:
+    in ``-> ToDept . ProfList`` the reference is just ``ToDept`` and the
+    dot starts the next step."""
+    parts, positions = _scan_attr(tokens)
     first_error: Optional[ParseError] = None
     for length in range(len(parts), 0, -1):
-        ref = ".".join(parts[:length])
         try:
-            resolved = _resolve(expr, scheme, ref)
+            resolved = _resolve(expr, schemas, ".".join(parts[:length]))
         except ParseError as exc:
-            if first_error is None:
-                first_error = exc
+            first_error = first_error or exc
             continue
-        tokens.pos = positions[length]
+        tokens.pos = positions[length - 1]
         return resolved
     assert first_error is not None
     raise first_error
@@ -188,9 +176,9 @@ def _parse_attr_resolving(
 def parse_navigation(text: str, scheme: WebScheme) -> Expr:
     """Parse a Ulixes-style navigation into a NALG expression."""
     tokens = _Tokens(text)
-    entry = tokens.expect("name")
-    expr: Expr = EntryPointScan(entry)
-    expr.output_schema(scheme)  # validates the entry point eagerly
+    schemas = Schemas(scheme)  # every prefix of the chain is typed once
+    expr: Expr = EntryPointScan(tokens.expect("name"))
+    schemas.of(expr)  # validates the entry point eagerly
 
     while True:
         item = tokens.peek()
@@ -199,37 +187,37 @@ def parse_navigation(text: str, scheme: WebScheme) -> Expr:
         kind, value = item
         if kind == "punct" and value == ".":
             tokens.next()
-            attr = _parse_attr_resolving(tokens, expr, scheme)
+            attr = _parse_attr_resolving(tokens, expr, schemas)
             expr = expr.unnest(attr)
-            expr.output_schema(scheme)
+            schemas.of(expr)
         elif kind == "punct" and value == "->":
             tokens.next()
-            attr = _parse_attr_resolving(tokens, expr, scheme)
+            attr = _parse_attr_resolving(tokens, expr, schemas)
             alias = None
             if tokens.accept("kw", "as"):
                 alias = tokens.expect("name")
             expr = expr.follow(attr, alias)
-            expr.output_schema(scheme)
+            schemas.of(expr)
         elif kind == "kw" and value == "where":
             tokens.next()
-            atoms = [_parse_condition(tokens, expr, scheme)]
+            atoms = [_parse_condition(tokens, expr, schemas)]
             while tokens.accept("kw", "and"):
-                atoms.append(_parse_condition(tokens, expr, scheme))
+                atoms.append(_parse_condition(tokens, expr, schemas))
             expr = Select(expr, Predicate(atoms))
         elif kind == "kw" and value == "project":
             tokens.next()
-            outputs = [_parse_column(tokens, expr, scheme)]
+            outputs = [_parse_column(tokens, expr, schemas)]
             while tokens.accept("punct", ","):
-                outputs.append(_parse_column(tokens, expr, scheme))
+                outputs.append(_parse_column(tokens, expr, schemas))
             expr = Project(expr, tuple(outputs))
-            expr.output_schema(scheme)
+            schemas.of(expr)
         else:
             raise ParseError(f"unexpected token {value!r}")
     return expr
 
 
-def _parse_condition(tokens: _Tokens, expr: Expr, scheme: WebScheme) -> Atom:
-    attr = _parse_attr_resolving(tokens, expr, scheme)
+def _parse_condition(tokens: _Tokens, expr: Expr, schemas: Schemas) -> Atom:
+    attr = _parse_attr_resolving(tokens, expr, schemas)
     if tokens.accept("kw", "in"):
         tokens.expect("punct", "(")
         values = [tokens.expect("string")]
@@ -243,16 +231,16 @@ def _parse_condition(tokens: _Tokens, expr: Expr, scheme: WebScheme) -> Atom:
         return Comparison(attr, value)
     if kind == "name":
         tokens.pos -= 1
-        other = _parse_attr_resolving(tokens, expr, scheme)
+        other = _parse_attr_resolving(tokens, expr, schemas)
         return AttrEq(attr, other)
     raise ParseError(f"bad comparison right-hand side {value!r}")
 
 
 def _parse_column(
-    tokens: _Tokens, expr: Expr, scheme: WebScheme
+    tokens: _Tokens, expr: Expr, schemas: Schemas
 ) -> tuple[str, str]:
-    ref = _parse_attr(tokens)
-    resolved = _resolve(expr, scheme, ref)
+    ref = ".".join(_scan_attr(tokens)[0])
+    resolved = _resolve(expr, schemas, ref)
     out = ref.rsplit(".", 1)[-1]
     if tokens.accept("kw", "as"):
         out = tokens.expect("name")

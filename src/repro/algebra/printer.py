@@ -25,7 +25,7 @@ from repro.algebra.ast import (
 )
 from repro.errors import AlgebraError
 
-__all__ = ["render_expr", "render_plan_tree"]
+__all__ = ["render_expr", "render_node", "render_plan_tree"]
 
 
 def _short(attr: str) -> str:
@@ -33,50 +33,53 @@ def _short(attr: str) -> str:
     return attr.rsplit(".", 1)[-1]
 
 
+def render_node(
+    node: Expr, kids: tuple, compact: bool = False, scheme=None
+) -> str:
+    """One node's :func:`render_expr` text, given its children's (``kids``):
+    a rendering is a pure function of the node and its children's
+    renderings, which is what lets a planning run build each one once."""
+
+    def name(attr: str) -> str:
+        return _short(attr) if compact else attr
+
+    if isinstance(node, (EntryPointScan, ExternalRelScan)):
+        return node.name
+    if isinstance(node, Select):
+        atoms = str(node.predicate)
+        if compact:
+            mapping = {a: _short(a) for a in node.predicate.attrs()}
+            atoms = str(node.predicate.rename(mapping))
+        return f"σ_{{{atoms}}}({kids[0]})"
+    if isinstance(node, Project):
+        cols = ",".join(
+            name(i) if o == i or o == _short(i) else f"{name(i)} as {o}"
+            for o, i in node.outputs
+        )
+        return f"π_{{{cols}}}({kids[0]})"
+    if isinstance(node, Join):
+        cond = ",".join(f"{name(lhs)}={name(rhs)}" for lhs, rhs in node.on)
+        return f"({kids[0]} ⋈_{{{cond}}} {kids[1]})"
+    if isinstance(node, Unnest):
+        return f"{kids[0]} ∘ {name(node.attr)}"
+    if isinstance(node, FollowLink):
+        target = node.alias
+        if target is None and scheme is not None:
+            target = node.target_alias(scheme)
+        return f"{kids[0]} →{name(node.link_attr)} {target or '?'}"
+    raise AlgebraError(f"cannot render {type(node).__name__}")
+
+
 def render_expr(expr: Expr, compact: bool = False, scheme=None) -> str:
     """Paper-style infix rendering.
 
     ``compact=True`` shortens qualified attribute names to their last step,
     matching the paper's notation; the default keeps full qualified names
-    (injective, suitable for deduplication).  When ``scheme`` is given,
+    (injective enough for deduplication).  When ``scheme`` is given,
     follow-link operators display their resolved target page-scheme.
     """
-
-    def name(attr: str) -> str:
-        return _short(attr) if compact else attr
-
-    def go(node: Expr) -> str:
-        if isinstance(node, EntryPointScan):
-            return node.name
-        if isinstance(node, ExternalRelScan):
-            return node.name
-        if isinstance(node, Select):
-            atoms = str(node.predicate)
-            if compact:
-                mapping = {a: _short(a) for a in node.predicate.attrs()}
-                atoms = str(node.predicate.rename(mapping))
-            return f"σ_{{{atoms}}}({go(node.child)})"
-        if isinstance(node, Project):
-            cols = ",".join(
-                name(i) if o == i or o == _short(i) else f"{name(i)} as {o}"
-                for o, i in node.outputs
-            )
-            return f"π_{{{cols}}}({go(node.child)})"
-        if isinstance(node, Join):
-            cond = ",".join(
-                f"{name(lhs)}={name(rhs)}" for lhs, rhs in node.on
-            )
-            return f"({go(node.left)} ⋈_{{{cond}}} {go(node.right)})"
-        if isinstance(node, Unnest):
-            return f"{go(node.child)} ∘ {name(node.attr)}"
-        if isinstance(node, FollowLink):
-            target = node.alias
-            if target is None and scheme is not None:
-                target = node.target_alias(scheme)
-            return f"{go(node.child)} →{name(node.link_attr)} {target or '?'}"
-        raise AlgebraError(f"cannot render {type(node).__name__}")
-
-    return go(expr)
+    kids = tuple(render_expr(kid, compact, scheme) for kid in expr.children())
+    return render_node(expr, kids, compact, scheme)
 
 
 def render_plan_tree(expr: Expr, scheme=None) -> str:

@@ -66,8 +66,7 @@ def replace_at(expr: Expr, path: Path, new_node: Expr) -> Expr:
 
 def leaves(expr: Expr) -> list[Expr]:
     """All leaf subexpressions, left to right."""
-    result = []
-    for _, node in walk(expr):
-        if not node.children():
-            result.append(node)
-    return result
+    kids = expr.children()
+    if not kids:
+        return [expr]
+    return [leaf for kid in kids for leaf in leaves(kid)]

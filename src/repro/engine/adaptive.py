@@ -253,7 +253,7 @@ class AdaptiveExecutor(LocalExecutor):
     # ------------------------------------------------------------------ #
 
     def _eval_select(self, expr: Select) -> Relation:
-        expr.output_schema(self.scheme)  # validates predicate attrs
+        self.schemas.of(expr)  # validates predicate attrs
         pushed = self._push_selection_constraints(expr)
         try:
             child = self._eval(expr.child)
@@ -269,9 +269,9 @@ class AdaptiveExecutor(LocalExecutor):
         if not isinstance(follow, FollowLink):
             return 0
         try:
-            follow_schema = follow.output_schema(self.scheme)
-            child_schema = follow.child.output_schema(self.scheme)
-            target_alias = follow.target_alias(self.scheme)
+            follow_schema = self.schemas.of(follow)
+            child_schema = self.schemas.of(follow.child)
+            target_alias = self.schemas.target_alias(follow)
             link_field = child_schema.field(follow.link_attr)
         except (AlgebraError, SchemaError):
             return 0
@@ -311,7 +311,7 @@ class AdaptiveExecutor(LocalExecutor):
     # ------------------------------------------------------------------ #
 
     def _eval_join(self, expr: Join) -> Relation:
-        matches = _match_link_join(expr, self.scheme)
+        matches = _match_link_join(expr, self.schemas)
         if matches:
             return self._eval_link_join(expr, matches[0])
         left = self._eval(expr.left)
@@ -327,7 +327,7 @@ class AdaptiveExecutor(LocalExecutor):
         join attributes, keyed by provenance so they reach the binding
         *before* its follow-link fetch even across renames."""
         try:
-            right_schema = expr.right.output_schema(self.scheme)
+            right_schema = self.schemas.of(expr.right)
         except (AlgebraError, SchemaError):
             return 0
         pushed = 0
@@ -559,9 +559,7 @@ class AdaptiveExecutor(LocalExecutor):
         """
         root_names: tuple
         try:
-            root_names = tuple(
-                f.name for f in root.output_schema(self.scheme)
-            )
+            root_names = tuple(f.name for f in self.schemas.of(root))
         except (AlgebraError, SchemaError):
             return {}
         sites: dict[int, FollowLink] = {}
@@ -577,9 +575,7 @@ class AdaptiveExecutor(LocalExecutor):
             for rewritten in PointerChase().rewrite_node(node, self.scheme):
                 try:
                     full = replace_at(root, path, rewritten)
-                    names = tuple(
-                        f.name for f in full.output_schema(self.scheme)
-                    )
+                    names = tuple(f.name for f in self.schemas.of(full))
                     if names != root_names:
                         continue
                     if not is_computable(full, self.scheme):

@@ -25,8 +25,10 @@ from repro.algebra.ast import (
     FollowLink,
     Join,
     Project,
+    Schemas,
     Select,
     Unnest,
+    page_relation_schema,
 )
 from repro.algebra.computable import check_computable
 from repro.errors import AlgebraError, NotComputableError
@@ -111,6 +113,8 @@ class LocalExecutor:
         meter: Optional[Callable[[], tuple]] = None,
     ):
         self.scheme = scheme
+        #: an executor runs one plan: each node is typed once per execution
+        self.schemas = Schemas(scheme)
         self.provider = provider
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.meter = meter
@@ -180,7 +184,7 @@ class LocalExecutor:
             return self._eval(expr.child).unnest(expr.attr)
         if isinstance(expr, Select):
             child = self._eval(expr.child)
-            expr.output_schema(self.scheme)  # validates predicate attrs
+            self.schemas.of(expr)  # validates predicate attrs
             return child.select(expr.predicate.evaluate)
         if isinstance(expr, Project):
             child = self._eval(expr.child)
@@ -197,7 +201,7 @@ class LocalExecutor:
         raise AlgebraError(f"cannot evaluate {type(expr).__name__}")
 
     def _eval_entry(self, expr: EntryPointScan) -> Relation:
-        schema = expr.output_schema(self.scheme)
+        schema = self.schemas.of(expr)
         entry_tuples = getattr(self.provider, "entry_tuples", None)
         if entry_tuples is not None:
             plain = entry_tuples([expr.page_scheme]).get(expr.page_scheme)
@@ -215,9 +219,9 @@ class LocalExecutor:
         Split from :meth:`_eval_follow` so the adaptive executor
         (:mod:`repro.engine.adaptive`) can prune the child's bindings
         between evaluating the child and scheduling the fetch batch."""
-        target = expr.target_scheme(self.scheme)
-        schema = expr.output_schema(self.scheme)
-        url_attr = expr.target_url_attr(self.scheme)
+        target = self.schemas.link_type(expr).target
+        target_alias = self.schemas.target_alias(expr)
+        schema = self.schemas.of(expr)
 
         # distinct link values, preserving first-seen order
         urls: list[str] = []
@@ -228,11 +232,7 @@ class LocalExecutor:
                 seen.add(value)
                 urls.append(value)
 
-        from repro.algebra.ast import page_relation_schema
-
-        target_schema = page_relation_schema(
-            self.scheme, target, expr.target_alias(self.scheme)
-        )
+        target_schema = page_relation_schema(self.scheme, target, target_alias)
         plain_by_url = self.provider.target_tuples(target, urls)
         qualified = {
             url: qualify_row(target_schema, plain)

@@ -134,10 +134,13 @@ class RelationSchema:
 
     def concat(self, other: "RelationSchema") -> "RelationSchema":
         """Schema of a join/product; field names must be disjoint."""
-        clash = set(self.names()) & set(other.names())
-        if clash:
+        by_name = {**self._by_name, **other._by_name}
+        if len(by_name) != len(self.fields) + len(other.fields):
+            clash = set(self._by_name) & set(other._by_name)
             raise SchemaError(f"join field-name clash: {sorted(clash)}")
-        return RelationSchema(self.fields + other.fields)
+        joined = RelationSchema(())  # both sides are name-unique already
+        joined.fields, joined._by_name = self.fields + other.fields, by_name
+        return joined
 
     def drop(self, name: str) -> "RelationSchema":
         self.field(name)  # raise if missing

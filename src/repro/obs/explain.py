@@ -35,6 +35,7 @@ from repro.algebra.ast import (
 )
 from repro.errors import AlgebraError
 from repro.obs.trace import Span
+from repro.optimizer.memo import PlanMemo
 
 __all__ = [
     "NodeReport",
@@ -146,8 +147,9 @@ def plan_report(
 ) -> list[NodeReport]:
     """Walk ``expr`` depth-first and report every operator once.
 
-    ``cost_model`` supplies the estimates (anything with ``_estimate``'s
-    public faces ``cardinality``/``cost``); ``spans`` (from
+    ``cost_model`` supplies the estimates (one
+    :class:`~repro.optimizer.memo.PlanMemo` for the whole report, so each
+    operator is estimated once); ``spans`` (from
     :func:`~repro.obs.trace.spans_by_node`) attaches measured operator
     spans by the stable preorder ``node_id`` every executor stamps on its
     spans.  This walk *is* preorder (parent appended before children,
@@ -156,11 +158,14 @@ def plan_report(
     collisions that shared or GC'd subtrees used to cause.
     """
     reports: list[NodeReport] = []
+    memo = PlanMemo(cost_model.scheme)
 
     def go(node: Expr, depth: int, prefix: str, is_last: bool, is_root: bool):
         connector = "" if is_root else ("└── " if is_last else "├── ")
-        est_cost = cost_model.cost(node)
-        est_own = est_cost - sum(cost_model.cost(c) for c in node.children())
+        estimate = cost_model.estimate(node, memo)
+        est_own = estimate.cost - sum(
+            cost_model.estimate(c, memo).cost for c in node.children()
+        )
         node_id = len(reports)  # preorder position == span node_id
         reports.append(
             NodeReport(
@@ -169,8 +174,8 @@ def plan_report(
                 prefix=prefix + connector,
                 label=_estimate_label(node),
                 tree_label=_tree_label(node, scheme),
-                est_card=cost_model.cardinality(node),
-                est_cost=est_cost,
+                est_card=estimate.cardinality,
+                est_cost=estimate.cost,
                 est_own=est_own,
                 span=spans.get(node_id) if spans else None,
             )

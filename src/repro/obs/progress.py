@@ -6,7 +6,9 @@ Three pieces, layered from primitive to report:
   ``max(est/actual, actual/est)`` with both sides clamped to at least 1.
   A q-error of 1 is a perfect estimate; 10 means the cardinality model
   was off by an order of magnitude in *either* direction.
-* :class:`ProgressBoard` — a lock-safe registry of in-flight requests.
+* :class:`ProgressBoard` — a lock-safe registry of in-flight requests
+  (a request is forgotten when it resolves; its ticket keeps the final
+  snapshot).
   The executor seeds it with the plan's per-operator cardinality
   estimates before the first fetch; a :class:`ProgressTracer` wrapped
   around the recording tracer marks operators started/finished as their
@@ -192,6 +194,8 @@ class ProgressBoard:
             entry["finished"] = True
 
     def forget(self, request_id: str) -> None:
+        """Stop tracking a request (its owner keeps the last snapshot);
+        a board only ever holds the requests still in flight."""
         with self._lock:
             self._queries.pop(request_id, None)
 
@@ -205,30 +209,33 @@ class ProgressBoard:
         """Snapshot one request (unknown ids report an empty, unfinished,
         fraction-0 progress — a ticket may ask before admission)."""
         with self._lock:
-            entry = self._queries.get(request_id)
-            if entry is None:
-                return QueryProgress(
-                    request_id=request_id,
-                    total_operators=0,
-                    started_operators=0,
-                    completed_operators=0,
-                    est_tuples=0.0,
-                    actual_tuples=0.0,
-                    actual_pages=0.0,
-                    finished=False,
-                )
-            operators = tuple(
-                OperatorProgress(
-                    node_id=op.node_id,
-                    op=op.op,
-                    est_tuples=op.est_tuples,
-                    actual_tuples=op.actual_tuples,
-                    actual_pages=op.actual_pages,
-                    started=op.started,
-                    done=op.done,
-                )
-                for _, op in sorted(entry["operators"].items())
+            return self._snapshot(request_id, self._queries.get(request_id))
+
+    def snapshots(self) -> dict[str, QueryProgress]:
+        """Every tracked request's progress, all read at one instant."""
+        with self._lock:
+            return {
+                request_id: self._snapshot(request_id, entry)
+                for request_id, entry in sorted(self._queries.items())
+            }
+
+    @staticmethod
+    def _snapshot(request_id: str, entry: Optional[dict]) -> QueryProgress:
+        """``entry`` frozen into a :class:`QueryProgress` (lock held)."""
+        if entry is None:
+            entry = {"finished": False, "operators": {}}
+        operators = tuple(
+            OperatorProgress(
+                node_id=op.node_id,
+                op=op.op,
+                est_tuples=op.est_tuples,
+                actual_tuples=op.actual_tuples,
+                actual_pages=op.actual_pages,
+                started=op.started,
+                done=op.done,
             )
+            for _, op in sorted(entry["operators"].items())
+        )
         return QueryProgress(
             request_id=request_id,
             total_operators=len(operators),

@@ -50,8 +50,10 @@ from repro.algebra.ast import (
     Unnest,
 )
 from repro.algebra.predicates import AttrEq, Comparison, In
+from repro.algebra.visitors import walk
 from repro.errors import OptimizerError, StatisticsError
 from repro.nested.schema import Field
+from repro.optimizer.memo import PlanMemo
 from repro.stats.statistics import SiteStatistics
 
 __all__ = [
@@ -98,6 +100,8 @@ class StrategyCrossover:
 class _Estimate:
     cardinality: float
     cost: float
+    #: bytes this node itself downloads (0 unless it touches the network)
+    own_bytes: float = 0.0
 
 
 class CacheEstimate:
@@ -160,10 +164,7 @@ class CacheEstimate:
 
     def rate(self, scheme_name: str) -> float:
         """Expected hit rate for ``scheme_name`` (0 when unknown)."""
-        for name, rate in self._rates:
-            if name == scheme_name:
-                return rate
-        return 0.0
+        return dict(self._rates).get(scheme_name, 0.0)
 
     def page_factor(self, scheme_name: str) -> float:
         """Effective page cost of one access to a page of ``scheme_name``:
@@ -219,11 +220,11 @@ class CostModel:
 
     def cardinality(self, expr: Expr) -> float:
         """Estimated number of tuples in the result of ``expr``."""
-        return self._estimate(expr).cardinality
+        return self.estimate(expr, PlanMemo(self.scheme)).cardinality
 
     def cost(self, expr: Expr) -> float:
         """C(E): estimated number of pages downloaded to evaluate ``expr``."""
-        return self._estimate(expr).cost
+        return self.estimate(expr, PlanMemo(self.scheme)).cost
 
     def bytes_cost(self, expr: Expr) -> float:
         """Estimated bytes downloaded (footnote 8's refinement: pages of
@@ -231,18 +232,18 @@ class CostModel:
         prefers the *smaller* database-conference list when page counts
         tie).  Computed as Σ over network operations of
         (pages fetched × average page size of the fetched scheme)."""
+        return self.total_bytes(expr, PlanMemo(self.scheme))
+
+    def total_bytes(self, expr: Expr, memo: PlanMemo) -> float:
+        """:meth:`bytes_cost` from ``memo``'s estimates.  The terms are added
+        in preorder: float addition is not associative, and plans are
+        ranked on this sum."""
         total = 0.0
-        for node in self._walk(expr):
-            if isinstance(node, EntryPointScan):
-                total += self._network_factor(node.page_scheme) * self._page_size(
-                    node.page_scheme
-                )
-            elif isinstance(node, FollowLink):
-                own = (
-                    self._estimate(node).cost
-                    - self._estimate(node.child).cost
-                )
-                total += own * self._page_size(node.target_scheme(self.scheme))
+        stack = [expr]
+        while stack:
+            node = stack.pop()
+            total += self.estimate(node, memo).own_bytes
+            stack.extend(reversed(node.children()))
         return total
 
     def local_work(self, expr: Expr) -> float:
@@ -255,14 +256,15 @@ class CostModel:
         more local joining.  Counted as: tuples produced by unnests and
         selections, plus the input sizes of every join.
         """
+        memo = PlanMemo(self.scheme)
         total = 0.0
-        for node in self._walk(expr):
+        for _, node in walk(expr):
             if isinstance(node, (Unnest, Select)):
-                total += self._estimate(node).cardinality
+                total += self.estimate(node, memo).cardinality
             elif isinstance(node, Join):
                 total += (
-                    self._estimate(node.left).cardinality
-                    + self._estimate(node.right).cardinality
+                    self.estimate(node.left, memo).cardinality
+                    + self.estimate(node.right, memo).cardinality
                 )
         return total
 
@@ -300,7 +302,9 @@ class CostModel:
             from repro.web.network import MODEM_1998
 
             network = MODEM_1998
-        stages, critical = self._network_stages(expr, network)
+        stages, critical = self._network_stages(
+            expr, network, PlanMemo(self.scheme)
+        )
         k = workers
         staged = sum(math.ceil(pages / k) * t for pages, t in stages)
         # the columnar engine changes CPU, not network: staged access
@@ -328,7 +332,7 @@ class CostModel:
         )
 
     def _network_stages(
-        self, expr: Expr, network
+        self, expr: Expr, network, memo: PlanMemo
     ) -> tuple[list[tuple[float, float]], float]:
         """Per-stage ``(pages, seconds_per_page)`` in execution order,
         plus the critical-path seconds (one page per stage down the
@@ -337,30 +341,28 @@ class CostModel:
             t = network.get_seconds(int(self._page_size(expr.page_scheme)))
             return [(self._network_factor(expr.page_scheme), t)], t
         if isinstance(expr, FollowLink):
-            stages, critical = self._network_stages(expr.child, network)
-            own = self._estimate(expr).cost - self._estimate(expr.child).cost
-            target = expr.target_scheme(self.scheme)
+            stages, critical = self._network_stages(expr.child, network, memo)
+            own = (
+                self.estimate(expr, memo).cost
+                - self.estimate(expr.child, memo).cost
+            )
+            target = memo.schemas.link_type(expr).target
             t = network.get_seconds(int(self._page_size(target)))
             return stages + [(own, t)], critical + t
         if isinstance(expr, Join):
-            left, lcrit = self._network_stages(expr.left, network)
-            right, rcrit = self._network_stages(expr.right, network)
+            left, lcrit = self._network_stages(expr.left, network, memo)
+            right, rcrit = self._network_stages(expr.right, network, memo)
             return left + right, max(lcrit, rcrit)
         children = list(expr.children())
         if not children:
             return [], 0.0
-        return self._network_stages(children[0], network)
+        return self._network_stages(children[0], network, memo)
 
     def _page_size(self, scheme_name: str) -> float:
         try:
             return self.stats.avg_page_bytes(scheme_name)
         except StatisticsError:
             return 1.0  # degrade to page counting
-
-    def _walk(self, expr: Expr):
-        yield expr
-        for child in expr.children():
-            yield from self._walk(child)
 
     def explain(self, expr: Expr) -> str:
         """Per-node breakdown of cardinality and cost (indented tree).
@@ -377,11 +379,21 @@ class CostModel:
     # estimation
     # ------------------------------------------------------------------ #
 
-    def _estimate(self, expr: Expr) -> _Estimate:
+    def estimate(self, expr: Expr, memo: PlanMemo) -> _Estimate:
+        """Cardinality, C(E) and own bytes of ``expr`` — one walk, each
+        node estimated once per ``memo`` and model."""
+        found = memo.estimates.get((self, expr))
+        if found is None:
+            found = memo.estimates[self, expr] = self._estimate(expr, memo)
+        return found
+
+    def _estimate(self, expr: Expr, memo: PlanMemo) -> _Estimate:
         if isinstance(expr, EntryPointScan):
+            factor = self._network_factor(expr.page_scheme)
             return _Estimate(
                 cardinality=1.0,
-                cost=self._network_factor(expr.page_scheme),
+                cost=factor,
+                own_bytes=factor * self._page_size(expr.page_scheme),
             )
         if isinstance(expr, ExternalRelScan):
             raise OptimizerError(
@@ -389,19 +401,16 @@ class CostModel:
                 "with rule 1 first"
             )
         if isinstance(expr, Unnest):
-            return self._estimate_unnest(expr)
+            return self._estimate_unnest(expr, memo)
         if isinstance(expr, Select):
-            return self._estimate_select(expr)
+            return self._estimate_select(expr, memo)
         if isinstance(expr, Project):
-            return self._estimate_project(expr)
+            return self._estimate_project(expr, memo)
         if isinstance(expr, Join):
-            return self._estimate_join(expr)
+            return self._estimate_join(expr, memo)
         if isinstance(expr, FollowLink):
-            return self._estimate_follow(expr)
+            return self._estimate_follow(expr, memo)
         raise OptimizerError(f"cannot cost {type(expr).__name__}")
-
-    def _field(self, expr: Expr, attr: str) -> Field:
-        return expr.output_schema(self.scheme).field(attr)
 
     def _distinct(self, field: Field) -> float:
         """c_A via provenance; None when unknown."""
@@ -413,9 +422,9 @@ class CostModel:
         except StatisticsError:
             return 0.0
 
-    def _estimate_unnest(self, expr: Unnest) -> _Estimate:
-        child = self._estimate(expr.child)
-        field = self._field(expr.child, expr.attr)
+    def _estimate_unnest(self, expr: Unnest, memo: PlanMemo) -> _Estimate:
+        child = self.estimate(expr.child, memo)
+        field = memo.schemas.of(expr.child).field(expr.attr)
         size = 1.0
         if field.provenance is not None:
             try:
@@ -426,50 +435,45 @@ class CostModel:
                 size = 1.0
         return _Estimate(child.cardinality * size, child.cost)
 
-    def _estimate_select(self, expr: Select) -> _Estimate:
-        child = self._estimate(expr.child)
+    def _estimate_select(self, expr: Select, memo: PlanMemo) -> _Estimate:
+        child = self.estimate(expr.child, memo)
         selectivity = 1.0
-        schema_expr = expr.child
+        schema = memo.schemas.of(expr.child)
         for atom in expr.predicate.atoms:
             if isinstance(atom, Comparison):
-                c = self._distinct(self._field(schema_expr, atom.attr))
+                c = self._distinct(schema.field(atom.attr))
                 selectivity *= (1.0 / c) if c else DEFAULT_SELECTIVITY
             elif isinstance(atom, In):
-                c = self._distinct(self._field(schema_expr, atom.attr))
+                c = self._distinct(schema.field(atom.attr))
                 s = (1.0 / c) if c else DEFAULT_SELECTIVITY
                 selectivity *= min(1.0, len(atom.values) * s)
             elif isinstance(atom, AttrEq):
-                c1 = self._distinct(self._field(schema_expr, atom.left))
-                c2 = self._distinct(self._field(schema_expr, atom.right))
+                c1 = self._distinct(schema.field(atom.left))
+                c2 = self._distinct(schema.field(atom.right))
                 top = max(c1, c2)
                 selectivity *= (1.0 / top) if top else DEFAULT_SELECTIVITY
         return _Estimate(child.cardinality * selectivity, child.cost)
 
-    def _estimate_project(self, expr: Project) -> _Estimate:
-        child = self._estimate(expr.child)
+    def _estimate_project(self, expr: Project, memo: PlanMemo) -> _Estimate:
+        child = self.estimate(expr.child, memo)
+        schema = memo.schemas.of(expr.child)
         # |π_A(P)| = |P| / r_A  ==  min(card, Π c_A) under uniformity
         distinct_product = 1.0
-        known = True
         for _, in_name in expr.outputs:
-            field = self._field(expr.child, in_name)
-            if field.is_list:
-                known = False
-                break
-            c = self._distinct(field)
-            if not c:
-                known = False
-                break
+            field = schema.field(in_name)
+            c = 0.0 if field.is_list else self._distinct(field)
+            if not c:  # a list, or no statistics: the input's cardinality
+                return _Estimate(child.cardinality, child.cost)
             distinct_product *= c
-        card = min(child.cardinality, distinct_product) if known else child.cardinality
-        return _Estimate(card, child.cost)
+        return _Estimate(min(child.cardinality, distinct_product), child.cost)
 
-    def _estimate_join(self, expr: Join) -> _Estimate:
-        left = self._estimate(expr.left)
-        right = self._estimate(expr.right)
+    def _estimate_join(self, expr: Join, memo: PlanMemo) -> _Estimate:
+        left = self.estimate(expr.left, memo)
+        right = self.estimate(expr.right, memo)
         selectivity = 1.0
         for lname, rname in expr.on:
-            lfield = self._field(expr.left, lname)
-            rfield = self._field(expr.right, rname)
+            lfield = memo.schemas.of(expr.left).field(lname)
+            rfield = memo.schemas.of(expr.right).field(rname)
             if lfield.provenance is not None and rfield.provenance is not None:
                 selectivity *= self.stats.join_selectivity(
                     lfield.provenance.base_scheme,
@@ -482,10 +486,10 @@ class CostModel:
         card = left.cardinality * right.cardinality * selectivity
         return _Estimate(card, left.cost + right.cost)
 
-    def _estimate_follow(self, expr: FollowLink) -> _Estimate:
-        child = self._estimate(expr.child)
-        link_field = self._field(expr.child, expr.link_attr)
-        target = expr.target_scheme(self.scheme)
+    def _estimate_follow(self, expr: FollowLink, memo: PlanMemo) -> _Estimate:
+        child = self.estimate(expr.child, memo)
+        link_field = memo.schemas.of(expr.child).field(expr.link_attr)
+        target = memo.schemas.link_type(expr).target
         try:
             target_card = self.stats.card(target)
         except StatisticsError:
@@ -499,7 +503,9 @@ class CostModel:
             except StatisticsError:
                 repetition = 1.0
         distinct_links = min(child.cardinality / repetition, target_card)
+        cost = child.cost + distinct_links * self._network_factor(target)
         return _Estimate(
             cardinality=child.cardinality,
-            cost=child.cost + distinct_links * self._network_factor(target),
+            cost=cost,
+            own_bytes=(cost - child.cost) * self._page_size(target),
         )

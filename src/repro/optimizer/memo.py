@@ -1,0 +1,62 @@
+"""The memo of one planning call.
+
+The ~28 plans of a query are a few subtrees recombined, and nodes are
+interned (:mod:`repro.algebra.ast`): every answer that is a pure function
+of a node is computed once and found again by identity.  A
+:class:`PlanMemo` is created by the call that plans (``Planner.plan_expr``
+/ ``replan_suffix``, a bare ``CostModel.cost``), passed down, and dropped
+when it returns — threads never share one, and nothing in it outlives
+the ``PlannerResult``.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from repro.adm.scheme import WebScheme
+from repro.algebra.ast import Expr, Schemas
+from repro.algebra.printer import render_node
+
+__all__ = ["PlanMemo", "per_call"]
+
+
+class PlanMemo:
+    __slots__ = ("scheme", "schemas", "estimates", "results", "_keys")
+
+    def __init__(self, scheme: WebScheme):
+        self.scheme = scheme
+        #: node → output schema, or the error it raises
+        self.schemas = Schemas(scheme)
+        #: (cost model, node) → ``cost._Estimate``: a cache-aware model
+        #: prices the same node differently
+        self.estimates: dict = {}
+        #: (function, arguments) → result, for :func:`per_call` functions
+        self.results: dict = {}
+        #: node → rendering, full names and compact
+        self._keys: tuple[dict[Expr, str], dict[Expr, str]] = ({}, {})
+
+    def key(self, expr: Expr, compact: bool = False) -> str:
+        """``render_expr(expr, compact)`` built from the children's keys —
+        the canonical (``compact=False``) one is the dedup key."""
+        keys = self._keys[compact]
+        found = keys.get(expr)
+        if found is None:
+            kids = tuple(self.key(kid, compact) for kid in expr.children())
+            found = keys[expr] = render_node(expr, kids, compact)
+        return found
+
+
+def per_call(fn):
+    """Memoize ``fn(*args, memo)`` — a pure function of interned nodes and
+    hashable values — in ``memo.results``: computed once per planning call
+    however many plans contain the node, recursive calls included."""
+
+    def wrapper(*args):
+        results = args[-1].results
+        key = (fn,) + args[:-1]
+        found = results.get(key, results)  # the table itself means "absent"
+        if found is results:
+            found = results[key] = fn(*args)
+        return found
+
+    return functools.wraps(fn)(wrapper)

@@ -21,6 +21,9 @@ silently discarded during validation.
 from __future__ import annotations
 
 import itertools
+import math
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -37,6 +40,7 @@ from repro.errors import (
 )
 from repro.obs.rewrite import RewriteTrace
 from repro.optimizer.cost import CacheEstimate, CostModel
+from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rewriter import closure
 from repro.optimizer.rules import (
     JoinPushdown,
@@ -57,6 +61,9 @@ __all__ = ["PlanCandidate", "PlannerResult", "Planner", "PlannerOptions"]
 
 #: Cap on rule-1 expansion combinations (navigation choices multiply).
 MAX_EXPANSIONS = 256
+
+#: Results :meth:`Planner.plan_query` keeps; beyond it the oldest goes.
+MAX_MEMO = 512
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,7 @@ class Planner:
         self.cost_model = cost_model
         self.options = options or PlannerOptions()
         self._cache: dict = {}
+        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # public API
@@ -214,9 +222,10 @@ class Planner:
             cached = self.plan_expr(
                 translate(query, self.view), cache_estimate=cache_estimate
             )
-            if len(self._cache) > 512:
-                self._cache.clear()
-            self._cache[key] = cached
+            with self._cache_lock:
+                if len(self._cache) >= MAX_MEMO:
+                    del self._cache[next(iter(self._cache))]  # the oldest
+                self._cache[key] = cached
         return cached
 
     def enumerate_plans(
@@ -246,74 +255,53 @@ class Planner:
     ) -> PlannerResult:
         """Plan a relational-algebra expression over external relations."""
         opts = self.options
-        # step 2: rule 1 — expand external relations in all possible ways
-        expanded = self._expand_all(expr, trace=trace)
-        # step 3: rule 4 — eliminate repeated navigations
-        merge_rule = MergeRepeatedNavigation(stats=self.cost_model.stats)
-        merged = expanded
-        if opts.merge_repeated:
-            merged = closure(
-                expanded,
-                [merge_rule],
-                self.scheme,
-                trace=trace,
-                phase="merge repeated (rule 4)",
+        # everything derived per node below lives here and dies on return
+        memo = PlanMemo(self.scheme)
+
+        def saturate(plans, rules, phase):
+            if not rules:
+                return plans
+            return closure(
+                plans, rules, self.scheme, trace=trace, phase=phase, memo=memo
             )
-        # step 4: rules 8, 9 — push and prune joins
-        join_rules = []
-        if opts.join_pushdown:
-            join_rules.append(JoinPushdown())
+
+        def improve(plans, rewrite, phase):
+            return _dedup(_try_map(plans, rewrite, memo, trace, phase), memo)
+
+        # step 2: rule 1 — expand external relations in all possible ways
+        plans = self._expand_all(expr, memo, trace=trace)
+        # step 3: rule 4 — eliminate repeated navigations
+        merge = []
         if opts.merge_repeated:
-            join_rules.append(merge_rule)
+            merge = [MergeRepeatedNavigation(stats=self.cost_model.stats)]
+        plans = saturate(plans, merge, "merge repeated (rule 4)")
+        # step 4: rules 8, 9 — push and prune joins
+        join_rules = [JoinPushdown()] if opts.join_pushdown else []
+        join_rules += merge
         if opts.pointer_join:
             join_rules.append(PointerJoin())
         if opts.pointer_chase:
             join_rules.append(PointerChase())
-        join_variants = (
-            closure(
-                merged,
-                join_rules,
-                self.scheme,
-                trace=trace,
-                phase="join rules (8/9)",
-            )
-            if join_rules
-            else merged
-        )
+        plans = saturate(plans, join_rules, "join rules (8/9)")
         # step 5: rule 6 — push selections
-        pushed = join_variants
         if opts.push_selections:
-            pushed = _dedup(
-                _try_map(
-                    join_variants,
-                    lambda e: push_selections(e, self.scheme),
-                    trace=trace,
-                    phase="push selections (rule 6)",
-                    rule="push_selections",
-                )
-            )
+            plans = improve(plans, push_selections, "push selections (rule 6)")
         # step 6: rule 7 — substitute projections
-        projected = pushed
         if opts.substitute_projections:
-            projected = closure(
-                pushed,
+            plans = saturate(
+                plans,
                 [ProjectionSubstitution()],
-                self.scheme,
-                trace=trace,
-                phase="projection substitution (rule 7)",
+                "projection substitution (rule 7)",
             )
         # step 7: rules 5/3 — eliminate unnecessary navigations
-        final = _dedup(projected)
         if opts.eliminate_navigations:
-            final = _dedup(
-                _try_map(
-                    projected,
-                    lambda e: eliminate_unused_navigation(e, self.scheme),
-                    trace=trace,
-                    phase="eliminate navigation (rules 3/5)",
-                    rule="eliminate_unused_navigation",
-                )
+            final = improve(
+                plans,
+                eliminate_unused_navigation,
+                "eliminate navigation (rules 3/5)",
             )
+        else:
+            final = _dedup(plans, memo)
         # step 8: validate, cost, choose (cache-aware when an estimate is
         # given: the effective per-access page cost shrinks by the expected
         # hit rate of the accessed page-scheme)
@@ -324,7 +312,7 @@ class Planner:
         )
         candidates = []
         for plan in final:
-            candidate = self._validate_and_cost(plan, model)
+            candidate = self._validate_and_cost(plan, model, memo)
             if candidate is not None:
                 candidates.append(candidate)
         if not candidates:
@@ -332,13 +320,13 @@ class Planner:
                 "no valid execution plan survived rewriting; check that "
                 "the view's default navigations cover the queried attributes"
             )
-        candidates.sort(key=lambda c: (c.cost, c.bytes_cost, c.render()))
+        candidates.sort(
+            key=lambda c: (c.cost, c.bytes_cost, memo.key(c.expr, compact=True))
+        )
         uncached_cost = None
         if cache_estimate is not None:
-            try:
-                uncached_cost = self.cost_model.cost(candidates[0].expr)
-            except OptimizerError:  # pragma: no cover - defensive
-                uncached_cost = None
+            cold = self.cost_model.estimate(candidates[0].expr, memo)
+            uncached_cost = cold.cost
         return PlannerResult(
             best=candidates[0],
             candidates=candidates,
@@ -353,7 +341,7 @@ class Planner:
     # ------------------------------------------------------------------ #
 
     def _expand_all(
-        self, expr: Expr, trace: Optional[RewriteTrace] = None
+        self, expr: Expr, memo: PlanMemo, trace: Optional[RewriteTrace] = None
     ) -> list[Expr]:
         scans = [
             (path, node)
@@ -364,9 +352,7 @@ class Planner:
             return [expr]
         # Self-joins: occurrences of the same relation must navigate under
         # distinct aliases, or rule 4 would wrongly collapse them.
-        relation_counts: dict[str, int] = {}
-        for _, scan in scans:
-            relation_counts[scan.name] = relation_counts.get(scan.name, 0) + 1
+        relation_counts = Counter(scan.name for _, scan in scans)
         choice_lists = []
         for _, scan in scans:
             relation = self.view.relation(scan.name)
@@ -377,9 +363,7 @@ class Planner:
                     for nav in navigations
                 ]
             choice_lists.append(navigations)
-        total = 1
-        for choices in choice_lists:
-            total *= len(choices)
+        total = math.prod(map(len, choice_lists))
         if total > MAX_EXPANSIONS:
             raise OptimizerError(
                 f"query has {total} default-navigation combinations "
@@ -404,10 +388,10 @@ class Planner:
                 trace.record(
                     "expansion (rule 1)",
                     "DefaultNavigation",
-                    render_expr(expanded),
+                    memo.key(expanded),
                     expr=expanded,
                 )
-        return _dedup(results)
+        return _dedup(results, memo)
 
     # ------------------------------------------------------------------ #
     # adaptive suffix re-planning
@@ -438,15 +422,16 @@ class Planner:
                 f"(PointerJoin or PointerChase)"
             )
         rewriter = PointerJoin() if rule == "PointerJoin" else PointerChase()
-        for rewritten in rewriter.rewrite_node(suffix, self.scheme):
-            if self._validate_and_cost(rewritten) is None:
+        memo = PlanMemo(self.scheme)
+        for rewritten in rewriter.rewrite(suffix, memo):
+            if self._validate_and_cost(rewritten, self.cost_model, memo) is None:
                 continue
             if trace is not None:
                 trace.record(
                     "adaptive re-planning",
                     rule,
-                    render_expr(rewritten),
-                    parent=render_expr(suffix),
+                    memo.key(rewritten),
+                    parent=memo.key(suffix),
                     expr=rewritten,
                 )
             return rewritten
@@ -457,31 +442,33 @@ class Planner:
     # ------------------------------------------------------------------ #
 
     def _validate_and_cost(
-        self, plan: Expr, model: Optional[CostModel] = None
+        self, plan: Expr, model: CostModel, memo: PlanMemo
     ) -> Optional[PlanCandidate]:
-        model = model or self.cost_model
         try:
-            plan.output_schema(self.scheme)
+            memo.schemas.of(plan)
             if not is_computable(plan, self.scheme):
                 return None
-            cost = model.cost(plan)
-            card = model.cardinality(plan)
-            bytes_cost = model.bytes_cost(plan)
+            estimate = model.estimate(plan, memo)
+            bytes_cost = model.total_bytes(plan, memo)
         except (AlgebraError, SchemaError, PredicateError, OptimizerError):
             return None
         return PlanCandidate(
-            expr=plan, cost=cost, cardinality=card, bytes_cost=bytes_cost
+            expr=plan,
+            cost=estimate.cost,
+            cardinality=estimate.cardinality,
+            bytes_cost=bytes_cost,
         )
 
 
 def _try_map(
     exprs: Sequence[Expr],
-    fn,
-    trace: Optional[RewriteTrace] = None,
-    phase: str = "",
-    rule: str = "",
+    rewrite,
+    memo: PlanMemo,
+    trace: Optional[RewriteTrace],
+    phase: str,
 ) -> list[Expr]:
-    """Map ``fn`` over plans, dropping the ones it cannot handle.
+    """Apply an improvement pass (``rewrite(plan, scheme, memo)``) to every
+    plan, dropping the ones it cannot handle.
 
     With ``trace``, every application that actually changed the plan is
     recorded as a lineage step (improvement passes rewrite in place, so
@@ -489,22 +476,23 @@ def _try_map(
     results = []
     for expr in exprs:
         try:
-            out = fn(expr)
+            out = rewrite(expr, memo.scheme, memo)
         except (AlgebraError, SchemaError, PredicateError):
             continue
         results.append(out)
-        if trace is not None:
-            old_key = render_expr(expr)
-            new_key = render_expr(out)
-            if new_key != old_key:
-                trace.record(phase, rule, new_key, parent=old_key, expr=out)
+        if trace is not None and memo.key(out) != memo.key(expr):
+            trace.record(
+                phase,
+                rewrite.__name__,
+                memo.key(out),
+                parent=memo.key(expr),
+                expr=out,
+            )
     return results
 
 
-def _dedup(exprs: Sequence[Expr]) -> list[Expr]:
+def _dedup(exprs: Sequence[Expr], memo: PlanMemo) -> list[Expr]:
     seen: dict[str, Expr] = {}
     for expr in exprs:
-        key = render_expr(expr)
-        if key not in seen:
-            seen[key] = expr
+        seen.setdefault(memo.key(expr), expr)
     return list(seen.values())

@@ -13,16 +13,36 @@ from typing import Iterable, Optional, Sequence
 
 from repro.adm.scheme import WebScheme
 from repro.algebra.ast import Expr
-from repro.algebra.printer import render_expr
-from repro.algebra.visitors import replace_at, walk
+from repro.algebra.visitors import replace_child
 from repro.errors import OptimizerError
 from repro.obs.rewrite import RewriteTrace
+from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rules import RewriteRule
 
 __all__ = ["closure"]
 
 #: Safety cap on the number of distinct plans one closure may produce.
 MAX_PLANS = 2000
+
+
+def _one_step(
+    node: Expr, rules: Sequence[RewriteRule], memo: PlanMemo, steps: dict
+) -> list[tuple[RewriteRule, Expr, Expr]]:
+    """Every rewriting of ``node`` one rule application away, as (rule, the
+    subexpression it replaced, ``node`` with the replacement spliced in):
+    positions in preorder, rules in order at each.  Found once per distinct
+    node (``steps``) — the plans of a closure share most of their subtrees."""
+    found = steps.get(node)
+    if found is None:
+        found = steps[node] = [
+            (rule, node, replacement)
+            for rule in rules
+            for replacement in rule.rewrite(node, memo)
+        ]
+        for index, kid in enumerate(node.children()):
+            for rule, where, rewritten in _one_step(kid, rules, memo, steps):
+                found.append((rule, where, replace_child(node, index, rewritten)))
+    return found
 
 
 def closure(
@@ -32,6 +52,7 @@ def closure(
     max_plans: int = MAX_PLANS,
     trace: Optional[RewriteTrace] = None,
     phase: str = "",
+    memo: Optional[PlanMemo] = None,
 ) -> list[Expr]:
     """All plans reachable from ``exprs`` by applying ``rules`` anywhere.
 
@@ -39,39 +60,35 @@ def closure(
     whose output survives dedup — as a :class:`~repro.obs.rewrite.
     RewriteStep` under ``phase``, keyed by the same canonical rendering
     used for deduplication, so lineage chains match the plans returned.
+    ``memo`` is the planning call's (a bare call makes its own).
     """
+    memo = memo or PlanMemo(scheme)
     seen: dict[str, Expr] = {}
-    queue: deque[Expr] = deque()
     for expr in exprs:
-        key = render_expr(expr)
-        if key not in seen:
-            seen[key] = expr
-            queue.append(expr)
+        seen.setdefault(memo.key(expr), expr)
+    queue = deque(seen.values())
+    steps: dict[Expr, list] = {}  # for this rule set only
     while queue:
         current = queue.popleft()
-        current_key = render_expr(current) if trace is not None else ""
-        for path, node in walk(current):
-            for rule in rules:
-                for replacement in rule.rewrite_node(node, scheme):
-                    rewritten = replace_at(current, path, replacement)
-                    key = render_expr(rewritten)
-                    if key in seen:
-                        continue
-                    if len(seen) >= max_plans:
-                        raise OptimizerError(
-                            f"rewrite closure exceeded {max_plans} plans; "
-                            "the query is too irregular for exhaustive "
-                            "enumeration"
-                        )
-                    seen[key] = rewritten
-                    queue.append(rewritten)
-                    if trace is not None:
-                        trace.record(
-                            phase,
-                            type(rule).__name__,
-                            key,
-                            parent=current_key,
-                            subexpr=render_expr(node, compact=True),
-                            expr=rewritten,
-                        )
+        for rule, where, rewritten in _one_step(current, rules, memo, steps):
+            key = memo.key(rewritten)
+            if key in seen:
+                continue
+            if len(seen) >= max_plans:
+                raise OptimizerError(
+                    f"rewrite closure exceeded {max_plans} plans; "
+                    "the query is too irregular for exhaustive "
+                    "enumeration"
+                )
+            seen[key] = rewritten
+            queue.append(rewritten)
+            if trace is not None:
+                trace.record(
+                    phase,
+                    type(rule).__name__,
+                    key,
+                    parent=memo.key(current),
+                    subexpr=memo.key(where, compact=True),
+                    expr=rewritten,
+                )
     return list(seen.values())

@@ -6,6 +6,9 @@ view catalog).  Enumerative rules implement ``rewrite_node(node, scheme) →
 [replacement, ...]``: the rewriter tries them at every position of a plan.
 Improvement passes (selection pushing, navigation elimination) are plain
 functions applied once per plan — in this cost model they never hurt.
+Inside a planning call both get its :class:`~repro.optimizer.memo.PlanMemo`
+(``rule.rewrite(node, memo)``, the passes' last argument) and type nodes
+through it; every answer is a pure function of the node asked about.
 
 Correspondence with the paper:
 
@@ -24,7 +27,7 @@ Rule 9                 :class:`PointerChase`
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.adm.constraints import AttrRef
 from repro.adm.scheme import WebScheme
@@ -35,12 +38,15 @@ from repro.algebra.ast import (
     FollowLink,
     Join,
     Project,
+    Schemas,
     Select,
     Unnest,
 )
 from repro.algebra.predicates import Atom, Comparison, In, Predicate
-from repro.errors import AlgebraError, SchemaError
+from repro.algebra.visitors import replace_child
+from repro.errors import AlgebraError, SchemaError, StatisticsError
 from repro.nested.schema import Field, RelationSchema
+from repro.optimizer.memo import PlanMemo, per_call
 
 __all__ = [
     "RewriteRule",
@@ -63,13 +69,8 @@ __all__ = [
 def spine(expr: Expr) -> list[Expr]:
     """Nodes along the unary-child chain from ``expr`` down to its leaf."""
     nodes = [expr]
-    node = expr
-    while True:
-        kids = node.children()
-        if len(kids) != 1:
-            break
-        node = kids[0]
-        nodes.append(node)
+    while len(nodes[-1].children()) == 1:
+        nodes.extend(nodes[-1].children())
     return nodes
 
 
@@ -80,37 +81,19 @@ def substitute_attrs(expr: Expr, mapping: dict[str, str]) -> Expr:
     names, which cannot collide with internal qualified names."""
     if not mapping:
         return expr
+    kids = tuple(substitute_attrs(kid, mapping) for kid in expr.children())
     if isinstance(expr, Select):
-        return Select(
-            substitute_attrs(expr.child, mapping), expr.predicate.rename(mapping)
-        )
+        return Select(kids[0], expr.predicate.rename(mapping))
     if isinstance(expr, Project):
         return Project(
-            substitute_attrs(expr.child, mapping),
-            tuple((o, mapping.get(i, i)) for o, i in expr.outputs),
+            kids[0], tuple((o, mapping.get(i, i)) for o, i in expr.outputs)
         )
     if isinstance(expr, Join):
-        return Join(
-            substitute_attrs(expr.left, mapping),
-            substitute_attrs(expr.right, mapping),
-            tuple(
-                (mapping.get(lhs, lhs), mapping.get(rhs, rhs))
-                for lhs, rhs in expr.on
-            ),
+        on = tuple(
+            (mapping.get(lhs, lhs), mapping.get(rhs, rhs)) for lhs, rhs in expr.on
         )
-    kids = expr.children()
-    if not kids:
-        return expr
-    return expr.with_children(
-        tuple(substitute_attrs(k, mapping) for k in kids)
-    )
-
-
-def _schema(expr: Expr, scheme: WebScheme) -> Optional[RelationSchema]:
-    try:
-        return expr.output_schema(scheme)
-    except (AlgebraError, SchemaError):
-        return None
+        return Join(*kids, on)
+    return expr.with_children(kids)
 
 
 def _source_attr_for(
@@ -144,7 +127,12 @@ class RewriteRule:
 
     def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
         """Equivalent replacements for ``node`` (empty when no match)."""
-        raise NotImplementedError
+        return self.rewrite(node, PlanMemo(scheme))
+
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
+        """:meth:`rewrite_node` inside a planning call, typing nodes
+        through ``memo``.  A rule overrides one of the two."""
+        return self.rewrite_node(node, memo.scheme)
 
 
 # --------------------------------------------------------------------- #
@@ -171,25 +159,25 @@ class MergeRepeatedNavigation(RewriteRule):
     def __init__(self, stats=None):
         self.stats = stats
 
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Join) or not node.on:
             return []
         results = []
-        if self._mergeable(node.left, node.right, node.on, scheme):
+        if self._mergeable(node.left, node.right, node.on, memo):
             results.append(node.right)
         if self._mergeable(
             node.right,
             node.left,
             [(rhs, lhs) for lhs, rhs in node.on],
-            scheme,
+            memo,
         ):
             results.append(node.left)
         return results
 
-    def _mergeable(self, short: Expr, long: Expr, on, scheme: WebScheme) -> bool:
+    def _mergeable(self, short: Expr, long: Expr, on, memo: PlanMemo) -> bool:
         if short not in spine(long):
             return False
-        schema = _schema(short, scheme)
+        schema = memo.schemas.get(short)
         if schema is None:
             return False
         return all(
@@ -206,8 +194,6 @@ class MergeRepeatedNavigation(RewriteRule):
         prov = field.provenance
         if prov is None:
             return False
-        from repro.errors import StatisticsError
-
         try:
             distinct = self.stats.distinct(prov.base_scheme, prov.path)
             total = self.stats.unnested_card(prov.base_scheme, prov.path)
@@ -221,39 +207,39 @@ class MergeRepeatedNavigation(RewriteRule):
 # --------------------------------------------------------------------- #
 
 
-class _LinkJoinMatch:
+class _LinkJoinMatch(NamedTuple):
     """A join of the paper's shape ``(R1 →L R3) ⋈_{R3.B = R2.A} R2``.
 
-    ``nav_side``: the FollowLink side (R1 → R3); ``other``: R2; ``pair``:
+    ``nav``: the FollowLink side (R1 → R3); ``other``: R2; ``pair``:
     the (target_attr, other_attr) join pair realizing R3.B = R2.A;
     ``other_link``: the link field of R2 pointing at R3 whose constraint
     matches; ``rest``: remaining join pairs (none touching R3).
     """
 
-    def __init__(self, nav, other, pair, other_link, rest, flipped):
-        self.nav: FollowLink = nav
-        self.other: Expr = other
-        self.pair = pair
-        self.other_link: Field = other_link
-        self.rest = rest
-        self.flipped = flipped
+    nav: FollowLink
+    other: Expr
+    pair: tuple
+    other_link: Field
+    rest: list
+    flipped: bool
 
 
-def _match_link_join(node: Expr, scheme: WebScheme) -> list[_LinkJoinMatch]:
+def _match_link_join(node: Expr, schemas: Schemas) -> list[_LinkJoinMatch]:
     if not isinstance(node, Join) or not node.on:
         return []
+    scheme = schemas.scheme
     matches = []
     for flipped in (False, True):
         nav_side = node.right if flipped else node.left
         other = node.left if flipped else node.right
         if not isinstance(nav_side, FollowLink):
             continue
-        nav_schema = _schema(nav_side, scheme)
-        other_schema = _schema(other, scheme)
+        nav_schema = schemas.get(nav_side)
+        other_schema = schemas.get(other)
         if nav_schema is None or other_schema is None:
             continue
-        target_alias = nav_side.target_alias(scheme)
-        target_base = nav_side.target_scheme(scheme)
+        target_alias = schemas.target_alias(nav_side)
+        target_base = schemas.link_type(nav_side).target
         oriented = [
             ((rhs, lhs) if flipped else (lhs, rhs))
             for lhs, rhs in node.on
@@ -314,18 +300,14 @@ class PointerJoin(RewriteRule):
 
     name = "rule8-pointer-join"
 
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         results = []
-        for match in _match_link_join(node, scheme):
-            link_pair = (match.nav.link_attr, match.other_link.name)
-            if match.flipped:
-                pairs = [(b, a) for a, b in match.rest]
-                pairs.append((link_pair[1], link_pair[0]))
-                inner = Join(match.other, match.nav.child, tuple(pairs))
-            else:
-                pairs = list(match.rest)
-                pairs.append(link_pair)
-                inner = Join(match.nav.child, match.other, tuple(pairs))
+        for match in _match_link_join(node, memo.schemas):
+            pairs = match.rest + [(match.nav.link_attr, match.other_link.name)]
+            sides = (match.nav.child, match.other)
+            if match.flipped:  # each input stays on the side it came from
+                pairs, sides = [(b, a) for a, b in pairs], sides[::-1]
+            inner = Join(*sides, tuple(pairs))
             results.append(
                 FollowLink(inner, match.nav.link_attr, match.nav.alias)
             )
@@ -346,12 +328,12 @@ class PointerChase(RewriteRule):
 
     name = "rule9-pointer-chase"
 
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         results = []
-        for match in _match_link_join(node, scheme):
+        for match in _match_link_join(node, memo.schemas):
             if match.rest:
                 continue  # residual pairs may reference the dropped side
-            nav_link_field = _schema(match.nav.child, scheme).field(
+            nav_link_field = memo.schemas.of(match.nav.child).field(
                 match.nav.link_attr
             )
             if nav_link_field.provenance is None:
@@ -364,14 +346,14 @@ class PointerChase(RewriteRule):
                 nav_link_field.provenance.base_scheme,
                 nav_link_field.provenance.path,
             )
-            if not scheme.includes(subset, superset):
+            if not memo.scheme.includes(subset, superset):
                 continue
             # R1 must be an unrestricted navigation covering the full
             # extent; at this stage selections are still at the query root,
             # so a pure navigation chain suffices.
             if not _is_pure_navigation(match.nav.child):
                 continue
-            target_alias = match.nav.target_alias(scheme)
+            target_alias = memo.schemas.target_alias(match.nav)
             results.append(
                 FollowLink(match.other, match.other_link.name, target_alias)
             )
@@ -400,30 +382,20 @@ class JoinPushdown(RewriteRule):
 
     name = "join-pushdown"
 
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Join):
             return []
         results = []
-        # left side: Op(X) ⋈ R  →  Op(X ⋈ R)
-        left = node.left
-        if isinstance(left, (Unnest, FollowLink, Select)):
-            inner = left.children()[0]
-            inner_schema = _schema(inner, scheme)
-            if inner_schema is not None and all(
-                lhs in inner_schema for lhs, _ in node.on
-            ):
-                pushed = Join(inner, node.right, node.on)
-                results.append(left.with_children((pushed,)))
-        # right side: L ⋈ Op(X)  →  Op(L ⋈ X)
-        right = node.right
-        if isinstance(right, (Unnest, FollowLink, Select)):
-            inner = right.children()[0]
-            inner_schema = _schema(inner, scheme)
-            if inner_schema is not None and all(
-                r in inner_schema for _, r in node.on
-            ):
-                pushed = Join(node.left, inner, node.on)
-                results.append(right.with_children((pushed,)))
+        # Op(X) ⋈ R → Op(X ⋈ R), then L ⋈ Op(X) → Op(L ⋈ X)
+        for index, side in enumerate(node.children()):
+            if isinstance(side, (Unnest, FollowLink, Select)):
+                (inner,) = side.children()
+                inner_schema = memo.schemas.get(inner)
+                if inner_schema is not None and all(
+                    pair[index] in inner_schema for pair in node.on
+                ):
+                    pushed = replace_child(node, index, inner)
+                    results.append(side.with_children((pushed,)))
         return results
 
 
@@ -432,7 +404,9 @@ class JoinPushdown(RewriteRule):
 # --------------------------------------------------------------------- #
 
 
-def push_selections(expr: Expr, scheme: WebScheme) -> Expr:
+def push_selections(
+    expr: Expr, scheme: WebScheme, memo: Optional[PlanMemo] = None
+) -> Expr:
     """Move every selection atom as deep as it can go.
 
     Standard commutation moves atoms below projections, joins, unnests and
@@ -444,107 +418,74 @@ def push_selections(expr: Expr, scheme: WebScheme) -> Expr:
     beneficial: fewer tuples reach the navigation, so fewer pages are
     downloaded.
     """
-    atoms: list[Atom] = []
-
-    def strip(node: Expr) -> Expr:
-        if isinstance(node, Select):
-            atoms.extend(node.predicate.atoms)
-            return strip(node.child)
-        kids = node.children()
-        if not kids:
-            return node
-        return node.with_children(tuple(strip(k) for k in kids))
-
-    stripped = strip(expr)
-    result = stripped
+    memo = memo or PlanMemo(scheme)
+    result, atoms = _strip_selections(expr, memo)
     for atom in atoms:
-        result = _insert_atom(result, atom, scheme)
+        result = _insert_atom(result, atom, memo)
     return result
 
 
-def _insert_atom(node: Expr, atom: Atom, scheme: WebScheme) -> Expr:
+@per_call
+def _strip_selections(node: Expr, memo: PlanMemo) -> tuple[Expr, tuple]:
+    """``node`` without its selections, and their atoms in plan order."""
+    if isinstance(node, Select):
+        stripped, atoms = _strip_selections(node.child, memo)
+        return stripped, node.predicate.atoms + atoms
+    parts = [_strip_selections(kid, memo) for kid in node.children()]
+    stripped = node.with_children(tuple(kid for kid, _ in parts))
+    return stripped, tuple(atom for _, atoms in parts for atom in atoms)
+
+
+@per_call
+def _insert_atom(node: Expr, atom: Atom, memo: PlanMemo) -> Expr:
     """Insert ``σ_atom`` as deep as possible above/inside ``node``."""
+    schemas = memo.schemas
     if isinstance(node, Project):
         # selections re-enter *below* projections (the translated query has
         # σ under π; the atom may reference attributes the π drops)
-        mapping = {o: i for o, i in node.outputs}
-        renamed = atom.rename(mapping)
-        child_schema = _schema(node.child, scheme)
-        if child_schema is not None and all(
-            a in child_schema for a in renamed.attrs()
-        ):
+        renamed = atom.rename({o: i for o, i in node.outputs})
+        if _provides(schemas.get(node.child), renamed):
             return Project(
-                _insert_atom(node.child, renamed, scheme), node.outputs
+                _insert_atom(node.child, renamed, memo), node.outputs
             )
         return Select(node, Predicate([atom]))
 
-    schema = _schema(node, scheme)
-    if schema is None or any(a not in schema for a in atom.attrs()):
+    schema = schemas.get(node)
+    if not _provides(schema, atom):
         # attribute not available here: let the caller place the selection
         return Select(node, Predicate([atom]))
 
-    if isinstance(node, Select):
-        pushed = _insert_atom(node.child, atom, scheme)
-        return Select(pushed, node.predicate)
+    # sink into the first input that carries the attributes (a selection's
+    # input always does; a join tries its left side first)
+    for index, kid in enumerate(node.children()):
+        if _provides(schemas.get(kid), atom):
+            return replace_child(node, index, _insert_atom(kid, atom, memo))
 
-    if isinstance(node, Join):
-        left_schema = _schema(node.left, scheme)
-        right_schema = _schema(node.right, scheme)
-        if left_schema is not None and all(
-            a in left_schema for a in atom.attrs()
+    # rule 6: substitute the redundant source attribute, if constrained
+    if isinstance(node, FollowLink) and isinstance(atom, (Comparison, In)):
+        attr = atom.attrs()[0]
+        field = schema.field(attr)
+        child_schema = schemas.of(node.child)
+        if (
+            field.provenance is not None
+            and field.provenance.scheme == schemas.target_alias(node)
         ):
-            return Join(
-                _insert_atom(node.left, atom, scheme), node.right, node.on
+            link_field = child_schema.field(node.link_attr)
+            source = _source_attr_for(
+                memo.scheme, link_field, str(field.provenance.path)
             )
-        if right_schema is not None and all(
-            a in right_schema for a in atom.attrs()
-        ):
-            return Join(
-                node.left, _insert_atom(node.right, atom, scheme), node.on
-            )
-        return Select(node, Predicate([atom]))
-
-    if isinstance(node, Unnest):
-        child_schema = _schema(node.child, scheme)
-        if child_schema is not None and all(
-            a in child_schema for a in atom.attrs()
-        ):
-            return Unnest(_insert_atom(node.child, atom, scheme), node.attr)
-        return Select(node, Predicate([atom]))
-
-    if isinstance(node, FollowLink):
-        child_schema = _schema(node.child, scheme)
-        if child_schema is not None and all(
-            a in child_schema for a in atom.attrs()
-        ):
-            return FollowLink(
-                _insert_atom(node.child, atom, scheme),
-                node.link_attr,
-                node.alias,
-            )
-        # rule 6: substitute the redundant source attribute, if constrained
-        if isinstance(atom, (Comparison, In)):
-            attr = atom.attrs()[0]
-            field = schema.field(attr)
-            if (
-                field.provenance is not None
-                and field.provenance.scheme == node.target_alias(scheme)
-                and child_schema is not None
-            ):
-                link_field = child_schema.field(node.link_attr)
-                source = _source_attr_for(
-                    scheme, link_field, str(field.provenance.path)
+            if source is not None and source in child_schema:
+                renamed = atom.rename({attr: source})
+                return FollowLink(
+                    _insert_atom(node.child, renamed, memo),
+                    node.link_attr,
+                    node.alias,
                 )
-                if source is not None and source in child_schema:
-                    renamed = atom.rename({attr: source})
-                    return FollowLink(
-                        _insert_atom(node.child, renamed, scheme),
-                        node.link_attr,
-                        node.alias,
-                    )
-        return Select(node, Predicate([atom]))
-
     return Select(node, Predicate([atom]))
+
+
+def _provides(schema: Optional[RelationSchema], atom: Atom) -> bool:
+    return schema is not None and all(a in schema for a in atom.attrs())
 
 
 # --------------------------------------------------------------------- #
@@ -566,20 +507,14 @@ class ProjectionSubstitution(RewriteRule):
 
     name = "rule7-projection-substitution"
 
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
+    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Project):
             return []
-        schema = _schema(node.child, scheme)
+        schemas = memo.schemas
+        schema = schemas.get(node.child)
         if schema is None:
             return []
-        # index the navigations below by target alias
-        navigations: dict[str, FollowLink] = {}
-        for sub in _all_nodes(node.child):
-            if isinstance(sub, FollowLink):
-                try:
-                    navigations[sub.target_alias(scheme)] = sub
-                except (AlgebraError, SchemaError):
-                    continue
+        navigations = _navigations(node.child, memo)
         results = []
         for index, (out, in_name) in enumerate(node.outputs):
             if in_name not in schema:
@@ -590,12 +525,12 @@ class ProjectionSubstitution(RewriteRule):
             nav = navigations.get(field.provenance.scheme)
             if nav is None:
                 continue
-            child_schema = _schema(nav.child, scheme)
+            child_schema = schemas.get(nav.child)
             if child_schema is None:
                 continue
             link_field = child_schema.field(nav.link_attr)
             source = _source_attr_for(
-                scheme, link_field, str(field.provenance.path)
+                memo.scheme, link_field, str(field.provenance.path)
             )
             if source is None or source not in schema or source == in_name:
                 continue
@@ -605,10 +540,18 @@ class ProjectionSubstitution(RewriteRule):
         return results
 
 
-def _all_nodes(expr: Expr):
-    yield expr
-    for child in expr.children():
-        yield from _all_nodes(child)
+@per_call
+def _navigations(node: Expr, memo: PlanMemo) -> dict[str, FollowLink]:
+    """The navigations in ``node``, by target alias (deepest wins)."""
+    found: dict[str, FollowLink] = {}
+    if isinstance(node, FollowLink):
+        try:
+            found[memo.schemas.target_alias(node)] = node
+        except (AlgebraError, SchemaError):
+            pass
+    for kid in node.children():
+        found.update(_navigations(kid, memo))
+    return found
 
 
 # --------------------------------------------------------------------- #
@@ -616,7 +559,9 @@ def _all_nodes(expr: Expr):
 # --------------------------------------------------------------------- #
 
 
-def eliminate_unused_navigation(expr: Expr, scheme: WebScheme) -> Expr:
+def eliminate_unused_navigation(
+    expr: Expr, scheme: WebScheme, memo: Optional[PlanMemo] = None
+) -> Expr:
     """Drop navigations (rule 5) and unnests (rule 3) whose attributes are
     never used above them.  Only applies under a root projection (the rules
     are stated modulo π); non-optional links only (optional links filter
@@ -624,51 +569,48 @@ def eliminate_unused_navigation(expr: Expr, scheme: WebScheme) -> Expr:
     if not isinstance(expr, Project):
         return expr
 
-    changed = True
-    current = expr
-    while changed:
-        changed = False
-        used = _used_attrs(current)
-        rebuilt = _drop_unused(current, used, scheme)
-        if rebuilt != current:
-            current = rebuilt
-            changed = True
-    return current
+    memo = memo or PlanMemo(scheme)
+    while True:  # dropping one navigation can orphan the one below it
+        rebuilt = _drop_unused(expr, _used_attrs(expr, memo), memo)
+        if rebuilt == expr:
+            return expr
+        expr = rebuilt
 
 
-def _used_attrs(expr: Expr) -> set[str]:
+@per_call
+def _used_attrs(node: Expr, memo: PlanMemo) -> frozenset[str]:
+    """Every attribute some operator in ``node`` refers to."""
     used: set[str] = set()
-    for node in _all_nodes(expr):
-        if isinstance(node, Select):
-            used.update(node.predicate.attrs())
-        elif isinstance(node, Project):
-            used.update(node.in_names())
-        elif isinstance(node, Join):
-            for lhs, rhs in node.on:
-                used.add(lhs)
-                used.add(rhs)
-        elif isinstance(node, FollowLink):
-            used.add(node.link_attr)
-    return used
+    if isinstance(node, Select):
+        used.update(node.predicate.attrs())
+    elif isinstance(node, Project):
+        used.update(node.in_names())
+    elif isinstance(node, Join):
+        for pair in node.on:
+            used.update(pair)
+    elif isinstance(node, FollowLink):
+        used.add(node.link_attr)
+    kids = (_used_attrs(kid, memo) for kid in node.children())
+    return frozenset(used).union(*kids)
 
 
-def _drop_unused(expr: Expr, used: set[str], scheme: WebScheme) -> Expr:
+@per_call
+def _drop_unused(expr: Expr, used: frozenset[str], memo: PlanMemo) -> Expr:
     kids = expr.children()
     if not kids:
         return expr
     rebuilt = expr.with_children(
-        tuple(_drop_unused(k, used, scheme) for k in kids)
+        tuple(_drop_unused(k, used, memo) for k in kids)
     )
     if isinstance(rebuilt, FollowLink):
         try:
-            link_type = rebuilt.link_type(scheme)
-            target_alias = rebuilt.target_alias(scheme)
+            link_type = memo.schemas.link_type(rebuilt)
         except (AlgebraError, SchemaError):
             return rebuilt
         if link_type.optional:
             return rebuilt
         # every attribute of the navigated page is qualified by its alias
-        prefix = f"{target_alias}."
+        prefix = f"{rebuilt.alias or link_type.target}."
         if not any(u.startswith(prefix) for u in used):
             return rebuilt.child
     elif isinstance(rebuilt, Unnest):

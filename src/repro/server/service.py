@@ -149,7 +149,9 @@ class Ticket:
 
     ``request_id`` is the server-allocated correlation id (also the key
     of the request's block in the server journal); :meth:`progress` is a
-    live, monotone view of the request's per-operator completion."""
+    live, monotone view of the request's per-operator completion.  The
+    board tracks a request only until it resolves: the ticket then keeps
+    the final snapshot and the board forgets the request."""
 
     def __init__(
         self,
@@ -158,10 +160,16 @@ class Ticket:
     ) -> None:
         self.request_id = request_id
         self._board = board
+        self._final: Optional[QueryProgress] = None
         self._done = threading.Event()
         self._outcome: Optional[QueryOutcome] = None
 
     def _resolve(self, outcome: QueryOutcome) -> None:
+        if self._board is not None:
+            # snapshot first, forget second: progress() trusts a board read
+            # only while ``_final`` is still unset after it
+            self._final = self._board.progress(self.request_id)
+            self._board.forget(self.request_id)
         self._outcome = outcome
         self._done.set()
 
@@ -189,11 +197,11 @@ class Ticket:
         The fraction is monotone non-decreasing over the request's
         lifetime and pins to 1.0 once the ticket resolves (error or not);
         before the worker picks the request up it reports 0.0."""
-        if self._board is not None:
+        if self._final is None and self._board is not None:
             snapshot = self._board.progress(self.request_id)
-            if snapshot.finished or not self.done():
+            if self._final is None:  # still unresolved: the read was live
                 return snapshot
-        return QueryProgress(
+        return self._final or QueryProgress(
             request_id=self.request_id,
             total_operators=0,
             started_operators=0,
@@ -222,7 +230,8 @@ class ServerStatus:
     """A point-in-time operational snapshot of one :class:`QueryServer`:
     queue depth and per-tenant pending counts, per-tenant in-flight
     counts, total completions, and a per-request progress snapshot for
-    everything the progress board currently tracks."""
+    every request a worker has picked up and not yet resolved (a resolved
+    request's final snapshot lives on its :class:`Ticket`)."""
 
     open: bool
     queue_depth: int
@@ -396,7 +405,8 @@ class QueryServer:
 
     def status(self) -> ServerStatus:
         """Operational snapshot: queue depth, per-tenant pending and
-        in-flight counts, completions, and per-request progress.
+        in-flight counts, completions, and the progress of every request
+        being served (resolved ones have left the board).
 
         Observational and lock-consistent for the queue counters; the
         per-query progress snapshots are each individually consistent and
@@ -415,17 +425,13 @@ class QueryServer:
             }
             completed = self._completed
             is_open = self._open
-        queries = {
-            request_id: self.progress.progress(request_id)
-            for request_id in self.progress.request_ids()
-        }
         return ServerStatus(
             open=is_open,
             queue_depth=queue_depth,
             pending=pending,
             in_flight=in_flight,
             completed=completed,
-            queries=queries,
+            queries=self.progress.snapshots(),
         )
 
     def _admit(self, task: _Task, bounded: bool = True) -> None:
@@ -552,10 +558,7 @@ class QueryServer:
             if expr is None:
                 expr = self._plan(task.request, task.options)
             if not self.progress.known(task.request_id):
-                with self._plan_lock:
-                    # the cost model memoizes on shared mutable state,
-                    # like the planner
-                    estimates = operator_estimates(expr, self.env.cost_model)
+                estimates = operator_estimates(expr, self.env.cost_model)
                 self.progress.begin(task.request_id, estimates)
             shared: dict[str, Optional[WebResource]] = {}
             signatures: list[PrefixSignature] = []

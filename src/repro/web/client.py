@@ -299,7 +299,10 @@ class AccessLog:
     _retired: _Tally = field(default=_Tally(), repr=False, compare=False)
     #: weak references to the marks taken, oldest first
     _marks: deque = field(default_factory=deque, repr=False, compare=False)
-    #: marks may be taken from any thread (fetches are accounted by one)
+    #: marks may be taken from any thread while one thread accounts fetches:
+    #: every accounting step that moves a list with its counters (or two
+    #: counters one invariant ties together) holds this, and so does every
+    #: read of more than one of them (snapshot / delta / reconcile)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -333,23 +336,25 @@ class AccessLog:
 
     def delta(self, earlier: "LogMark") -> "AccessLog":
         """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        with self._lock:
-            urls = self.downloaded_urls[earlier.urls - self._retired.urls :]
-            records = self.records[earlier.records - self._retired.records :]
-        return AccessLog(
-            page_downloads=self.page_downloads - earlier.page_downloads,
-            light_connections=self.light_connections - earlier.light_connections,
-            failed_requests=self.failed_requests - earlier.failed_requests,
-            bytes_downloaded=self.bytes_downloaded - earlier.bytes_downloaded,
-            simulated_seconds=self.simulated_seconds - earlier.simulated_seconds,
-            attempts=self.attempts - earlier.attempts,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            revalidations=self.revalidations - earlier.revalidations,
-            pages_saved=self.pages_saved - earlier.pages_saved,
-            pages_shared=self.pages_shared - earlier.pages_shared,
-            downloaded_urls=urls,
-            records=records,
-        )
+        with self._lock:  # counters and lists read at one instant
+            return AccessLog(
+                page_downloads=self.page_downloads - earlier.page_downloads,
+                light_connections=self.light_connections
+                - earlier.light_connections,
+                failed_requests=self.failed_requests - earlier.failed_requests,
+                bytes_downloaded=self.bytes_downloaded - earlier.bytes_downloaded,
+                simulated_seconds=self.simulated_seconds
+                - earlier.simulated_seconds,
+                attempts=self.attempts - earlier.attempts,
+                cache_hits=self.cache_hits - earlier.cache_hits,
+                revalidations=self.revalidations - earlier.revalidations,
+                pages_saved=self.pages_saved - earlier.pages_saved,
+                pages_shared=self.pages_shared - earlier.pages_shared,
+                downloaded_urls=self.downloaded_urls[
+                    earlier.urls - self._retired.urls :
+                ],
+                records=self.records[earlier.records - self._retired.records :],
+            )
 
     def merge(self, other: "AccessLog") -> "AccessLog":
         """Sum of two logs (counters added, URL lists and fetch records
@@ -374,17 +379,17 @@ class AccessLog:
         )
 
     def reset(self) -> None:
-        self.page_downloads = 0
-        self.light_connections = 0
-        self.failed_requests = 0
-        self.bytes_downloaded = 0
-        self.simulated_seconds = 0.0
-        self.attempts = 0
-        self.cache_hits = 0
-        self.revalidations = 0
-        self.pages_saved = 0
-        self.pages_shared = 0
         with self._lock:
+            self.page_downloads = 0
+            self.light_connections = 0
+            self.failed_requests = 0
+            self.bytes_downloaded = 0
+            self.simulated_seconds = 0.0
+            self.attempts = 0
+            self.cache_hits = 0
+            self.revalidations = 0
+            self.pages_saved = 0
+            self.pages_shared = 0
             self.downloaded_urls = []
             self.records = []
             self._retired = _Tally()
@@ -417,40 +422,40 @@ class AccessLog:
             if not condition:
                 problems.append(message)
 
-        check(
-            self.pages_saved == self.cache_hits + self.revalidations,
-            f"pages_saved={self.pages_saved} != cache_hits={self.cache_hits}"
-            f" + revalidations={self.revalidations}",
-        )
-        with self._lock:
+        with self._lock:  # one instant for counters, lists and tally
+            check(
+                self.pages_saved == self.cache_hits + self.revalidations,
+                f"pages_saved={self.pages_saved} != cache_hits={self.cache_hits}"
+                f" + revalidations={self.revalidations}",
+            )
             fetched = self._retired.plus(
                 _Tally.of(len(self.downloaded_urls), self.records)
             )
-        check(
-            self.page_downloads == fetched.urls,
-            f"page_downloads={self.page_downloads} != "
-            f"len(downloaded_urls)={fetched.urls}",
-        )
-        check(
-            self.page_downloads == fetched.ok,
-            f"page_downloads={self.page_downloads} != "
-            f"ok records={fetched.ok}",
-        )
-        check(
-            self.attempts == fetched.attempts + self.light_connections,
-            f"attempts={self.attempts} != record attempts="
-            f"{fetched.attempts} + light_connections={self.light_connections}",
-        )
-        check(
-            self.failed_requests == fetched.transient_failures + fetched.not_found,
-            f"failed_requests={self.failed_requests} != transient="
-            f"{fetched.transient_failures} + not_found={fetched.not_found}",
-        )
-        check(
-            self.revalidations <= self.light_connections,
-            f"revalidations={self.revalidations} > "
-            f"light_connections={self.light_connections}",
-        )
+            check(
+                self.page_downloads == fetched.urls,
+                f"page_downloads={self.page_downloads} != "
+                f"len(downloaded_urls)={fetched.urls}",
+            )
+            check(
+                self.page_downloads == fetched.ok,
+                f"page_downloads={self.page_downloads} != "
+                f"ok records={fetched.ok}",
+            )
+            check(
+                self.attempts == fetched.attempts + self.light_connections,
+                f"attempts={self.attempts} != record attempts="
+                f"{fetched.attempts} + light_connections={self.light_connections}",
+            )
+            check(
+                self.failed_requests == fetched.transient_failures + fetched.not_found,
+                f"failed_requests={self.failed_requests} != transient="
+                f"{fetched.transient_failures} + not_found={fetched.not_found}",
+            )
+            check(
+                self.revalidations <= self.light_connections,
+                f"revalidations={self.revalidations} > "
+                f"light_connections={self.light_connections}",
+            )
         return problems
 
     def __repr__(self) -> str:
@@ -784,9 +789,10 @@ class WebClient:
 
     def _record_light_connection(self) -> None:
         """The single accounting point for light connections (HEADs)."""
-        self.log.light_connections += 1
-        self.log.attempts += 1
-        self.log.simulated_seconds += self.network.head_seconds()
+        with self.log._lock:
+            self.log.light_connections += 1
+            self.log.attempts += 1
+            self.log.simulated_seconds += self.network.head_seconds()
 
     def _serve_from_cache(
         self,
@@ -813,8 +819,9 @@ class WebClient:
         if cache.policy is CachePolicy.PER_QUERY or cache.is_validated(url):
             # trusted for this query: zero connections, zero pages
             cache.note_hit()
-            self.log.cache_hits += 1
-            self.log.pages_saved += 1
+            with self.log._lock:  # pages_saved is the sum at every instant
+                self.log.cache_hits += 1
+                self.log.pages_saved += 1
             self._observe_cache(events, "hit", url, entry.page_scheme)
             return entry.as_resource()
         # cross-query entry on first touch this query: one light connection
@@ -823,8 +830,9 @@ class WebClient:
         if freshness is Freshness.FRESH:
             cache.mark_validated(url)
             cache.note_revalidation()
-            self.log.revalidations += 1
-            self.log.pages_saved += 1
+            with self.log._lock:
+                self.log.revalidations += 1
+                self.log.pages_saved += 1
             self._observe_cache(events, "revalidation", url, entry.page_scheme)
             return entry.as_resource()
         cache.invalidate(url)  # stale or vanished: re-fetch (or fail) live
@@ -929,41 +937,42 @@ class WebClient:
         if outcome.shared:
             # single-flight follower: the leader paid for the download
             if outcome.resource is not None:
-                log.cache_hits += 1
-                log.pages_saved += 1
+                with log._lock:
+                    log.cache_hits += 1
+                    log.pages_saved += 1
             self._observe_fetch(outcome, concurrency, lane, lane_start, lane_end)
             return
-        log.attempts += outcome.attempts
-        log.failed_requests += outcome.transient_failures
-        if isinstance(outcome.error, ResourceNotFound):
-            log.failed_requests += 1
-        if outcome.resource is not None:
-            log.page_downloads += 1
-            log.bytes_downloaded += len(outcome.resource.html)
-            log.downloaded_urls.append(outcome.url)
-            if cache is not None and cache.policy is not CachePolicy.OFF:
-                # the caller gets the entry's snapshot, not the live server
-                # object, so the tuple it wraps lands on the entry
-                outcome.resource = cache.store(outcome.resource).as_resource()
-                cache.mark_validated(outcome.url)
-        if charge_time:
-            log.simulated_seconds += outcome.seconds
         error = ""
         if isinstance(outcome.error, ResourceNotFound):
             error = "not_found"
         elif isinstance(outcome.error, RetriesExhaustedError):
             error = "exhausted"
-        log.records.append(
-            FetchRecord(
-                url=outcome.url,
-                seconds=outcome.seconds,
-                attempts=outcome.attempts,
-                concurrency=concurrency,
-                ok=outcome.resource is not None,
-                transient_failures=outcome.transient_failures,
-                error=error,
-            )
+        record = FetchRecord(
+            url=outcome.url,
+            seconds=outcome.seconds,
+            attempts=outcome.attempts,
+            concurrency=concurrency,
+            ok=outcome.resource is not None,
+            transient_failures=outcome.transient_failures,
+            error=error,
         )
+        with log._lock:  # the fetch's counters and list entries move together
+            log.attempts += outcome.attempts
+            log.failed_requests += outcome.transient_failures
+            if error == "not_found":
+                log.failed_requests += 1
+            if record.ok:
+                log.page_downloads += 1
+                log.bytes_downloaded += len(outcome.resource.html)
+                log.downloaded_urls.append(outcome.url)
+            if charge_time:
+                log.simulated_seconds += outcome.seconds
+            log.records.append(record)
+        if record.ok and cache is not None and cache.policy is not CachePolicy.OFF:
+            # the caller gets the entry's snapshot, not the live server
+            # object, so the tuple it wraps lands on the entry
+            outcome.resource = cache.store(outcome.resource).as_resource()
+            cache.mark_validated(outcome.url)
         self._observe_fetch(
             outcome, concurrency, lane, lane_start, lane_end, error
         )

@@ -106,9 +106,10 @@ class TestProgressBoard:
     def test_forget_drops_the_request(self):
         board = ProgressBoard()
         board.begin("r", self.ESTIMATES)
+        assert board.snapshots() == {"r": board.progress("r")}
         board.forget("r")
         assert not board.known("r")
-        assert board.request_ids() == []
+        assert board.request_ids() == [] and board.snapshots() == {}
 
 
 class TestProgressTracer:
@@ -171,13 +172,39 @@ class TestServerCohortProgress:
             outcomes = [ticket.outcome() for ticket in tickets]
             status = server.status()
         assert all(outcome.error is None for outcome in outcomes)
-        assert all(ticket.progress().fraction == 1.0 for ticket in tickets)
         assert status.completed == 10
         assert status.queue_depth == 0
         assert status.pending == {}
+        # a resolved request has left the board; its ticket kept the final
+        # snapshot, operators and all
+        assert status.queries == {}
         for ticket in tickets:
-            snapshot = status.queries[ticket.request_id]
+            snapshot = ticket.progress()
             assert snapshot.finished and snapshot.fraction == 1.0
+            assert snapshot.completed_operators == snapshot.total_operators > 0
+
+    def test_served_requests_leave_the_board_empty(self):
+        """The board holds requests in flight, not the server's history:
+        2 000 served requests leave nothing behind, and whatever
+        ``status()`` lists meanwhile is one of them."""
+        env, queries = build_site("university")
+        request = QueryRequest(
+            query=queries["depts"], options=QueryOptions(cache="off")
+        )
+        config = ServerConfig(max_workers=2, max_queue=2_000)
+        with QueryServer(env, config) as server:
+            tickets = [server.submit(request) for _ in range(2_000)]
+            seen = set()
+            while not all(ticket.done() for ticket in tickets):
+                seen.update(server.status().queries)
+                time.sleep(0.001)
+            for ticket in tickets:
+                ticket.result(timeout=60)
+            status = server.status()
+            assert status.completed == 2_000
+            assert status.queries == {} and server.progress.request_ids() == []
+        assert seen <= {ticket.request_id for ticket in tickets}
+        assert all(ticket.progress().fraction == 1.0 for ticket in tickets)
 
     def test_request_ids_are_server_allocated(self):
         env, queries = build_site("university")

@@ -196,8 +196,9 @@ class TestAccessLog:
             while not done.is_set():
                 mark = log.snapshot()
                 delta = log.delta(mark)
-                # (the fetching thread may be between counter and record)
-                if abs(delta.page_downloads - len(delta.records)) > 1:
+                # the fetching thread accounts each fetch under the log's
+                # lock, so a delta never sees a counter without its record
+                if delta.page_downloads != len(delta.records) or delta.reconcile():
                     problems.append(delta)
 
         threads = [threading.Thread(target=mark_and_read) for _ in range(5)]
