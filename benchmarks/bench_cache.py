@@ -15,22 +15,33 @@ Two experiments over the crossover site (3 departments, 20 professors,
   must re-download everything each query, and ``cross_query`` must answer
   the warm query from revalidations alone (0 downloads) without parsing a
   page again (``wraps`` 0: the wrapped tuple lives on the cache entry).
-* CACHE-PLAN — cache-aware plan selection.  Cold, Algorithm 1 picks the
-  pointer-chase plan.  After the pointer-join plan's pages are warmed,
-  :meth:`CacheEstimate.from_cache` re-ranks the candidates and the join
-  plan wins — a different, cheaper plan chosen *because* of the cache.
+* CACHE-PLAN — cache-aware plan selection, a cached page priced at one
+  light connection (``SiteEnv.light_weight``).  Two cases, each planned
+  cold, then again after the pages of a plan that *lost* cold were
+  warmed, with the chosen plan executed both times (measured downloads,
+  light connections, ``downloads + w × lights``, simulated seconds):
+
+  - Example 7.2, join plan's pages warmed: the join's pointer set covers
+    most of the chase's (every course page it follows), so the chase gets
+    cheaper too and stays.
+  - the Introduction's full ``PaperAuthor`` scan, via-authors pages
+    warmed: the two navigations share only the home page, so the choice
+    flips from via-conferences to via-authors — a different, cheaper plan
+    chosen *because* of the cache.
 
 Run as a script for the tables alone: ``python bench_cache.py [--quick]``
 (with ``src/`` on PYTHONPATH), or through pytest for the assertions.
 """
 
 import argparse
+from typing import Callable, NamedTuple
 
 import pytest
 
+from repro.options import QueryOptions
 from repro.qa.oracle import counted_wraps
 from repro.sitegen import UniversityConfig
-from repro.sites import university
+from repro.sites import bibliography, university
 
 from _bench_utils import record, table
 
@@ -102,41 +113,93 @@ def find_plan(result, include, exclude=()):
     return None
 
 
-def run_plan_flip(config):
-    """Warm the pointer-join plan's pages, then re-plan Example 7.2.
+INTRO_SQL = "SELECT ConfName, Year, Title, AName FROM PaperAuthor"
 
-    Returns ``(cold_planned, warm_planned)`` from the same environment
-    (cold planned before the cache is filled)."""
-    env = university(config)
+
+class PlanCase(NamedTuple):
+    """One CACHE-PLAN query: who wins cold, and the cold loser to warm."""
+
+    query: str
+    sql: str
+    build: Callable  # config -> SiteEnv
+    #: what every rendering of the loser's strategy contains (the first
+    #: alone tells the two strategies apart)
+    loser_markers: tuple
+    loser: str
+    winner: str
+
+
+PLAN_CASES = [
+    PlanCase("ex72", SQL, university, ("SessionListPage", "⋈"), "join", "chase"),
+    PlanCase(
+        "intro", INTRO_SQL, lambda config: bibliography(),
+        ("ToAuthorList",), "via authors", "via conferences",
+    ),
+]
+
+PLAN_COLUMNS = [
+    "query", "cache", "chosen strategy", "C(best)", "plain C(best)",
+    "pages", "light", "priced pages", "sim seconds",
+]
+
+
+def run_plan_case(case, config):
+    """Plan cold and run the choice (cache bypassed, so it stays cold); warm
+    the pages of the cold loser; plan again and run that choice.
+
+    Returns ``(runs, rows)``: ``[(planned, result), ...]`` cold then warm,
+    and their table rows."""
+    env = case.build(config)
     env.enable_cache(capacity=4096)
-    cold_planned = env.plan(SQL)
-    join = find_plan(cold_planned, ["SessionListPage", "⋈"])
-    env.execute(join.expr)  # downloads (and caches) the join's pointer set
-    warm_planned = env.plan(SQL)
-    return cold_planned, warm_planned
-
-
-def plan_flip_rows(cold_planned, warm_planned):
-    def describe(tag, planned):
+    cold_planned = env.plan(case.sql)
+    cold_run = env.execute(
+        cold_planned.best.expr, options=QueryOptions(cache="off")
+    )
+    env.execute(find_plan(cold_planned, case.loser_markers).expr)  # caches them
+    warm_planned = env.plan(case.sql)
+    warm_run = env.execute(warm_planned.best.expr)
+    runs = [(cold_planned, cold_run), (warm_planned, warm_run)]
+    rows = []
+    for tag, (planned, result) in zip(("cold", f"warm ({case.loser} pages)"), runs):
         best = planned.best
-        strategy = (
-            "join" if "SessionListPage" in best.render() else "chase"
+        lost_cold = case.loser_markers[0] in best.render()
+        rows.append(
+            {
+                "query": case.query,
+                "cache": tag,
+                "chosen strategy": case.loser if lost_cold else case.winner,
+                "C(best)": f"{best.cost:.1f}",
+                "plain C(best)": (
+                    f"{planned.uncached_cost:.1f}"
+                    if planned.uncached_cost is not None
+                    else f"{best.cost:.1f}"
+                ),
+                "pages": result.pages,
+                "light": result.log.light_connections,
+                "priced pages": (
+                    f"{result.cost.priced_pages(env.light_weight):.1f}"
+                ),
+                "sim seconds": f"{result.log.simulated_seconds:.2f}",
+            }
         )
-        return {
-            "cache": tag,
-            "chosen strategy": strategy,
-            "C(best)": f"{best.cost:.1f}",
-            "plain C(best)": (
-                f"{planned.uncached_cost:.1f}"
-                if planned.uncached_cost is not None
-                else f"{best.cost:.1f}"
-            ),
-        }
+    return runs, rows
 
-    return [
-        describe("cold", cold_planned),
-        describe("warm (join pages)", warm_planned),
-    ]
+
+def run_plan_cases(config, title):
+    """Every CACHE-PLAN case, recorded; returns ``{query id: runs}``."""
+    by_query = {}
+    rows = []
+    for case in PLAN_CASES:
+        by_query[case.query], case_rows = run_plan_case(case, config)
+        rows.extend(case_rows)
+    record(
+        "CACHE-PLAN",
+        title,
+        table(rows, PLAN_COLUMNS),
+        data=rows,
+        queries={case.query: case.sql for case in PLAN_CASES},
+    )
+    return by_query
 
 
 @pytest.fixture(scope="module")
@@ -159,18 +222,12 @@ def sweep(sweep_rows_and_raw):
 
 
 @pytest.fixture(scope="module")
-def flip():
-    cold_planned, warm_planned = run_plan_flip(FULL_CONFIG)
-    rows = plan_flip_rows(cold_planned, warm_planned)
-    record(
-        "CACHE-PLAN",
-        "Example 7.2 plan choice before/after warming the pointer-join "
-        "plan's pages",
-        table(rows, ["cache", "chosen strategy", "C(best)", "plain C(best)"]),
-        data=rows,
-        queries={"ex72": SQL},
+def plan_cases():
+    return run_plan_cases(
+        FULL_CONFIG,
+        "plan choice and measured cost before/after warming the pages of a "
+        "plan that lost cold",
     )
-    return cold_planned, warm_planned
 
 
 def _by_key(raw):
@@ -233,19 +290,39 @@ class TestPolicies:
 
 
 class TestPlanFlip:
-    def test_cold_winner_is_the_chase_plan(self, flip):
-        cold_planned, _ = flip
-        assert "SessionListPage" not in cold_planned.best.render()
+    def test_cold_winners(self, plan_cases):
+        (ex72, _), _ = plan_cases["ex72"]
+        assert "SessionListPage" not in ex72.best.render()  # the chase
+        (intro, _), _ = plan_cases["intro"]
+        assert "ToAuthorList" not in intro.best.render()  # via conferences
 
-    def test_warm_cache_flips_to_a_different_cheaper_plan(self, flip):
-        cold_planned, warm_planned = flip
-        assert warm_planned.best.render() != cold_planned.best.render()
-        assert warm_planned.best.cost < cold_planned.best.cost
+    def test_overlapping_warm_keeps_the_chase_and_makes_it_cheaper(
+        self, plan_cases
+    ):
+        (cold, cold_run), (warm, warm_run) = plan_cases["ex72"]
+        assert warm.best.render() == cold.best.render()
+        assert warm.best.cost < cold.best.cost
+        assert warm.uncached_cost == cold.best.cost
+        # the same accesses, most of them now light connections
+        assert warm_run.pages + warm_run.log.light_connections == cold_run.pages
+        assert warm_run.pages < warm_run.log.light_connections
 
-    def test_expected_saving_is_reported(self, flip):
-        _, warm_planned = flip
-        assert warm_planned.uncached_cost is not None
-        assert warm_planned.cost.pages_saved > 0
+    def test_disjoint_warm_flips_to_a_different_cheaper_plan(self, plan_cases):
+        (cold, cold_run), (warm, warm_run) = plan_cases["intro"]
+        assert warm.best.render() != cold.best.render()
+        assert "ToAuthorList" in warm.best.render()
+        assert warm.best.cost < cold.best.cost < warm.uncached_cost
+        assert warm_run.pages == 0
+        assert warm_run.relation.same_contents(cold_run.relation)
+
+    @pytest.mark.parametrize("query", ["ex72", "intro"])
+    def test_the_warm_choice_pays_in_the_papers_metric(self, plan_cases, query):
+        (_, cold_run), (warm, warm_run) = plan_cases[query]
+        assert (
+            warm_run.log.simulated_seconds < cold_run.log.simulated_seconds
+        )
+        assert warm.uncached_cost is not None
+        assert warm.cost.pages_saved > 0
 
 
 def test_bench_warm_query(benchmark):
@@ -288,22 +365,18 @@ def main(argv=None) -> int:
             "a cached run changed the answer"
         )
 
-    cold_planned, warm_planned = run_plan_flip(config)
-    flip_rows = plan_flip_rows(cold_planned, warm_planned)
-    record(
-        "CACHE-PLAN",
-        "plan choice before/after warming the pointer-join pages"
-        + (" (quick)" if args.quick else ""),
-        table(
-            flip_rows,
-            ["cache", "chosen strategy", "C(best)", "plain C(best)"],
-        ),
-        data=flip_rows,
-        queries={"ex72": SQL},
-    )
-    assert warm_planned.best.cost <= cold_planned.best.cost, (
-        "warm planning made the chosen plan worse"
-    )
+    for runs in run_plan_cases(
+        config,
+        "plan choice and measured cost before/after warming a cold loser's "
+        "pages" + (" (quick)" if args.quick else ""),
+    ).values():
+        (cold_planned, cold_run), (warm_planned, warm_run) = runs
+        assert warm_planned.best.cost <= cold_planned.best.cost, (
+            "warm planning made the chosen plan worse"
+        )
+        assert (
+            warm_run.log.simulated_seconds <= cold_run.log.simulated_seconds
+        ), "the warm choice cost more simulated seconds than the cold one"
     print("smoke checks passed")
     return 0
 

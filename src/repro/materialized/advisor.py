@@ -23,8 +23,8 @@ Both sides are priced by the existing cache-aware
   which is what makes the budgeted selection a 0/1 knapsack solvable
   exactly;
 * the *upkeep* of keeping P fresh for one maintenance round is one light
-  connection per stored page (priced at ``light_weight`` pages each, the
-  Section 8 "light connections are quite fast" knob made explicit) plus
+  connection per stored page (priced at ``light_weight`` pages each —
+  ``SiteEnv.light_weight``, what the planner charges for a cached page) plus
   ``mutation_rate × |P|`` full re-downloads (the sitegen mutation stream's
   touch fraction).
 
@@ -202,7 +202,7 @@ def advise(
     *,
     mutation_rate: float,
     page_budget: Optional[int] = None,
-    light_weight: float = 0.25,
+    light_weight: Optional[float] = None,
 ) -> AdvisorReport:
     """Choose which page-schemes to materialize for ``workload``.
 
@@ -213,7 +213,8 @@ def advise(
     ``page_budget`` caps the stored pages (None: unlimited);
     ``light_weight`` prices one light connection in page units, shared by
     the benefit and upkeep sides (and by the benchmark's total-cost
-    metric).
+    metric); by default it is ``env.light_weight``, the price the planner
+    charges for a cached page.
 
     Returns an :class:`AdvisorReport`; feed ``report.materialize_set()``
     to ``retain_schemes=`` of a (sharded) store, or let
@@ -225,6 +226,8 @@ def advise(
         )
     if not workload:
         raise MaterializationError("advise() needs a non-empty workload")
+    if light_weight is None:
+        light_weight = env.light_weight
     entries = []
     for item in workload:
         if not isinstance(item, WorkloadQuery):

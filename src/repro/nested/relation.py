@@ -12,7 +12,6 @@ as read-only).  Convenience methods delegate to
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import SchemaError
@@ -56,6 +55,8 @@ def relation_digest(relation: "Relation") -> str:
     across processes — so digests from two report or journal files can be
     compared directly.  This is the digest the QA differential oracle
     records per cell and the event journal records per request."""
+    import hashlib  # loads OpenSSL (3.6 MiB); a plain query never digests
+
     names = tuple(sorted(relation.schema.names()))
     rows = sorted({_digest_row(row) for row in relation.rows})
     payload = repr((names, rows)).encode()

@@ -22,13 +22,18 @@ back to :data:`DEFAULT_SELECTIVITY`.
 
 **Cache awareness.**  When the engine runs with a cross-query
 :class:`~repro.web.cache.PageCache`, part of a plan's pointer set may
-already be held locally, and a cached page costs a light connection (or
-nothing) instead of a download.  A :class:`CacheEstimate` carries the
-expected hit rate per page-scheme — typically derived from the actual
-cache contents via :meth:`CacheEstimate.from_cache` — and the model then
-charges each network access of scheme *P* an effective
-``(1 - h_P) + h_P × light_weight`` pages instead of 1, so Algorithm 1 can
-re-rank pointer-join against pointer-chase plans under a warm cache.
+already be held locally, and a cached page costs a light connection
+instead of a download.  A :class:`CacheEstimate` carries the expected hit
+rate per page-scheme — typically derived from the actual cache contents
+via :meth:`CacheEstimate.from_cache` — and the model then charges each
+network access of scheme *P* an effective ``(1 - h_P) + h_P × w`` pages
+instead of 1, so Algorithm 1 can re-rank plans under a warm cache.  ``w``
+(``light_weight``) is what one revalidation costs in page units; the
+system has one value for it, ``SiteEnv.light_weight`` (HEAD seconds over
+GET seconds of the site's mean page, ≈ 0.43 on the 1998 modem), shared by
+the planner, the advisor and ``warm_up``.  Cheap, not free: at 0 every
+plan over a full cache ties and the one touching the most pages is as good
+as any; the planner breaks priced ties by cold C(E) all the same.
 Without an estimate the model is exactly the paper's C(E).
 """
 
@@ -110,10 +115,11 @@ class CacheEstimate:
     ``hit_rates`` maps page-scheme names to the expected fraction of that
     scheme's accesses served from the cache (clamped to [0, 1]; unknown
     schemes default to 0 — a cold cache).  ``light_weight`` is the cost, in
-    page units, charged for each avoided download: 0 treats revalidations
-    as free (pure C(E) page counting, the paper's stance that light
-    connections "are quite fast"), a small positive value lets byte-true
-    tie-breaking see them.
+    page units, charged for each avoided download — the light connection
+    that revalidates the cached copy.  ``SiteEnv.cache_estimate`` passes the
+    network-derived ``SiteEnv.light_weight``; the default 0 ("cached pages
+    are free") is for decompositions like the advisor's, which charges the
+    upkeep separately.
 
     Instances are immutable, hashable (planner memo keys), and usually
     built from a live cache with :meth:`from_cache` — the optimizer

@@ -25,25 +25,29 @@ class PlanMemo:
 
     def __init__(self, scheme: WebScheme):
         self.scheme = scheme
-        #: node → output schema, or the error it raises
+        #: node → output schema, or the error it raises.  This table,
+        #: ``estimates`` and ``results`` find a node by ``==``: what they hold
+        #: is a function of structure, which atom order does not change
         self.schemas = Schemas(scheme)
         #: (cost model, node) → ``cost._Estimate``: a cache-aware model
         #: prices the same node differently
         self.estimates: dict = {}
         #: (function, arguments) → result, for :func:`per_call` functions
         self.results: dict = {}
-        #: node → rendering, full names and compact
-        self._keys: tuple[dict[Expr, str], dict[Expr, str]] = ({}, {})
+        #: ``id(node)`` → (node, rendering), full names and compact.  By
+        #: identity: two selections with permuted atoms are ``==`` and print
+        #: differently.  The entry holds the node, so its id is not reused.
+        self._keys: tuple[dict[int, tuple[Expr, str]], ...] = ({}, {})
 
     def key(self, expr: Expr, compact: bool = False) -> str:
         """``render_expr(expr, compact)`` built from the children's keys —
         the canonical (``compact=False``) one is the dedup key."""
         keys = self._keys[compact]
-        found = keys.get(expr)
+        found = keys.get(id(expr))
         if found is None:
             kids = tuple(self.key(kid, compact) for kid in expr.children())
-            found = keys[expr] = render_node(expr, kids, compact)
-        return found
+            found = keys[id(expr)] = (expr, render_node(expr, kids, compact))
+        return found[1]
 
 
 def per_call(fn):

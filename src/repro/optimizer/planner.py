@@ -197,7 +197,8 @@ class Planner:
 
         ``cache_estimate`` makes step 8 cache-aware: candidates are costed
         with per-page-scheme hit rates, so a plan whose pointer set is
-        already cached can win over the cold-cache choice.
+        already cached can win over the cold-cache choice; plans the
+        estimate prices equally keep their cold order.
 
         ``trace=True`` records candidate lineage in a
         :class:`~repro.obs.rewrite.RewriteTrace` (attached to the result as
@@ -320,13 +321,21 @@ class Planner:
                 "no valid execution plan survived rewriting; check that "
                 "the view's default navigations cover the queried attributes"
             )
-        candidates.sort(
-            key=lambda c: (c.cost, c.bytes_cost, memo.key(c.expr, compact=True))
-        )
+        cold = self.cost_model
+
+        def rank(c: PlanCandidate) -> tuple:
+            text = memo.key(c.expr, compact=True)
+            if cache_estimate is None:
+                return (c.cost, c.bytes_cost, text)
+            # priced ties (a full cache prices every access alike) keep their
+            # cold order: the cheapest plan if the cache turns out stale
+            pages = cold.estimate(c.expr, memo).cost
+            return (c.cost, pages, c.bytes_cost, cold.total_bytes(c.expr, memo), text)
+
+        candidates.sort(key=rank)
         uncached_cost = None
         if cache_estimate is not None:
-            cold = self.cost_model.estimate(candidates[0].expr, memo)
-            uncached_cost = cold.cost
+            uncached_cost = cold.estimate(candidates[0].expr, memo).cost
         return PlannerResult(
             best=candidates[0],
             candidates=candidates,

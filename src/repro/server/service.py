@@ -382,7 +382,7 @@ class QueryServer:
         *,
         mutation_rate: float,
         page_budget: Optional[int] = None,
-        light_weight: float = 0.25,
+        light_weight: Optional[float] = None,
         workers: int = 4,
     ) -> WarmupReport:
         """Advisor-driven warm-up of the environment's cross-query cache.

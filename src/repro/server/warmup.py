@@ -62,7 +62,7 @@ def warm_cache(
     *,
     mutation_rate: float,
     page_budget: Optional[int] = None,
-    light_weight: float = 0.25,
+    light_weight: Optional[float] = None,
     workers: int = 4,
     tracer: object = None,
 ) -> WarmupReport:

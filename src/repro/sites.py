@@ -151,13 +151,20 @@ class SiteEnv:
         )
         return opts.with_cache(self._resolve_cache(opts.cache))
 
+    @property
+    def light_weight(self) -> float:
+        """The system's one price, in page units, for revalidating a cached
+        page: the client's :meth:`~repro.web.network.NetworkModel.
+        light_weight` at this site's mean page size."""
+        return self.client.network.light_weight(self.stats.mean_page_bytes())
+
     def cache_estimate(
         self,
         cache: Union[PageCache, CachePolicy, str, None] = None,
-        light_weight: float = 0.0,
     ) -> Optional[CacheEstimate]:
-        """Per-page-scheme hit rates from the current cache contents, or
-        None when no (active, non-empty) cache applies."""
+        """Per-page-scheme hit rates from the current cache contents, each
+        hit priced at :attr:`light_weight`, or None when no (active,
+        non-empty) cache applies."""
         resolved = self._resolve_cache(cache)
         if (
             resolved is None
@@ -166,7 +173,7 @@ class SiteEnv:
         ):
             return None
         return CacheEstimate.from_cache(
-            resolved, self.stats, light_weight=light_weight
+            resolved, self.stats, light_weight=self.light_weight
         )
 
     def enumerate_plans(
@@ -197,7 +204,8 @@ class SiteEnv:
 
         When a cache applies (the environment cache, or ``cache=``), the
         planner costs candidates with hit rates derived from the actual
-        cache contents, so a warm cache can flip the chosen plan."""
+        cache contents (a hit costs :attr:`light_weight`, not nothing), so
+        a warm cache can flip the chosen plan."""
         if isinstance(query, str):
             query = self.sql(query)
         return self.planner.plan_query(
@@ -375,7 +383,8 @@ class SiteEnv:
             lines.append(
                 f"measured:  {cost.pages:.0f} pages, "
                 f"{cost.bytes:.0f} bytes, "
-                f"{cost.light_connections:.0f} light connections, "
+                f"{cost.light_connections:.0f} light connections "
+                f"({cost.priced_pages(self.light_weight):.1f} priced pages), "
                 f"{cost.pages_saved:.0f} pages saved, "
                 f"{cost.simulated_seconds:.2f}s simulated, "
                 f"{len(result.relation)} result rows"

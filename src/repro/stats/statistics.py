@@ -64,6 +64,14 @@ class SiteStatistics:
                 f"no page-size statistic for page-scheme {scheme!r}"
             ) from None
 
+    def mean_page_bytes(self) -> float:
+        """Average HTML size over every page of the site with a recorded
+        size (0.0 when none has one)."""
+        cards = self.scheme_cards
+        pages = sum(cards.get(s, 0) for s in self.page_bytes)
+        total = sum(cards.get(s, 0) * b for s, b in self.page_bytes.items())
+        return total / pages if pages else 0.0
+
     def avg_list(self, scheme: str, path: AttrPath | str) -> float:
         """|L| — average number of items of list attribute ``path``."""
         try:

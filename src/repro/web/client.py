@@ -206,6 +206,11 @@ class CostSummary:
             pages_shared=log.pages_shared,
         )
 
+    def priced_pages(self, light_weight: float) -> float:
+        """C(E) with the light connections priced in: downloads plus
+        ``light_weight`` (``SiteEnv.light_weight``) pages per light one."""
+        return self.pages + light_weight * self.light_connections
+
     def __repr__(self) -> str:
         return (
             f"CostSummary(pages={self.pages}, light={self.light_connections}, "

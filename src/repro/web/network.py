@@ -16,9 +16,11 @@ experiments can report simulated wall time next to page counts:
 
 Defaults approximate a 1998 dial-up connection: 250 ms round trip,
 33.6 kbit/s (≈4200 bytes/s) throughput, a single connection.  The model is
-a reporting aid, not part of the optimizer's cost function: page *counts*
-stay faithful to the paper's cost function C(E) at every concurrency level
-(byte-aware tie-breaking is separate, see ``CostModel.bytes_cost``).
+a reporting aid: page *counts* stay faithful to the paper's cost function
+C(E) at every concurrency level (byte-aware tie-breaking is separate, see
+``CostModel.bytes_cost``).  One ratio of it does enter the optimizer's cost
+function: :meth:`NetworkModel.light_weight`, what a cache-aware estimate
+charges for revalidating a cached page instead of downloading it.
 """
 
 from __future__ import annotations
@@ -47,13 +49,21 @@ class NetworkModel:
         if self.parallel_connections < 1:
             raise ValueError("need at least one connection")
 
-    def get_seconds(self, byte_size: int) -> float:
+    def get_seconds(self, byte_size: float) -> float:
         """Time to download a page of ``byte_size`` bytes."""
         return self.rtt_seconds + byte_size / self.bytes_per_second
 
     def head_seconds(self) -> float:
         """Time for a light connection (headers only)."""
         return self.rtt_seconds
+
+    def light_weight(self, page_bytes: float) -> float:
+        """A light connection in page units: ``head_seconds`` over the time
+        to download a page of ``page_bytes`` (the site's mean).  One scalar,
+        not one per page-scheme — a HEAD costs one round trip whatever the
+        page weighs; 0 when round trips are free."""
+        head = self.head_seconds()
+        return head / self.get_seconds(page_bytes) if head else 0.0
 
     def revalidation_savings_seconds(self, byte_size: int) -> float:
         """Wall time saved by serving a cached page of ``byte_size`` bytes

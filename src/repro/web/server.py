@@ -19,7 +19,6 @@ run is exactly reproducible even under a concurrent fetch pool.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Iterator, Optional, Sequence
 
@@ -59,6 +58,8 @@ class FaultPolicy:
         self._lock = threading.Lock()
 
     def _draw(self, url: str, attempt: int) -> float:
+        import hashlib  # loads OpenSSL (3.6 MiB); only fault injection draws
+
         digest = hashlib.blake2b(
             f"{self.seed}:{url}:{attempt}".encode(), digest_size=8
         ).digest()

@@ -26,7 +26,7 @@ import sys
 import threading
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.algebra import ast
 from repro.algebra.ast import (
@@ -215,6 +215,13 @@ def _planned_exprs() -> list[Expr]:
 PLANNED = _planned_exprs()
 
 
+def _permuted_selections() -> tuple[Expr, Expr]:
+    """Two live selections that are ``==`` and print differently."""
+    scan = EntryPointScan("A")
+    x, y = Comparison("A.x", "1"), Comparison("A.y", "1")
+    return Select(scan, Predicate([x, y])), Select(scan, Predicate([y, x]))
+
+
 def _check_pair(a: Expr, b: Expr) -> None:
     assert (a is b) == (written(a) == written(b))
     assert (a == b) == (structural(a) == structural(b))
@@ -244,6 +251,7 @@ class TestIdentityAndEquality:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(EXPRS, EXPRS)
+    @example(Join(*_permuted_selections(), ()), EntryPointScan("A"))
     def test_constructed_expressions(self, a, b):
         _check_one(a)
         _check_pair(a, b)
@@ -270,6 +278,20 @@ class TestIdentityAndEquality:
         assert Unnest(ab, "A.L").child is ab and Unnest(ba, "A.L").child is ba
         assert Select(scan, Predicate([p, q])) is ab
         assert Unnest(ab, "A.L").with_children((ba,)).child is ba
+
+    def test_one_memo_renders_each_of_two_equal_nodes_as_written(self):
+        """``PlanMemo.key`` is by identity: ``==`` would hand the second
+        selection the first one's text, and dedup / the final sort / the
+        rewrite trace would depend on which was rendered first."""
+        ab, ba = _permuted_selections()
+        for first, second in ((ab, ba), (ba, ab)):
+            memo = PlanMemo(ENV.scheme)
+            for compact in (False, True):
+                for node in (first, second, Join(first, second, ())):
+                    assert memo.key(node, compact) == render_expr(
+                        node, compact=compact
+                    )
+            assert memo.key(first) != memo.key(second)
 
     def test_every_field_is_part_of_the_identity(self):
         scan = EntryPointScan("A")

@@ -349,7 +349,9 @@ SQL_7_2 = (
 
 
 class TestCacheAwarePlanner:
-    def test_warm_cache_flips_the_example_7_2_plan(self):
+    def test_warming_the_join_makes_the_example_7_2_chase_cheaper(self):
+        """The join's pointer set covers most of the chase's, and a cached
+        page costs a light connection, not nothing: the chase stays."""
         env = university(UniversityConfig(n_depts=3, n_profs=20, n_courses=50))
         env.enable_cache(capacity=4096)
         cold = env.plan(SQL_7_2)
@@ -361,10 +363,29 @@ class TestCacheAwarePlanner:
         assert cold.best.cost < join.cost  # chase wins cold
         env.execute(join.expr)  # warm the join plan's pointer set
         warm = env.plan(SQL_7_2)
-        assert warm.cache_estimate is not None
-        assert warm.best.render() != cold.best.render()
-        assert warm.best.cost < cold.best.cost
+        assert warm.cache_estimate.light_weight == env.light_weight
+        assert warm.best.render() == cold.best.render()
+        assert warm.best.cost < cold.best.cost == warm.uncached_cost
         assert warm.cost.pages_saved > 0
+
+    def test_warm_cache_flips_a_plan_over_disjoint_pointer_sets(self):
+        """The Introduction's two navigations share the home page only:
+        with the via-authors pages cached, that route wins."""
+        env = bibliography()
+        env.enable_cache(capacity=4096)
+        sql = "SELECT ConfName, Year, Title, AName FROM PaperAuthor"
+        cold = env.plan(sql)
+        assert "ToAuthorList" not in cold.best.render()  # via conferences
+        authors = next(
+            c for c in cold.candidates if "ToAuthorList" in c.render()
+        )
+        env.execute(authors.expr)
+        warm = env.plan(sql)
+        assert warm.best.render() == authors.render()
+        assert warm.best.cost < cold.best.cost < warm.uncached_cost
+        assert warm.best.cost == pytest.approx(
+            env.light_weight * warm.uncached_cost
+        )
 
     def test_estimates_key_the_planner_memo(self):
         env = university(UniversityConfig(n_depts=2, n_profs=6, n_courses=8))
