@@ -11,9 +11,9 @@ chosen plan back to its rule-1 expansion, and in particular whether
 pointer-join (rule 8) or pointer-chase (rule 9) produced it.
 
 Plans are identified by their canonical rendering
-(:func:`repro.algebra.printer.render_expr`) — the same key the rewriter
-uses for deduplication, so the first recorded producer of a key matches
-the plan the closure actually kept.
+(:func:`repro.algebra.printer.render_expr`), which is one-to-one with the
+interned identity the rewriter deduplicates by, so the first recorded
+producer of a key matches the plan the closure actually kept.
 """
 
 from __future__ import annotations

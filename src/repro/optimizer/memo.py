@@ -6,7 +6,9 @@ of a node is computed once and found again by identity.  A
 :class:`PlanMemo` is created by the call that plans (``Planner.plan_expr``
 / ``replan_suffix``, a bare ``CostModel.cost``), passed down, and dropped
 when it returns — threads never share one, and nothing in it outlives
-the ``PlannerResult``.
+the ``PlannerResult``.  The one planning state that does is the
+planner's table of join-graph enumerations, which holds interned plans
+and nothing derived from them.
 """
 
 from __future__ import annotations
@@ -25,14 +27,15 @@ class PlanMemo:
 
     def __init__(self, scheme: WebScheme):
         self.scheme = scheme
-        #: node → output schema, or the error it raises.  This table,
-        #: ``estimates`` and ``results`` find a node by ``==``: what they hold
-        #: is a function of structure, which atom order does not change
+        #: node → output schema, or the error it raises.  This table and
+        #: ``estimates`` find a node by ``==``: what they hold is a function
+        #: of structure, which atom order does not change
         self.schemas = Schemas(scheme)
         #: (cost model, node) → ``cost._Estimate``: a cache-aware model
         #: prices the same node differently
         self.estimates: dict = {}
-        #: (function, arguments) → result, for :func:`per_call` functions
+        #: (function, ``id(node)``, other arguments) → (node, result), for
+        #: :func:`per_call` functions
         self.results: dict = {}
         #: ``id(node)`` → (node, rendering), full names and compact.  By
         #: identity: two selections with permuted atoms are ``==`` and print
@@ -41,7 +44,7 @@ class PlanMemo:
 
     def key(self, expr: Expr, compact: bool = False) -> str:
         """``render_expr(expr, compact)`` built from the children's keys —
-        the canonical (``compact=False``) one is the dedup key."""
+        what traces and the final tie-break among candidates read."""
         keys = self._keys[compact]
         found = keys.get(id(expr))
         if found is None:
@@ -51,16 +54,18 @@ class PlanMemo:
 
 
 def per_call(fn):
-    """Memoize ``fn(*args, memo)`` — a pure function of interned nodes and
-    hashable values — in ``memo.results``: computed once per planning call
-    however many plans contain the node, recursive calls included."""
+    """Memoize ``fn(node, *args, memo)`` — a pure function of an interned
+    node and hashable values — in ``memo.results``: computed once per
+    planning call however many plans contain the node, recursive calls
+    included.  By identity, like :meth:`PlanMemo.key`: selections with
+    permuted atoms are ``==`` and rewrite differently."""
 
-    def wrapper(*args):
+    def wrapper(node, *args):
         results = args[-1].results
-        key = (fn,) + args[:-1]
-        found = results.get(key, results)  # the table itself means "absent"
-        if found is results:
-            found = results[key] = fn(*args)
-        return found
+        key = (fn, id(node)) + args[:-1]
+        found = results.get(key)
+        if found is None:
+            found = results[key] = (node, fn(node, *args))
+        return found[1]
 
     return functools.wraps(fn)(wrapper)

@@ -16,6 +16,9 @@ Given a conjunctive query over external relations the planner:
 Candidates that became ill-typed (e.g. rule 9 dropped a side whose
 attributes the query still needs — the paper's π_X side condition) are
 silently discarded during validation.
+
+Steps 2–4 read only the *join graph* below the query's root π/σ, so a
+planner runs them once per graph and re-attaches each query's σ/π.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adm.scheme import WebScheme
-from repro.algebra.ast import Expr, ExternalRelScan
+from repro.algebra.ast import Expr, ExternalRelScan, Project, Select, _intern
 from repro.algebra.computable import is_computable
 from repro.algebra.printer import render_expr
 from repro.algebra.visitors import replace_at, walk
@@ -39,9 +42,9 @@ from repro.errors import (
     SchemaError,
 )
 from repro.obs.rewrite import RewriteTrace
+from repro.optimizer import rewriter
 from repro.optimizer.cost import CacheEstimate, CostModel
 from repro.optimizer.memo import PlanMemo
-from repro.optimizer.rewriter import closure
 from repro.optimizer.rules import (
     JoinPushdown,
     MergeRepeatedNavigation,
@@ -50,6 +53,7 @@ from repro.optimizer.rules import (
     ProjectionSubstitution,
     eliminate_unused_navigation,
     push_selections,
+    rename_attrs,
     substitute_attrs,
 )
 from repro.views.conjunctive import ConjunctiveQuery
@@ -62,7 +66,7 @@ __all__ = ["PlanCandidate", "PlannerResult", "Planner", "PlannerOptions"]
 #: Cap on rule-1 expansion combinations (navigation choices multiply).
 MAX_EXPANSIONS = 256
 
-#: Results :meth:`Planner.plan_query` keeps; beyond it the oldest goes.
+#: Results a planner keeps, and join-graph enumerations; the oldest go first.
 MAX_MEMO = 512
 
 
@@ -181,6 +185,8 @@ class Planner:
         self.cost_model = cost_model
         self.options = options or PlannerOptions()
         self._cache: dict = {}
+        #: ``id(join graph)`` → (graph, its enumeration as ``_Expansion``s)
+        self._enumerations: dict = {}
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -203,12 +209,13 @@ class Planner:
         ``trace=True`` records candidate lineage in a
         :class:`~repro.obs.rewrite.RewriteTrace` (attached to the result as
         ``rewrite_trace``) so :meth:`PlannerResult.why` can answer which
-        rules produced the chosen plan.  Traced runs bypass the memo (the
+        rules produced the chosen plan.  Traced runs bypass both memos (the
         trace is per-run state); the plan chosen is identical either way.
 
-        Results are memoized per planner instance and estimate (a planner
-        is bound to one statistics snapshot; rebuilding the planner — as
-        ``SiteEnv.refresh_statistics`` does — naturally drops the memo).
+        Results are memoized per planner instance and estimate, and each
+        join graph's enumeration (rules 1, 4 and 8/9) per planner instance:
+        a planner is bound to one statistics snapshot, which rule 4 reads;
+        rebuilding it — as ``SiteEnv.refresh_statistics`` does — drops both.
         """
         if trace:
             rewrite_trace = RewriteTrace(cost_fn=self.cost_model.cost)
@@ -258,32 +265,69 @@ class Planner:
         opts = self.options
         # everything derived per node below lives here and dies on return
         memo = PlanMemo(self.scheme)
+        # the root chain of π/σ (``translate`` emits one) over the join graph
+        chain, graph = [], expr
+        while isinstance(graph, (Project, Select)):
+            chain.append(graph)
+            graph = graph.child
 
-        def saturate(plans, rules, phase):
+        def attach(core: Expr, mapping: tuple) -> Expr:
+            renames = dict(mapping)
+            for node in reversed(chain):
+                core = rename_attrs(node, (core,), renames)
+            return core
+
+        def saturate(plans, rules, phase, cap=rewriter.MAX_PLANS):
             if not rules:
                 return plans
-            return closure(
-                plans, rules, self.scheme, trace=trace, phase=phase, memo=memo
-            )
+            return rewriter.closure(plans, rules, self.scheme, cap, trace, phase, memo)
 
         def improve(plans, rewrite, phase):
-            return _dedup(_try_map(plans, rewrite, memo, trace, phase), memo)
+            return _dedup(_try_map(plans, rewrite, memo, trace, phase))
 
-        # step 2: rule 1 — expand external relations in all possible ways
-        plans = self._expand_all(expr, memo, trace=trace)
-        # step 3: rule 4 — eliminate repeated navigations
+        def enumerate_graph(wrap) -> list[Expr]:
+            # step 2: rule 1, each expansion as ``wrap(core, mapping)``
+            expansions = self._expand(graph)
+            plans = []
+            for core, mapping in expansions:
+                plans.append(wrap(core, mapping))
+                if trace is not None:  # rule-1 expansions are lineage roots
+                    rule = "expansion (rule 1)", "DefaultNavigation"
+                    trace.record(*rule, memo.key(plans[-1]), expr=plans[-1])
+            # steps 3, 4: rules 4 and 8/9 rewrite joins, never what ``wrap``
+            # put above a core.  Behind each of a query's plans is at most one
+            # entry per expansion, so the query's own plans are capped below
+            cap = rewriter.MAX_PLANS * len(expansions)
+            plans = saturate(_dedup(plans), merge, "merge repeated (rule 4)", cap)
+            return saturate(plans, join_rules, "join rules (8/9)", cap)
+
         merge = []
         if opts.merge_repeated:
             merge = [MergeRepeatedNavigation(stats=self.cost_model.stats)]
-        plans = saturate(plans, merge, "merge repeated (rule 4)")
-        # step 4: rules 8, 9 — push and prune joins
         join_rules = [JoinPushdown()] if opts.join_pushdown else []
         join_rules += merge
         if opts.pointer_join:
             join_rules.append(PointerJoin())
         if opts.pointer_chase:
             join_rules.append(PointerChase())
-        plans = saturate(plans, join_rules, "join rules (8/9)")
+        # steps 2-4 read the join graph only: untraced, they run once per
+        # graph and each query re-attaches its σ/π to the table's entries
+        if trace is None:
+            found = self._enumerations.get(id(graph))
+            if found is None:
+                found = (graph, enumerate_graph(_Expansion))
+                with self._cache_lock:
+                    if len(self._enumerations) >= MAX_MEMO:
+                        del self._enumerations[next(iter(self._enumerations))]
+                    self._enumerations[id(graph)] = found
+            plans = _dedup([attach(p.child, p.mapping) for p in found[1]])
+        else:
+            plans = enumerate_graph(attach)
+        if len(plans) > rewriter.MAX_PLANS:
+            raise OptimizerError(
+                f"rewrite closure exceeded {rewriter.MAX_PLANS} plans; "
+                "the query is too irregular for exhaustive enumeration"
+            )
         # step 5: rule 6 — push selections
         if opts.push_selections:
             plans = improve(plans, push_selections, "push selections (rule 6)")
@@ -302,7 +346,7 @@ class Planner:
                 "eliminate navigation (rules 3/5)",
             )
         else:
-            final = _dedup(plans, memo)
+            final = _dedup(plans)
         # step 8: validate, cost, choose (cache-aware when an estimate is
         # given: the effective per-access page cost shrinks by the expected
         # hit rate of the accessed page-scheme)
@@ -349,16 +393,15 @@ class Planner:
     # rule 1: expansion
     # ------------------------------------------------------------------ #
 
-    def _expand_all(
-        self, expr: Expr, memo: PlanMemo, trace: Optional[RewriteTrace] = None
-    ) -> list[Expr]:
+    def _expand(self, graph: Expr) -> list[tuple[Expr, tuple]]:
+        """Rule 1: ``graph`` with every external relation replaced by one of
+        its default navigations, in all possible ways, each with its
+        mapping (sorted ``(alias.attr, qualified name)`` pairs)."""
         scans = [
             (path, node)
-            for path, node in walk(expr)
+            for path, node in walk(graph)
             if isinstance(node, ExternalRelScan)
         ]
-        if not scans:
-            return [expr]
         # Self-joins: occurrences of the same relation must navigate under
         # distinct aliases, or rule 4 would wrongly collapse them.
         relation_counts = Counter(scan.name for _, scan in scans)
@@ -380,7 +423,7 @@ class Planner:
             )
         results = []
         for combo in itertools.product(*choice_lists):
-            rewritten = expr
+            rewritten = graph
             mapping: dict[str, str] = {}
             # replace scans from the deepest paths first so shallower
             # replacements do not invalidate recorded paths
@@ -391,16 +434,8 @@ class Planner:
                 for attr, qualified in nav.mapping:
                     mapping[f"{scan.qualifier}.{attr}"] = qualified
             expanded = substitute_attrs(rewritten, mapping)
-            results.append(expanded)
-            if trace is not None:
-                # rule-1 expansions are lineage roots (parent=None)
-                trace.record(
-                    "expansion (rule 1)",
-                    "DefaultNavigation",
-                    memo.key(expanded),
-                    expr=expanded,
-                )
-        return _dedup(results, memo)
+            results.append((expanded, tuple(sorted(mapping.items()))))
+        return results
 
     # ------------------------------------------------------------------ #
     # adaptive suffix re-planning
@@ -489,7 +524,7 @@ def _try_map(
         except (AlgebraError, SchemaError, PredicateError):
             continue
         results.append(out)
-        if trace is not None and memo.key(out) != memo.key(expr):
+        if trace is not None and out is not expr:
             trace.record(
                 phase,
                 rewrite.__name__,
@@ -500,8 +535,20 @@ def _try_map(
     return results
 
 
-def _dedup(exprs: Sequence[Expr], memo: PlanMemo) -> list[Expr]:
-    seen: dict[str, Expr] = {}
-    for expr in exprs:
-        seen.setdefault(memo.key(expr), expr)
-    return list(seen.values())
+def _dedup(exprs: Sequence[Expr]) -> list[Expr]:
+    """``exprs`` without repeats, first occurrences in order — by identity,
+    which for interned nodes is the written form."""
+    return list({id(expr): expr for expr in exprs}.values())
+
+
+class _Expansion(Expr):
+    """A core plan of a join graph with the mapping of the rule-1 expansion
+    it descends from — what the enumeration table holds.  Rules 4 and 8/9
+    rewrite the core, so a core reached under two mappings stays two
+    entries until a query's σ/π tells whether they differ."""
+
+    __slots__ = _fields = ("child", "mapping")
+    _arity = 1
+
+    def __new__(cls, child: Expr, mapping: tuple):
+        return _intern(cls, (cls, id(child), mapping), (child, mapping))

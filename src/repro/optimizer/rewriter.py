@@ -3,7 +3,8 @@
 :func:`closure` saturates a set of plans under a set of enumerative rules:
 every rule is tried at every node of every plan, and newly produced plans
 are fed back until no new plan appears (or a safety cap is hit).  Plans are
-deduplicated by their canonical rendering.
+deduplicated by identity: nodes are interned as written, so two plans are
+one object exactly when they render alike.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ def _one_step(
 ) -> list[tuple[RewriteRule, Expr, Expr]]:
     """Every rewriting of ``node`` one rule application away, as (rule, the
     subexpression it replaced, ``node`` with the replacement spliced in):
-    positions in preorder, rules in order at each.  Found once per distinct
-    node (``steps``) — the plans of a closure share most of their subtrees."""
-    found = steps.get(node)
+    positions in preorder, rules in order at each.  Found once per node
+    (``steps``, by identity: each is a subtree of a plan the closure holds)
+    — the plans of a closure share most of their subtrees."""
+    found = steps.get(id(node))
     if found is None:
-        found = steps[node] = [
+        found = steps[id(node)] = [
             (rule, node, replacement)
             for rule in rules
             for replacement in rule.rewrite(node, memo)
@@ -58,21 +60,21 @@ def closure(
 
     ``trace`` (optional) records every *kept* rule application — the ones
     whose output survives dedup — as a :class:`~repro.obs.rewrite.
-    RewriteStep` under ``phase``, keyed by the same canonical rendering
-    used for deduplication, so lineage chains match the plans returned.
-    ``memo`` is the planning call's (a bare call makes its own).
+    RewriteStep` under ``phase``, keyed by the plan's canonical rendering,
+    which is one-to-one with the identity the closure deduplicates by, so
+    lineage chains match the plans returned.  ``memo`` is the planning
+    call's (a bare call makes its own).
     """
     memo = memo or PlanMemo(scheme)
-    seen: dict[str, Expr] = {}
+    seen: dict[int, Expr] = {}  # id → plan, which pins the id
     for expr in exprs:
-        seen.setdefault(memo.key(expr), expr)
+        seen.setdefault(id(expr), expr)
     queue = deque(seen.values())
-    steps: dict[Expr, list] = {}  # for this rule set only
+    steps: dict[int, list] = {}  # for this rule set only
     while queue:
         current = queue.popleft()
         for rule, where, rewritten in _one_step(current, rules, memo, steps):
-            key = memo.key(rewritten)
-            if key in seen:
+            if id(rewritten) in seen:
                 continue
             if len(seen) >= max_plans:
                 raise OptimizerError(
@@ -80,13 +82,13 @@ def closure(
                     "the query is too irregular for exhaustive "
                     "enumeration"
                 )
-            seen[key] = rewritten
+            seen[id(rewritten)] = rewritten
             queue.append(rewritten)
             if trace is not None:
                 trace.record(
                     phase,
                     type(rule).__name__,
-                    key,
+                    memo.key(rewritten),
                     parent=memo.key(current),
                     subexpr=memo.key(where, compact=True),
                     expr=rewritten,

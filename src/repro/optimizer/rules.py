@@ -58,6 +58,7 @@ __all__ = [
     "push_selections",
     "eliminate_unused_navigation",
     "substitute_attrs",
+    "rename_attrs",
 ]
 
 
@@ -82,18 +83,23 @@ def substitute_attrs(expr: Expr, mapping: dict[str, str]) -> Expr:
     if not mapping:
         return expr
     kids = tuple(substitute_attrs(kid, mapping) for kid in expr.children())
-    if isinstance(expr, Select):
-        return Select(kids[0], expr.predicate.rename(mapping))
-    if isinstance(expr, Project):
+    return rename_attrs(expr, kids, mapping)
+
+
+def rename_attrs(node: Expr, kids: tuple, mapping: dict[str, str]) -> Expr:
+    """``node`` over ``kids`` with its own attribute references renamed."""
+    if isinstance(node, Select):
+        return Select(kids[0], node.predicate.rename(mapping))
+    if isinstance(node, Project):
         return Project(
-            kids[0], tuple((o, mapping.get(i, i)) for o, i in expr.outputs)
+            kids[0], tuple((o, mapping.get(i, i)) for o, i in node.outputs)
         )
-    if isinstance(expr, Join):
+    if isinstance(node, Join):
         on = tuple(
-            (mapping.get(lhs, lhs), mapping.get(rhs, rhs)) for lhs, rhs in expr.on
+            (mapping.get(lhs, lhs), mapping.get(rhs, rhs)) for lhs, rhs in node.on
         )
         return Join(*kids, on)
-    return expr.with_children(kids)
+    return node.with_children(kids)
 
 
 def _source_attr_for(

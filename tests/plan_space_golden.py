@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 from repro import university
 from repro.algebra.printer import render_expr
@@ -73,13 +74,20 @@ def _warm_estimate(env) -> CacheEstimate:
     )
 
 
-def _space(planner, parsed, estimate=None) -> tuple:
-    """The plan space of one query; a failed planning run (an ablated
-    rule family can leave no valid plan) is part of the golden too."""
-    try:
-        result = planner.plan_query(parsed, estimate)
-    except OptimizerError as exc:
-        return ("no plan", str(exc))
+class Call(NamedTuple):
+    """One planning call of the golden: its section and label there, and
+    what to plan."""
+
+    section: str
+    label: str
+    env: object
+    options: PlannerOptions
+    sql: str
+    estimate: Optional[CacheEstimate]
+    traced: bool
+
+
+def _space(result) -> tuple:
     return (
         result.generated,
         [
@@ -107,56 +115,76 @@ def _lineage(result) -> tuple:
     )
 
 
-class _Sections:
-    def __init__(self) -> None:
-        self._hashes: dict[str, "hashlib._Hash"] = {}
+def value(call: Call, planner: Planner) -> tuple:
+    """What the golden records of ``call`` planned on ``planner``: the plan
+    space, or a traced run's lineage.  A failed planning run (an ablated
+    rule family can leave no valid plan) is part of the golden too."""
+    parsed = call.env.sql(call.sql)
+    try:
+        result = planner.plan_query(parsed, call.estimate, trace=call.traced)
+    except OptimizerError as exc:
+        return ("no plan", str(exc))
+    return _lineage(result) if call.traced else _space(result)
 
-    def add(self, section: str, label: str, value) -> None:
-        digest = self._hashes.setdefault(section, hashlib.sha256())
-        digest.update(repr((label, value)).encode("utf-8"))
 
-    def digests(self) -> dict[str, str]:
-        return {name: h.hexdigest() for name, h in sorted(self._hashes.items())}
+def fresh_planner(call: Call) -> Planner:
+    return Planner(call.env.view, call.env.cost_model, call.options)
 
 
-def _plan_suite(out: _Sections, site: str, env, queries: dict[str, str]) -> None:
+def _suite_calls(site: str, env, queries: dict[str, str]) -> list[Call]:
     """One site's suite under every configuration the golden covers."""
     warm = _warm_estimate(env)
     variants = [("all rules", PlannerOptions())] + [
         (f"no {f.name}", replace(PlannerOptions(), **{f.name: False}))
         for f in fields(PlannerOptions)
     ]
+    found = []
     for label, sql in queries.items():
-        parsed = env.sql(sql)
         for variant, options in variants:
-            planner = Planner(env.view, env.cost_model, options)
             where = f"{site}/{label}/{variant}"
-            out.add(f"{site}:cold", where, _space(planner, parsed))
-            out.add(f"{site}:warm", where, _space(planner, parsed, warm))
-        planner = Planner(env.view, env.cost_model)
+            found.append(Call(f"{site}:cold", where, env, options, sql, None, False))
+            found.append(Call(f"{site}:warm", where, env, options, sql, warm, False))
         for name, estimate in (("cold", None), ("warm", warm)):
-            traced = planner.plan_query(parsed, estimate, trace=True)
             where = f"{site}/{label}/{name}"
-            out.add(f"{site}:trace", where, _lineage(traced))
+            found.append(
+                Call(f"{site}:trace", where, env, PlannerOptions(), sql, estimate, True)
+            )
+    return found
+
+
+def calls() -> list[Call]:
+    """Every planning call of the golden, in the order its digests read
+    them."""
+    env = university(UniversityConfig())
+    warm = _warm_estimate(env)
+    found = []
+    every = PlannerOptions()
+    for index, sql in enumerate(adhoc_queries(env)):
+        found.append(Call("adhoc:cold", sql, env, every, sql, None, False))
+        if index % 4 == 0:
+            found.append(Call("adhoc:warm", sql, env, every, sql, warm, False))
+        if index % 16 == 0:
+            found.append(Call("adhoc:trace", sql, env, every, sql, None, True))
+    found += _suite_calls("bench", env, _bench_queries())
+    for site in QA_SITES:
+        site_env, queries = build_site(site)
+        found += _suite_calls(site, site_env, queries)
+    return found
+
+
+def digests(planned: list[Call], values: list) -> dict[str, str]:
+    """One sha256 per section over ``values``, the i-th from the i-th call."""
+    hashes: dict[str, "hashlib._Hash"] = {}
+    for call, found in zip(planned, values):
+        digest = hashes.setdefault(call.section, hashlib.sha256())
+        digest.update(repr((call.label, found)).encode("utf-8"))
+    return {name: h.hexdigest() for name, h in sorted(hashes.items())}
 
 
 def compute() -> dict[str, str]:
-    out = _Sections()
-    env = university(UniversityConfig())
-    warm = _warm_estimate(env)
-    for index, sql in enumerate(adhoc_queries(env)):
-        parsed = env.sql(sql)
-        out.add("adhoc:cold", sql, _space(env.planner, parsed))
-        if index % 4 == 0:
-            out.add("adhoc:warm", sql, _space(env.planner, parsed, warm))
-        if index % 16 == 0:
-            traced = env.planner.plan_query(parsed, trace=True)
-            out.add("adhoc:trace", sql, _lineage(traced))
-    _plan_suite(out, "bench", env, _bench_queries())
-    for site in QA_SITES:
-        site_env, queries = build_site(site)
-        _plan_suite(out, site, site_env, queries)
-    return out.digests()
+    """The golden's digests, each call planned on a planner of its own."""
+    planned = calls()
+    return digests(planned, [value(call, fresh_planner(call)) for call in planned])
 
 
 if __name__ == "__main__":

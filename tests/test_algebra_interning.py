@@ -45,6 +45,7 @@ from repro.algebra.printer import render_expr
 from repro.algebra.visitors import walk
 from repro.optimizer import Planner
 from repro.optimizer.memo import PlanMemo
+from repro.optimizer.rewriter import closure
 from repro.optimizer.rules import (
     JoinPushdown,
     MergeRepeatedNavigation,
@@ -222,6 +223,14 @@ def _permuted_selections() -> tuple[Expr, Expr]:
     return Select(scan, Predicate([x, y])), Select(scan, Predicate([y, x]))
 
 
+def _permuted_professor_selections() -> tuple[Expr, Expr]:
+    """The same, over a navigation the scheme types."""
+    nav = parse_navigation("ProfListPage.ProfList->ToProf", ENV.scheme)
+    rank = Comparison("ProfPage.Rank", "Full")
+    email = Comparison("ProfPage.email", "x")
+    return nav.where(Predicate([rank, email])), nav.where(Predicate([email, rank]))
+
+
 def _check_pair(a: Expr, b: Expr) -> None:
     assert (a is b) == (written(a) == written(b))
     assert (a == b) == (structural(a) == structural(b))
@@ -292,6 +301,31 @@ class TestIdentityAndEquality:
                         node, compact=compact
                     )
             assert memo.key(first) != memo.key(second)
+
+    def test_a_per_call_pass_answers_each_of_two_equal_nodes_as_written(self):
+        """``per_call`` finds a node by identity: by ``==``, pushing the
+        second selection's atoms would answer what the first one's became,
+        in the first one's order."""
+        x, y = (
+            s.project("ProfPage.PName") for s in _permuted_professor_selections()
+        )
+        assert x == y and x is not y
+        for first, second in ((x, y), (y, x)):
+            memo = PlanMemo(ENV.scheme)
+            push_selections(first, ENV.scheme, memo)
+            alone = push_selections(second, ENV.scheme)
+            assert push_selections(second, ENV.scheme, memo) is alone
+
+    def test_a_closure_rewrites_each_of_two_equal_nodes_as_written(self):
+        """The closure's table of one-step rewritings is by identity too:
+        two equal joins each get their own, so closing them together finds
+        what closing each alone finds."""
+        depts = EntryPointScan("DeptListPage").unnest("DeptListPage.DeptList")
+        joins = [Join(s, depts, ()) for s in _permuted_professor_selections()]
+        together = closure(joins, [JoinPushdown()], ENV.scheme)
+        apart = [p for j in joins for p in closure([j], [JoinPushdown()], ENV.scheme)]
+        rendered = sorted(map(render_expr, together))
+        assert rendered == sorted(set(map(render_expr, apart)))
 
     def test_every_field_is_part_of_the_identity(self):
         scan = EntryPointScan("A")
@@ -414,28 +448,45 @@ def _run_threads(targets) -> None:
     assert not any(thread.is_alive() for thread in threads)
 
 
+def _join_graph(env, sql: str) -> str:
+    expr = translate(env.sql(sql), env.view)
+    while isinstance(expr, (Project, Select)):
+        expr = expr.child
+    return render_expr(expr)
+
+
 def test_four_threads_plan_what_one_thread_plans():
-    """4 threads × 50 distinct queries on one ``SiteEnv`` (shared planner,
-    shared intern table, call-local memos) at a 10 µs switch interval."""
+    """4 threads × 50 distinct queries on one ``SiteEnv`` (shared planner
+    and its two tables, shared intern table, call-local memos) at a 10 µs
+    switch interval.  The queries come grouped by join graph, so the four
+    lanes start together on one graph and race on each of its misses: the
+    enumeration table ends with one entry per graph."""
     env = university(UniversityConfig())
-    queries = adhoc_queries(env)[::2][:200]
+    groups: dict[str, list] = {}
+    for sql in adhoc_queries(env)[::2][:200]:
+        groups.setdefault(_join_graph(env, sql), []).append(sql)
+    queries = [sql for group in groups.values() for sql in group]
     serial_env = university(UniversityConfig())
     serial = [_space(serial_env.plan(sql)) for sql in queries]
     results: dict[int, list] = {}
     errors: list[BaseException] = []
+    start = threading.Barrier(4)
 
     def work(lane: int) -> None:
         try:
+            start.wait(timeout=60)
             results[lane] = [
                 _space(env.plan(sql)) for sql in queries[lane::4]
             ]
         except BaseException as exc:  # surfaced below, in the main thread
             errors.append(exc)
 
+    assert not env.planner._enumerations and len(groups) == 4
     _run_threads([lambda lane=lane: work(lane) for lane in range(4)])
     assert errors == []
     for lane in range(4):
         assert results[lane] == serial[lane::4]
+    assert len(env.planner._enumerations) == len(groups)
 
 
 def test_racing_constructors_agree_on_one_object():
