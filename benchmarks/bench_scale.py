@@ -1,4 +1,4 @@
-"""SCALE — query cost vs site size, and engine CPU vs execution mode.
+"""SCALE — query cost vs site size.
 
 The paper's core economic argument: a selective query's cost should track
 the *selected* data, not the site size — that is what distinguishes a
@@ -6,24 +6,12 @@ navigation plan chosen by the optimizer from exhaustive navigation.
 Regenerates a scaling table: the Example 7.2 query on sites from 50 to 800
 courses, reporting the best plan's measured pages against the site size,
 plus planner latency.
-
-The table also pits the two local engines against each other on pure CPU:
-the interpreted staged executor (per-row dicts, names resolved per tuple)
-vs the compiled columnar executor (one-shot plan compilation, batch
-kernels).  Both replay the same already-crawled snapshot so the timed
-region is engine work only — page counts are identical by construction
-and the answers are digest-checked bit-for-bit before timing.
 """
 
-import gc
 import time
 
 import pytest
 
-from repro.engine.compile import ColumnarExecutor
-from repro.engine.local import LocalExecutor
-from repro.engine.session import QuerySession
-from repro.qa.oracle import relation_digest
 from repro.sitegen import UniversityConfig
 from repro.sites import university
 from repro.views.sql import parse_query
@@ -46,75 +34,6 @@ SIZES = [
     (16, 320, 800),
 ]
 
-#: CPU timing shape: the best of TRIALS *interleaved* runs of REPS
-#: evaluations each — each trial times staged then columnar back to
-#: back, so machine-load drift hits both engines alike, and the
-#: minimum over trials rejects scheduler noise.
-REPS = 40
-TRIALS = 10
-
-
-class ReplayProvider:
-    """Serve page tuples from the already-crawled snapshot.
-
-    Both engines see identical, fully-warmed fetch results (memoized per
-    request shape), so a CPU comparison between them times the engines
-    — tuple construction, predicate evaluation, join/unnest work — and
-    not the simulated web.  Page-count accounting for the SCALE table
-    comes from the real ``env.execute`` run, not from this provider.
-    """
-
-    def __init__(self, scheme, session):
-        self.scheme = scheme
-        self.session = session
-        self._memo = {}
-
-    def entry_tuples(self, page_schemes):
-        key = ("entry", tuple(page_schemes))
-        memo = self._memo.get(key)
-        if memo is None:
-            memo = {}
-            for page_scheme in page_schemes:
-                url = self.scheme.entry_point(page_scheme).url
-                self.session.fetch_batch([url])
-                plain = self.session.fetch_tuple(page_scheme, url)
-                if plain is not None:
-                    memo[page_scheme] = plain
-            self._memo[key] = memo
-        return memo
-
-    def target_tuples(self, page_scheme, urls):
-        key = (page_scheme, tuple(urls))
-        memo = self._memo.get(key)
-        if memo is None:
-            memo = self.session.fetch_tuples(page_scheme, list(urls))
-            self._memo[key] = memo
-        return memo
-
-
-def _cpu_faceoff(staged, columnar, plan) -> tuple[float, float]:
-    """Best-of-TRIALS process-CPU seconds for REPS evaluations of each
-    engine, interleaved trial by trial."""
-    best_staged = best_columnar = float("inf")
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(TRIALS):
-            started = time.process_time()
-            for _ in range(REPS):
-                staged.evaluate(plan)
-            best_staged = min(best_staged, time.process_time() - started)
-            started = time.process_time()
-            for _ in range(REPS):
-                columnar.evaluate(plan)
-            best_columnar = min(
-                best_columnar, time.process_time() - started
-            )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best_staged, best_columnar
-
 
 @pytest.fixture(scope="module")
 def scaling():
@@ -132,21 +51,6 @@ def scaling():
         plan_ms = (time.perf_counter() - started) * 1000
         result = env.execute(planned.best.expr)
         site_pages = len(env.site.server)
-
-        # CPU face-off on the replayed snapshot: answers must agree
-        # bit-for-bit with the real run before any clock starts
-        plan = planned.best.expr
-        provider = ReplayProvider(
-            env.scheme, QuerySession(env.client, env.registry)
-        )
-        staged = LocalExecutor(env.scheme, provider)
-        columnar = ColumnarExecutor(env.scheme, provider)
-        digest = relation_digest(result.relation)
-        assert relation_digest(staged.evaluate(plan)) == digest
-        assert relation_digest(columnar.evaluate(plan)) == digest
-        staged_cpu, columnar_cpu = _cpu_faceoff(staged, columnar, plan)
-        speedup = staged_cpu / columnar_cpu
-
         rows.append(
             {
                 "site pages": site_pages,
@@ -155,25 +59,20 @@ def scaling():
                 "fraction": f"{result.pages / site_pages:.1%}",
                 "plan ms": f"{plan_ms:.0f}",
                 "rows": len(result.relation),
-                "staged cpu s": f"{staged_cpu:.4f}",
-                "columnar cpu s": f"{columnar_cpu:.4f}",
-                "speedup ×": f"{speedup:.2f}",
             }
         )
-        raw.append((site_pages, result.pages, planned, speedup))
+        raw.append((site_pages, result.pages, planned))
     record(
         "SCALE",
         "Example 7.2 query as the site grows (selectivity fixed at one "
-        "department); staged vs compiled-columnar CPU on the same "
-        "snapshot",
+        "department)",
         table(
             rows,
             ["site pages", "best cost", "measured", "fraction", "plan ms",
-             "rows", "staged cpu s", "columnar cpu s", "speedup ×"],
+             "rows"],
         ),
         data=rows,
         queries={"ex72": SQL},
-        meta={"cpu_reps": REPS, "cpu_trials": TRIALS},
     )
     return raw
 
@@ -182,27 +81,21 @@ class TestShape:
     def test_cost_grows_sublinearly_with_site(self, scaling):
         """The site grows ~14×, the selective query's pages grow ~3×: cost
         tracks the selected slice (one department), not the site."""
-        first_site, first_pages, _, _ = scaling[0]
-        last_site, last_pages, _, _ = scaling[-1]
+        first_site, first_pages, _ = scaling[0]
+        last_site, last_pages, _ = scaling[-1]
         site_growth = last_site / first_site
         pages_growth = last_pages / first_pages
         assert pages_growth < site_growth / 3
 
     def test_selected_fraction_never_increases(self, scaling):
-        fractions = [pages / site for site, pages, _, _ in scaling]
+        fractions = [pages / site for site, pages, _ in scaling]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
     def test_plan_shape_stable_across_sizes(self, scaling):
-        for _, _, planned, _ in scaling:
+        for _, _, planned in scaling:
             text = planned.best.render()
             assert "DeptListPage" in text
             assert "SessionListPage" not in text
-
-    def test_columnar_at_least_3x_faster_at_largest_site(self, scaling):
-        """The compiled columnar engine's acceptance bar: a multi-x CPU
-        drop over the interpreted staged executor at the largest size."""
-        *_, speedup = scaling[-1]
-        assert speedup >= 3.0, f"columnar speedup {speedup:.2f}x < 3x"
 
 
 def test_bench_query_on_large_site(benchmark):

@@ -216,35 +216,43 @@ class Schemas:
     """Output schemas of the nodes one call looks at (a planning run, an
     execution, a single :meth:`Expr.output_schema`): each node is typed
     once, an ill-typed one keeps the error it raised.  Owned by the call
-    and dropped with it."""
+    and dropped with it.
+
+    Nodes are found by identity, not ``==``: two selections with permuted
+    atoms are equal yet fail on different first atoms.  Each entry holds
+    its node, so the id cannot be reused while the entry exists."""
 
     __slots__ = ("scheme", "_memo")
 
     def __init__(self, scheme: WebScheme):
         self.scheme = scheme
-        #: node → its schema, or (error class, args) when it has none
-        self._memo: dict[Expr, Union[RelationSchema, tuple]] = {}
+        #: ``id(node)`` → (node, its schema or (error class, args))
+        self._memo: dict[int, tuple[Expr, Union[RelationSchema, tuple]]] = {}
 
-    def get(self, expr: Expr) -> Optional[RelationSchema]:
-        """The schema of ``expr``, or None when it is ill-typed."""
-        found = self._memo.get(expr)
+    def _typed(self, expr: Expr) -> Union[RelationSchema, tuple]:
+        found = self._memo.get(id(expr))
         if found is None:
             try:
-                found = expr._compute_schema(self)
+                typed: Union[RelationSchema, tuple] = expr._compute_schema(self)
             except (AlgebraError, SchemaError) as exc:
                 # kept as data: a stored exception would pin its traceback,
                 # and through the frames this memo, in a reference cycle
-                found = (type(exc), exc.args)
-            self._memo[expr] = found
-        return None if found.__class__ is tuple else found
+                typed = (type(exc), exc.args)
+            found = self._memo[id(expr)] = (expr, typed)
+        return found[1]
+
+    def get(self, expr: Expr) -> Optional[RelationSchema]:
+        """The schema of ``expr``, or None when it is ill-typed."""
+        typed = self._typed(expr)
+        return None if isinstance(typed, tuple) else typed
 
     def of(self, expr: Expr) -> RelationSchema:
         """The schema of ``expr``; raises what computing it raised."""
-        found = self.get(expr)
-        if found is None:
-            error, args = self._memo[expr]
+        typed = self._typed(expr)
+        if isinstance(typed, tuple):
+            error, args = typed
             raise error(*args)
-        return found
+        return typed
 
     def link_type(self, follow: "FollowLink") -> LinkType:
         schema = self.of(follow.child)

@@ -1,5 +1,12 @@
 """Execution engines for NALG plans.
 
+One executor core evaluates every plan: :mod:`repro.engine.compile`
+compiles it once per execution (schemas, column offsets, tuple builders)
+and the kernels of :mod:`repro.engine.columnar` run it over column
+batches.  What varies is where pages come from and how fetches are
+scheduled; the modes are listed once, at
+:data:`~repro.engine.pipeline.EXECUTION_MODES` (docs/ENGINE.md).
+
 * :mod:`repro.engine.session` — per-query page cache and accounting (the
   paper counts *pages downloaded*; an engine never re-fetches a page it
   already holds for the current query), batch-first so follow-link target
@@ -7,22 +14,15 @@
 * :mod:`repro.engine.remote` — evaluates computable plans against the live
   (simulated) web through wrappers: this is the virtual-view path of
   Sections 5–7;
-* :mod:`repro.engine.local` — evaluates plans against locally stored
-  page-relations through a provider interface; the materialized-view
-  machinery of Section 8 plugs in here;
+* :mod:`repro.engine.local` — the staged executor over a page-relation
+  provider; the live web and the materialized store of Section 8 both
+  plug in here;
 * :mod:`repro.engine.pipeline` — chunked, pipelined evaluation with
   non-speculative link prefetch over one shared timeline: identical pages
   and answers, lower simulated makespan;
-* :mod:`repro.engine.columnar` / :mod:`repro.engine.compile` — the
-  compiled engine core: columnar batches with whole-column operator
-  kernels, plus a one-shot plan-compilation pass resolving attribute
-  offsets and accessors ahead of the hot loop (``execution="columnar"``
-  and ``"columnar_pipelined"``): identical answers and accounting,
-  multi-x less interpreter CPU;
 * :mod:`repro.engine.adaptive` — runtime relevance pruning and
-  mid-query pointer-join ↔ pointer-chase switching layered on the
-  staged core (``execution="adaptive"`` / ``"adaptive_pipelined"``):
-  identical answers, never more pages than the static plan.
+  mid-query pointer-join ↔ pointer-chase switching on the staged
+  executor: identical answers, never more pages than the static plan.
 """
 
 from repro.engine.session import QuerySession
@@ -30,7 +30,7 @@ from repro.engine.remote import ExecutionResult, RemoteExecutor
 from repro.engine.adaptive import AdaptiveExecutor, AdaptiveReport
 from repro.engine.local import LocalExecutor, PageRelationProvider, qualify_row
 from repro.engine.columnar import ColumnBatch
-from repro.engine.compile import ColumnarExecutor, CompiledPlan, compile_plan
+from repro.engine.compile import CompiledPlan, compile_plan
 from repro.engine.pipeline import (
     EXECUTION_MODES,
     PipelineConfig,
@@ -49,7 +49,6 @@ __all__ = [
     "PageRelationProvider",
     "qualify_row",
     "ColumnBatch",
-    "ColumnarExecutor",
     "CompiledPlan",
     "compile_plan",
     "EXECUTION_MODES",

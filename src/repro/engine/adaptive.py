@@ -4,9 +4,11 @@ The planner commits to one of rules 1–9 from *a priori* statistics
 (Section 6), but estimates can be badly wrong on skewed sites.  Following
 Benedikt, Gottlob and Senellart ("Determining Relevance of Accesses at
 Runtime"), an access whose result provably cannot contribute to the
-answer may be skipped without changing that answer.  The
-:class:`AdaptiveExecutor` layers two such runtime decisions on the
-staged row core (``execution="adaptive"`` / ``"adaptive_pipelined"``):
+answer may be skipped without changing that answer — relevance is a
+property of an access, not of a tuple layout.  The
+:class:`AdaptiveExecutor` (``execution="adaptive"``) subclasses the
+compiled staged executor and layers two such runtime decisions on its
+column batches:
 
 **Runtime relevance pruning.**  Before each follow-link batch is
 scheduled, every binding is tested against the constraints the rest of
@@ -50,21 +52,29 @@ by cell (docs/ADAPTIVE.md, docs/TESTING.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.adm.scheme import WebScheme
-from repro.algebra.ast import Expr, FollowLink, Join, Select
-from repro.algebra.computable import check_computable, is_computable
+from repro.algebra.ast import Expr, FollowLink, Join, Schemas
+from repro.algebra.computable import is_computable
 from repro.algebra.printer import render_expr
 from repro.algebra.visitors import replace_at, walk
 from repro.algebra.predicates import Comparison, In
+from repro.engine.columnar import ColumnBatch, distinct_links
+from repro.engine.compile import (
+    CompiledNode,
+    apply_join,
+    apply_select,
+    compile_plan,
+)
 from repro.engine.local import LocalExecutor, PageRelationProvider
 from repro.errors import AlgebraError, PredicateError, SchemaError
 from repro.nested.relation import Relation, canonical_value
+from repro.nested.schema import RelationSchema
 from repro.obs.metrics import METRICS
 from repro.obs.rewrite import STRATEGY_RULES, RewriteTrace
-from repro.optimizer.cost import StrategyCrossover, crossover_winner
+from repro.optimizer.cost import StrategyCrossover
 from repro.optimizer.rules import (
     PointerChase,
     _match_link_join,
@@ -185,6 +195,22 @@ def _prov_key(field_) -> Optional[tuple[str, str, str]]:
     return (prov.scheme, prov.base_scheme, str(prov.path))
 
 
+def _realign(batch: ColumnBatch, schema: RelationSchema) -> ColumnBatch:
+    """``batch``'s columns in ``schema``'s order, found by name.
+
+    After a rule-9 switch the chase's batch carries the chase's schema,
+    while the join's ancestors were compiled against the join's.  The
+    switch is legal only when the rewritten plan is well-typed with the
+    same output (:meth:`AdaptiveExecutor._find_chase_sites`), so every
+    name an ancestor reads exists in the chase's schema; any other column
+    is provably unread and is filled with None."""
+    by_name = dict(zip(batch.schema.names(), batch.columns))
+    unread = [None] * batch.num_rows
+    return ColumnBatch(
+        schema, [by_name.get(name, unread) for name in schema.names()]
+    )
+
+
 class AdaptiveExecutor(LocalExecutor):
     """Staged evaluation plus runtime relevance tests and rule-8/9 switches.
 
@@ -197,11 +223,10 @@ class AdaptiveExecutor(LocalExecutor):
 
     The executor's page counters can only ever be *below* the static
     plan's: it schedules a subset of every static fetch batch and never
-    adds a speculative one.  With a tracer attached, operator spans of a
-    link-join's two sides are opened in decision order (restricting side
-    first), so span *node ids* below a switched join do not pair with
-    the printed plan tree the way static executions do — EXPLAIN
-    ANALYZE shows adaptive decisions through the report instead.
+    adds a speculative one.  Operator spans carry the compiled plan's
+    preorder ``node_id`` like every executor's; a link-join's restricting
+    side is evaluated first, and the navigation a rule-9 switch skips
+    leaves no span (EXPLAIN ANALYZE shows it as not evaluated).
     """
 
     def __init__(
@@ -217,87 +242,81 @@ class AdaptiveExecutor(LocalExecutor):
         self.planner = planner
         self.cost_model = cost_model
         self.report = AdaptiveReport()
+        self.schemas = Schemas(scheme)
         self._constraints: list[_Constraint] = []
         self._chase_sites: dict[int, FollowLink] = {}
+        #: nav follow node_id → the rule-8 check its link-join left for it
+        self._link_joins: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     # entry point
     # ------------------------------------------------------------------ #
 
     def evaluate(self, expr: Expr) -> Relation:
-        check_computable(expr, self.scheme)
-        self._next_node_id = 0
+        plan = compile_plan(expr, self.scheme)
+        self.schemas = plan.schemas
         self._constraints = []
+        self._link_joins = {}
         cost_fn = self.cost_model.cost if self.cost_model else None
         self.report = AdaptiveReport(cost_fn=cost_fn)
         self._chase_sites = self._find_chase_sites(expr)
-        return self._eval(expr)
+        return self._eval(plan.root).to_relation()
 
     # ------------------------------------------------------------------ #
     # operator dispatch overrides
     # ------------------------------------------------------------------ #
 
-    def _eval_node(self, expr: Expr) -> Relation:
-        if isinstance(expr, Join):
-            return self._eval_join(expr)
-        if isinstance(expr, Select):
-            return self._eval_select(expr)
-        return super()._eval_node(expr)
+    def _eval_node(self, node: CompiledNode) -> ColumnBatch:
+        if node.kind == "join":
+            return self._eval_join(node)
+        if node.kind == "select":
+            return self._eval_select(node)
+        return super()._eval_node(node)
 
-    def _eval_follow(self, expr: FollowLink) -> Relation:
-        child = self._prune_follow_child(expr, self._eval(expr.child))
-        return self._follow_from(expr, child)
+    def _eval_follow(self, node: CompiledNode) -> ColumnBatch:
+        child = self._prune_follow_child(node, self._eval(node.children[0]))
+        link_join = self._link_joins.pop(node.node_id, None)
+        if link_join is not None:
+            child = self._pointer_join(node, child, *link_join)
+        return self._follow_from(node, child)
 
     # ------------------------------------------------------------------ #
     # selections: prefilter bindings via documented source attributes
     # ------------------------------------------------------------------ #
 
-    def _eval_select(self, expr: Select) -> Relation:
-        self.schemas.of(expr)  # validates predicate attrs
-        pushed = self._push_selection_constraints(expr)
+    def _eval_select(self, node: CompiledNode) -> ColumnBatch:
+        pushed = self._push_selection_constraints(node)
         try:
-            child = self._eval(expr.child)
+            child = self._eval(node.children[0])
         finally:
             del self._constraints[len(self._constraints) - pushed:]
-        return child.select(expr.predicate.evaluate)
+        return apply_select(node, child)
 
-    def _push_selection_constraints(self, expr: Select) -> int:
+    def _push_selection_constraints(self, node: CompiledNode) -> int:
         """σ over a follow: turn target-attribute atoms into pre-fetch
         constraints on the documented source attribute (rule 6's
         evidence), returning how many constraints were pushed."""
-        follow = expr.child
-        if not isinstance(follow, FollowLink):
+        follow = node.children[0]
+        if follow.kind != "follow":
             return 0
-        try:
-            follow_schema = self.schemas.of(follow)
-            child_schema = self.schemas.of(follow.child)
-            target_alias = self.schemas.target_alias(follow)
-            link_field = child_schema.field(follow.link_attr)
-        except (AlgebraError, SchemaError):
-            return 0
+        child_schema = follow.children[0].schema
+        target_alias = self.schemas.target_alias(follow.expr)
+        link_field = child_schema.fields[follow.link_index]
         pushed = 0
-        for atom in expr.predicate.atoms:
+        for atom in node.expr.predicate.atoms:
             if isinstance(atom, Comparison):
                 values = frozenset([atom.value])
             elif isinstance(atom, In):
                 values = frozenset(atom.values)
             else:
                 continue
-            attr = atom.attrs()[0]
-            try:
-                target_field = follow_schema.field(attr)
-            except SchemaError:
-                continue
-            prov = target_field.provenance
+            prov = follow.schema.field(atom.attrs()[0]).provenance
             if prov is None or prov.scheme != target_alias:
                 continue
             source = _source_attr_for(self.scheme, link_field, str(prov.path))
-            if source is None:
+            if source is None or source not in child_schema:
                 continue
-            try:
-                source_key = _prov_key(child_schema.field(source))
-            except SchemaError:
-                continue
+            source_key = _prov_key(child_schema.field(source))
             if source_key is None:
                 continue
             self._constraints.append(
@@ -310,62 +329,57 @@ class AdaptiveExecutor(LocalExecutor):
     # joins: semijoin constraints + rule-8/9 switching
     # ------------------------------------------------------------------ #
 
-    def _eval_join(self, expr: Join) -> Relation:
-        matches = _match_link_join(expr, self.schemas)
+    def _eval_join(self, node: CompiledNode) -> ColumnBatch:
+        matches = _match_link_join(node.expr, self.schemas)
         if matches:
-            return self._eval_link_join(expr, matches[0])
-        left = self._eval(expr.left)
-        pushed = self._push_join_constraints(expr, left)
+            return self._eval_link_join(node, matches[0])
+        left = self._eval(node.children[0])
+        pushed = self._push_join_constraints(node, left)
         try:
-            right = self._eval(expr.right)
+            right = self._eval(node.children[1])
         finally:
             del self._constraints[len(self._constraints) - pushed:]
-        return left.join(right, expr.on)
+        return apply_join(node, left, right)
 
-    def _push_join_constraints(self, expr: Join, left: Relation) -> int:
+    def _push_join_constraints(
+        self, node: CompiledNode, left: ColumnBatch
+    ) -> int:
         """Key sets the evaluated left side imposes on the right side's
         join attributes, keyed by provenance so they reach the binding
         *before* its follow-link fetch even across renames."""
-        try:
-            right_schema = self.schemas.of(expr.right)
-        except (AlgebraError, SchemaError):
-            return 0
+        right_fields = node.children[1].schema.fields
         pushed = 0
-        for lname, rname in expr.on:
-            try:
-                key = _prov_key(right_schema.field(rname))
-            except SchemaError:
-                continue
+        for left_index, right_index in node.join_pairs:
+            key = _prov_key(right_fields[right_index])
             if key is None:
                 continue
             values = frozenset(
-                v
-                for v in (
-                    canonical_value(row.get(lname)) for row in left.rows
-                )
-                if v is not None
-            )
+                map(canonical_value, left.columns[left_index])
+            ) - {None}
             self._constraints.append(
                 _Constraint(key=key, values=values, kind="join-key")
             )
             pushed += 1
         return pushed
 
-    def _eval_link_join(self, expr: Join, match) -> Relation:
+    def _eval_link_join(self, node: CompiledNode, match) -> ColumnBatch:
         """A join of the paper's link shape: evaluate the restricting
         side first, then re-run the Section 7 crossover on observations."""
-        other = self._eval(match.other)
+        nav_node, other_node = (
+            node.children[::-1] if match.flipped else node.children
+        )
+        other = self._eval(other_node)
 
         # rule 9 (join → chase): skip the navigation side entirely when
         # the restricting side's observed pointer set undercuts the
         # model's estimate for the navigation it replaces.
-        chase = self._chase_sites.get(id(expr))
+        chase = self._chase_sites.get(id(node.expr))
         if (
             chase is not None
             and self.cost_model is not None
             and chase.child is match.other
         ):
-            observed = self._distinct_links(other, chase.link_attr)
+            observed = distinct_links(_column(other, chase.link_attr))
             crossover = StrategyCrossover(
                 chase_cost=float(len(observed)),
                 join_cost=self.cost_model.cost(match.nav),
@@ -374,52 +388,59 @@ class AdaptiveExecutor(LocalExecutor):
                 crossover.winner == "chase"
                 and crossover.chase_cost < crossover.join_cost
             ):
-                self._record_switch(expr, chase, "PointerChase", crossover)
-                return self._follow_from(
-                    chase, self._prune_follow_child(chase, other)
+                self._record_switch(node.expr, chase, "PointerChase", crossover)
+                follow = compile_plan(chase, self.scheme).root
+                batch = self._follow_from(
+                    follow, self._prune_follow_child(follow, other)
                 )
+                return _realign(batch, node.schema)
 
-        child = self._prune_follow_child(
-            match.nav, self._eval(match.nav.child)
-        )
+        # the navigation side runs the rule-8 check in _eval_follow,
+        # between its child's evaluation and its fetch
+        self._link_joins[nav_node.node_id] = (node, match, other)
+        nav = self._eval(nav_node)
+        if match.flipped:
+            return apply_join(node, other, nav)
+        return apply_join(node, nav, other)
 
-        # rule 8 (chase → join): restrict the navigation's pointer set to
-        # links the other side can still join with, when the observed
-        # crossover says the join strategy wins.
-        links = self._distinct_links(child, match.nav.link_attr)
-        allowed = set(self._distinct_links(other, match.other_link.name))
+    def _pointer_join(
+        self,
+        nav_node: CompiledNode,
+        child: ColumnBatch,
+        node: CompiledNode,
+        match,
+        other: ColumnBatch,
+    ) -> ColumnBatch:
+        """Rule 8 (chase → join): restrict the navigation's pointer set to
+        links the other side can still join with, when the observed
+        crossover says the join strategy wins."""
+        link_column = child.columns[nav_node.link_index]
+        links = distinct_links(link_column)
+        allowed = set(distinct_links(_column(other, match.other_link.name)))
         restricted = [url for url in links if url in allowed]
         crossover = StrategyCrossover(
             chase_cost=float(len(links)), join_cost=float(len(restricted))
         )
-        if crossover.winner == "join":
-            replanned = self._replan(expr, "PointerJoin")
-            self._record_switch(
-                expr, replanned if replanned is not None else expr,
-                "PointerJoin", crossover,
-            )
-            kept = [
-                row
-                for row in child.rows
-                if row.get(match.nav.link_attr) in allowed
-            ]
-            self._record_prune(
-                match.nav, "join-key", links, set(restricted)
-            )
-            child = Relation(child.schema, kept)
-
-        nav = self._follow_from(match.nav, child)
-        if match.flipped:
-            return other.join(nav, expr.on)
-        return nav.join(other, expr.on)
+        if crossover.winner != "join":
+            return child
+        replanned = self._replan(node.expr, "PointerJoin")
+        self._record_switch(
+            node.expr, replanned if replanned is not None else node.expr,
+            "PointerJoin", crossover,
+        )
+        kept = child.gather(
+            [i for i, url in enumerate(link_column) if url in allowed]
+        )
+        self._record_prune(nav_node, "join-key", links, set(restricted))
+        return kept
 
     # ------------------------------------------------------------------ #
     # the relevance test at each follow
     # ------------------------------------------------------------------ #
 
     def _prune_follow_child(
-        self, expr: FollowLink, child: Relation
-    ) -> Relation:
+        self, node: CompiledNode, child: ColumnBatch
+    ) -> ColumnBatch:
         """Drop bindings that provably cannot contribute before fetching.
 
         Applies every active constraint whose provenance key names a
@@ -429,52 +450,40 @@ class AdaptiveExecutor(LocalExecutor):
         null) — so skipping its fetch cannot change the answer."""
         if not self._constraints:
             return child
-        applicable: list[tuple[str, _Constraint]] = []
-        for field_ in child.schema:
+        applicable: list[tuple[int, _Constraint]] = []
+        for index, field_ in enumerate(child.schema):
             key = _prov_key(field_)
             if key is None:
                 continue
             for constraint in self._constraints:
                 if constraint.key == key:
-                    applicable.append((field_.name, constraint))
+                    applicable.append((index, constraint))
         if not applicable:
             return child
-        before = self._distinct_links(child, expr.link_attr)
-        rows = child.rows
+        before = distinct_links(child.columns[node.link_index])
+        keep: list[int] = list(range(child.num_rows))
         kinds: set[str] = set()
-        for name, constraint in applicable:
+        for index, constraint in applicable:
+            column = child.columns[index]
             kept = [
-                row
-                for row in rows
-                if canonical_value(row.get(name)) in constraint.values
+                i for i in keep
+                if canonical_value(column[i]) in constraint.values
             ]
-            if len(kept) < len(rows):
+            if len(kept) < len(keep):
                 kinds.add(constraint.kind)
-            rows = kept
-        if len(rows) == len(child.rows):
+            keep = kept
+        if len(keep) == child.num_rows:
             return child
-        pruned = Relation(child.schema, rows)
-        after = set(self._distinct_links(pruned, expr.link_attr))
+        pruned = child.gather(keep)
+        after = set(distinct_links(pruned.columns[node.link_index]))
         if len(after) < len(before):
             kind = "join-key" if "join-key" in kinds else "selection"
-            self._record_prune(expr, kind, before, after)
+            self._record_prune(node, kind, before, after)
         return pruned
 
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _distinct_links(relation: Relation, attr: str) -> list[str]:
-        """Distinct non-null values of ``attr`` in first-seen order."""
-        seen: set = set()
-        out: list[str] = []
-        for row in relation.rows:
-            value = row.get(attr)
-            if value is not None and value not in seen:
-                seen.add(value)
-                out.append(value)
-        return out
 
     def _replan(self, suffix: Expr, rule: str) -> Optional[Expr]:
         """The switched-to suffix, via the planner when one is wired."""
@@ -519,11 +528,12 @@ class AdaptiveExecutor(LocalExecutor):
 
     def _record_prune(
         self,
-        follow: FollowLink,
+        follow: CompiledNode,
         kind: str,
         before: list[str],
         after: set,
     ) -> None:
+        assert follow.link_attr is not None
         prune = AdaptivePrune(
             kind=kind,
             link_attr=follow.link_attr,
@@ -557,11 +567,7 @@ class AdaptiveExecutor(LocalExecutor):
         checks static rule-9 candidates.  Joins appearing at more than
         one position are skipped (the substitution test is positional).
         """
-        root_names: tuple
-        try:
-            root_names = tuple(f.name for f in self.schemas.of(root))
-        except (AlgebraError, SchemaError):
-            return {}
+        root_names = self.schemas.of(root).names()
         sites: dict[int, FollowLink] = {}
         seen: set[int] = set()
         duplicated: set[int] = set()
@@ -575,8 +581,7 @@ class AdaptiveExecutor(LocalExecutor):
             for rewritten in PointerChase().rewrite_node(node, self.scheme):
                 try:
                     full = replace_at(root, path, rewritten)
-                    names = tuple(f.name for f in self.schemas.of(full))
-                    if names != root_names:
+                    if self.schemas.of(full).names() != root_names:
                         continue
                     if not is_computable(full, self.scheme):
                         continue
@@ -588,3 +593,8 @@ class AdaptiveExecutor(LocalExecutor):
         for node_id in duplicated:
             sites.pop(node_id, None)
         return sites
+
+
+def _column(batch: ColumnBatch, name: str) -> list:
+    """The column of ``batch`` named ``name``."""
+    return batch.columns[batch.schema.names().index(name)]

@@ -1,14 +1,13 @@
 """Columnar batches and whole-column operator kernels.
 
-The interpreted engine (:mod:`repro.engine.local`,
-:mod:`repro.nested.operations`) moves *rows*: every operator walks a list
-of dicts, re-keying and re-building them tuple at a time.  That is the
-right reference semantics — but all of the per-tuple work (dict
-construction in ``qualify_row``, ``row.get`` predicate probes,
-``{**row, **target}`` merges, ``canonical_row`` sorting) is pure CPU
-overhead the paper's cost model never charges for.
+The row-at-a-time reference semantics (``tests/engine_reference.py``,
+:mod:`repro.nested.operations`) move *rows*: every operator walks a list
+of dicts, re-keying and re-building them tuple at a time.  All of that
+per-tuple work (dict construction in ``qualify_row``, ``row.get``
+predicate probes, ``{**row, **target}`` merges, ``canonical_row``
+sorting) is pure CPU overhead the paper's cost model never charges for.
 
-This module is the batch half of the compiled engine
+This module is the batch half of the executor core
 (:mod:`repro.engine.compile` is the plan half): a :class:`ColumnBatch`
 pins a :class:`~repro.nested.schema.RelationSchema` and stores one Python
 list per field, and the kernels below implement σ/π/unnest/join/
@@ -16,25 +15,24 @@ follow-link over whole columns at a time.  Only the *top* level is
 columnar — list-valued fields keep their qualified ``list[dict]``
 sub-rows as single column values, exactly as a row would hold them — so
 conversion to and from row form is loss-free and every kernel is
-value-for-value identical to its interpreted counterpart:
+value-for-value identical to its row counterpart:
 
 * **unnest** repeats the kept columns by each row's sub-row count and
   splices the element fields in place (empty lists drop their row);
 * **join** hash-joins on the first ``on`` pair via
   :func:`~repro.nested.relation.canonical_value` (null keys never match)
-  and filters the remaining pairs, preserving the interpreted
+  and filters the remaining pairs, preserving the row join's
   left-order-then-bucket-order output;
 * **follow-link** gathers the child rows whose link resolves and
-  concatenates the pre-built target columns (the interpreted
+  concatenates the pre-built target columns (the row
   ``{**row, **target_row}`` merge on disjoint names *is* column
   concatenation);
 * **projection dedup** keeps first occurrences by a hashable key
   (:func:`first_occurrences` takes the ``seen`` set as an argument so
   the pipelined executor can dedup across chunks).
 
-The digest-level equivalence of the two engines is enforced by
-``tests/test_columnar.py`` and the QA oracle's ``columnar`` /
-``columnar_pipelined`` exec cells (:mod:`repro.qa.oracle`).
+``tests/test_columnar.py`` holds the core to the row reference: same
+digests, row order, pages, cache counters and operator spans.
 """
 
 from __future__ import annotations
@@ -151,7 +149,7 @@ class ColumnBatch:
 def distinct_links(column: Sequence[Optional[str]]) -> list[str]:
     """Distinct non-null link values in first-seen order — the URL list a
     follow-link operator hands to the fetch layer (identical to the
-    interpreted executor's per-row walk).  ``dict.fromkeys`` does the
+    row reference's per-row walk).  ``dict.fromkeys`` does the
     ordered dedup in C."""
     return [url for url in dict.fromkeys(column) if url is not None]
 
@@ -218,7 +216,7 @@ def join_batches(
     keys never match), filter the rest, output columns left-then-right.
 
     Pair indexes are column offsets (left, right).  Output row order is
-    the interpreted join's exactly: left rows in order, each expanded by
+    the row join's exactly: left rows in order, each expanded by
     its hash bucket in right-row order."""
     left_key_column = left.columns[first_pair[0]]
     right_key_column = right.columns[first_pair[1]]
@@ -273,7 +271,7 @@ def follow_batch(
     or dangling (no entry in ``targets``) drop; the matched target value
     tuples (in target-schema order) append as new columns.  Because the
     child and target field names are disjoint, this concatenation is
-    value-for-value the interpreted ``{**row, **target_row}`` merge."""
+    value-for-value the row ``{**row, **target_row}`` merge."""
     link_column = batch.columns[link_index]
     # map() resolves every link in C; a null or dangling link (no entry
     # in ``targets``) resolves to None and its row drops

@@ -1,11 +1,10 @@
-"""One-shot plan compilation: NALG expressions → specialized closures.
+"""Plan compilation: NALG expressions → specialized closures.
 
-The interpreted executors re-decide everything per tuple: which operator
-class a node is (``isinstance`` ladders), which dict key a predicate
-probes (``row.get(attr)``), which wrapper attribute feeds which qualified
-field (``qualify_row`` walks the schema per row).  None of that depends
-on the data — it is all fixed the moment the plan and the web scheme are
-known.  :func:`compile_plan` resolves it exactly once:
+Evaluating a plan row by row re-decides everything per tuple: which
+operator class a node is, which dict key a predicate probes, which
+wrapper attribute feeds which qualified field.  None of that depends on
+the data — it is all fixed the moment the plan and the web scheme are
+known.  :func:`compile_plan` resolves it once per execution:
 
 * every node becomes a :class:`CompiledNode` carrying its output schema,
   a stable **preorder** ``node_id`` (0 at the root, children in
@@ -17,25 +16,24 @@ known.  :func:`compile_plan` resolves it exactly once:
   unnest positions, link columns);
 * page-tuple extraction paths (``provenance.path.leaf`` per field)
   become a ``build_row`` closure mapping one plain wrapped tuple to a
-  value tuple in schema order — the columnar ``qualify_row``.
+  value tuple in schema order — the columnar
+  :func:`~repro.engine.local.qualify_row`.
 
-:class:`ColumnarExecutor` then evaluates the compiled plan over
-:class:`~repro.engine.columnar.ColumnBatch` values with the kernels of
-:mod:`repro.engine.columnar`, converting to a
+:class:`~repro.engine.local.LocalExecutor` (staged and adaptive) and
+:class:`~repro.engine.pipeline.PipelinedExecutor` evaluate the compiled
+plan over :class:`~repro.engine.columnar.ColumnBatch` values with the
+``apply_*`` transforms below, converting to a
 :class:`~repro.nested.relation.Relation` only at the result boundary.
-It is a drop-in replacement for
-:class:`~repro.engine.local.LocalExecutor` (same provider protocol, same
-operator spans and meter deltas, same answers bit-for-bit) selected via
-``execution="columnar"``; the pipelined executor reuses the same
-compiled nodes for ``execution="columnar_pipelined"``.
 
-Compiled plans are cached on the scheme object itself (mirroring the
-schema cache in :mod:`repro.algebra.ast`), so repeated executions of the
-same plan pay the compilation cost once.
+Every node is typed through one :class:`~repro.algebra.ast.Schemas` memo
+per compilation, kept on the :class:`CompiledPlan` for the executor's own
+lookups, and the plan is dropped with its execution: there is no plan
+cache (docs/ENGINE.md says why).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,10 +41,10 @@ from repro.adm.scheme import WebScheme
 from repro.algebra.ast import (
     EntryPointScan,
     Expr,
-    ExternalRelScan,
     FollowLink,
     Join,
     Project,
+    Schemas,
     Select,
     Unnest,
     page_relation_schema,
@@ -55,20 +53,17 @@ from repro.algebra.computable import check_computable
 from repro.algebra.predicates import AttrEq, Comparison, In, Predicate
 from repro.engine.columnar import (
     ColumnBatch,
-    distinct_links,
     first_occurrences,
     follow_batch,
     join_batches,
     product_batches,
     unnest_batch,
 )
-from repro.engine.local import PageRelationProvider, qualify_row
-from repro.errors import AlgebraError, NotComputableError
-from repro.nested.relation import Relation, canonical_value
-from repro.nested.schema import RelationSchema
-from repro.obs.trace import NULL_TRACER
+from repro.errors import AlgebraError
+from repro.nested.relation import canonical_value
+from repro.nested.schema import Field, RelationSchema
 
-__all__ = ["CompiledNode", "CompiledPlan", "ColumnarExecutor", "compile_plan"]
+__all__ = ["CompiledNode", "CompiledPlan", "compile_plan"]
 
 #: one plain wrapped page tuple → a value tuple in page-schema order
 TupleBuilder = Callable[[dict], tuple]
@@ -76,6 +71,15 @@ TupleBuilder = Callable[[dict], tuple]
 Mask = Callable[[ColumnBatch], list]
 #: gathered batch → one hashable dedup key per row
 KeyFn = Callable[[ColumnBatch], list]
+
+_KINDS = {
+    EntryPointScan: "entry",
+    FollowLink: "follow",
+    Unnest: "unnest",
+    Select: "select",
+    Project: "project",
+    Join: "join",
+}
 
 
 @dataclass
@@ -106,11 +110,6 @@ class CompiledNode:
     link_index: int = -1
     target_page_scheme: Optional[str] = None
     target_schema: Optional[RelationSchema] = None
-    #: ``url -> (plain, values)`` memo of built target tuples, shared by
-    #: every evaluation of this compiled plan and validated by plain
-    #: tuple *identity* — a refetched or revalidated page parses into a
-    #: new dict, so a hit can only mean the same snapshot
-    target_memo: Optional[dict] = None
     # select
     mask: Optional[Mask] = None
     # project
@@ -136,30 +135,26 @@ class CompiledNode:
 
 @dataclass
 class CompiledPlan:
-    """A compiled plan: the root node plus the preorder node count."""
+    """A compiled plan: the root node, the preorder node count, and the
+    :class:`Schemas` memo every node was typed through."""
 
     root: CompiledNode
     node_count: int
+    schemas: Schemas
 
 
 def compile_plan(expr: Expr, scheme: WebScheme) -> CompiledPlan:
-    """Compile ``expr`` against ``scheme`` once (cached on the scheme).
+    """Compile ``expr`` against ``scheme`` for one execution.
 
-    Raises the same errors interpretation would: NotComputableError for
-    external-relation leaves, AlgebraError for schema violations (which
-    :meth:`Expr.output_schema` checks node by node).
+    Raises NotComputableError for plans with a non-entry-point leaf and
+    AlgebraError / SchemaError for schema violations — before any page
+    is fetched.
     """
-    cache = scheme.__dict__.setdefault("_compiled_plan_cache", {})
-    cached = cache.get(expr)
-    if cached is None:
-        check_computable(expr, scheme)
-        counter = [0]
-        root = _compile(expr, scheme, counter)
-        cached = CompiledPlan(root, counter[0])
-        if len(cache) > 4096:
-            cache.clear()
-        cache[expr] = cached
-    return cached
+    check_computable(expr, scheme)
+    schemas = Schemas(scheme)
+    ids = itertools.count()
+    root = _compile(expr, schemas, ids)
+    return CompiledPlan(root, next(ids), schemas)
 
 
 # --------------------------------------------------------------------- #
@@ -167,47 +162,43 @@ def compile_plan(expr: Expr, scheme: WebScheme) -> CompiledPlan:
 # --------------------------------------------------------------------- #
 
 
-def _atom_extractor(leaf: str) -> Callable[[dict], object]:
-    def extract(plain: dict) -> object:
-        return plain.get(leaf)
-
-    return extract
+def _field_extractor(field: Field) -> Callable[[dict], object]:
+    """One qualified field's value out of a plain wrapped tuple."""
+    assert field.provenance is not None, "page schemas carry provenance"
+    leaf = field.provenance.path.leaf
+    if field.is_list:
+        assert field.elem is not None
+        return _list_extractor(leaf, field.elem)
+    return lambda plain: plain.get(leaf)
 
 
 def _list_extractor(
     leaf: str, elem_schema: RelationSchema
 ) -> Callable[[dict], object]:
-    # Flat elements (the overwhelmingly common case) get a precompiled
-    # zip of qualified names over plain-leaf probes; elements that nest
-    # further lists fall back to the recursive qualify_row.
-    names: list = []
-    leaves: list = []
-    flat = True
-    for field in elem_schema:
-        if field.is_list or field.provenance is None:
-            flat = False
-            break
-        names.append(field.name)
-        leaves.append(field.provenance.path.leaf)
-    if not flat:
+    """A list field's qualified sub-rows.  Flat elements (the
+    overwhelmingly common case) are a precompiled zip of qualified names
+    over plain-leaf probes; elements nesting further lists recurse."""
+    names = elem_schema.names()
+    if any(field.is_list for field in elem_schema):
+        extractors = tuple(_field_extractor(field) for field in elem_schema)
 
         def extract(plain: dict) -> object:
             return [
-                qualify_row(elem_schema, sub)
-                for sub in (plain.get(leaf) or [])
+                dict(zip(names, [get(sub) for get in extractors]))
+                for sub in plain.get(leaf) or ()
             ]
 
         return extract
 
-    frozen_names, frozen_leaves = tuple(names), tuple(leaves)
+    leaves = tuple(
+        field.provenance.path.leaf for field in elem_schema
+        if field.provenance is not None
+    )
 
     def extract_flat(plain: dict) -> object:
-        subs = plain.get(leaf)
-        if not subs:
-            return []
         return [
-            dict(zip(frozen_names, map(sub.get, frozen_leaves)))
-            for sub in subs
+            dict(zip(names, map(sub.get, leaves)))
+            for sub in plain.get(leaf) or ()
         ]
 
     return extract_flat
@@ -218,39 +209,27 @@ def _tuple_builder(
 ) -> TupleBuilder:
     """The columnar ``qualify_row``: leaf names and nested element schemas
     are resolved at compile time, so building a page row is one tuple of
-    direct ``dict.get`` probes (nested lists still qualify recursively —
-    only the top level is columnar).
+    direct ``dict.get`` probes.
 
     List fields named in ``raw_lists`` are left as the raw plain
     sub-tuple lists (a fused unnest consumes them by leaf name, so
     qualifying them would be pure waste).  When every field reduces to a
     direct probe the builder compiles to a single C-level ``map``."""
-    extractors = []
-    leaves: list = []
-    direct_only = True
-    for field in schema:
-        assert field.provenance is not None, "page schemas carry provenance"
-        leaf = field.provenance.path.leaf
-        leaves.append(leaf)
-        if field.is_list and field.name not in raw_lists:
-            direct_only = False
-            assert field.elem is not None
-            extractors.append(_list_extractor(leaf, field.elem))
-        else:
-            extractors.append(_atom_extractor(leaf))
-
-    if direct_only:
-        frozen_leaves = tuple(leaves)
+    if all(not f.is_list or f.name in raw_lists for f in schema):
+        leaves = tuple(
+            f.provenance.path.leaf for f in schema if f.provenance is not None
+        )
+        assert len(leaves) == len(schema), "page schemas carry provenance"
 
         def build_atoms(plain: dict) -> tuple:
-            return tuple(map(plain.get, frozen_leaves))
+            return tuple(map(plain.get, leaves))
 
         return build_atoms
 
-    frozen = tuple(extractors)
+    extractors = tuple(_field_extractor(field) for field in schema)
 
     def build_row(plain: dict) -> tuple:
-        return tuple(extract(plain) for extract in frozen)
+        return tuple(extract(plain) for extract in extractors)
 
     return build_row
 
@@ -283,9 +262,7 @@ def _fuse_unnest(child: CompiledNode, attr: str) -> tuple[str, ...]:
 
 
 def _compile_predicate(predicate: Predicate, schema: RelationSchema) -> Mask:
-    """Resolve each conjunct to a column test; unknown atom kinds fall
-    back to interpreting ``atom.evaluate`` over a rebuilt row dict (the
-    documented interpretation fallback — semantics over speed)."""
+    """Resolve each conjunct to a column test over the surviving rows."""
     names = list(schema.names())
     tests: list[Callable[[list, list], list]] = []
     for atom in predicate.atoms:
@@ -319,17 +296,7 @@ def _compile_predicate(predicate: Predicate, schema: RelationSchema) -> Mask:
 
             tests.append(in_test)
         else:  # pragma: no cover - no such atom kind exists today
-
-            def fallback_test(columns, keep, _atom=atom):
-                return [
-                    i
-                    for i in keep
-                    if _atom.evaluate(
-                        {name: columns[j][i] for j, name in enumerate(names)}
-                    )
-                ]
-
-            tests.append(fallback_test)
+            raise AlgebraError(f"cannot compile atom {atom!r}")
 
     def mask(batch: ColumnBatch) -> list:
         keep: list = list(range(batch.num_rows))
@@ -343,134 +310,86 @@ def _compile_predicate(predicate: Predicate, schema: RelationSchema) -> Mask:
     return mask
 
 
-def _compile(expr: Expr, scheme: WebScheme, counter: list) -> CompiledNode:
-    node_id = counter[0]
-    counter[0] += 1
-    schema = expr.output_schema(scheme)  # validates the node's names
-    children = tuple(
-        _compile(child, scheme, counter) for child in expr.children()
+def _dedup_keys(schema: RelationSchema) -> KeyFn:
+    """Per-row projection dedup keys for a batch of ``schema``."""
+    if any(field.is_list for field in schema):
+        # list values are unhashable; key on canonical forms (the same
+        # information canonical_row orders by name)
+        def canonical_keys(batch: ColumnBatch) -> list:
+            columns = batch.columns
+            return [
+                tuple(canonical_value(column[i]) for column in columns)
+                for i in range(batch.num_rows)
+            ]
+
+        return canonical_keys
+
+    # atom-only outputs: the raw value tuple in (fixed) schema order is
+    # equality-equivalent to canonical_row
+    def value_keys(batch: ColumnBatch) -> list:
+        return list(zip(*batch.columns)) if batch.columns else []
+
+    return value_keys
+
+
+def _compile(expr: Expr, schemas: Schemas, ids: itertools.count) -> CompiledNode:
+    kind = _KINDS.get(type(expr))
+    if kind is None:
+        raise AlgebraError(f"cannot compile {type(expr).__name__}")
+    node_id = next(ids)
+    schema = schemas.of(expr)  # validates the node's names
+    children = tuple(_compile(child, schemas, ids) for child in expr.children())
+    node = CompiledNode(
+        node_id=node_id,
+        expr=expr,
+        kind=kind,
+        span_name=kind,
+        op=type(expr).__name__,
+        schema=schema,
+        children=children,
     )
-    op = type(expr).__name__
+    child_names = list(children[0].schema.names()) if children else []
 
     if isinstance(expr, EntryPointScan):
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="entry",
-            span_name=f"entry {expr.page_scheme}",
-            op=op,
-            schema=schema,
-            children=children,
-            page_scheme=expr.page_scheme,
-            build_row=_tuple_builder(schema),
-        )
-    if isinstance(expr, FollowLink):
-        child_schema = children[0].schema
-        target = expr.target_scheme(scheme)
+        node.span_name = f"entry {expr.page_scheme}"
+        node.page_scheme = expr.page_scheme
+        node.build_row = _tuple_builder(schema)
+    elif isinstance(expr, FollowLink):
+        node.span_name = f"follow →{expr.link_attr}"
+        node.link_attr = expr.link_attr
+        node.link_index = child_names.index(expr.link_attr)
+        target = schemas.link_type(expr).target
         target_schema = page_relation_schema(
-            scheme, target, expr.target_alias(scheme)
+            schemas.scheme, target, schemas.target_alias(expr)
         )
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="follow",
-            span_name=f"follow →{expr.link_attr}",
-            op=op,
-            schema=schema,
-            children=children,
-            link_attr=expr.link_attr,
-            link_index=child_schema.names().index(expr.link_attr),
-            target_page_scheme=target,
-            target_schema=target_schema,
-            build_row=_tuple_builder(target_schema),
-            target_memo={},
+        node.target_page_scheme = target
+        node.target_schema = target_schema
+        node.build_row = _tuple_builder(target_schema)
+    elif isinstance(expr, Unnest):
+        node.span_name = f"unnest {expr.attr}"
+        elem = children[0].schema.field(expr.attr).elem
+        assert elem is not None
+        node.list_index = child_names.index(expr.attr)
+        node.elem_names = elem.names()
+        node.elem_keys = _fuse_unnest(children[0], expr.attr)
+    elif isinstance(expr, Select):
+        node.mask = _compile_predicate(expr.predicate, children[0].schema)
+    elif isinstance(expr, Project):
+        node.gather_indexes = tuple(
+            child_names.index(name) for name in expr.in_names()
         )
-    if isinstance(expr, Unnest):
-        child_schema = children[0].schema
-        field = child_schema.field(expr.attr)
-        assert field.elem is not None
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="unnest",
-            span_name=f"unnest {expr.attr}",
-            op=op,
-            schema=schema,
-            children=children,
-            list_index=child_schema.names().index(expr.attr),
-            elem_names=field.elem.names(),
-            elem_keys=_fuse_unnest(children[0], expr.attr),
-        )
-    if isinstance(expr, Select):
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="select",
-            span_name="select",
-            op=op,
-            schema=schema,
-            children=children,
-            mask=_compile_predicate(expr.predicate, children[0].schema),
-        )
-    if isinstance(expr, Project):
-        child_schema = children[0].schema
-        names = list(child_schema.names())
-        indexes = tuple(names.index(name) for name in expr.in_names())
-        if any(child_schema.field(name).is_list for name in expr.in_names()):
-            # list values are unhashable; key on canonical forms (the
-            # same information canonical_row orders by name)
-            def dedup_keys(batch: ColumnBatch) -> list:
-                columns = batch.columns
-                return [
-                    tuple(canonical_value(column[i]) for column in columns)
-                    for i in range(batch.num_rows)
-                ]
-
-        else:
-            # atom-only outputs: the raw value tuple in (fixed) schema
-            # order is equality-equivalent to canonical_row
-            def dedup_keys(batch: ColumnBatch) -> list:
-                if not batch.columns:
-                    return []
-                return list(zip(*batch.columns))
-
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="project",
-            span_name="project",
-            op=op,
-            schema=schema,
-            children=children,
-            gather_indexes=indexes,
-            dedup_keys=dedup_keys,
-        )
-    if isinstance(expr, Join):
-        left_names = list(children[0].schema.names())
+        node.dedup_keys = _dedup_keys(schema)
+    elif isinstance(expr, Join):
         right_names = list(children[1].schema.names())
-        pairs = tuple(
-            (left_names.index(left), right_names.index(right))
+        node.join_pairs = tuple(
+            (child_names.index(left), right_names.index(right))
             for left, right in expr.on
         )
-        return CompiledNode(
-            node_id=node_id,
-            expr=expr,
-            kind="join",
-            span_name="join",
-            op=op,
-            schema=schema,
-            children=children,
-            join_pairs=pairs,
-        )
-    if isinstance(expr, ExternalRelScan):
-        raise NotComputableError(
-            f"external relation {expr.name!r} reached the compiler"
-        )
-    raise AlgebraError(f"cannot compile {type(expr).__name__}")
+    return node
 
 
 # --------------------------------------------------------------------- #
-# batch transforms shared by the staged and pipelined columnar backends
+# batch transforms shared by the staged and pipelined executors
 # --------------------------------------------------------------------- #
 
 
@@ -493,7 +412,7 @@ def apply_project(
 ) -> ColumnBatch:
     """Gather the output columns and keep first occurrences; ``seen``
     belongs to the caller (one set per operator evaluation) so the
-    pipelined backend can dedup across chunks."""
+    pipelined executor can dedup across chunks."""
     assert node.dedup_keys is not None
     gathered = ColumnBatch(
         node.schema, [batch.columns[i] for i in node.gather_indexes]
@@ -518,124 +437,3 @@ def apply_follow(
     node: CompiledNode, batch: ColumnBatch, targets: dict
 ) -> ColumnBatch:
     return follow_batch(batch, node.link_index, targets, node.schema)
-
-
-# --------------------------------------------------------------------- #
-# the staged columnar executor
-# --------------------------------------------------------------------- #
-
-
-class ColumnarExecutor:
-    """Compiled, batch-at-a-time evaluation of computable NALG plans.
-
-    Drop-in for :class:`~repro.engine.local.LocalExecutor`: the same
-    :class:`~repro.engine.local.PageRelationProvider` protocol, the same
-    staged access pattern (one bulk ``target_tuples`` call per follow
-    operator, so page accounting is identical), the same per-operator
-    spans and meter deltas — but the spans' ``node_id`` is the compiled
-    preorder number and all relational work runs the columnar kernels.
-    The answer relation is built once, at the result boundary.
-    """
-
-    def __init__(
-        self,
-        scheme: WebScheme,
-        provider: PageRelationProvider,
-        tracer=None,
-        meter: Optional[Callable[[], tuple]] = None,
-    ):
-        self.scheme = scheme
-        self.provider = provider
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.meter = meter
-
-    def evaluate(self, expr: Expr) -> Relation:
-        """Evaluate ``expr``; raises NotComputableError for bad plans.
-
-        The computability walk happens inside :func:`compile_plan`, so
-        repeated evaluations of a compiled plan skip it entirely."""
-        plan = compile_plan(expr, self.scheme)
-        return self._eval(plan.root).to_relation()
-
-    # ------------------------------------------------------------------ #
-
-    def _eval(self, node: CompiledNode) -> ColumnBatch:
-        tracer = self.tracer
-        if not tracer.enabled:
-            return self._eval_node(node)
-        with tracer.span(
-            node.span_name,
-            kind="operator",
-            node_id=node.node_id,
-            op=node.op,
-        ) as span:
-            before = self.meter() if self.meter is not None else None
-            batch = self._eval_node(node)
-            if before is not None:
-                after = self.meter()
-                span.set(
-                    pages=after[0] - before[0],
-                    light_connections=after[1] - before[1],
-                    cache_hits=after[2] - before[2],
-                    revalidations=after[3] - before[3],
-                    bytes=after[4] - before[4],
-                    seconds=after[5] - before[5],
-                    t0=before[5],
-                    t1=after[5],
-                )
-            span.set(tuples_out=batch.num_rows)
-            return batch
-
-    def _eval_node(self, node: CompiledNode) -> ColumnBatch:
-        kind = node.kind
-        if kind == "entry":
-            return self._eval_entry(node)
-        if kind == "follow":
-            return self._eval_follow(node)
-        if kind == "unnest":
-            return apply_unnest(node, self._eval(node.children[0]))
-        if kind == "select":
-            return apply_select(node, self._eval(node.children[0]))
-        if kind == "project":
-            return apply_project(node, self._eval(node.children[0]), set())
-        if kind == "join":
-            left = self._eval(node.children[0])
-            right = self._eval(node.children[1])
-            return apply_join(node, left, right)
-        raise AlgebraError(f"cannot evaluate compiled kind {kind!r}")
-
-    def _eval_entry(self, node: CompiledNode) -> ColumnBatch:
-        assert node.page_scheme is not None and node.build_row is not None
-        entry_tuples = getattr(self.provider, "entry_tuples", None)
-        if entry_tuples is not None:
-            plain = entry_tuples([node.page_scheme]).get(node.page_scheme)
-        else:  # deprecated single-page providers
-            plain = self.provider.entry_tuple(node.page_scheme)
-        if plain is None:
-            return ColumnBatch.empty(node.schema)
-        return ColumnBatch.from_tuples(node.schema, [node.build_row(plain)])
-
-    def _eval_follow(self, node: CompiledNode) -> ColumnBatch:
-        assert node.target_page_scheme is not None
-        assert node.build_row is not None
-        child = self._eval(node.children[0])
-        urls = distinct_links(child.columns[node.link_index])
-        plain_by_url = self.provider.target_tuples(
-            node.target_page_scheme, urls
-        )
-        # Built value tuples are memoized on the compiled node against
-        # the *identity* of the provider's plain tuple (see target_memo)
-        # — repeated evaluations of the plan skip the rebuild entirely.
-        memo = node.target_memo
-        assert memo is not None
-        build_row = node.build_row
-        targets = {}
-        for url, plain in plain_by_url.items():
-            entry = memo.get(url)
-            if entry is not None and entry[0] is plain:
-                targets[url] = entry[1]
-            else:
-                values = build_row(plain)
-                memo[url] = (plain, values)
-                targets[url] = values
-        return apply_follow(node, child, targets)

@@ -24,18 +24,11 @@ This module removes the barriers without changing a single access:
   so downstream I/O overlaps the *tail* of upstream I/O exactly as a real
   pipelined client would, and never earlier.
 
-The executor always compiles the plan once
-(:func:`~repro.engine.compile.compile_plan`), which pins every stage's
-schema, stable preorder ``node_id``, and column offsets.  How each chunk
-is *transformed* is then a per-query choice:
-
-* ``execution="pipelined"`` interprets each chunk through the reference
-  row operators (:mod:`repro.nested.operations` via
-  :class:`~repro.nested.relation.Relation`), pivoting rows in and out of
-  the batch at stage boundaries — the semantics oracle;
-* ``execution="columnar_pipelined"`` runs the compiled whole-column
-  kernels of :mod:`repro.engine.columnar` directly on the batches — same
-  chunks, same fetches, same answers, a fraction of the interpreter CPU.
+The executor runs the same compiled plan as the staged one
+(:func:`~repro.engine.compile.compile_plan`: every stage's schema, stable
+preorder ``node_id`` and column offsets pinned once per execution) and
+transforms each chunk with the same whole-column kernels
+(:mod:`repro.engine.columnar`); only the scheduling differs.
 
 **The non-speculation invariant.**  Only URLs the serial plan provably
 fetches are ever enqueued: a follow stage reads link values off actual
@@ -49,7 +42,7 @@ with at least two in-flight batches of lookahead (the default has four)
 it only ever drops (see :class:`PipelineConfig` for the one-batch
 caveat).  The QA differential oracle's ``exec`` dimension
 (:mod:`repro.qa.oracle`) enforces this equivalence across every
-cache/fault/worker cell, for both chunk backends.
+cache/fault/worker cell.
 
 With one connection (``k = 1``) there is nothing to overlap, so the
 executor degenerates to exact staged behaviour: a single chunk per
@@ -61,13 +54,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, cast
+from typing import Iterator, Optional
 
 from repro.adm.scheme import WebScheme
-from repro.algebra.ast import Expr, Join, Project, Select, Unnest
-from repro.algebra.computable import check_computable
+from repro.algebra.ast import Expr
 from repro.clock import BatchSchedule, Timeline
-from repro.engine.columnar import ColumnBatch
+from repro.engine.columnar import ColumnBatch, distinct_links
 from repro.engine.compile import (
     CompiledNode,
     apply_follow,
@@ -77,10 +69,9 @@ from repro.engine.compile import (
     apply_unnest,
     compile_plan,
 )
-from repro.engine.local import qualify_row
 from repro.engine.session import QuerySession
 from repro.errors import AlgebraError, ExecutionModeError
-from repro.nested.relation import Relation, canonical_row
+from repro.nested.relation import Relation
 from repro.obs.trace import NULL_TRACER
 from repro.web.client import AccessLog
 
@@ -92,23 +83,21 @@ __all__ = [
     "PipelinedExecutor",
 ]
 
-#: Execution modes understood by ``RemoteExecutor.execute`` and
-#: ``SiteEnv.query`` / ``SiteEnv.execute``.  ``staged`` and ``pipelined``
-#: interpret row operators; ``columnar`` and ``columnar_pipelined`` run
-#: the same plans through the compiled batch kernels
-#: (:mod:`repro.engine.compile`) with identical answers and accounting;
-#: ``adaptive`` and ``adaptive_pipelined`` layer runtime relevance
-#: pruning and mid-query pointer-join ↔ pointer-chase switching on the
-#: staged core (:mod:`repro.engine.adaptive`, docs/ADAPTIVE.md) — same
-#: answers, never more pages.
-EXECUTION_MODES = (
-    "staged",
-    "pipelined",
-    "columnar",
-    "columnar_pipelined",
-    "adaptive",
-    "adaptive_pipelined",
-)
+#: The values of ``QueryOptions.execution`` — the one list every other
+#: module and document links to.  All three run the one compiled executor
+#: core (:mod:`repro.engine.compile`) and give the same answer; they differ
+#: in how fetches are scheduled and decided (docs/ENGINE.md):
+#:
+#: * ``staged`` (the default) — every operator is a barrier, one fetch
+#:   batch per follow-link operator
+#:   (:class:`~repro.engine.local.LocalExecutor`);
+#: * ``pipelined`` — bounded chunks with non-speculative link prefetch on
+#:   one shared timeline: the same pages, a lower simulated makespan
+#:   (:class:`PipelinedExecutor`, docs/PIPELINE.md);
+#: * ``adaptive`` — staged, plus runtime relevance pruning and mid-query
+#:   pointer-join ↔ pointer-chase switching: never more pages
+#:   (:class:`~repro.engine.adaptive.AdaptiveExecutor`, docs/ADAPTIVE.md).
+EXECUTION_MODES = ("staged", "pipelined", "adaptive")
 
 
 def coerce_execution(execution: str) -> str:
@@ -265,10 +254,7 @@ class PipelinedExecutor:
 
     Drop-in alternative to :class:`~repro.engine.local.LocalExecutor` for
     the remote (live-web) path: same answers, same page accounting, lower
-    makespan.  See the module docstring for the invariants.  With
-    ``columnar=True`` the per-chunk operators run the compiled batch
-    kernels instead of the interpreted row operators — the fetch pattern
-    and every chunk boundary are identical either way.
+    makespan.  See the module docstring for the invariants.
 
     ``tracer`` gains per-chunk *pipeline spans* (``kind="pipeline"``) on
     the stages that touch the network, carrying the simulated interval
@@ -286,14 +272,12 @@ class PipelinedExecutor:
         scheduler: PrefetchScheduler,
         config: PipelineConfig = DEFAULT_PIPELINE_CONFIG,
         tracer=None,
-        columnar: bool = False,
     ):
         self.scheme = scheme
         self.session = session
         self.scheduler = scheduler
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.columnar = columnar
 
     @property
     def chunk_size(self) -> Optional[int]:
@@ -303,7 +287,6 @@ class PipelinedExecutor:
 
     def evaluate(self, expr: Expr) -> Relation:
         """Evaluate ``expr``; raises NotComputableError for bad plans."""
-        check_computable(expr, self.scheme)
         plan = compile_plan(expr, self.scheme)
         batches: list[ColumnBatch] = []
         try:
@@ -356,13 +339,9 @@ class PipelinedExecutor:
         plain = self.session.fetch_tuple(node.page_scheme, url)
         if plain is None:
             batch = ColumnBatch.empty(node.schema)
-        elif self.columnar:
+        else:
             batch = ColumnBatch.from_tuples(
                 node.schema, [node.build_row(plain)]
-            )
-        else:
-            batch = ColumnBatch.from_rows(
-                node.schema, [qualify_row(node.schema, plain)]
             )
         self._pipeline_span(
             node, 0, ready=0.0, completed=ready,
@@ -372,16 +351,16 @@ class PipelinedExecutor:
 
     def _follow_chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
         assert node.target_page_scheme is not None
-        assert node.target_schema is not None
-        assert node.build_row is not None and node.link_attr is not None
+        build_row = node.build_row
+        assert build_row is not None
         child = self._chunks(node.children[0])
         target = node.target_page_scheme
         # distinct link values across the whole operator, first-seen order
         # (chunk concatenation preserves the staged child-row order, so
         # the union over chunks equals the staged URL list exactly)
         seen: set[str] = set()
-        #: url → target row dict (interpreted) or value tuple (columnar)
-        qualified: dict = {}
+        #: url → target value tuple
+        targets: dict = {}
         bound = self.config.max_inflight_batches
         pending: deque[tuple[_Chunk, float]] = deque()
         state = {"drained": False}
@@ -392,22 +371,19 @@ class PipelinedExecutor:
             if chunk is None:
                 state["drained"] = True
                 return
-            urls: list[str] = []
-            for value in chunk.batch.columns[node.link_index]:
-                if value is not None and value not in seen:
-                    seen.add(value)
-                    urls.append(value)
+            urls = [
+                url
+                for url in distinct_links(chunk.batch.columns[node.link_index])
+                if url not in seen
+            ]
+            seen.update(urls)
             schedule = self.scheduler.open_batch(ready=chunk.ready)
             if urls:
                 plain = self.session.fetch_tuples(
                     target, urls, schedule=schedule
                 )
-                if self.columnar:
-                    for url, tup in plain.items():
-                        qualified[url] = node.build_row(tup)
-                else:
-                    for url, tup in plain.items():
-                        qualified[url] = qualify_row(node.target_schema, tup)
+                for url, tup in plain.items():
+                    targets[url] = build_row(tup)
             completed = (
                 schedule.completed if schedule is not None else chunk.ready
             )
@@ -433,19 +409,7 @@ class PipelinedExecutor:
             # small bounds, a committed downstream placement can block
             # the upstream critical path and lose to the staged schedule
             top_up()
-            if self.columnar:
-                batch = apply_follow(node, chunk.batch, qualified)
-            else:
-                rows: list[dict] = []
-                for row in chunk.batch.to_rows():
-                    value = row.get(node.link_attr)
-                    if value is None:
-                        continue
-                    target_row = qualified.get(value)
-                    if target_row is None:
-                        continue  # dangling link: nothing to navigate to
-                    rows.append({**row, **target_row})
-                batch = ColumnBatch.from_rows(node.schema, rows)
+            batch = apply_follow(node, chunk.batch, targets)
             self._pipeline_span(
                 node, index, ready=chunk.ready, completed=completed,
                 rows_in=chunk.batch.num_rows, rows_out=batch.num_rows,
@@ -454,63 +418,29 @@ class PipelinedExecutor:
             yield _Chunk(batch, completed)
 
     def _unnest_chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
-        expr = cast(Unnest, node.expr)
-        child = node.children[0]
-        for chunk in self._chunks(child):
-            if self.columnar:
-                batch = apply_unnest(node, chunk.batch)
-            else:
-                relation = Relation(
-                    child.schema, chunk.batch.to_rows()
-                ).unnest(expr.attr)
-                batch = ColumnBatch.from_rows(node.schema, relation.rows)
+        for chunk in self._chunks(node.children[0]):
             # re-chunk: unnest multiplies rows, and downstream overlap
             # only exists at chunk granularity
-            yield from self._rechunk(batch, chunk.ready)
+            yield from self._rechunk(
+                apply_unnest(node, chunk.batch), chunk.ready
+            )
 
     def _select_chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
-        expr = cast(Select, node.expr)
-        child = node.children[0]
-        for chunk in self._chunks(child):
-            if self.columnar:
-                batch = apply_select(node, chunk.batch)
-            else:
-                relation = Relation(
-                    child.schema, chunk.batch.to_rows()
-                ).select(expr.predicate.evaluate)
-                batch = ColumnBatch.from_rows(node.schema, relation.rows)
-            yield _Chunk(batch, chunk.ready)
+        for chunk in self._chunks(node.children[0]):
+            yield _Chunk(apply_select(node, chunk.batch), chunk.ready)
 
     def _project_chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
-        expr = cast(Project, node.expr)
-        child = node.children[0]
-        renames = {i: o for o, i in expr.outputs if o != i}
-        names = list(expr.in_names())
         # projection is set-based: duplicates are eliminated across the
         # *whole* operator (first occurrence wins, as in the staged path);
         # per-chunk dedup alone would let cross-chunk duplicates through
         # at small chunk sizes
         seen: set = set()
-        for chunk in self._chunks(child):
-            if self.columnar:
-                batch = apply_project(node, chunk.batch, seen)
-            else:
-                relation = Relation(
-                    child.schema, chunk.batch.to_rows()
-                ).project(names, renames)
-                rows: list[dict] = []
-                for row in relation.rows:
-                    key = canonical_row(row)
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
-                batch = ColumnBatch.from_rows(node.schema, rows)
-            yield _Chunk(batch, chunk.ready)
+        for chunk in self._chunks(node.children[0]):
+            yield _Chunk(apply_project(node, chunk.batch, seen), chunk.ready)
 
     def _join_chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
         # a join needs both sides in full: it is the one genuine barrier,
         # and materializing in order keeps the staged row order exactly
-        expr = cast(Join, node.expr)
         left_node, right_node = node.children
         ready = 0.0
         left_batches: list[ColumnBatch] = []
@@ -523,14 +453,7 @@ class PipelinedExecutor:
             ready = max(ready, chunk.ready)
         left = ColumnBatch.concat(left_node.schema, left_batches)
         right = ColumnBatch.concat(right_node.schema, right_batches)
-        if self.columnar:
-            batch = apply_join(node, left, right)
-        else:
-            joined = Relation(left_node.schema, left.to_rows()).join(
-                Relation(right_node.schema, right.to_rows()), expr.on
-            )
-            batch = ColumnBatch.from_rows(node.schema, joined.rows)
-        yield from self._rechunk(batch, ready)
+        yield from self._rechunk(apply_join(node, left, right), ready)
 
     # ------------------------------------------------------------------ #
 

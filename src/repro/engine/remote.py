@@ -24,7 +24,6 @@ from repro.adm.scheme import WebScheme
 from repro.algebra.ast import Expr
 from repro.algebra.printer import render_expr
 from repro.engine.adaptive import AdaptiveExecutor, AdaptiveReport
-from repro.engine.compile import ColumnarExecutor
 from repro.engine.local import LocalExecutor
 from repro.engine.pipeline import (
     DEFAULT_PIPELINE_CONFIG,
@@ -138,10 +137,6 @@ class _SessionProvider:
                 result[page_scheme] = plain
         return result
 
-    def entry_tuple(self, page_scheme: str) -> Optional[dict]:
-        """Deprecated single-page shim; prefer :meth:`entry_tuples`."""
-        return self.entry_tuples([page_scheme]).get(page_scheme)
-
     def target_tuples(
         self, page_scheme: str, urls: Sequence[str]
     ) -> dict[str, dict]:
@@ -196,14 +191,9 @@ class RemoteExecutor:
         this level it must already be a resolved :class:`PageCache` —
         policy names are an environment concept, resolved by
         :class:`~repro.sites.SiteEnv`).  ``options.execution`` selects
-        ``"staged"``, ``"pipelined"``, ``"columnar"`` (compiled batch
-        kernels, staged access pattern), ``"columnar_pipelined"``, or
-        ``"adaptive"`` / ``"adaptive_pipelined"`` evaluation (validated
-        at bundle construction) — every mode produces identical answers,
-        and the static modes identical page accounting; the adaptive
-        modes may *prune* provably irrelevant fetches, so their page
-        counts are bounded above by the static ones (docs/ADAPTIVE.md).
-        ``options.pipeline`` tunes the pipelined modes, and
+        one of :data:`~repro.engine.pipeline.EXECUTION_MODES` (validated
+        at bundle construction).  ``options.pipeline`` tunes the
+        pipelined mode, and
         ``options.tracer`` records per-operator spans (observational; the
         recorded root span lands in ``ExecutionResult.trace``).
 
@@ -291,7 +281,7 @@ class RemoteExecutor:
             log.bytes_downloaded,
             log.simulated_seconds,
         )
-        if opts.execution in ("pipelined", "columnar_pipelined"):
+        if opts.execution == "pipelined":
             lanes = (opts.fetch or DEFAULT_FETCH_CONFIG).effective_workers(
                 client.network
             )
@@ -302,16 +292,10 @@ class RemoteExecutor:
                 scheduler,
                 config=opts.pipeline or DEFAULT_PIPELINE_CONFIG,
                 tracer=tracer,
-                columnar=opts.execution == "columnar_pipelined",
             )
-        elif opts.execution == "columnar":
-            executor = ColumnarExecutor(
-                self.scheme, provider, tracer=tracer, meter=meter
-            )
-        elif opts.execution in ("adaptive", "adaptive_pipelined"):
-            # both adaptive modes share the staged access pattern today:
-            # relevance tests need each follow's full binding set before
-            # its batch is scheduled (docs/ADAPTIVE.md)
+        elif opts.execution == "adaptive":
+            # staged access pattern: relevance tests need each follow's
+            # full binding set before its batch is scheduled
             executor = AdaptiveExecutor(
                 self.scheme,
                 provider,

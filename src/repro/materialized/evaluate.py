@@ -80,14 +80,11 @@ class _CheckingProvider:
         self.store = store
         self.max_age = max_age
 
-    def entry_tuple(self, page_scheme: str) -> Optional[dict]:
-        url = self.store.scheme.entry_point(page_scheme).url
-        return self.store.url_check(page_scheme, url, max_age=self.max_age)
-
     def entry_tuples(self, page_schemes: Sequence[str]) -> dict[str, dict]:
         result = {}
         for page_scheme in page_schemes:
-            plain = self.entry_tuple(page_scheme)
+            url = self.store.scheme.entry_point(page_scheme).url
+            plain = self.store.url_check(page_scheme, url, max_age=self.max_age)
             if plain is not None:
                 result[page_scheme] = plain
         return result
@@ -117,17 +114,12 @@ class _TrustingProvider:
     def __init__(self, store: MaterializedStore):
         self.store = store
 
-    def entry_tuple(self, page_scheme: str) -> Optional[dict]:
-        url = self.store.scheme.entry_point(page_scheme).url
-        page = self.store.stored(url)
-        return page.plain if page is not None else None
-
     def entry_tuples(self, page_schemes: Sequence[str]) -> dict[str, dict]:
         result = {}
         for page_scheme in page_schemes:
-            plain = self.entry_tuple(page_scheme)
-            if plain is not None:
-                result[page_scheme] = plain
+            page = self.store.stored(self.store.scheme.entry_point(page_scheme).url)
+            if page is not None:
+                result[page_scheme] = page.plain
         return result
 
     def target_tuples(

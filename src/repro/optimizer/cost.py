@@ -313,12 +313,9 @@ class CostModel:
         )
         k = workers
         staged = sum(math.ceil(pages / k) * t for pages, t in stages)
-        # the columnar engine changes CPU, not network: staged access
-        # pattern for "columnar", pipelined overlap for its pipelined
-        # twin.  Adaptive execution prunes pages but never adds any, so
-        # the static estimate is an upper bound with the same access
-        # pattern as the mode it wraps.
-        if mode in ("staged", "columnar", "adaptive"):
+        # adaptive execution prunes pages but never adds any, so the
+        # static estimate is an upper bound with the staged access pattern
+        if mode in ("staged", "adaptive"):
             return staged
         total_work = sum(pages * t for pages, t in stages)
         return min(staged, max(total_work / k, critical))
@@ -388,10 +385,11 @@ class CostModel:
     def estimate(self, expr: Expr, memo: PlanMemo) -> _Estimate:
         """Cardinality, C(E) and own bytes of ``expr`` — one walk, each
         node estimated once per ``memo`` and model."""
-        found = memo.estimates.get((self, expr))
+        key = (self, id(expr))
+        found = memo.estimates.get(key)
         if found is None:
-            found = memo.estimates[self, expr] = self._estimate(expr, memo)
-        return found
+            found = memo.estimates[key] = (expr, self._estimate(expr, memo))
+        return found[1]
 
     def _estimate(self, expr: Expr, memo: PlanMemo) -> _Estimate:
         if isinstance(expr, EntryPointScan):

@@ -27,12 +27,11 @@ class PlanMemo:
 
     def __init__(self, scheme: WebScheme):
         self.scheme = scheme
-        #: node → output schema, or the error it raises.  This table and
-        #: ``estimates`` find a node by ``==``: what they hold is a function
-        #: of structure, which atom order does not change
+        #: node → output schema, or the error it raises (by identity)
         self.schemas = Schemas(scheme)
-        #: (cost model, node) → ``cost._Estimate``: a cache-aware model
-        #: prices the same node differently
+        #: (cost model, ``id(node)``) → (node, ``cost._Estimate``): a
+        #: cache-aware model prices the same node differently, and a σ
+        #: multiplies its selectivities in its own atom order
         self.estimates: dict = {}
         #: (function, ``id(node)``, other arguments) → (node, result), for
         #: :func:`per_call` functions

@@ -77,18 +77,13 @@ class QueryOptions:
         :class:`~repro.web.client.RetryPolicy` for transient faults
         (None: the client's policy).
     ``execution``
-        one of :data:`~repro.engine.pipeline.EXECUTION_MODES` —
-        ``"staged"``, ``"pipelined"``, ``"columnar"`` (compiled batch
-        kernels, staged access pattern), ``"columnar_pipelined"``, or
-        ``"adaptive"`` / ``"adaptive_pipelined"`` (runtime relevance
-        pruning + mid-query rule-8/9 switching, docs/ADAPTIVE.md:
-        identical answers, never more pages) — validated at
-        construction, so an unknown mode can never travel (this subsumes
-        the old free-standing
+        one of :data:`~repro.engine.pipeline.EXECUTION_MODES` — validated
+        at construction, so an unknown mode can never travel (this
+        subsumes the old free-standing
         :func:`~repro.engine.pipeline.coerce_execution` call sites).
     ``pipeline``
         :class:`~repro.engine.pipeline.PipelineConfig` tuning chunking and
-        backpressure for the pipelined modes.
+        backpressure for the pipelined mode.
     ``tracer``
         A :class:`~repro.obs.trace.RecordingTracer` (or the null tracer);
         purely observational.

@@ -185,8 +185,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--exec", dest="exec_modes", default="all",
         help=f"comma-separated execution modes or 'all' "
-        f"({', '.join(EXEC_MODES)}); pipelined and columnar cells must "
-        f"match staged ones on every page count and digest",
+        f"({', '.join(EXEC_MODES)}); pipelined cells must match staged "
+        f"ones on every page count and digest",
     )
     parser.add_argument(
         "--max-plans", type=int, default=None, metavar="N",

@@ -32,9 +32,9 @@ client, the query runs on a clone with those pages injected, and the
 does, plus the sharing-attribution arithmetic
 (``own pages + revalidations + pages_shared == reference pages``).
 
-PR 8 added ``adaptive`` / ``adaptive_pipelined`` cells: the runtime
-executor may prune provably irrelevant fetches and switch pointer-join ↔
-pointer-chase mid-query (:mod:`repro.engine.adaptive`), so those cells
+PR 8 added ``adaptive`` cells: the runtime executor may prune provably
+irrelevant fetches and switch pointer-join ↔ pointer-chase mid-query
+(:mod:`repro.engine.adaptive`), so those cells
 keep the digest-equality law verbatim but relax every cost equality to a
 one-sided bound against the static reference (never *more* pages, bytes,
 attempts, or URLs — ``pages_adaptive ≤ pages_staged`` in every cell).
@@ -129,15 +129,13 @@ CACHE_MODES = (
 #: All fault-schedule dimensions, in canonical order.
 FAULT_MODES = ("none", "transient", "exhausted")
 
-#: All execution-mode dimensions, in canonical order.  ``pipelined``
-#: cells must be indistinguishable from ``staged`` ones in every checked
-#: invariant — pages, URL sets, digests — which is exactly the
-#: non-speculation guarantee of :mod:`repro.engine.pipeline`; the
-#: compiled ``columnar`` and ``columnar_pipelined`` cells are held to the
-#: same bit-for-bit laws, making the matrix the digest-level oracle for
-#: the batch engine (:mod:`repro.engine.compile`).
-#: ``adaptive`` / ``adaptive_pipelined`` cells run the runtime-pruning,
-#: strategy-switching executor (:mod:`repro.engine.adaptive`): digests
+#: All execution-mode dimensions, in canonical order: the
+#: :data:`~repro.engine.pipeline.EXECUTION_MODES` plus ``server``.
+#: ``pipelined`` cells must be indistinguishable from ``staged`` ones in
+#: every checked invariant — pages, URL sets, digests — which is exactly
+#: the non-speculation guarantee of :mod:`repro.engine.pipeline`.
+#: ``adaptive`` cells run the runtime-pruning, strategy-switching
+#: executor (:mod:`repro.engine.adaptive`): digests
 #: stay bit-for-bit equal to the baseline, but the cost laws become
 #: one-sided — pages, bytes, attempts, and the downloaded URL set are
 #: bounded *above* by (resp. subsets of) the static reference's, which
@@ -537,9 +535,7 @@ class DifferentialOracle:
                     "exhausted fault schedule"
                 )
         elif expected_failure:
-            if cell.exec_mode in ("adaptive", "adaptive_pipelined") and (
-                delta.page_downloads == 0
-            ):
+            if cell.exec_mode == "adaptive" and delta.page_downloads == 0:
                 # an adaptive cell may legitimately survive an exhausted
                 # schedule by pruning the very fetch that would have
                 # aborted — but only if it touched the network zero times
@@ -736,14 +732,14 @@ class DifferentialOracle:
         parsed during the measured run).
 
         Static modes are held to *equalities* against the serial uncached
-        reference.  The ``adaptive`` / ``adaptive_pipelined`` modes may
-        prune provably irrelevant fetches (docs/ADAPTIVE.md), so their
-        laws relax to one-sided bounds: never more pages, bytes, or URLs
-        than the reference — and the relation digest (checked by the
-        caller) must still be bit-for-bit the baseline's."""
+        reference.  The ``adaptive`` mode may prune provably irrelevant
+        fetches (docs/ADAPTIVE.md), so its laws relax to one-sided bounds:
+        never more pages, bytes, or URLs than the reference — and the
+        relation digest (checked by the caller) must still be bit-for-bit
+        the baseline's."""
         problems: list[str] = []
         ref = reference.cost
-        adaptive = cell.exec_mode in ("adaptive", "adaptive_pipelined")
+        adaptive = cell.exec_mode == "adaptive"
 
         def check(condition: bool, message: str) -> None:
             if not condition:

@@ -41,8 +41,8 @@ class CellRecord:
     fault_mode: str
     workers: int
     ok: bool
-    #: execution strategy the cell ran under (staged | pipelined |
-    #: columnar | columnar_pipelined | server)
+    #: execution strategy the cell ran under (one of
+    #: :data:`repro.qa.oracle.EXEC_MODES`)
     exec_mode: str = "staged"
     #: cell was expected to abort with RetriesExhaustedError, and did
     expected_failure: bool = False

@@ -227,9 +227,9 @@ class SiteEnv:
         """Execute one plan against the live site.
 
         ``options`` (a :class:`~repro.options.QueryOptions`) bundles the
-        fetch pool, retry policy, cache spec, execution mode
-        (``"staged"`` / ``"pipelined"`` / ``"columnar"`` /
-        ``"columnar_pipelined"``), pipeline tuning, and tracer;
+        fetch pool, retry policy, cache spec, execution mode (one of
+        :data:`~repro.engine.pipeline.EXECUTION_MODES`), pipeline tuning,
+        and tracer;
         see that class for field semantics.  Defaults preserve the
         client's behaviour (serial fetching under the 1998 network model,
         default retries).  The cache spec is resolved against the

@@ -12,7 +12,8 @@ the executor's fan-out accounting fails loudly.
 
 import pytest
 
-from repro.algebra.ast import Join
+from repro.algebra.ast import EntryPointScan, Join, Project, Select
+from repro.algebra.predicates import In, Predicate
 from repro.algebra.visitors import walk
 from repro.engine.adaptive import PRUNES_TOTAL, SWITCHES_TOTAL
 from repro.errors import OptimizerError, SchemeError
@@ -21,7 +22,7 @@ from repro.obs.trace import RecordingTracer
 from repro.optimizer.cost import StrategyCrossover, crossover_winner
 from repro.options import QueryOptions
 from repro.qa import relation_digest
-from repro.sites import fuzzed
+from repro.sites import fuzzed, university
 
 #: The Beta/Gamma pair query on fuzz seed 42 (3 Alpha, 4 Beta, 7 Gamma;
 #: the Beta/Gamma pair is optional, so Gamma orphans are legal).
@@ -347,3 +348,82 @@ class TestGrow:
         before = env.site.expected_pair("Beta", "Gamma")
         env.site.grow("Gamma", 4)
         assert env.site.expected_pair("Beta", "Gamma") == before
+
+
+class TestRule9Realign:
+    """After a rule-9 switch the chase's batch has the chase's schema,
+    while the operators above the join were compiled against the join's.
+    A σ and a π above the join that read target attributes pin the
+    realignment by column name."""
+
+    def plan(self, env, keep):
+        _, candidate = plain_candidate(env.plan(SQL))
+        join = candidate.expr.child
+        assert isinstance(join, Join)
+        return Project(
+            Select(join, Predicate([In("GammaPage.Info1", keep)])),
+            (("BetaName", "BetaPage.BetaName"), ("Info1", "GammaPage.Info1")),
+        )
+
+    def test_select_and_project_above_switched_join(self):
+        everything = run(scenario_a_env(), "staged").relation
+        keep = tuple(sorted({row["Info1"] for row in everything})[:1])
+        plan = self.plan(scenario_a_env(), keep)
+        staged = scenario_a_env().execute(
+            plan, options=QueryOptions(execution="staged")
+        )
+        adaptive = scenario_a_env().execute(
+            plan, options=QueryOptions(execution="adaptive")
+        )
+        (switch,) = adaptive.adaptive.switches
+        assert switch.rule == "PointerChase"
+        assert 0 < len(staged.relation) < len(everything)
+        assert {row["Info1"] for row in staged.relation} == set(keep)
+        assert adaptive.relation.rows == staged.relation.rows
+        assert adaptive.pages < staged.pages
+
+
+class TestConstraintPruning:
+    """The relevance tests at a follow, which no QA-suite plan triggers:
+    a selection on a documented target attribute and a join-key semijoin
+    through a renaming projection.  Pinned to what the row interpreter
+    decided on the paper's university: three department links, two
+    pruned, four pages down to two, same answer."""
+
+    @staticmethod
+    def depts():
+        return EntryPointScan("DeptListPage").unnest("DeptListPage.DeptList")
+
+    def plans(self):
+        cs = "Computer Science"
+        yield "selection", self.depts().follow(
+            "DeptListPage.DeptList.ToDept"
+        ).select_eq("DeptPage.DName", cs)
+        renamed = Project(
+            self.depts().select_eq("DeptListPage.DeptList.DName", cs),
+            (("CSName", "DeptListPage.DeptList.DName"),),
+        )
+        yield "join-key", renamed.join(
+            self.depts().follow("DeptListPage.DeptList.ToDept"),
+            [("CSName", "DeptListPage.DeptList.DName")],
+        )
+
+    def test_prunes_pinned(self):
+        for kind, plan in self.plans():
+            staged = university().execute(
+                plan, options=QueryOptions(execution="staged")
+            )
+            adaptive = university().execute(
+                plan, options=QueryOptions(execution="adaptive")
+            )
+            (prune,) = adaptive.adaptive.prunes
+            assert (prune.kind, prune.link_attr) == (
+                kind, "DeptListPage.DeptList.ToDept"
+            )
+            assert (prune.urls_before, prune.urls_after) == (3, 1)
+            assert sorted(adaptive.adaptive.pruned_urls) == [
+                "http://univ.example/dept/mathematics.html",
+                "http://univ.example/dept/physics.html",
+            ]
+            assert (staged.pages, adaptive.pages) == (4, 2)
+            assert adaptive.relation.rows == staged.relation.rows

@@ -5,7 +5,7 @@ verbatim, but every cost law relaxes to a one-sided bound against the
 static reference: an adaptive cell may never fetch *more* pages, bytes,
 attempts, or URLs than its staged sibling (``pages_adaptive ≤
 pages_staged``, per cell).  These tests run the matrix with the adaptive
-exec modes enabled and additionally re-assert the one-sided law directly
+exec mode enabled and additionally re-assert the one-sided law directly
 from the report's cell records, so the bound is checked here even if the
 oracle's internal `_check_costs` ever regressed to a no-op.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.qa import Cell, DifferentialOracle, MatrixSpec
+from repro.qa import CACHE_MODES, Cell, DifferentialOracle, MatrixSpec
 from repro.qa.cli import build_oracle
 from repro.sites import fuzzed
 
@@ -79,20 +79,30 @@ class TestSeedSiteMatrix:
         )
         assert_one_sided(report)
 
-    def test_adaptive_pipelined_cells_conform(self):
-        """The pipelined variant rides the same laws on a smaller grid."""
+    def test_adaptive_cells_conform_beside_pipelined(self):
+        """On a pooled grid, every adaptive cell answers its pipelined
+        sibling's digest from no more pages (stale cells perturb a
+        per-cell page set, so siblings are compared on the other caches)."""
         spec = MatrixSpec(
+            cache_modes=CACHE_MODES[:-1],
             fault_modes=("none",),
             worker_counts=(3,),
-            exec_modes=("staged", "adaptive_pipelined"),
+            exec_modes=("pipelined", "adaptive"),
             max_plans=4,
         )
         report = build_oracle("movies", seed=5, spec=spec).run()
         assert report.ok, "\n".join(report.violations[:10])
-        assert any(
-            record.exec_mode == "adaptive_pipelined"
+        pipelined = {
+            record.cell_id[: -len("/pipelined")]: record
             for record in report.cells
-        )
+            if record.exec_mode == "pipelined"
+        }
+        adaptive = [r for r in report.cells if r.exec_mode == "adaptive"]
+        assert adaptive
+        for record in adaptive:
+            sibling = pipelined[record.cell_id[: -len("/adaptive")]]
+            assert record.relation_digest == sibling.relation_digest
+            assert record.pages <= sibling.pages
 
 
 class TestFuzzedMatrix:
@@ -125,11 +135,10 @@ class TestCellIds:
         assert cell.cell_id == "q_pair/p3/off/none/w1/adaptive"
         assert Cell.parse(cell.cell_id) == cell
 
-    def test_adaptive_pipelined_cell_id_round_trips(self):
-        cell_id = "q/p0/cross/transient/w4/adaptive_pipelined"
-        cell = Cell.parse(cell_id)
-        assert cell.exec_mode == "adaptive_pipelined"
-        assert cell.cell_id == cell_id
+    def test_adaptive_pipelined_cell_id_rejected(self):
+        """Adaptive runs staged; the pipelined variant is no mode."""
+        with pytest.raises(ValueError, match="unknown exec mode"):
+            Cell.parse("q/p0/cross/transient/w4/adaptive_pipelined")
 
     def test_unknown_exec_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -1,27 +1,31 @@
-"""The compiled columnar engine: batch kernels, plan compilation, and the
-bit-for-bit equivalence of ``columnar`` / ``columnar_pipelined`` execution
-with the interpreted reference modes.
+"""The one executor core: batch kernels, plan compilation, and the core
+held bit-for-bit to the row-at-a-time reference (tests/engine_reference.py).
 
 Three layers of evidence, coarsest last:
 
 * kernel unit tests pin each whole-column operator against hand-computed
   outputs (including the null-key, dangling-link, and empty-list edges
-  the interpreted operators define the semantics for);
+  the row operators define the semantics for);
 * compilation tests pin the preorder ``node_id`` numbering every
-  executor and the EXPLAIN ANALYZE renderer now share, plus the
-  per-scheme plan cache;
-* differential tests replay the QA idioms — seed sites, fuzzed sites,
-  a hypothesis sweep over workers × chunking × cache — asserting the
-  compiled modes reproduce staged digests, page counts, and cache
-  counters exactly, and pin the new 6-part QA cell ids.
+  executor and the EXPLAIN ANALYZE renderer share, and that a plan is
+  compiled per execution, never cached;
+* differential tests run the core and the reference over the seed sites
+  and fuzzed sites, across cache modes, faults, worker counts and
+  chunking, asserting the same digest, row order, pages, cache counters,
+  span ``node_id``\\ s and per-operator page sums — and pin the 6-part QA
+  cell ids of the remaining modes.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adm.webtypes import TEXT, ListType
+from repro.engine import remote
 from repro.engine.columnar import (
     ColumnBatch,
     distinct_links,
@@ -31,19 +35,24 @@ from repro.engine.columnar import (
     product_batches,
     unnest_batch,
 )
-from repro.engine.compile import ColumnarExecutor, compile_plan
+from repro.engine.compile import compile_plan
 from repro.engine.local import LocalExecutor
 from repro.engine.pipeline import PipelineConfig
 from repro.engine.remote import _SessionProvider
 from repro.engine.session import QuerySession
 from repro.nested.schema import Field, RelationSchema
 from repro.obs.trace import RecordingTracer, spans_by_node
+from repro.options import QueryOptions
 from repro.qa import Cell, DifferentialOracle, MatrixSpec, relation_digest
 from repro.qa.cli import build_oracle, build_site
 from repro.sites import fuzzed, university
-from repro.web.client import FetchConfig
+from repro.web.cache import CachePolicy, PageCache
+from repro.web.client import FetchConfig, RetryPolicy
+from repro.web.server import FaultPolicy
+from tests.engine_reference import ReferenceExecutor
 
-COMPILED_MODES = ("columnar", "columnar_pipelined")
+#: the columnar core under each schedule: test id → execution mode
+CORE_RUNS = {"columnar": "staged", "columnar_pipelined": "pipelined"}
 
 CHASE_SQL = (
     "SELECT Professor.PName, email FROM Course, CourseInstructor, "
@@ -56,6 +65,14 @@ CHASE_SQL = (
 
 def schema(*names: str) -> RelationSchema:
     return RelationSchema([Field(name, TEXT) for name in names])
+
+
+@contextmanager
+def reference_core():
+    """Route ``RemoteExecutor``'s staged path through the row reference:
+    same session, cache, faults, meter and tracer as the core gets."""
+    with mock.patch.object(remote, "LocalExecutor", ReferenceExecutor):
+        yield
 
 
 # --------------------------------------------------------------------- #
@@ -224,14 +241,18 @@ class TestCompilation:
         for report, node in zip(reports, nodes):
             assert report.node is node.expr
 
-    def test_compiled_plans_are_cached_per_scheme(self):
+    def test_each_execution_compiles_its_own_plan(self):
+        """No plan cache: compiling twice gives two plans, and nothing is
+        kept on the scheme."""
         env = university()
         plan = env.plan(CHASE_SQL).best.expr
-        assert compile_plan(plan, env.scheme) is compile_plan(
-            plan, env.scheme
-        )
+        first = compile_plan(plan, env.scheme)
+        assert compile_plan(plan, env.scheme) is not first
+        assert not any("compiled" in name for name in vars(env.scheme))
 
     def test_executor_matches_interpreter_on_every_plan(self):
+        """Every candidate: the core's answer is the reference's, row for
+        row and in the same order."""
         env = university()
         for cand in env.enumerate_plans(CHASE_SQL):
             def run(cls):
@@ -239,22 +260,25 @@ class TestCompilation:
                 provider = _SessionProvider(env.scheme, session)
                 return cls(env.scheme, provider).evaluate(cand.expr)
 
-            assert relation_digest(run(ColumnarExecutor)) == relation_digest(
-                run(LocalExecutor)
-            )
+            core, reference = run(LocalExecutor), run(ReferenceExecutor)
+            assert core.schema == reference.schema
+            assert core.rows == reference.rows
 
 
 # --------------------------------------------------------------------- #
-# operator spans: stable preorder identity (both executors)
+# operator spans: stable preorder identity
 # --------------------------------------------------------------------- #
 
 
 class TestSpanIdentity:
-    @pytest.mark.parametrize("execution", ["staged", "columnar"])
+    @pytest.mark.parametrize("execution", ["staged", "adaptive"])
     def test_span_node_ids_are_preorder(self, execution):
         env = university()
         tracer = RecordingTracer()
-        result = env.query(CHASE_SQL, execution=execution, tracer=tracer)
+        result = env.query(
+            CHASE_SQL,
+            options=QueryOptions(execution=execution, tracer=tracer),
+        )
         spans = spans_by_node(tracer)
         count = len(tracer.spans(kind="operator"))
         assert count > 0
@@ -265,15 +289,17 @@ class TestSpanIdentity:
         assert root.attrs["pages"] == result.pages
 
     def test_both_executors_stamp_identical_ids(self):
-        env_a, env_b = university(), university()
-        t_staged, t_columnar = RecordingTracer(), RecordingTracer()
-        env_a.query(CHASE_SQL, execution="staged", tracer=t_staged)
-        env_b.query(CHASE_SQL, execution="columnar", tracer=t_columnar)
-        staged = spans_by_node(t_staged)
-        columnar = spans_by_node(t_columnar)
-        assert sorted(staged) == sorted(columnar)
-        for node_id, span in staged.items():
-            twin = columnar[node_id]
+        t_reference, t_core = RecordingTracer(), RecordingTracer()
+        with reference_core():
+            university().query(
+                CHASE_SQL, options=QueryOptions(tracer=t_reference)
+            )
+        university().query(CHASE_SQL, options=QueryOptions(tracer=t_core))
+        reference = spans_by_node(t_reference)
+        core = spans_by_node(t_core)
+        assert sorted(reference) == sorted(core)
+        for node_id, span in reference.items():
+            twin = core[node_id]
             assert twin.name == span.name
             assert twin.attrs["op"] == span.attrs["op"]
             assert twin.attrs["pages"] == span.attrs["pages"]
@@ -281,7 +307,7 @@ class TestSpanIdentity:
 
 
 # --------------------------------------------------------------------- #
-# differential equivalence with the interpreted modes
+# differential equivalence with the row reference
 # --------------------------------------------------------------------- #
 
 
@@ -298,33 +324,128 @@ def assert_same_work(reference, other):
     )
 
 
+def operator_costs(tracer) -> dict:
+    """Per plan node: what its span measured, own pages included."""
+    out = {}
+    for node_id, span in spans_by_node(tracer).items():
+        own = span.attrs["pages"] - sum(
+            c.attrs["pages"] for c in span.children if c.kind == "operator"
+        )
+        out[node_id] = (
+            span.name,
+            span.attrs["op"],
+            span.attrs["tuples_out"],
+            span.attrs["pages"],
+            span.attrs["light_connections"],
+            span.attrs["cache_hits"],
+            span.attrs["revalidations"],
+            own,
+        )
+    return out
+
+
+def run_twice(make_env, plan_index, sql, cache_mode, faults, workers):
+    """The same plan on two identical environments, row reference first,
+    then the core: ``(reference, core)`` results and operator costs."""
+    runs = []
+    for context in (reference_core, nullcontext):
+        env = make_env()
+        plan = env.enumerate_plans(sql)[plan_index].expr
+        cache = PageCache(policy=CachePolicy.CROSS_QUERY)
+        tracer = RecordingTracer()
+        options = QueryOptions(
+            cache=cache if cache_mode == "cross_query_warm" else "off",
+            fetch=FetchConfig(max_workers=workers),
+            retry=RetryPolicy(max_attempts=8, backoff_seconds=0.01),
+            tracer=tracer,
+        )
+        with context():
+            if cache_mode == "cross_query_warm":
+                env.execute(plan, options=QueryOptions(cache=cache))
+            if faults:
+                env.site.server.fault_policy = FaultPolicy(
+                    failure_rate=0.25, seed=7
+                )
+            result = env.execute(plan, options=options)
+        runs.append((result, operator_costs(tracer)))
+    return runs
+
+
+def suite(site: str):
+    """A QA site and its query suite; ``paper`` is the paper's university
+    with Example 7.2, whose projection has duplicates to eliminate."""
+    if site == "paper":
+        return university(), {"ex72": CHASE_SQL}
+    return build_site(site)
+
+
+class TestCoreMatchesReference:
+    """The core against the row reference through the real staged path:
+    digest, row order, pages, cache counters, span ids and per-operator
+    page sums, over every candidate plan."""
+
+    @pytest.mark.parametrize(
+        "site",
+        ["university", "bibliography", "movies", "fuzz:17", "fuzz:42", "paper"],
+    )
+    @pytest.mark.parametrize(
+        "cache_mode,faults,workers",
+        [("off", False, 1), ("off", True, 3), ("cross_query_warm", True, 3)],
+    )
+    def test_every_plan(self, site, cache_mode, faults, workers):
+        env, queries = suite(site)
+        for sql in queries.values():
+            for index in range(len(env.enumerate_plans(sql))):
+                (reference, ref_ops), (core, core_ops) = run_twice(
+                    lambda: suite(site)[0],
+                    index, sql, cache_mode, faults, workers,
+                )
+                assert core.relation.rows == reference.relation.rows
+                assert_same_work(reference, core)
+                assert core.log.simulated_seconds == pytest.approx(
+                    reference.log.simulated_seconds
+                )
+                assert core_ops == ref_ops
+
+
 class TestCompiledModesMatchStaged:
     @pytest.mark.parametrize("site", ["university", "bibliography", "movies"])
-    @pytest.mark.parametrize("mode", COMPILED_MODES)
+    @pytest.mark.parametrize("mode", sorted(CORE_RUNS))
     def test_seed_site_suites(self, site, mode):
-        env, queries = build_site(site)
+        """Each suite query under each schedule of the core answers the
+        reference's digest from the reference's pages."""
         fetch = FetchConfig(max_workers=3)
+        reference_env, queries = build_site(site)
+        core_env, _ = build_site(site)
         for sql in queries.values():
-            staged = env.query(sql, fetch_config=fetch, cache="off")
-            compiled = env.query(
-                sql, fetch_config=fetch, cache="off", execution=mode
+            with reference_core():
+                reference = reference_env.query(
+                    sql, options=QueryOptions(fetch=fetch, cache="off")
+                )
+            core = core_env.query(
+                sql,
+                options=QueryOptions(
+                    fetch=fetch, cache="off", execution=CORE_RUNS[mode]
+                ),
             )
-            assert_same_work(staged, compiled)
+            assert_same_work(reference, core)
 
     def test_columnar_serial_is_bitforbit_staged(self):
         """At k=1 even simulated seconds must agree exactly (same fetch
         sequence, same serial accounting, no timeline)."""
-        staged = university().query(CHASE_SQL, execution="staged")
-        for mode in COMPILED_MODES:
-            compiled = university().query(CHASE_SQL, execution=mode)
-            assert_same_work(staged, compiled)
-            assert (
-                compiled.log.simulated_seconds
-                == staged.log.simulated_seconds
+        with reference_core():
+            reference = university().query(CHASE_SQL)
+        for execution in CORE_RUNS.values():
+            core = university().query(
+                CHASE_SQL, options=QueryOptions(execution=execution)
             )
+            assert_same_work(reference, core)
+            assert core.relation.rows == reference.relation.rows
             assert (
-                compiled.log.bytes_downloaded == staged.log.bytes_downloaded
+                core.log.simulated_seconds
+                == reference.log.simulated_seconds
             )
+            assert core.log.bytes_downloaded == reference.log.bytes_downloaded
 
     @settings(
         max_examples=12,
@@ -336,27 +457,32 @@ class TestCompiledModesMatchStaged:
         query_index=st.integers(min_value=0, max_value=10),
         workers=st.sampled_from([1, 2, 5]),
         chunk=st.sampled_from([1, 4, 16]),
-        mode=st.sampled_from(COMPILED_MODES),
+        execution=st.sampled_from(sorted(CORE_RUNS.values())),
         cache=st.sampled_from(["off", "per_query"]),
     )
     def test_fuzzed_sites_agree(
-        self, seed, query_index, workers, chunk, mode, cache
+        self, seed, query_index, workers, chunk, execution, cache
     ):
-        """Machine-generated shapes: compiled execution answers every
-        suite query from the same pages with the same cache counters."""
-        staged_env, compiled_env, queries = _FUZZ[seed]
+        """Machine-generated shapes: the core answers every suite query
+        from the reference's pages with the reference's cache counters."""
+        reference_env, core_env, queries = _FUZZ[seed]
         _, sql = queries[query_index % len(queries)]
         fetch = FetchConfig(max_workers=workers)
-        staged = staged_env.query(sql, fetch_config=fetch, cache=cache)
-        compiled = compiled_env.query(
+        with reference_core():
+            reference = reference_env.query(
+                sql, options=QueryOptions(fetch=fetch, cache=cache)
+            )
+        core = core_env.query(
             sql,
-            fetch_config=fetch,
-            cache=cache,
-            execution=mode,
-            pipeline=PipelineConfig(chunk_size=chunk),
+            options=QueryOptions(
+                fetch=fetch,
+                cache=cache,
+                execution=execution,
+                pipeline=PipelineConfig(chunk_size=chunk),
+            ),
         )
-        assert compiled.fingerprint() == staged.fingerprint()
-        assert_same_work(staged, compiled)
+        assert core.fingerprint() == reference.fingerprint()
+        assert_same_work(reference, core)
 
 
 #: Environment pairs shared across hypothesis examples (page counts and
@@ -368,27 +494,24 @@ _FUZZ = {
 
 
 # --------------------------------------------------------------------- #
-# the QA matrix's new exec cells
+# the QA matrix's exec cells
 # --------------------------------------------------------------------- #
 
 
 class TestQaCells:
     def test_columnar_cell_ids_roundtrip(self):
-        cell = Cell("q", 2, "per_query", "none", 4, exec_mode="columnar")
-        assert cell.cell_id == "q/p2/per_query/none/w4/columnar"
-        assert Cell.parse(cell.cell_id) == cell
-        cell = Cell(
-            "q", 1, "cross_query_warm", "transient", 4,
-            exec_mode="columnar_pipelined",
-        )
-        assert (
-            cell.cell_id
-            == "q/p1/cross_query_warm/transient/w4/columnar_pipelined"
-        )
-        assert Cell.parse(cell.cell_id) == cell
+        """6-part ids round-trip for every non-staged mode; the compiled
+        modes' ids no longer parse, the core being every mode's."""
+        for mode in ("pipelined", "adaptive", "server"):
+            cell = Cell("q", 2, "per_query", "none", 4, exec_mode=mode)
+            assert cell.cell_id == f"q/p2/per_query/none/w4/{mode}"
+            assert Cell.parse(cell.cell_id) == cell
+        for mode in ("columnar", "columnar_pipelined"):
+            with pytest.raises(ValueError, match="unknown exec mode"):
+                Cell.parse(f"q/p1/cross_query_warm/transient/w4/{mode}")
 
     def test_columnar_cells_match_their_staged_siblings(self):
-        """Every compiled cell must answer its staged sibling's digest
+        """Every pipelined cell must answer its staged sibling's digest
         from its staged sibling's page count — cache modes, faults, and
         pool sizes included (the cache × fault × worker sweep)."""
         oracle = build_oracle(
@@ -398,6 +521,7 @@ class TestQaCells:
                 cache_modes=("off", "cross_query_warm"),
                 fault_modes=("none", "transient"),
                 worker_counts=(4,),
+                exec_modes=("staged", "pipelined"),
                 max_plans=3,
             ),
         )
@@ -408,24 +532,22 @@ class TestQaCells:
             for record in report.cells
             if record.cell_id.count("/") == 4  # 5-part = staged
         }
-        for mode in COMPILED_MODES:
-            suffix = f"/{mode}"
-            compiled = [
-                record
-                for record in report.cells
-                if record.cell_id.endswith(suffix)
-            ]
-            assert compiled, f"matrix ran no {mode} cells"
-            for record in compiled:
-                sibling = staged[record.cell_id[: -len(suffix)]]
-                assert record.relation_digest == sibling.relation_digest
-                assert record.pages == sibling.pages
-                assert record.pages_saved == sibling.pages_saved
+        pipelined = [
+            record
+            for record in report.cells
+            if record.cell_id.endswith("/pipelined")
+        ]
+        assert pipelined, "matrix ran no pipelined cells"
+        for record in pipelined:
+            sibling = staged[record.cell_id[: -len("/pipelined")]]
+            assert record.relation_digest == sibling.relation_digest
+            assert record.pages == sibling.pages
+            assert record.pages_saved == sibling.pages_saved
 
     @pytest.mark.parametrize("seed", [17, 42])
     def test_fuzzed_single_cells_reproduce(self, seed):
-        """Running compiled cells by their pinned 6-part ids reproduces
-        the digests of the staged 5-part cells."""
+        """Running cells by their pinned 6-part ids reproduces the digests
+        of the staged 5-part cells."""
         env = fuzzed(seed)
         oracle = DifferentialOracle(
             env,
@@ -442,7 +564,7 @@ class TestQaCells:
         query_id = next(iter(env.site.queries()))
         staged = oracle.run_cell(f"{query_id}/p0/off/none/w3")
         assert staged.ok
-        for mode in COMPILED_MODES:
+        for mode in ("pipelined", "adaptive"):
             record = oracle.run_cell(f"{query_id}/p0/off/none/w3/{mode}")
             assert record.ok
             assert record.relation_digest == staged.relation_digest

@@ -287,28 +287,6 @@ class TestSessionBatch:
 
 
 class TestProviderShim:
-    def test_legacy_entry_tuple_provider_still_works(self, uni_env):
-        """Old-style providers without ``entry_tuples`` run through the
-        deprecation shim in the executor."""
-        from repro.algebra.ast import EntryPointScan
-        from repro.engine.local import LocalExecutor
-
-        site = uni_env.site
-
-        class LegacyProvider:
-            def entry_tuple(self, page_scheme):
-                url = site.scheme.entry_point(page_scheme).url
-                return uni_env.registry.wrap(
-                    page_scheme, url, site.server.resource(url).html
-                )
-
-            def target_tuples(self, page_scheme, urls):
-                return {}
-
-        executor = LocalExecutor(uni_env.scheme, LegacyProvider())
-        relation = executor.evaluate(EntryPointScan("ProfListPage"))
-        assert len(relation) == 1
-
     def test_remote_provider_exposes_batch_entry_points(self, uni_env):
         from repro.engine.remote import _SessionProvider
 
@@ -317,8 +295,6 @@ class TestProviderShim:
         provider = _SessionProvider(uni_env.scheme, session)
         tuples = provider.entry_tuples(["ProfListPage", "DeptListPage"])
         assert set(tuples) == {"ProfListPage", "DeptListPage"}
-        # the single-page shim agrees and costs nothing extra
-        assert provider.entry_tuple("ProfListPage") == tuples["ProfListPage"]
         assert client.log.page_downloads == 2
 
 

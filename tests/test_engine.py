@@ -165,11 +165,14 @@ class TestLocalExecutor:
         site = uni_env.site
 
         class OracleProvider:
-            def entry_tuple(self, page_scheme):
-                url = site.scheme.entry_point(page_scheme).url
-                return uni_env.registry.wrap(
-                    page_scheme, url, site.server.resource(url).html
-                )
+            def entry_tuples(self, page_schemes):
+                out = {}
+                for page_scheme in page_schemes:
+                    url = site.scheme.entry_point(page_scheme).url
+                    out[page_scheme] = uni_env.registry.wrap(
+                        page_scheme, url, site.server.resource(url).html
+                    )
+                return out
 
             def target_tuples(self, page_scheme, urls):
                 out = {}

@@ -1,11 +1,14 @@
 """Tests for the cost model (Section 6.2), validated against the paper's
 worked formulas and against measured page downloads."""
 
+import itertools
+
 import pytest
 
-from repro.algebra.ast import EntryPointScan, ExternalRelScan
-from repro.algebra.predicates import In, Predicate
-from repro.errors import OptimizerError
+from repro.algebra.ast import EntryPointScan, ExternalRelScan, Select
+from repro.algebra.predicates import Comparison, In, Predicate
+from repro.errors import AlgebraError, OptimizerError
+from repro.optimizer.memo import PlanMemo
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +147,43 @@ class TestCost:
         assert "EntryPoint ProfListPage" in text
         assert "Follow" in text
         assert "cost=21.00" in text
+
+
+class TestPlanMemoIdentity:
+    """A memo finds a node by identity: σ nodes with permuted atoms are
+    ``==`` (predicates compare as sets) yet multiply their selectivities
+    in their own order, so each must be answered as written."""
+
+    ATOMS = (
+        Comparison("ProfPage.DName", "Computer Science"),
+        Comparison("ProfPage.PName", "x"),
+        Comparison("ProfPage.email", "e"),
+    )
+
+    def test_permuted_selections_answered_as_written(self, cm):
+        written = {
+            perm: cm.estimate(
+                Select(prof_nav(), Predicate(perm)), PlanMemo(cm.scheme)
+            )
+            for perm in itertools.permutations(self.ATOMS)
+        }
+        first, second = next(
+            (a, b)
+            for a, b in itertools.combinations(written, 2)
+            if written[a].cardinality != written[b].cardinality
+        )
+        assert Select(prof_nav(), Predicate(first)) == Select(
+            prof_nav(), Predicate(second)
+        )
+        memo = PlanMemo(cm.scheme)
+        for perm in (first, second):
+            node = Select(prof_nav(), Predicate(perm))
+            assert cm.estimate(node, memo) == written[perm]
+
+    def test_permuted_ill_typed_selections_fail_as_written(self, cm):
+        """The schema table too: each σ reports its own first bad atom."""
+        memo = PlanMemo(cm.scheme)
+        atoms = (Comparison("nope1", "a"), Comparison("nope2", "b"))
+        for perm in (atoms, atoms[::-1]):
+            with pytest.raises(AlgebraError, match=perm[0].attr):
+                memo.schemas.of(Select(prof_nav(), Predicate(perm)))

@@ -352,18 +352,17 @@ class TestModeValidation:
     def test_modes_are_canonicalized(self):
         assert coerce_execution(" Staged ") == "staged"
         assert coerce_execution("PIPELINED") == "pipelined"
-        assert coerce_execution(" Columnar ") == "columnar"
-        assert coerce_execution("COLUMNAR_PIPELINED") == "columnar_pipelined"
         assert coerce_execution(" Adaptive ") == "adaptive"
-        assert coerce_execution("ADAPTIVE_PIPELINED") == "adaptive_pipelined"
-        assert tuple(EXECUTION_MODES) == (
-            "staged",
-            "pipelined",
-            "columnar",
-            "columnar_pipelined",
-            "adaptive",
-            "adaptive_pipelined",
-        )
+        assert tuple(EXECUTION_MODES) == ("staged", "pipelined", "adaptive")
+
+    @pytest.mark.parametrize(
+        "removed", ["columnar", "columnar_pipelined", "adaptive_pipelined"]
+    )
+    def test_removed_modes_raise(self, removed):
+        """The modes that only re-ran the one core are gone, with no
+        alias: asking for one is an unknown mode."""
+        with pytest.raises(ExecutionModeError):
+            coerce_execution(removed)
 
     @pytest.mark.parametrize("bad", ["", "eager", "pipeline", None, 3])
     def test_unknown_modes_raise(self, bad):
