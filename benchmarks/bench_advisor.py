@@ -35,7 +35,6 @@ import pytest
 
 from repro.materialized import (
     MaterializedEngine,
-    MaterializedStore,
     ShardedMaterializedStore,
     WorkloadQuery,
     advise,

@@ -30,7 +30,7 @@ non-interference guarantees the tracing layer already proves.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.trace import Span

@@ -18,21 +18,32 @@ attributes the query still needs — the paper's π_X side condition) are
 silently discarded during validation.
 
 Steps 2–4 read only the *join graph* below the query's root π/σ, so a
-planner runs them once per graph and re-attaches each query's σ/π.
+planner runs them once per graph and re-attaches each query's σ/π; step 5
+reads the σ too, and runs once per σ over a graph.
+
+The shape law: C(E) reads only distinct counts (``1/c`` per equality with
+a constant, ``k/c`` per IN list of ``k`` values), never a constant's value,
+so a query's ranked candidate list belongs to its *shape* — the query with
+each distinct constant replaced by a placeholder.  ``plan_query`` plans
+the shape, once per planner, and binds the query's constants into the
+result; only the final tie-break, on rendered text, reads the constants,
+and binding redoes it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional, Sequence
 
 from repro.adm.scheme import WebScheme
 from repro.algebra.ast import Expr, ExternalRelScan, Project, Select, _intern
 from repro.algebra.computable import is_computable
+from repro.algebra.predicates import Predicate
 from repro.algebra.printer import render_expr
 from repro.algebra.visitors import replace_at, walk
 from repro.errors import (
@@ -51,8 +62,10 @@ from repro.optimizer.rules import (
     PointerChase,
     PointerJoin,
     ProjectionSubstitution,
+    bind_constants,
     eliminate_unused_navigation,
     push_selections,
+    push_selections_below,
     rename_attrs,
     substitute_attrs,
 )
@@ -66,11 +79,11 @@ __all__ = ["PlanCandidate", "PlannerResult", "Planner", "PlannerOptions"]
 #: Cap on rule-1 expansion combinations (navigation choices multiply).
 MAX_EXPANSIONS = 256
 
-#: Results a planner keeps, and join-graph enumerations; the oldest go first.
+#: Entries each table of a planner keeps; the oldest go first.
 MAX_MEMO = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanCandidate:
     """One costed execution plan.
 
@@ -98,7 +111,7 @@ class PlannerResult:
     saving the optimizer expects from the warm cache."""
 
     best: PlanCandidate
-    candidates: list  # all valid candidates, sorted by cost
+    candidates: Sequence[PlanCandidate]  # all valid candidates, cheapest first
     generated: int    # plans generated before validation
     cache_estimate: Optional[CacheEstimate] = None
     uncached_cost: Optional[float] = None
@@ -184,9 +197,15 @@ class Planner:
         self.scheme = view.scheme
         self.cost_model = cost_model
         self.options = options or PlannerOptions()
-        self._cache: dict = {}
+        #: (query, estimate) → its ``PlannerResult``, constants bound
+        self._results: dict = {}
+        #: (query shape, estimate) → ``_Shaped``, the shape's own result
+        self._shapes: dict = {}
         #: ``id(join graph)`` → (graph, its enumeration as ``_Expansion``s)
         self._enumerations: dict = {}
+        #: ``id(σ over a join graph)`` → (σ, its entries after rule 6, the
+        #: attributes the σ's atoms read); see ``_pushed``
+        self._pushes: dict = {}
         self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -209,32 +228,51 @@ class Planner:
         ``trace=True`` records candidate lineage in a
         :class:`~repro.obs.rewrite.RewriteTrace` (attached to the result as
         ``rewrite_trace``) so :meth:`PlannerResult.why` can answer which
-        rules produced the chosen plan.  Traced runs bypass both memos (the
-        trace is per-run state); the plan chosen is identical either way.
+        rules produced the chosen plan.  Traced runs plan the query itself
+        and bypass every table (the trace is per-run state); the plan
+        chosen is identical either way.
 
-        Results are memoized per planner instance and estimate, and each
-        join graph's enumeration (rules 1, 4 and 8/9) per planner instance:
-        a planner is bound to one statistics snapshot, which rule 4 reads;
-        rebuilding it — as ``SiteEnv.refresh_statistics`` does — drops both.
+        Untraced, the planner plans the query's *shape* — the query with
+        each distinct constant replaced by a placeholder — and binds the
+        constants into the shape's result: C(E) reads no constant's value.
+        Results are memoized per query and per shape (each with its
+        estimate), each join graph's enumeration (rules 1, 4 and 8/9) and
+        each σ's pushes (rule 6), per planner instance: a planner is bound
+        to one statistics snapshot, which rule 4 reads; rebuilding it — as
+        ``SiteEnv.refresh_statistics`` does — drops them all.
         """
         if trace:
-            rewrite_trace = RewriteTrace(cost_fn=self.cost_model.cost)
-            return self.plan_expr(
-                translate(query, self.view),
-                cache_estimate=cache_estimate,
-                trace=rewrite_trace,
+            memo = PlanMemo(self.scheme)
+            pricing = [memo]  # steps are priced through the call's memo,
+            rewrite_trace = RewriteTrace(
+                cost_fn=lambda expr: self.cost_model.estimate(expr, *pricing).cost
             )
-        key = (str(query), cache_estimate)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = self.plan_expr(
-                translate(query, self.view), cache_estimate=cache_estimate
-            )
-            with self._cache_lock:
-                if len(self._cache) >= MAX_MEMO:
-                    del self._cache[next(iter(self._cache))]  # the oldest
-                self._cache[key] = cached
-        return cached
+            try:
+                expr = translate(query, self.view)
+                return self._plan(expr, cache_estimate, rewrite_trace, memo).result
+            finally:
+                pricing.clear()  # which dies with the call, not with the trace
+        key = (query, cache_estimate)
+        result = self._results.get(key)
+        if result is None:
+            shape, binding = _shape_of(query)
+            shaped = self._shapes.get((shape, cache_estimate))
+            if shaped is None:
+                expr = translate(shape, self.view)
+                shaped = self._plan(expr, cache_estimate, None, PlanMemo(self.scheme))
+            # a hit is remembered again, as the newest: the results table
+            # then holds no shape this table has let go
+            self._remember(self._shapes, (shape, cache_estimate), shaped)
+            result = shaped.bind(binding, self.scheme)
+            self._remember(self._results, key, result)
+        return result
+
+    def _remember(self, table: dict, key, value) -> None:
+        with self._cache_lock:
+            table.pop(key, None)
+            if len(table) >= MAX_MEMO:
+                del table[next(iter(table))]  # the oldest
+            table[key] = value
 
     def enumerate_plans(
         self,
@@ -262,9 +300,18 @@ class Planner:
         trace: Optional[RewriteTrace] = None,
     ) -> PlannerResult:
         """Plan a relational-algebra expression over external relations."""
+        return self._plan(expr, cache_estimate, trace, PlanMemo(self.scheme)).result
+
+    def _plan(
+        self,
+        expr: Expr,
+        cache_estimate: Optional[CacheEstimate],
+        trace: Optional[RewriteTrace],
+        memo: PlanMemo,
+    ) -> "_Shaped":
+        """:meth:`plan_expr`, with what binding its result needs (see
+        ``_Shaped``).  Everything derived per node lives in ``memo``."""
         opts = self.options
-        # everything derived per node below lives here and dies on return
-        memo = PlanMemo(self.scheme)
         # the root chain of π/σ (``translate`` emits one) over the join graph
         chain, graph = [], expr
         while isinstance(graph, (Project, Select)):
@@ -312,15 +359,19 @@ class Planner:
             join_rules.append(PointerChase())
         # steps 2-4 read the join graph only: untraced, they run once per
         # graph and each query re-attaches its σ/π to the table's entries
+        # (step 5 reads the σ too: where it can, it runs once per σ)
+        pushed = None
         if trace is None:
             found = self._enumerations.get(id(graph))
             if found is None:
                 found = (graph, enumerate_graph(_Expansion))
-                with self._cache_lock:
-                    if len(self._enumerations) >= MAX_MEMO:
-                        del self._enumerations[next(iter(self._enumerations))]
-                    self._enumerations[id(graph)] = found
-            plans = _dedup([attach(p.child, p.mapping) for p in found[1]])
+                self._remember(self._enumerations, id(graph), found)
+            if opts.push_selections:
+                pushed = self._pushed(chain, found[1], memo)
+            if pushed is not None:
+                plans = pushed
+            else:
+                plans = _dedup([attach(p.child, p.mapping) for p in found[1]])
         else:
             plans = enumerate_graph(attach)
         if len(plans) > rewriter.MAX_PLANS:
@@ -329,7 +380,7 @@ class Planner:
                 "the query is too irregular for exhaustive enumeration"
             )
         # step 5: rule 6 — push selections
-        if opts.push_selections:
+        if opts.push_selections and pushed is None:
             plans = improve(plans, push_selections, "push selections (rule 6)")
         # step 6: rule 7 — substitute projections
         if opts.substitute_projections:
@@ -368,19 +419,32 @@ class Planner:
         cold = self.cost_model
 
         def rank(c: PlanCandidate) -> tuple:
-            text = memo.key(c.expr, compact=True)
             if cache_estimate is None:
-                return (c.cost, c.bytes_cost, text)
+                return (c.cost, c.bytes_cost)
             # priced ties (a full cache prices every access alike) keep their
             # cold order: the cheapest plan if the cache turns out stale
             pages = cold.estimate(c.expr, memo).cost
-            return (c.cost, pages, c.bytes_cost, cold.total_bytes(c.expr, memo), text)
+            return (c.cost, pages, c.bytes_cost, cold.total_bytes(c.expr, memo))
 
-        candidates.sort(key=rank)
+        # rank, then break each run of ties on the compact rendering; both
+        # sorts are stable, so plans that render alike keep their order
+        keys = {id(c): rank(c) for c in candidates}
+        candidates.sort(key=lambda c: keys[id(c)])
+        ranked, ties = [], []
+        for _, run in itertools.groupby(candidates, key=lambda c: keys[id(c)]):
+            run = tuple(run)
+            if len(run) > 1:
+                ties.append((len(ranked), run))
+                run = sorted(run, key=lambda c: memo.key(c.expr, compact=True))
+            ranked.extend(run)
+        candidates = ranked
+        first = ()
+        if ties and ties[0][0] == 0:
+            first = tuple(memo.key(c.expr, compact=True) for c in ties[0][1])
         uncached_cost = None
         if cache_estimate is not None:
             uncached_cost = cold.estimate(candidates[0].expr, memo).cost
-        return PlannerResult(
+        result = PlannerResult(
             best=candidates[0],
             candidates=candidates,
             generated=len(final),
@@ -388,6 +452,52 @@ class Planner:
             uncached_cost=uncached_cost,
             rewrite_trace=trace,
         )
+        return _Shaped(result, tuple(ties), first)
+
+    def _pushed(
+        self, chain: list, entries: list, memo: PlanMemo
+    ) -> Optional[list[Expr]]:
+        """Step 5 over a join graph's enumeration ``entries`` from the
+        rule-6 table, or None where the table does not apply.
+
+        Rule 6 reads a plan's σ, not its root π: pushing selections in
+        ``π(e)`` is ``π`` over ``e`` pushed, under one σ per atom ``e``
+        does not provide, as long as ``π`` renames no atom's attribute.
+        So the table keeps, per σ over the graph (``id`` of the root π's
+        child, which it pins), each entry pushed under the σ, and a query
+        puts its own π on top."""
+        kinds = tuple(map(type, chain))
+        if kinds not in ((Project,), (Project, Select)):
+            return None  # not the π(σ(graph)) ``translate`` emits
+        if len(entries) > rewriter.MAX_PLANS:
+            return None  # the cap counts the query's own plans
+        root, sigma = chain[0], chain[1:]
+        found = self._pushes.get(id(root.child))
+        if found is None:
+            rows, attrs = [], set()
+            for entry in entries:
+                renames = dict(entry.mapping)
+                core = entry.child
+                for node in sigma:
+                    core = rename_attrs(node, (core,), renames)
+                try:
+                    core, atoms, placed = push_selections_below(core, memo)
+                except (AlgebraError, SchemaError, PredicateError):
+                    continue  # as ``_try_map`` drops it
+                rows.append((core, atoms[placed:], entry.mapping))
+                attrs.update(attr for atom in atoms for attr in atom.attrs())
+            found = (root.child, rows, frozenset(attrs))
+            self._remember(self._pushes, id(root.child), found)
+        _, rows, attrs = found
+        if any(out in attrs for out, _ in root.outputs):
+            return None
+        plans = []
+        for core, unplaced, mapping in rows:
+            plan = rename_attrs(root, (core,), dict(mapping))
+            for atom in unplaced:
+                plan = Select(plan, Predicate([atom]))
+            plans.append(plan)
+        return _dedup(plans)
 
     # ------------------------------------------------------------------ #
     # rule 1: expansion
@@ -552,3 +662,126 @@ class _Expansion(Expr):
 
     def __new__(cls, child: Expr, mapping: tuple):
         return _intern(cls, (cls, id(child), mapping), (child, mapping))
+
+
+class _Shaped(NamedTuple):
+    """A planning call's result with what binding it needs: ``ties``, each
+    run of candidates the ranking ordered by rendered text alone, as
+    ``(position, the run in pre-text order)``, and ``first``, the texts of
+    a run at position 0.  The text holds the constants, so a binding
+    re-sorts these runs and only these."""
+
+    result: PlannerResult
+    ties: tuple
+    first: tuple
+
+    def bind(self, binding: dict, scheme: WebScheme) -> PlannerResult:
+        """The result of the query whose shape this is, under ``binding``
+        (placeholder → constant): ``best`` bound now, the other candidates
+        when first read."""
+        if not binding:
+            return self.result
+        best = self.result.best
+        if self.first:
+            texts = [_bound_text(text, binding) for text in self.first]
+            best = self.ties[0][1][texts.index(min(texts))]
+        best = _bind(best, binding, {})
+        return replace(
+            self.result, best=best, candidates=_Bound(self, binding, scheme, best)
+        )
+
+
+class _Bound(Sequence):
+    """A shape's candidates with the query's constants bound, cheapest
+    first.  Bound on first read — ``len`` reads none — after which the
+    shape is let go."""
+
+    __slots__ = ("_size", "_source", "_bound")
+
+    def __init__(
+        self,
+        shaped: _Shaped,
+        binding: dict,
+        scheme: WebScheme,
+        best: PlanCandidate,
+    ):
+        self._size = len(shaped.result.candidates)
+        self._source: Optional[tuple] = (shaped, binding, scheme, best)
+        self._bound: Optional[list] = None
+
+    def _list(self) -> list:
+        found = self._bound
+        if found is None:
+            source = self._source
+            if source is None:  # another thread bound them meanwhile
+                return self._bound
+            (result, ties, _), binding, scheme, best = source
+            memo = PlanMemo(scheme)
+
+            def text(candidate: PlanCandidate) -> str:
+                return _bound_text(memo.key(candidate.expr, compact=True), binding)
+
+            order = list(result.candidates)
+            for start, run in ties:
+                order[start : start + len(run)] = sorted(run, key=text)
+            nodes: dict = {}
+            found = [_bind(c, binding, nodes) for c in order]
+            found = [best if c.expr is best.expr else c for c in found]
+            self._bound, self._source = found, None
+        return found
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        return self._list()[index]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Bound)):
+            return self._list() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+#: a placeholder, and one as a shape plan's rendering quotes it
+_HOLE = "\x00{}"
+_QUOTED_HOLE = re.compile(r"'(\x00\d+)'")
+
+
+def _shape_of(query: ConjunctiveQuery) -> tuple[ConjunctiveQuery, dict]:
+    """``query`` with each distinct constant replaced by a placeholder —
+    numbered in order of first use, one per (type, value), IN lists at
+    their arity — and the binding placeholder → constant."""
+    holes: dict = {}
+
+    def hole(value) -> str:
+        found = holes.get((type(value), value))
+        if found is None:
+            found = holes[type(value), value] = _HOLE.format(len(holes))
+        return found
+
+    constants = tuple((ref, hole(value)) for ref, value in query.constants)
+    memberships = tuple(
+        (ref, tuple(map(hole, values))) for ref, values in query.memberships
+    )
+    if not holes:
+        return query, {}
+    shape = ConjunctiveQuery(
+        query.head, query.occurrences, query.equalities, constants, memberships
+    )
+    return shape, {place: value for (_, value), place in holes.items()}
+
+
+def _bind(candidate: PlanCandidate, binding: dict, nodes: dict) -> PlanCandidate:
+    return replace(candidate, expr=bind_constants(candidate.expr, binding, nodes))
+
+
+def _bound_text(text: str, binding: dict) -> str:
+    """A shape plan's rendering made the bound plan's: constants are the
+    only quoted text in a rendering."""
+    return _QUOTED_HOLE.sub(lambda hole: f"'{binding[hole[1]]}'", text)

@@ -56,9 +56,11 @@ __all__ = [
     "PointerChase",
     "ProjectionSubstitution",
     "push_selections",
+    "push_selections_below",
     "eliminate_unused_navigation",
     "substitute_attrs",
     "rename_attrs",
+    "bind_constants",
 ]
 
 
@@ -102,6 +104,30 @@ def rename_attrs(node: Expr, kids: tuple, mapping: dict[str, str]) -> Expr:
     return node.with_children(kids)
 
 
+def bind_constants(expr: Expr, binding: dict, bound: dict) -> Expr:
+    """``expr`` with every selection constant ``c`` in ``binding``
+    replaced by ``binding[c]`` — the counterpart of
+    :func:`substitute_attrs` for values.  ``bound`` (``id(node)`` → (node,
+    result), which pins the id) holds the nodes already bound, so plans
+    sharing subtrees bind each once."""
+    found = bound.get(id(expr))
+    if found is None:
+        kids = tuple(bind_constants(kid, binding, bound) for kid in expr.children())
+        if isinstance(expr, Select):
+            atoms = []
+            for atom in expr.predicate.atoms:
+                if isinstance(atom, Comparison):
+                    atom = Comparison(atom.attr, binding.get(atom.value, atom.value))
+                elif isinstance(atom, In):
+                    atom = In(atom.attr, tuple(binding.get(v, v) for v in atom.values))
+                atoms.append(atom)
+            found = expr, Select(kids[0], Predicate(atoms))
+        else:
+            found = expr, expr.with_children(kids)
+        bound[id(expr)] = found
+    return found[1]
+
+
 def _source_attr_for(
     scheme: WebScheme,
     link_field: Field,
@@ -128,8 +154,6 @@ def _source_attr_for(
 
 class RewriteRule:
     """Base for enumerative rewrite rules."""
-
-    name = "rule"
 
     def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
         """Equivalent replacements for ``node`` (empty when no match)."""
@@ -159,8 +183,6 @@ class MergeRepeatedNavigation(RewriteRule):
     attribute's level); without statistics it assumes it, which is sound
     for the key-like attributes (names, URLs) view expansion produces.
     """
-
-    name = "rule4-merge-repeated-navigation"
 
     def __init__(self, stats=None):
         self.stats = stats
@@ -228,6 +250,13 @@ class _LinkJoinMatch(NamedTuple):
     other_link: Field
     rest: list
     flipped: bool
+
+
+@per_call
+def _link_join_matches(node: Expr, memo: PlanMemo) -> list[_LinkJoinMatch]:
+    """:func:`_match_link_join` once per planning call: rules 8 and 9 both
+    read it."""
+    return _match_link_join(node, memo.schemas)
 
 
 def _match_link_join(node: Expr, schemas: Schemas) -> list[_LinkJoinMatch]:
@@ -304,11 +333,9 @@ class PointerJoin(RewriteRule):
     are downloaded.
     """
 
-    name = "rule8-pointer-join"
-
     def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         results = []
-        for match in _match_link_join(node, memo.schemas):
+        for match in _link_join_matches(node, memo):
             pairs = match.rest + [(match.nav.link_attr, match.other_link.name)]
             sides = (match.nav.child, match.other)
             if match.flipped:  # each input stays on the side it came from
@@ -332,11 +359,9 @@ class PointerChase(RewriteRule):
     condition that X must not mention R1.
     """
 
-    name = "rule9-pointer-chase"
-
     def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         results = []
-        for match in _match_link_join(node, memo.schemas):
+        for match in _link_join_matches(node, memo):
             if match.rest:
                 continue  # residual pairs may reference the dropped side
             nav_link_field = memo.schemas.of(match.nav.child).field(
@@ -386,8 +411,6 @@ class JoinPushdown(RewriteRule):
     FollowLink for rules 8/9 is sound.
     """
 
-    name = "join-pushdown"
-
     def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Join):
             return []
@@ -425,10 +448,25 @@ def push_selections(
     downloaded.
     """
     memo = memo or PlanMemo(scheme)
-    result, atoms = _strip_selections(expr, memo)
-    for atom in atoms:
+    result, atoms, placed = push_selections_below(expr, memo)
+    for atom in atoms[placed:]:
         result = _insert_atom(result, atom, memo)
     return result
+
+
+def push_selections_below(expr: Expr, memo: PlanMemo) -> tuple[Expr, tuple, int]:
+    """Rule 6 in ``expr``, the input of a projection ``π`` that is left out:
+    ``(pushed, atoms, placed)`` where ``atoms`` are ``expr``'s selection
+    atoms, the first ``placed`` of them pushed into ``pushed`` — up to the
+    first one ``expr`` does not provide.  :func:`push_selections` of
+    ``π(expr)`` is then ``π(pushed)`` under one σ per remaining atom, in
+    order, as long as ``π`` renames no attribute of ``atoms``."""
+    result, atoms = _strip_selections(expr, memo)
+    for placed, atom in enumerate(atoms):
+        if not _provides(memo.schemas.get(result), atom):
+            return result, atoms, placed
+        result = _insert_atom(result, atom, memo)
+    return result, atoms, len(atoms)
 
 
 @per_call
@@ -510,8 +548,6 @@ class ProjectionSubstitution(RewriteRule):
     skip downloading target pages entirely (e.g. reading department names
     from the department *list* page's anchors).
     """
-
-    name = "rule7-projection-substitution"
 
     def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Project):

@@ -74,10 +74,15 @@ class ConjunctiveQuery:
         )
         froms = ", ".join(str(o) for o in self.occurrences)
         conds = [f"{a} = {b}" for a, b in self.equalities]
-        conds += [f"{ref} = '{v}'" for ref, v in self.constants]
+        conds += [f"{ref} = {_quote(v)}" for ref, v in self.constants]
         conds += [
-            f"{ref} IN ({', '.join(repr(v) for v in vs)})"
-            for ref, vs in self.memberships
+            f"{ref} IN ({', '.join(map(_quote, vs))})" for ref, vs in self.memberships
         ]
         where = f" WHERE {' AND '.join(conds)}" if conds else ""
         return f"SELECT {cols} FROM {froms}{where}"
+
+
+def _quote(value: str) -> str:
+    """``value`` as an SQL string literal: quoted, embedded quotes doubled,
+    so that ``parse_query(str(query))`` reads ``query`` back."""
+    return "'" + str(value).replace("'", "''") + "'"

@@ -457,10 +457,12 @@ def _join_graph(env, sql: str) -> str:
 
 def test_four_threads_plan_what_one_thread_plans():
     """4 threads × 50 distinct queries on one ``SiteEnv`` (shared planner
-    and its two tables, shared intern table, call-local memos) at a 10 µs
+    and its four tables, shared intern table, call-local memos) at a 10 µs
     switch interval.  The queries come grouped by join graph, so the four
     lanes start together on one graph and race on each of its misses: the
-    enumeration table ends with one entry per graph."""
+    enumeration table ends with one entry per graph, and the tables of
+    query shapes, rule-6 pushes and results with the serial run's
+    entries."""
     env = university(UniversityConfig())
     groups: dict[str, list] = {}
     for sql in adhoc_queries(env)[::2][:200]:
@@ -487,6 +489,11 @@ def test_four_threads_plan_what_one_thread_plans():
     for lane in range(4):
         assert results[lane] == serial[lane::4]
     assert len(env.planner._enumerations) == len(groups)
+    for table in ("_shapes", "_pushes", "_results"):
+        ours, serial = getattr(env.planner, table), getattr(serial_env.planner, table)
+        assert len(ours) == len(serial), table
+    assert len(env.planner._results) == len(queries)
+    assert len(env.planner._shapes) < len(queries)
 
 
 def test_racing_constructors_agree_on_one_object():

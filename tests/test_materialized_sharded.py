@@ -13,7 +13,7 @@ from repro.materialized import (
 from repro.materialized.maintenance import consistency_report
 from repro.sitegen.mutations import SiteMutator, perturb_server
 from repro.sitegen.university import UniversityConfig
-from repro.sites import fuzzed, university
+from repro.sites import university
 from repro.views.sql import parse_query
 from repro.web import WebClient
 from repro.web.cache import PageCache, ShardedPageCache, shard_of
