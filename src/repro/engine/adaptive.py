@@ -64,6 +64,7 @@ from repro.algebra.predicates import Comparison, In
 from repro.engine.columnar import ColumnBatch, distinct_links
 from repro.engine.compile import (
     CompiledNode,
+    CompiledPlan,
     apply_join,
     apply_select,
     compile_plan,
@@ -252,14 +253,13 @@ class AdaptiveExecutor(LocalExecutor):
     # entry point
     # ------------------------------------------------------------------ #
 
-    def evaluate(self, expr: Expr) -> Relation:
-        plan = compile_plan(expr, self.scheme)
+    def run(self, plan: CompiledPlan) -> Relation:
         self.schemas = plan.schemas
         self._constraints = []
         self._link_joins = {}
         cost_fn = self.cost_model.cost if self.cost_model else None
         self.report = AdaptiveReport(cost_fn=cost_fn)
-        self._chase_sites = self._find_chase_sites(expr)
+        self._chase_sites = self._find_chase_sites(plan.root.expr)
         return self._eval(plan.root).to_relation()
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,11 @@ known.  :func:`compile_plan` resolves it once per execution:
 * page-tuple extraction paths (``provenance.path.leaf`` per field)
   become a ``build_row`` closure mapping one plain wrapped tuple to a
   value tuple in schema order — the columnar
-  :func:`~repro.engine.local.qualify_row`.
+  :func:`~repro.engine.local.qualify_row`;
+* the **read set**: page-scheme → the attribute paths some operator
+  reads (σ atoms, π inputs, ⋈ pairs, each → link, each unnested list),
+  found through field provenance, so the wrapper extracts only those.
+  A field nobody reads comes out of ``build_row`` as ``None``.
 
 :class:`~repro.engine.local.LocalExecutor` (staged and adaptive) and
 :class:`~repro.engine.pipeline.PipelinedExecutor` evaluate the compiled
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
+from repro.adm.page_scheme import URL_ATTR
 from repro.adm.scheme import WebScheme
 from repro.algebra.ast import (
     EntryPointScan,
@@ -133,6 +139,11 @@ class CompiledNode:
             yield from child.walk()
 
 
+#: page-scheme → the attribute paths a plan reads (a
+#: :class:`~repro.wrapper.ReadSet`'s paths)
+PlanReads = dict[str, frozenset[tuple[str, ...]]]
+
+
 @dataclass
 class CompiledPlan:
     """A compiled plan: the root node, the preorder node count, and the
@@ -141,6 +152,12 @@ class CompiledPlan:
     root: CompiledNode
     node_count: int
     schemas: Schemas
+
+    @cached_property
+    def reads(self) -> Optional[PlanReads]:
+        """The plan's read set, found on first use (None when it has no
+        root π: the answer is every column)."""
+        return _plan_reads(self.root)
 
 
 def compile_plan(expr: Expr, scheme: WebScheme) -> CompiledPlan:
@@ -155,6 +172,52 @@ def compile_plan(expr: Expr, scheme: WebScheme) -> CompiledPlan:
     ids = itertools.count()
     root = _compile(expr, schemas, ids)
     return CompiledPlan(root, next(ids), schemas)
+
+
+def _plan_reads(root: CompiledNode) -> Optional[PlanReads]:
+    """Every page-scheme the plan wraps → the paths its operators read.
+    A π reads its inputs (below the root too: it dedups on them); a list
+    read whole reads every field of it."""
+    if root.kind != "project":
+        return None
+    reads: dict[str, set[tuple[str, ...]]] = {}
+
+    def read(field: Field, whole: bool = True) -> None:
+        assert field.provenance is not None, "page schemas carry provenance"
+        steps = field.provenance.path.steps
+        if steps != (URL_ATTR,):
+            reads.setdefault(field.provenance.base_scheme, set()).add(steps)
+        if whole and field.elem is not None:
+            for sub in field.elem:
+                read(sub)
+
+    for node in root.walk():
+        expr = node.expr
+        wrapped = node.target_page_scheme or node.page_scheme
+        if wrapped is not None:
+            reads.setdefault(wrapped, set())
+        if not node.children:
+            continue
+        schema = node.children[0].schema
+        if isinstance(expr, Select):
+            names: tuple[str, ...] = expr.predicate.attrs()
+        elif isinstance(expr, Project):
+            names = expr.in_names()
+        elif isinstance(expr, FollowLink):
+            names = (expr.link_attr,)
+        elif isinstance(expr, Unnest):
+            # its length counts even when none of its fields is read
+            read(schema.field(expr.attr), whole=False)
+            continue
+        else:
+            assert isinstance(expr, Join)
+            for left, right in expr.on:
+                read(schema.field(left))
+                read(node.children[1].schema.field(right))
+            continue
+        for name in names:
+            read(schema.field(name))
+    return {scheme: frozenset(paths) for scheme, paths in reads.items()}
 
 
 # --------------------------------------------------------------------- #

@@ -30,6 +30,7 @@ from repro.algebra.ast import Expr
 from repro.engine.columnar import ColumnBatch, distinct_links
 from repro.engine.compile import (
     CompiledNode,
+    CompiledPlan,
     apply_follow,
     apply_join,
     apply_project,
@@ -123,7 +124,10 @@ class LocalExecutor:
 
     def evaluate(self, expr: Expr) -> Relation:
         """Evaluate ``expr``; raises NotComputableError for bad plans."""
-        plan = compile_plan(expr, self.scheme)
+        return self.run(compile_plan(expr, self.scheme))
+
+    def run(self, plan: CompiledPlan) -> Relation:
+        """Evaluate an already compiled plan."""
         return self._eval(plan.root).to_relation()
 
     # ------------------------------------------------------------------ #

@@ -62,6 +62,7 @@ from repro.clock import BatchSchedule, Timeline
 from repro.engine.columnar import ColumnBatch, distinct_links
 from repro.engine.compile import (
     CompiledNode,
+    CompiledPlan,
     apply_follow,
     apply_join,
     apply_project,
@@ -287,7 +288,10 @@ class PipelinedExecutor:
 
     def evaluate(self, expr: Expr) -> Relation:
         """Evaluate ``expr``; raises NotComputableError for bad plans."""
-        plan = compile_plan(expr, self.scheme)
+        return self.run(compile_plan(expr, self.scheme))
+
+    def run(self, plan: CompiledPlan) -> Relation:
+        """Evaluate an already compiled plan."""
         batches: list[ColumnBatch] = []
         try:
             for chunk in self._chunks(plan.root):

@@ -24,6 +24,7 @@ from repro.adm.scheme import WebScheme
 from repro.algebra.ast import Expr
 from repro.algebra.printer import render_expr
 from repro.engine.adaptive import AdaptiveExecutor, AdaptiveReport
+from repro.engine.compile import compile_plan
 from repro.engine.local import LocalExecutor
 from repro.engine.pipeline import (
     DEFAULT_PIPELINE_CONFIG,
@@ -317,7 +318,12 @@ class RemoteExecutor:
             with tracer.span(
                 "execute", kind="query", plan=render_expr(expr)
             ) as span:
-                relation = executor.evaluate(expr)
+                plan = compile_plan(expr, self.scheme)
+                if opts.execution != "adaptive":
+                    # adaptive pruning and rule-9 switching read
+                    # link-constraint attributes outside the plan
+                    session.read_only(plan)
+                relation = executor.run(plan)
         except Exception as err:
             delta = log.delta(before)
             if journal.enabled and request_id is not None:

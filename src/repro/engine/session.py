@@ -20,19 +20,25 @@ the session guarantees one download per page per query, the page cache
 turns repeat downloads across queries into free hits or light-connection
 revalidations — and, because a cache entry owns the tuples wrapped from its
 bytes, into pages that need no parsing either.
+
+A session given the plan's read set (:meth:`QuerySession.read_only`) wraps a
+page that nobody retains — a live server object — with only the attributes
+the plan reads.  A snapshot's tuples are shared with later queries and
+subscribers, which may read other attributes, so they are always full.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.clock import BatchSchedule
+from repro.engine.compile import CompiledPlan
 from repro.errors import ResourceNotFound
 from repro.web.cache import PageCache
 from repro.web.client import FetchConfig, RetryPolicy, WebClient
 from repro.web.resources import WebResource
-from repro.wrapper.wrapper import WrapperRegistry
+from repro.wrapper.wrapper import ReadSet, WrapperRegistry
 
 __all__ = ["QuerySession"]
 
@@ -53,8 +59,26 @@ class QuerySession:
         self.fetch_config = fetch_config
         self.retry_policy = retry_policy
         self.cache = cache  # None → the client's attached cache
+        self._plan: Optional[CompiledPlan] = None  # see read_only
+        self._views: dict[str, ReadSet] = {}
         self._resources: dict[str, Optional[WebResource]] = {}
         self._tuples: dict[tuple, Optional[dict]] = {}
+
+    def read_only(self, plan: CompiledPlan) -> None:
+        """Wrap live pages with only the paths ``plan`` reads, from the next
+        wrap on (the read set is found then: a query served from cached
+        snapshots never needs it)."""
+        self._plan = plan
+
+    def _target(self, page_scheme: str) -> Union[str, ReadSet]:
+        """What a live page of ``page_scheme`` is wrapped as."""
+        view = self._views.get(page_scheme)
+        if view is None:
+            reads = self._plan.reads if self._plan is not None else None
+            if reads is None or page_scheme not in reads:
+                return page_scheme
+            view = self._views[page_scheme] = ReadSet(page_scheme, reads[page_scheme])
+        return view
 
     def seed_resources(
         self, pages: dict[str, Optional[WebResource]]
@@ -156,19 +180,22 @@ class QuerySession:
         the session's one wrap site.  A client-side snapshot (cache entry,
         navigator hand-off) carries the tuples wrapped from its bytes so
         far: take the tuple from there, or leave it there for the next
-        query.  Shared, therefore read-only.  A wrap that raises records
+        query.  Shared, therefore read-only, and full.  A live server
+        object carries no tuples: nothing is retained, and with a read set
+        only what the plan reads is wrapped.  A wrap that raises records
         nothing."""
         key = (page_scheme, url)
         if key in self._tuples:
             return self._tuples[key]
         resource = self._resources.get(url)
         plain = None
-        if resource is not None:
-            # a live server object carries no tuples: nothing is retained
-            known = resource.tuples if resource.tuples is not None else {}
-            plain = known.get(page_scheme)
+        if resource is not None and resource.tuples is None:
+            target = self._target(page_scheme)
+            plain = self.registry.wrap(target, url, resource.html)
+        elif resource is not None:
+            plain = resource.tuples.get(page_scheme)
             if plain is None:
-                plain = known[page_scheme] = self.registry.wrap(
+                plain = resource.tuples[page_scheme] = self.registry.wrap(
                     page_scheme, url, resource.html
                 )
         self._tuples[key] = plain
@@ -182,7 +209,9 @@ class QuerySession:
         page set a solo run of the same evaluation would have requested,
         which is what the multi-query server fans out per prefix.  Each
         page goes out as a snapshot carrying the tuples wrapped here, so
-        whoever it is seeded into does not parse it again."""
+        whoever it is seeded into does not parse it again — which is why
+        a session that wraps partially (:meth:`read_only`) hands out none."""
+        assert self._plan is None, "partial tuples are never handed out"
         pages: dict[str, Optional[WebResource]] = {}
         for (page_scheme, url), plain in self._tuples.items():
             resource = pages.get(url) or self._resources.get(url)

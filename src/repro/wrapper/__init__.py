@@ -11,8 +11,8 @@ EDITOR); here we build them:
   one pass over the events of its own linear scanner (no DOM is built; the
   DOM evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
 * :mod:`repro.wrapper.wrapper` — :class:`PageWrapper` applies a spec to a
-  page and yields the nested tuple; :class:`WrapperRegistry` holds one
-  wrapper per page-scheme;
+  page and yields the nested tuple, or the part a :class:`ReadSet` names;
+  :class:`WrapperRegistry` holds one wrapper per page-scheme;
 * :mod:`repro.wrapper.conventions` — derives a spec automatically from a
   :class:`~repro.adm.page_scheme.PageScheme` for sites emitted by
   :mod:`repro.sitegen` (hand-written specs remain possible for irregular
@@ -21,7 +21,7 @@ EDITOR); here we build them:
 
 from repro.wrapper.dom import Selector
 from repro.wrapper.spec import AtomRule, ListRule, ExtractionSpec
-from repro.wrapper.wrapper import PageWrapper, WrapperRegistry
+from repro.wrapper.wrapper import PageWrapper, ReadSet, WrapperRegistry
 from repro.wrapper.conventions import spec_for_page_scheme, registry_for_scheme
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "ListRule",
     "ExtractionSpec",
     "PageWrapper",
+    "ReadSet",
     "WrapperRegistry",
     "spec_for_page_scheme",
     "registry_for_scheme",

@@ -23,7 +23,10 @@ over the standard library's tokenizer that the tests compare both with:
   closes up to the nearest open element of its name and is ignored when
   there is none, end of input closes everything;
 * **errors** are decided at end of input: the first failing rule in rule
-  order, depth-first through list items.
+  order, depth-first through list items;
+* **early exit** — the scan stops once every document slot is decided and
+  no list scope, boundary or text capture is open: by first match, nothing
+  after that point can change the tuple.
 
 The compiled program is shared by every thread wrapping pages of the
 scheme; all run state lives in the per-call :class:`_Run`.
@@ -39,7 +42,7 @@ from repro.errors import ExtractionError
 from repro.wrapper.dom import Selector
 from repro.wrapper.spec import LIST_BOUNDARY, AtomRule, ExtractionSpec, ListRule
 
-__all__ = ["Program", "compile_spec", "extract", "scan", "attributes"]
+__all__ = ["Program", "Reads", "compile_spec", "extract", "scan", "attributes"]
 
 #: Elements that never have closing tags.
 VOID_ELEMENTS = frozenset(
@@ -59,6 +62,9 @@ _OPEN: Any = object()  # matched; its text is still being collected
 _ATTR, _TEXT, _OWN, _LIST, _ITEM = range(5)
 
 _Rule = Union[AtomRule, ListRule]
+#: A read set: the attribute paths a caller reads, every prefix of a path
+#: included (``("CourseList",)`` with ``("CourseList", "CName")``).
+Reads = frozenset[tuple[str, ...]]
 
 
 class _Watch(NamedTuple):
@@ -113,11 +119,19 @@ def _watch(
     return _Watch(on.tag, on.classes, on.attr_equals, kind, slot, source, opens, rule)
 
 
-def _compile_rules(rules: Sequence[_Rule]) -> _Scope:
-    watches = []
-    for slot, rule in enumerate(rules):
+def _compile_rules(
+    rules: Sequence[_Rule], reads: Optional[Reads], path: tuple = ()
+) -> _Scope:
+    """The rules ``reads`` names (all when None); a read list keeps its item
+    watch even when none of its fields is read: its length still counts."""
+    watches: list[_Watch] = []
+    for rule in rules:
+        here, slot = path + (rule.attr,), len(watches)
+        if reads is not None and here not in reads:
+            continue
         if isinstance(rule, ListRule):
-            item = _watch(rule.item, _ITEM, 0, rule, _compile_rules(rule.rules))
+            fields = _compile_rules(rule.rules, reads, here)
+            item = _watch(rule.item, _ITEM, 0, rule, fields)
             watches.append(_watch(rule.container, _LIST, slot, rule, _scope(item)))
         else:
             kind = {"text": _TEXT, "own-text": _OWN}.get(rule.source, _ATTR)
@@ -129,17 +143,18 @@ def _all_watches(scope: _Scope) -> list[_Watch]:
     return [x for w in scope.watches for x in (w, *_all_watches(w.opens))]
 
 
-def compile_spec(spec: ExtractionSpec) -> Program:
-    """Resolve ``spec`` once; the result is what :func:`extract` runs."""
-    scope = _compile_rules(spec.rules)
+def compile_spec(spec: ExtractionSpec, reads: Optional[Reads] = None) -> Program:
+    """Resolve ``spec`` once, restricted to the rules ``reads`` names (all
+    of them when None); the result is what :func:`extract` runs."""
+    scope = _compile_rules(spec.rules, reads)
     watches = _all_watches(scope)
     # Per selector, one string the attribute text of a matching start tag must
-    # contain: a class, else the [attr=value] value, else "" (a tag-only
-    # selector rules nothing out).  "&": a character reference can spell any.
+    # contain: the [attr=value] value, else a class, else "" (a tag-only
+    # selector rules nothing out).  The value, not the shared class, lets the
+    # elements of rules left out of ``reads`` fail it.  "&": a character
+    # reference can spell any.
     needles = {"&", _BOUNDARY_CLASS}
-    needles.update(
-        min(w.classes) if w.classes else (w.key or ("", ""))[1] for w in watches
-    )
+    needles.update(w.key[1] if w.key else min(w.classes, default="") for w in watches)
     candidate = re.compile("|".join(map(re.escape, sorted(needles))))
     own_text = any(w.kind == _OWN for w in watches)
     return Program(spec.page_scheme, scope, own_text, candidate.search)
@@ -247,6 +262,10 @@ def scan(
             pos = close.start()
 
 
+class _Done(Exception):
+    """Nothing left on the page can change the tuple: the scan stops."""
+
+
 class _Run:
     """The state of one :func:`extract` call; ``start`` / ``end`` / ``data``
     are :func:`scan`'s handlers.
@@ -257,11 +276,15 @@ class _Run:
     scope = its item watch).  ``_open`` is the stack of open elements: the
     bare tag name, or ``(tag, groups to restore, text captures, own-text
     parts)`` for the few elements that matched something or are a boundary.
+    The run raises :class:`_Done` once ``_undecided`` (the document's slots
+    missing or open) is 0 while ``_groups`` is the document's alone.
     """
 
     def __init__(self, program: Program) -> None:
-        self._slots: list[Any] = [_MISSING] * len(program.scope.watches)
-        self._groups: list[tuple[list[Any], _Scope]] = [(self._slots, program.scope)]
+        self.slots: list[Any] = [_MISSING] * len(program.scope.watches)
+        self._undecided = len(self.slots)
+        self._root: list[tuple[list[Any], _Scope]] = [(self.slots, program.scope)]
+        self._groups = self._root
         self._open: list[Any] = ["#root"]  # never popped: no tag is named so
         self._open_count: dict[str, int] = {}
         self._parts: list[str] = []  # every data event so far
@@ -308,32 +331,37 @@ class _Run:
                 elif kind == _LIST:
                     rows: list[Any] = []
                     slots[slot] = rows
-                    scopes.append((rows, inner))
+                    scopes.append((rows, inner))  # filled until it closes
                 elif kind == _ITEM:
                     row = [_MISSING] * len(inner[0])
                     slots.append(row)
                     scopes.append((row, inner))
+                    continue
                 elif not opens:
                     slots[slot] = ""
                 else:
-                    slots[slot] = _OPEN
+                    slots[slot] = _OPEN  # decided when the element closes
                     if kind == _TEXT:
                         captures.append((slots, slot, self._parts, len(self._parts)))
                     else:
                         if own is None:
                             own = []
                         captures.append((slots, slot, own, 0))
-        if not opens:
-            return tag
-        cls = values.get("class", "")
-        # substring first: few elements get as far as the split
-        boundary = _BOUNDARY_CLASS in cls and _BOUNDARY_CLASS in cls.split()
-        if not (boundary or scopes or captures):
-            return tag
-        entry = (tag, self._groups, captures, own)
-        # a boundary hides every open scope but those it opens itself
-        self._groups = scopes if boundary else self._groups + scopes
-        return entry
+                    continue
+                if slots is self.slots:
+                    self._undecided -= 1
+        if opens:
+            cls = values.get("class", "")
+            # substring first: few elements get as far as the split
+            boundary = _BOUNDARY_CLASS in cls and _BOUNDARY_CLASS in cls.split()
+            if boundary or scopes or captures:
+                entry = (tag, self._groups, captures, own)
+                # a boundary hides every open scope but those it opens itself
+                self._groups = scopes if boundary else self._groups + scopes
+                return entry
+        if not self._undecided and self._groups is self._root:
+            raise _Done
+        return tag
 
     def end(self, tag: str) -> None:
         count = self._open_count
@@ -355,17 +383,21 @@ class _Run:
             top[3].append(data)
 
     def _closed(self, entry: tuple[str, Any, Any, Any]) -> str:
+        """Decide its text captures; restore the scopes visible before it."""
         tag, self._groups, captures, _ = entry
         for slots, slot, parts, start in captures:
             slots[slot] = " ".join(" ".join(parts[start:]).split())
+            if slots is self.slots:
+                self._undecided -= 1
+        if not self._undecided and self._groups is self._root:
+            raise _Done
         return tag
 
-    def finish(self) -> list[Any]:
-        """End of input closes everything; returns the document's slots."""
+    def finish(self) -> None:
+        """End of input closes everything."""
         for entry in reversed(self._open):
             if entry.__class__ is not str:
                 self._closed(entry)
-        return self._slots
 
 
 def _row(scope: _Scope, slots: list[Any]) -> dict[str, Any]:
@@ -400,9 +432,13 @@ def _row(scope: _Scope, slots: list[Any]) -> dict[str, Any]:
 def extract(program: Program, html: str) -> dict[str, Any]:
     """The page's raw tuple (without the URL, which the caller knows)."""
     run = _Run(program)
-    scan(html, run.start, run.end, run.data)
-    slots = run.finish()
     try:
-        return _row(program.scope, slots)
+        if program.scope.watches:  # else nothing on the page is read
+            scan(html, run.start, run.end, run.data)
+            run.finish()
+    except _Done:
+        pass
+    try:
+        return _row(program.scope, run.slots)
     except ExtractionError as exc:
         raise ExtractionError(f"{program.page_scheme}: {exc}") from None

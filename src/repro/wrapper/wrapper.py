@@ -5,21 +5,25 @@ its page-scheme: extraction per the spec, link resolution (relative hrefs
 are resolved against the page URL), and a structural check that the result
 matches the page-scheme's web types.  :class:`WrapperRegistry` keeps one
 wrapper per page-scheme and is what the executors carry around.
+
+A :class:`ReadSet` in place of the page-scheme name wraps only the paths it
+names (a list field's path reads its list too): the tuple is the full one
+restricted to them, and the wrap raises only for them.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 from urllib.parse import urljoin
 
 from repro.adm.page_scheme import PageScheme, URL_ATTR
 from repro.adm.webtypes import LinkType, ListType, WebType
 from repro.errors import WrapperError
-from repro.wrapper.extractor import compile_spec, extract
+from repro.wrapper.extractor import Program, Reads, compile_spec, extract
 from repro.wrapper.spec import ExtractionSpec
 
-__all__ = ["PageWrapper", "WrapperRegistry"]
+__all__ = ["PageWrapper", "ReadSet", "WrapperRegistry"]
 
 #: Links ``urljoin`` returns as they are, whatever the base: a lower-case
 #: scheme, ``//``, an authority, then only characters it never rewrites — no
@@ -37,6 +41,15 @@ def resolve(base_url: str, link: str) -> str:
     return link if _ABSOLUTE.fullmatch(link) else urljoin(base_url, link)
 
 
+class ReadSet(NamedTuple):
+    """Passed to :meth:`WrapperRegistry.wrap` for a page-scheme's name:
+    ``paths`` are the attribute paths to wrap, ``("CourseList", "CName")``
+    for a list's field."""
+
+    page_scheme: str
+    paths: Reads
+
+
 class PageWrapper:
     """Wraps pages of one page-scheme into nested tuples."""
 
@@ -47,49 +60,68 @@ class PageWrapper:
             )
         self.page_scheme = page_scheme
         self.spec = spec
-        self._program = compile_spec(spec)
+        #: read paths (None: every attribute) → their program, and the paths
+        #: with every prefix added (what the program and the coercion test)
+        self._programs: dict[Optional[Reads], tuple[Program, Optional[Reads]]] = {}
 
-    def wrap(self, url: str, html: str) -> dict:
-        """Extract the nested tuple for the page at ``url``.
+    def wrap(self, url: str, html: str, reads: Optional[Reads] = None) -> dict:
+        """Extract the nested tuple for the page at ``url``: every attribute,
+        or the paths in ``reads`` only.
 
         The returned dict is keyed by *plain* attribute names and includes
         the implicit ``URL`` attribute.  Link values are absolute URLs.
         """
-        raw = extract(self._program, html)
+        found = self._programs.get(reads)
+        if found is None:
+            closed = reads
+            if reads is not None:  # a field's path reads its list too
+                closed = frozenset(p[:i] for p in reads for i in range(1, len(p) + 1))
+            found = (compile_spec(self.spec, closed), closed)
+            found = self._programs.setdefault(reads, found)
+        program, reads = found
+        raw = extract(program, html)
         row = {URL_ATTR: url}
         for attr in self.page_scheme.attributes:
+            path = (attr.name,)
+            if reads is not None and path not in reads:
+                continue
             if attr.name not in raw:
                 raise WrapperError(
                     f"{self.page_scheme.name}: spec produced no value for "
                     f"{attr.name!r}"
                 )
-            row[attr.name] = self._coerce(attr.name, attr.wtype, raw[attr.name], url)
+            row[attr.name] = self._coerce(path, attr.wtype, raw[attr.name], url, reads)
         return row
 
-    def _error(self, name: str, problem: str) -> WrapperError:
-        return WrapperError(f"{self.page_scheme.name}.{name}: {problem}")
+    def _error(self, path: tuple[str, ...], problem: str) -> WrapperError:
+        return WrapperError(f"{self.page_scheme.name}.{'.'.join(path)}: {problem}")
 
-    def _coerce(self, name: str, wtype: WebType, value, base_url: str):
+    def _coerce(self, path, wtype: WebType, value, base_url: str, reads):
         if isinstance(wtype, ListType):
             if not isinstance(value, list):
-                raise self._error(name, f"expected a list, got {type(value).__name__}")
+                raise self._error(path, f"expected a list, got {type(value).__name__}")
+            fields = [
+                (fname, ftype)
+                for fname, ftype in wtype.fields
+                if reads is None or path + (fname,) in reads
+            ]
             rows = []
             for sub in value:
                 row = {}
-                for fname, ftype in wtype.fields:
+                for fname, ftype in fields:
                     if fname not in sub:
-                        raise self._error(name, f"item lacks field {fname!r}")
+                        raise self._error(path, f"item lacks field {fname!r}")
                     row[fname] = self._coerce(
-                        f"{name}.{fname}", ftype, sub[fname], base_url
+                        path + (fname,), ftype, sub[fname], base_url, reads
                     )
                 rows.append(row)
             return rows
         if value is None:
             if isinstance(wtype, LinkType) and not wtype.optional:
-                raise self._error(name, "non-optional link is null")
+                raise self._error(path, "non-optional link is null")
             return None
         if isinstance(value, list):
-            raise self._error(name, "expected an atom, got a list")
+            raise self._error(path, "expected an atom, got a list")
         if isinstance(wtype, LinkType):
             return resolve(base_url, value)
         return value
@@ -112,8 +144,12 @@ class WrapperRegistry:
                 f"no wrapper registered for page-scheme {page_scheme!r}"
             ) from None
 
-    def wrap(self, page_scheme: str, url: str, html: str) -> dict:
-        """Convenience: wrap one page of the given page-scheme."""
+    def wrap(self, page_scheme: Union[str, ReadSet], url: str, html: str) -> dict:
+        """Wrap one page of the given page-scheme; a :class:`ReadSet`
+        wraps only the paths it names."""
+        if isinstance(page_scheme, ReadSet):
+            wrapper = self.wrapper(page_scheme.page_scheme)
+            return wrapper.wrap(url, html, page_scheme.paths)
         return self.wrapper(page_scheme).wrap(url, html)
 
     def __contains__(self, page_scheme: str) -> bool:

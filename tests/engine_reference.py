@@ -9,7 +9,8 @@ batches — must reproduce: same answer, same row order, same provider
 calls (hence the same pages and cache counters), same operator spans.
 ``tests/test_columnar.py`` holds the two against each other.
 
-Same constructor and provider protocol as ``LocalExecutor``; spans carry
+Same constructor, ``evaluate`` / ``run`` and provider protocol as
+``LocalExecutor``; spans carry
 the preorder ``node_id`` of the plan node, claimed before the children.
 """
 
@@ -30,6 +31,7 @@ from repro.algebra.ast import (
     page_relation_schema,
 )
 from repro.algebra.computable import check_computable
+from repro.engine.compile import CompiledPlan
 from repro.engine.local import PageRelationProvider, qualify_row
 from repro.errors import AlgebraError
 from repro.nested.relation import Relation
@@ -57,6 +59,10 @@ class ReferenceExecutor:
         check_computable(expr, self.scheme)
         self._next_node_id = 0
         return self._eval(expr)
+
+    def run(self, plan: CompiledPlan) -> Relation:
+        """The compiled plan's expression, interpreted row by row."""
+        return self.evaluate(plan.root.expr)
 
     def _eval(self, expr: Expr) -> Relation:
         if not self.tracer.enabled:
