@@ -461,15 +461,22 @@ class CostModel:
     def _estimate_project(self, expr: Project, memo: PlanMemo) -> _Estimate:
         child = self.estimate(expr.child, memo)
         schema = memo.schemas.of(expr.child)
-        # |π_A(P)| = |P| / r_A  ==  min(card, Π c_A) under uniformity
+        return _Estimate(
+            self.projected(child.cardinality, schema, expr.in_names()), child.cost
+        )
+
+    def projected(self, cardinality: float, schema, in_names) -> float:
+        """``|π_A(P)| = |P| / r_A  ==  min(card, Π c_A)`` under uniformity:
+        the cardinality of a projection on ``in_names`` over ``cardinality``
+        tuples of ``schema``."""
         distinct_product = 1.0
-        for _, in_name in expr.outputs:
+        for in_name in in_names:
             field = schema.field(in_name)
             c = 0.0 if field.is_list else self._distinct(field)
             if not c:  # a list, or no statistics: the input's cardinality
-                return _Estimate(child.cardinality, child.cost)
+                return cardinality
             distinct_product *= c
-        return _Estimate(min(child.cardinality, distinct_product), child.cost)
+        return min(cardinality, distinct_product)
 
     def _estimate_join(self, expr: Join, memo: PlanMemo) -> _Estimate:
         left = self.estimate(expr.left, memo)

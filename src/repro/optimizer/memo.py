@@ -6,9 +6,10 @@ of a node is computed once and found again by identity.  A
 :class:`PlanMemo` is created by the call that plans (``Planner.plan_expr``
 / ``replan_suffix``, a bare ``CostModel.cost``), passed down, and dropped
 when it returns — threads never share one, and nothing in it outlives
-the ``PlannerResult``.  The one planning state that does is the
-planner's table of join-graph enumerations, which holds interned plans
-and nothing derived from them.
+the ``PlannerResult``.  The planning state that does lives in the
+planner's four tables (results, shapes, join-graph enumerations, σ
+pushes): interned plans, and values of pure functions of them, which a σ's
+row keeps with :func:`remembered` — never a memo.
 """
 
 from __future__ import annotations
@@ -60,11 +61,18 @@ def per_call(fn):
     permuted atoms are ``==`` and rewrite differently."""
 
     def wrapper(node, *args):
-        results = args[-1].results
-        key = (fn, id(node)) + args[:-1]
-        found = results.get(key)
-        if found is None:
-            found = results[key] = (node, fn(node, *args))
-        return found[1]
+        return remembered(args[-1].results, fn, node, *args)
 
     return functools.wraps(fn)(wrapper)
+
+
+def remembered(table: dict, fn, node: Expr, *args):
+    """``fn(node, *args)``, kept in ``table`` under ``(fn, id(node))`` and
+    the arguments but the last (the memo) — with ``node``, which pins the
+    id.  :func:`per_call` keeps in ``memo.results``.  ``fn`` must be pure:
+    threads sharing a table may both compute a missing entry."""
+    key = (fn, id(node)) + args[:-1]
+    found = table.get(key)
+    if found is None:
+        found = table[key] = (node, fn(node, *args))
+    return found[1]

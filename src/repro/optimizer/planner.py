@@ -21,6 +21,14 @@ Steps 2–4 read only the *join graph* below the query's root π/σ, so a
 planner runs them once per graph and re-attaches each query's σ/π; step 5
 reads the σ too, and runs once per σ over a graph.
 
+The core law: steps 6–8 read a plan ``π(core)`` through its core.  Rule 7
+rewrites only the root π, and what it substitutes for an input is a
+function of (core, in-name); rules 3/5 are a function of (core, hits), the
+core's droppable prefixes some π input starts with; and π downloads no
+page and adds its 0.0 bytes first, so validation, C(E) and bytes of
+``π(core')`` are ``core'``'s but for π's own schema check and cardinality.
+The σ's rule-6 row keeps these per core, and they go when it goes.
+
 The shape law: C(E) reads only distinct counts (``1/c`` per equality with
 a constant, ``k/c`` per IN list of ``k`` values), never a constant's value,
 so a query's ranked candidate list belongs to its *shape* — the query with
@@ -55,19 +63,22 @@ from repro.errors import (
 from repro.obs.rewrite import RewriteTrace
 from repro.optimizer import rewriter
 from repro.optimizer.cost import CacheEstimate, CostModel
-from repro.optimizer.memo import PlanMemo
+from repro.optimizer.memo import PlanMemo, remembered
 from repro.optimizer.rules import (
     JoinPushdown,
     MergeRepeatedNavigation,
     PointerChase,
     PointerJoin,
-    ProjectionSubstitution,
     bind_constants,
-    eliminate_unused_navigation,
+    droppable_prefixes,
+    eliminate_below,
+    navigation_hits,
+    projection_source,
     push_selections,
     push_selections_below,
     rename_attrs,
     substitute_attrs,
+    substitute_projection,
 )
 from repro.views.conjunctive import ConjunctiveQuery
 from repro.views.external import ExternalView, realias_navigation
@@ -204,7 +215,8 @@ class Planner:
         #: ``id(join graph)`` → (graph, its enumeration as ``_Expansion``s)
         self._enumerations: dict = {}
         #: ``id(σ over a join graph)`` → (σ, its entries after rule 6, the
-        #: attributes the σ's atoms read); see ``_pushed``
+        #: attributes the σ's atoms read, what steps 6-8 learn of its cores:
+        #: ``remembered``'s table); see ``_pushed``
         self._pushes: dict = {}
         self._cache_lock = threading.Lock()
 
@@ -237,7 +249,8 @@ class Planner:
         constants into the shape's result: C(E) reads no constant's value.
         Results are memoized per query and per shape (each with its
         estimate), each join graph's enumeration (rules 1, 4 and 8/9) and
-        each σ's pushes (rule 6), per planner instance: a planner is bound
+        each σ's pushes (rule 6) with rules 7 and 3/5 and validation of
+        their cores, per planner instance: a planner is bound
         to one statistics snapshot, which rule 4 reads; rebuilding it — as
         ``SiteEnv.refresh_statistics`` does — drops them all.
         """
@@ -329,9 +342,6 @@ class Planner:
                 return plans
             return rewriter.closure(plans, rules, self.scheme, cap, trace, phase, memo)
 
-        def improve(plans, rewrite, phase):
-            return _dedup(_try_map(plans, rewrite, memo, trace, phase))
-
         def enumerate_graph(wrap) -> list[Expr]:
             # step 2: rule 1, each expansion as ``wrap(core, mapping)``
             expansions = self._expand(graph)
@@ -359,8 +369,9 @@ class Planner:
             join_rules.append(PointerChase())
         # steps 2-4 read the join graph only: untraced, they run once per
         # graph and each query re-attaches its σ/π to the table's entries
-        # (step 5 reads the σ too: where it can, it runs once per σ)
-        pushed = None
+        # (step 5 reads the σ too: where it can, it runs once per σ, and the
+        # σ's row keeps what steps 6-8 learn of its cores)
+        pushed, cores = None, memo.results
         if trace is None:
             found = self._enumerations.get(id(graph))
             if found is None:
@@ -369,7 +380,7 @@ class Planner:
             if opts.push_selections:
                 pushed = self._pushed(chain, found[1], memo)
             if pushed is not None:
-                plans = pushed
+                plans, cores = pushed
             else:
                 plans = _dedup([attach(p.child, p.mapping) for p in found[1]])
         else:
@@ -381,54 +392,90 @@ class Planner:
             )
         # step 5: rule 6 — push selections
         if opts.push_selections and pushed is None:
-            plans = improve(plans, push_selections, "push selections (rule 6)")
-        # step 6: rule 7 — substitute projections
+            phase = "push selections (rule 6)"
+            plans = _dedup(_try_map(plans, push_selections, memo, trace, phase))
+
+        def fact(fn, core: Expr, *args):  # ``fn(core, *args, memo)``, kept
+            return remembered(cores, fn, core, *args, memo)
+
+        # step 6: rule 7 — substitute projections; it rewrites the root π only
+        def substitutions(plan: Expr) -> list:
+            top = _root_projection(plan)
+            if top is None:
+                return []
+            return [
+                ("ProjectionSubstitution", top, _below(plan, rewritten))
+                for rewritten in substitute_projection(
+                    top, lambda name: fact(projection_source, top.child, name)
+                )
+            ]
+
         if opts.substitute_projections:
-            plans = saturate(
-                plans,
-                [ProjectionSubstitution()],
-                "projection substitution (rule 7)",
+            phase = "projection substitution (rule 7)"
+            plans = rewriter.saturate(
+                plans, substitutions, rewriter.MAX_PLANS, trace, phase, memo
             )
-        # step 7: rules 5/3 — eliminate unnecessary navigations
+
+        # step 7: rules 5/3 — eliminate unnecessary navigations (named as
+        # ``rules.eliminate_unused_navigation``, whose lineage steps it records)
+        def eliminate_unused_navigation(plan: Expr, *_) -> Expr:
+            if not isinstance(plan, Project):
+                return plan
+            prefixes = fact(droppable_prefixes, plan.child)
+            hits = navigation_hits(prefixes, plan.in_names())
+            return Project(fact(eliminate_below, plan.child, hits), plan.outputs)
+
         if opts.eliminate_navigations:
-            final = improve(
-                plans,
-                eliminate_unused_navigation,
-                "eliminate navigation (rules 3/5)",
-            )
-        else:
-            final = _dedup(plans)
+            phase = "eliminate navigation (rules 3/5)"
+            plans = _try_map(plans, eliminate_unused_navigation, memo, trace, phase)
+        final = _dedup(plans)
         # step 8: validate, cost, choose (cache-aware when an estimate is
         # given: the effective per-access page cost shrinks by the expected
-        # hit rate of the accessed page-scheme)
+        # hit rate of the accessed page-scheme).  π downloads no page and
+        # adds its 0.0 bytes first, so a π plan has its core's C(E) and
+        # bytes; only its schema check and cardinality are its own
         model = (
             self.cost_model.with_cache(cache_estimate)
             if cache_estimate is not None
             else self.cost_model
         )
-        candidates = []
+        candidates, keys = [], {}
         for plan in final:
-            candidate = self._validate_and_cost(plan, model, memo)
-            if candidate is not None:
-                candidates.append(candidate)
+            top = plan if isinstance(plan, Project) else None
+            core = plan if top is None else plan.child
+            checked = (  # a plan without a root π is not a query's: per call
+                _validated(plan, self.cost_model, memo)
+                if top is None
+                else fact(_validated, core, self.cost_model)
+            )
+            names = () if top is None else top.in_names()
+            if checked is None or any(name not in checked[1] for name in names):
+                continue
+            cold, schema = checked
+            priced = cold
+            if cache_estimate is not None:  # priced per call
+                repriced = _validated(core, model, memo)
+                if repriced is None:
+                    continue
+                priced = repriced[0]
+            if top is not None:
+                cardinality = model.projected(priced.cardinality, schema, names)
+                priced = replace(priced, expr=plan, cardinality=cardinality)
+            candidates.append(priced)
+            # priced ties (a full cache prices every access alike) keep their
+            # cold order: the cheapest plan if the cache turns out stale
+            keys[id(priced)] = (
+                (priced.cost, priced.bytes_cost)
+                if cache_estimate is None
+                else (priced.cost, cold.cost, priced.bytes_cost, cold.bytes_cost)
+            )
         if not candidates:
             raise OptimizerError(
                 "no valid execution plan survived rewriting; check that "
                 "the view's default navigations cover the queried attributes"
             )
-        cold = self.cost_model
-
-        def rank(c: PlanCandidate) -> tuple:
-            if cache_estimate is None:
-                return (c.cost, c.bytes_cost)
-            # priced ties (a full cache prices every access alike) keep their
-            # cold order: the cheapest plan if the cache turns out stale
-            pages = cold.estimate(c.expr, memo).cost
-            return (c.cost, pages, c.bytes_cost, cold.total_bytes(c.expr, memo))
-
         # rank, then break each run of ties on the compact rendering; both
         # sorts are stable, so plans that render alike keep their order
-        keys = {id(c): rank(c) for c in candidates}
         candidates.sort(key=lambda c: keys[id(c)])
         ranked, ties = [], []
         for _, run in itertools.groupby(candidates, key=lambda c: keys[id(c)]):
@@ -443,7 +490,7 @@ class Planner:
             first = tuple(memo.key(c.expr, compact=True) for c in ties[0][1])
         uncached_cost = None
         if cache_estimate is not None:
-            uncached_cost = cold.estimate(candidates[0].expr, memo).cost
+            uncached_cost = keys[id(candidates[0])][1]
         result = PlannerResult(
             best=candidates[0],
             candidates=candidates,
@@ -456,9 +503,10 @@ class Planner:
 
     def _pushed(
         self, chain: list, entries: list, memo: PlanMemo
-    ) -> Optional[list[Expr]]:
+    ) -> Optional[tuple[list[Expr], dict]]:
         """Step 5 over a join graph's enumeration ``entries`` from the
-        rule-6 table, or None where the table does not apply.
+        rule-6 table, with the table the σ keeps of its cores (see
+        ``remembered``), or None where the table does not apply.
 
         Rule 6 reads a plan's σ, not its root π: pushing selections in
         ``π(e)`` is ``π`` over ``e`` pushed, under one σ per atom ``e``
@@ -486,9 +534,9 @@ class Planner:
                     continue  # as ``_try_map`` drops it
                 rows.append((core, atoms[placed:], entry.mapping))
                 attrs.update(attr for atom in atoms for attr in atom.attrs())
-            found = (root.child, rows, frozenset(attrs))
+            found = (root.child, rows, frozenset(attrs), {})
             self._remember(self._pushes, id(root.child), found)
-        _, rows, attrs = found
+        _, rows, attrs, cores = found
         if any(out in attrs for out, _ in root.outputs):
             return None
         plans = []
@@ -497,7 +545,7 @@ class Planner:
             for atom in unplaced:
                 plan = Select(plan, Predicate([atom]))
             plans.append(plan)
-        return _dedup(plans)
+        return _dedup(plans), cores
 
     # ------------------------------------------------------------------ #
     # rule 1: expansion
@@ -565,7 +613,7 @@ class Planner:
         not yet executed, and ``rule`` names the Section 7 strategy to
         switch to (``"PointerJoin"`` for rule 8, ``"PointerChase"`` for
         rule 9).  Returns the first rewriting that validates and costs —
-        the same :meth:`_validate_and_cost` bar every static candidate
+        the same ``_validated`` bar every static candidate
         clears — or None when the rule does not apply.  With ``trace``
         the firing is recorded as an ``"adaptive re-planning"`` step, so
         EXPLAIN ANALYZE can show the switch in the plan's lineage.
@@ -578,7 +626,7 @@ class Planner:
         rewriter = PointerJoin() if rule == "PointerJoin" else PointerChase()
         memo = PlanMemo(self.scheme)
         for rewritten in rewriter.rewrite(suffix, memo):
-            if self._validate_and_cost(rewritten, self.cost_model, memo) is None:
+            if _validated(rewritten, self.cost_model, memo) is None:
                 continue
             if trace is not None:
                 trace.record(
@@ -591,27 +639,18 @@ class Planner:
             return rewritten
         return None
 
-    # ------------------------------------------------------------------ #
-    # validation + costing
-    # ------------------------------------------------------------------ #
-
-    def _validate_and_cost(
-        self, plan: Expr, model: CostModel, memo: PlanMemo
-    ) -> Optional[PlanCandidate]:
-        try:
-            memo.schemas.of(plan)
-            if not is_computable(plan, self.scheme):
-                return None
-            estimate = model.estimate(plan, memo)
-            bytes_cost = model.total_bytes(plan, memo)
-        except (AlgebraError, SchemaError, PredicateError, OptimizerError):
+def _validated(plan: Expr, model: CostModel, memo: PlanMemo) -> Optional[tuple]:
+    """(``plan`` as a candidate under ``model``, its schema), or None when
+    it does not validate."""
+    try:
+        schema = memo.schemas.of(plan)
+        if not is_computable(plan, memo.scheme):
             return None
-        return PlanCandidate(
-            expr=plan,
-            cost=estimate.cost,
-            cardinality=estimate.cardinality,
-            bytes_cost=bytes_cost,
-        )
+        estimate = model.estimate(plan, memo)
+        bytes_cost = model.total_bytes(plan, memo)
+    except (AlgebraError, SchemaError, PredicateError, OptimizerError):
+        return None
+    return PlanCandidate(plan, estimate.cost, estimate.cardinality, bytes_cost), schema
 
 
 def _try_map(
@@ -649,6 +688,21 @@ def _dedup(exprs: Sequence[Expr]) -> list[Expr]:
     """``exprs`` without repeats, first occurrences in order — by identity,
     which for interned nodes is the written form."""
     return list({id(expr): expr for expr in exprs}.values())
+
+
+def _root_projection(plan: Expr) -> Optional[Project]:
+    """The π below ``plan``'s root σs, if any — the one rule 7 rewrites: a
+    translated query has one π, and view navigations carry none."""
+    while isinstance(plan, Select):
+        plan = plan.child
+    return plan if isinstance(plan, Project) else None
+
+
+def _below(plan: Expr, top: Project) -> Expr:
+    """``plan`` with its root π (below its root σs) replaced by ``top``."""
+    if isinstance(plan, Project):
+        return top
+    return plan.with_children((_below(plan.child, top),))
 
 
 class _Expansion(Expr):

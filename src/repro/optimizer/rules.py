@@ -43,7 +43,7 @@ from repro.algebra.ast import (
     Unnest,
 )
 from repro.algebra.predicates import Atom, Comparison, In, Predicate
-from repro.algebra.visitors import replace_child
+from repro.algebra.visitors import replace_child, walk
 from repro.errors import AlgebraError, SchemaError, StatisticsError
 from repro.nested.schema import Field, RelationSchema
 from repro.optimizer.memo import PlanMemo, per_call
@@ -55,9 +55,14 @@ __all__ = [
     "PointerJoin",
     "PointerChase",
     "ProjectionSubstitution",
+    "projection_source",
+    "substitute_projection",
     "push_selections",
     "push_selections_below",
     "eliminate_unused_navigation",
+    "eliminate_below",
+    "navigation_hits",
+    "droppable_prefixes",
     "substitute_attrs",
     "rename_attrs",
     "bind_constants",
@@ -552,34 +557,43 @@ class ProjectionSubstitution(RewriteRule):
     def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
         if not isinstance(node, Project):
             return []
-        schemas = memo.schemas
-        schema = schemas.get(node.child)
-        if schema is None:
-            return []
-        navigations = _navigations(node.child, memo)
-        results = []
-        for index, (out, in_name) in enumerate(node.outputs):
-            if in_name not in schema:
-                continue
-            field = schema.field(in_name)
-            if field.provenance is None:
-                continue
-            nav = navigations.get(field.provenance.scheme)
-            if nav is None:
-                continue
-            child_schema = schemas.get(nav.child)
-            if child_schema is None:
-                continue
-            link_field = child_schema.field(nav.link_attr)
-            source = _source_attr_for(
-                memo.scheme, link_field, str(field.provenance.path)
-            )
-            if source is None or source not in schema or source == in_name:
-                continue
-            new_outputs = list(node.outputs)
-            new_outputs[index] = (out, source)
-            results.append(Project(node.child, tuple(new_outputs)))
-        return results
+        return substitute_projection(
+            node, lambda name: projection_source(node.child, name, memo)
+        )
+
+
+def substitute_projection(node: Project, source) -> list[Project]:
+    """Rule 7's rewritings of ``node``, in output order: one per input
+    ``in_name`` with a ``source(in_name)`` to stand for it."""
+    results = []
+    for index, (out, in_name) in enumerate(node.outputs):
+        found = source(in_name)
+        if found is not None:
+            outputs = node.outputs[:index] + ((out, found),) + node.outputs[index + 1:]
+            results.append(Project(node.child, outputs))
+    return results
+
+
+def projection_source(core: Expr, in_name: str, memo: PlanMemo) -> Optional[str]:
+    """The source-side attribute rule 7 substitutes for input ``in_name`` of
+    a projection over ``core``, or None — a function of the two alone."""
+    schema = memo.schemas.get(core)
+    if schema is None or in_name not in schema:
+        return None
+    field = schema.field(in_name)
+    if field.provenance is None:
+        return None
+    nav = _navigations(core, memo).get(field.provenance.scheme)
+    if nav is None:
+        return None
+    child_schema = memo.schemas.get(nav.child)
+    if child_schema is None:
+        return None
+    link_field = child_schema.field(nav.link_attr)
+    source = _source_attr_for(memo.scheme, link_field, str(field.provenance.path))
+    if source is None or source not in schema or source == in_name:
+        return None
+    return source
 
 
 @per_call
@@ -610,30 +624,70 @@ def eliminate_unused_navigation(
     rows, so removing them would change the result)."""
     if not isinstance(expr, Project):
         return expr
-
     memo = memo or PlanMemo(scheme)
+    hits = navigation_hits(droppable_prefixes(expr.child, memo), expr.in_names())
+    return Project(eliminate_below(expr.child, hits, memo), expr.outputs)
+
+
+def eliminate_below(core: Expr, hits: frozenset[str], memo: PlanMemo) -> Expr:
+    """:func:`eliminate_unused_navigation` of ``π(core)``, below the π: all
+    it reads of the π is the prefixes its inputs start with (``hits``, from
+    :func:`navigation_hits`), since a drop only asks whether some used
+    attribute starts with the dropped node's prefix."""
     while True:  # dropping one navigation can orphan the one below it
-        rebuilt = _drop_unused(expr, _used_attrs(expr, memo), memo)
-        if rebuilt == expr:
-            return expr
-        expr = rebuilt
+        rebuilt = _drop_unused(core, _used_attrs(core, memo) | hits, memo)
+        if rebuilt == core:
+            return core
+        core = rebuilt
+
+
+def navigation_hits(prefixes: Optional[frozenset[str]], in_names) -> frozenset[str]:
+    """The ``prefixes`` (of :func:`droppable_prefixes`) that some of
+    ``in_names`` starts with; the names themselves where the prefixes are
+    unknown."""
+    if prefixes is None:
+        return frozenset(in_names)
+    return frozenset(p for p in prefixes if any(n.startswith(p) for n in in_names))
+
+
+def droppable_prefixes(core: Expr, memo: PlanMemo) -> Optional[frozenset[str]]:
+    """The prefixes a drop in ``core`` tests — navigation aliases and unnest
+    attributes, each with a trailing dot — less those its selections and
+    joins read: they are never dropped, so the test is always passed.
+    Dropping only removes nodes, so later drops test a subset.  None when
+    an unaliased navigation does not type (a drop below may make it)."""
+    prefixes, fixed = set(), set()
+    for _, node in walk(core):
+        if isinstance(node, FollowLink):
+            try:
+                prefixes.add(f"{memo.schemas.target_alias(node)}.")
+            except (AlgebraError, SchemaError):
+                return None
+        elif isinstance(node, Unnest):
+            prefixes.add(f"{node.attr}.")
+        else:
+            fixed.update(_own_attrs(node))
+    return frozenset(p for p in prefixes if not any(a.startswith(p) for a in fixed))
+
+
+def _own_attrs(node: Expr) -> tuple:
+    """The attributes ``node`` itself refers to."""
+    if isinstance(node, Select):
+        return node.predicate.attrs()
+    if isinstance(node, Project):
+        return node.in_names()
+    if isinstance(node, Join):
+        return tuple(attr for pair in node.on for attr in pair)
+    if isinstance(node, FollowLink):
+        return (node.link_attr,)
+    return ()
 
 
 @per_call
 def _used_attrs(node: Expr, memo: PlanMemo) -> frozenset[str]:
     """Every attribute some operator in ``node`` refers to."""
-    used: set[str] = set()
-    if isinstance(node, Select):
-        used.update(node.predicate.attrs())
-    elif isinstance(node, Project):
-        used.update(node.in_names())
-    elif isinstance(node, Join):
-        for pair in node.on:
-            used.update(pair)
-    elif isinstance(node, FollowLink):
-        used.add(node.link_attr)
     kids = (_used_attrs(kid, memo) for kid in node.children())
-    return frozenset(used).union(*kids)
+    return frozenset(_own_attrs(node)).union(*kids)
 
 
 @per_call
