@@ -76,11 +76,8 @@ from repro.nested.schema import RelationSchema
 from repro.obs.metrics import METRICS
 from repro.obs.rewrite import STRATEGY_RULES, RewriteTrace
 from repro.optimizer.cost import StrategyCrossover
-from repro.optimizer.rules import (
-    PointerChase,
-    _match_link_join,
-    _source_attr_for,
-)
+from repro.optimizer.memo import PlanMemo
+from repro.optimizer.rules import RULES, _match_link_join, _source_attr_for
 
 __all__ = [
     "AdaptiveExecutor",
@@ -568,6 +565,7 @@ class AdaptiveExecutor(LocalExecutor):
         one position are skipped (the substitution test is positional).
         """
         root_names = self.schemas.of(root).names()
+        memo = PlanMemo(self.scheme)
         sites: dict[int, FollowLink] = {}
         seen: set[int] = set()
         duplicated: set[int] = set()
@@ -578,7 +576,7 @@ class AdaptiveExecutor(LocalExecutor):
                 duplicated.add(id(node))
                 continue
             seen.add(id(node))
-            for rewritten in PointerChase().rewrite_node(node, self.scheme):
+            for rewritten in RULES["PointerChase"].rewrite(node, memo):
                 try:
                     full = replace_at(root, path, rewritten)
                     if self.schemas.of(full).names() != root_names:

@@ -3,21 +3,21 @@
 * :mod:`repro.optimizer.cost` — cardinality estimation and the cost
   function C(E) of Section 6.2 (network page accesses only);
 * :mod:`repro.optimizer.rules` — the rewrite rules of Section 6.1 (rules
-  2–9), implemented over qualified-name NALG expressions;
+  2–9), implemented over qualified-name NALG expressions; the enumerative
+  ones are the entries of :data:`~repro.optimizer.rules.RULES`;
 * :mod:`repro.optimizer.rewriter` — closure/fixpoint drivers that apply
   rule sets over whole plans with deduplication;
-* :mod:`repro.optimizer.planner` — Algorithm 1: staged enumeration of
-  candidate plans and cost-based selection.
+* :mod:`repro.optimizer.memo` — the per-call memo and the table the
+  planning stages keep their rows in;
+* :mod:`repro.optimizer.planner` — Algorithm 1: its steps as stages over
+  one table, and cost-based selection.
 """
 
 from repro.optimizer.cost import CacheEstimate, CostModel
 from repro.optimizer.rules import (
-    JoinPushdown,
-    MergeRepeatedNavigation,
-    PointerJoin,
-    PointerChase,
+    RULES,
+    Rule,
     push_selections,
-    ProjectionSubstitution,
     eliminate_unused_navigation,
 )
 from repro.optimizer.rewriter import closure
@@ -31,12 +31,9 @@ from repro.optimizer.planner import (
 __all__ = [
     "CacheEstimate",
     "CostModel",
-    "JoinPushdown",
-    "MergeRepeatedNavigation",
-    "PointerJoin",
-    "PointerChase",
+    "RULES",
+    "Rule",
     "push_selections",
-    "ProjectionSubstitution",
     "eliminate_unused_navigation",
     "closure",
     "Planner",

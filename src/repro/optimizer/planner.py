@@ -11,31 +11,27 @@ Given a conjunctive query over external relations the planner:
 5. pushes selections (rule 6, an improvement pass);
 6. substitutes projections (rule 7, to closure);
 7. eliminates unnecessary navigations and unnests (rules 5/3);
-8. estimates C(E) for every surviving candidate and picks the cheapest.
+8. estimates C(E) for every surviving candidate and picks the cheapest,
+   silently discarding the ill-typed ones (e.g. rule 9 dropped a side the
+   query still needs: the paper's π_X side condition).
 
-Candidates that became ill-typed (e.g. rule 9 dropped a side whose
-attributes the query still needs — the paper's π_X side condition) are
-silently discarded during validation.
-
-Steps 2–4 read only the *join graph* below the query's root π/σ, so a
-planner runs them once per graph and re-attaches each query's σ/π; step 5
-reads the σ too, and runs once per σ over a graph.
-
-The core law: steps 6–8 read a plan ``π(core)`` through its core.  Rule 7
-rewrites only the root π, and what it substitutes for an input is a
-function of (core, in-name); rules 3/5 are a function of (core, hits), the
-core's droppable prefixes some π input starts with; and π downloads no
-page and adds its 0.0 bytes first, so validation, C(E) and bytes of
-``π(core')`` are ``core'``'s but for π's own schema check and cardinality.
-The σ's rule-6 row keeps these per core, and they go when it goes.
+The steps run as stages, each a pure function of the part of the query it
+reads, with its rows in the planner's :class:`~repro.optimizer.memo.Table`:
+steps 2–4 per join graph below the query's root π/σ (``_enumerate``), step
+5 per σ over a graph (``_select``), step 8's ranking per query shape
+(``_shape``) and binding the constants per query (``_bind``).  Steps 6–8
+read a plan ``π(core)`` through its core: rule 7's substitute for an input
+is a function of (core, in-name), rules 3/5 of (core, the core's droppable
+prefixes some π input starts with), and π downloads no page, so C(E) and
+bytes of ``π(core')`` are ``core'``'s.  What they learn of a core is kept
+on the σ's row, and goes with it.  A traced run goes through the same
+stages in tables of its own, and its trace records what they found.
 
 The shape law: C(E) reads only distinct counts (``1/c`` per equality with
 a constant, ``k/c`` per IN list of ``k`` values), never a constant's value,
 so a query's ranked candidate list belongs to its *shape* — the query with
-each distinct constant replaced by a placeholder.  ``plan_query`` plans
-the shape, once per planner, and binds the query's constants into the
-result; only the final tie-break, on rendered text, reads the constants,
-and binding redoes it.
+each distinct constant replaced by a placeholder.  Only the final
+tie-break, on rendered text, reads the constants, and binding redoes it.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
@@ -54,25 +49,15 @@ from repro.algebra.computable import is_computable
 from repro.algebra.predicates import Predicate
 from repro.algebra.printer import render_expr
 from repro.algebra.visitors import replace_at, walk
-from repro.errors import (
-    AlgebraError,
-    OptimizerError,
-    PredicateError,
-    SchemaError,
-)
+from repro.errors import AlgebraError, OptimizerError, PredicateError, SchemaError
 from repro.obs.rewrite import RewriteTrace
 from repro.optimizer import rewriter
 from repro.optimizer.cost import CacheEstimate, CostModel
-from repro.optimizer.memo import PlanMemo, remembered
+from repro.optimizer.memo import PlanMemo, Table
 from repro.optimizer.rules import (
-    JoinPushdown,
-    MergeRepeatedNavigation,
-    PointerChase,
-    PointerJoin,
+    RULES,
     bind_constants,
-    droppable_prefixes,
-    eliminate_below,
-    navigation_hits,
+    eliminate_unused_navigation,
     projection_source,
     push_selections,
     push_selections_below,
@@ -90,7 +75,7 @@ __all__ = ["PlanCandidate", "PlannerResult", "Planner", "PlannerOptions"]
 #: Cap on rule-1 expansion combinations (navigation choices multiply).
 MAX_EXPANSIONS = 256
 
-#: Entries each table of a planner keeps; the oldest go first.
+#: Rows a planner keeps per stage; the least recently used go first.
 MAX_MEMO = 512
 
 
@@ -150,16 +135,11 @@ class PlannerResult:
         )
 
     def describe(self, scheme: Optional[WebScheme] = None, limit: int = 10) -> str:
-        lines = [
-            f"{len(self.candidates)} valid plans "
-            f"(of {self.generated} generated):"
-        ]
-        for i, cand in enumerate(self.candidates[:limit]):
+        lines = [f"{len(self.candidates)} valid plans (of {self.generated} generated):"]
+        for cand in self.candidates[:limit]:
             marker = "→" if cand is self.best else " "
-            lines.append(
-                f" {marker} [{cand.cost:10.2f} pages] "
-                f"{cand.render(scheme=scheme)}"
-            )
+            rendered = cand.render(scheme=scheme)
+            lines.append(f" {marker} [{cand.cost:10.2f} pages] {rendered}")
         if len(self.candidates) > limit:
             lines.append(f"   ... {len(self.candidates) - limit} more")
         return "\n".join(lines)
@@ -208,17 +188,9 @@ class Planner:
         self.scheme = view.scheme
         self.cost_model = cost_model
         self.options = options or PlannerOptions()
-        #: (query, estimate) → its ``PlannerResult``, constants bound
-        self._results: dict = {}
-        #: (query shape, estimate) → ``_Shaped``, the shape's own result
-        self._shapes: dict = {}
-        #: ``id(join graph)`` → (graph, its enumeration as ``_Expansion``s)
-        self._enumerations: dict = {}
-        #: ``id(σ over a join graph)`` → (σ, its entries after rule 6, the
-        #: attributes the σ's atoms read, what steps 6-8 learn of its cores:
-        #: ``remembered``'s table); see ``_pushed``
-        self._pushes: dict = {}
-        self._cache_lock = threading.Lock()
+        #: the rows of every stage, per query, query shape, σ over a join
+        #: graph and join graph (see the module docstring)
+        self._table = Table(MAX_MEMO)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -240,22 +212,16 @@ class Planner:
         ``trace=True`` records candidate lineage in a
         :class:`~repro.obs.rewrite.RewriteTrace` (attached to the result as
         ``rewrite_trace``) so :meth:`PlannerResult.why` can answer which
-        rules produced the chosen plan.  Traced runs plan the query itself
-        and bypass every table (the trace is per-run state); the plan
-        chosen is identical either way.
-
-        Untraced, the planner plans the query's *shape* — the query with
-        each distinct constant replaced by a placeholder — and binds the
-        constants into the shape's result: C(E) reads no constant's value.
-        Results are memoized per query and per shape (each with its
-        estimate), each join graph's enumeration (rules 1, 4 and 8/9) and
-        each σ's pushes (rule 6) with rules 7 and 3/5 and validation of
-        their cores, per planner instance: a planner is bound
-        to one statistics snapshot, which rule 4 reads; rebuilding it — as
-        ``SiteEnv.refresh_statistics`` does — drops them all.
+        rules produced the chosen plan.  A traced run plans the query itself
+        through the same stages, in tables of its own; the plan chosen is
+        identical either way.  Untraced, the planner plans the query's shape
+        and binds its constants (see the module docstring), and keeps every
+        stage's rows: a planner is bound to one statistics snapshot, which
+        rule 4 reads; rebuilding it, as ``SiteEnv.refresh_statistics``
+        does, drops them all.
         """
         if trace:
-            memo = PlanMemo(self.scheme)
+            memo = PlanMemo(self.scheme, self.cost_model.stats)
             pricing = [memo]  # steps are priced through the call's memo,
             rewrite_trace = RewriteTrace(
                 cost_fn=lambda expr: self.cost_model.estimate(expr, *pricing).cost
@@ -265,27 +231,8 @@ class Planner:
                 return self._plan(expr, cache_estimate, rewrite_trace, memo).result
             finally:
                 pricing.clear()  # which dies with the call, not with the trace
-        key = (query, cache_estimate)
-        result = self._results.get(key)
-        if result is None:
-            shape, binding = _shape_of(query)
-            shaped = self._shapes.get((shape, cache_estimate))
-            if shaped is None:
-                expr = translate(shape, self.view)
-                shaped = self._plan(expr, cache_estimate, None, PlanMemo(self.scheme))
-            # a hit is remembered again, as the newest: the results table
-            # then holds no shape this table has let go
-            self._remember(self._shapes, (shape, cache_estimate), shaped)
-            result = shaped.bind(binding, self.scheme)
-            self._remember(self._results, key, result)
-        return result
-
-    def _remember(self, table: dict, key, value) -> None:
-        with self._cache_lock:
-            table.pop(key, None)
-            if len(table) >= MAX_MEMO:
-                del table[next(iter(table))]  # the oldest
-            table[key] = value
+        memo = PlanMemo(self.scheme, self.cost_model.stats, self._table)
+        return self._table.get(self._bind, query, cache_estimate, memo)
 
     def enumerate_plans(
         self,
@@ -299,12 +246,12 @@ class Planner:
         closure), not just the cost winner — the paper's semantic claim is
         that all of them compute the same relation, differing only in page
         accesses, and the QA differential oracle (:mod:`repro.qa`)
-        executes each one to enforce exactly that.  ``limit`` keeps only
-        the ``limit`` cheapest candidates."""
+        executes each one to enforce exactly that.  ``limit`` (at least 1)
+        keeps only the ``limit`` cheapest candidates."""
+        if limit is not None and limit < 1:
+            raise OptimizerError(f"limit must be at least 1, not {limit}")
         candidates = self.plan_query(query, cache_estimate).candidates
-        if limit is not None and limit >= 1:
-            candidates = candidates[:limit]
-        return list(candidates)
+        return list(candidates if limit is None else candidates[:limit])
 
     def plan_expr(
         self,
@@ -312,8 +259,25 @@ class Planner:
         cache_estimate: Optional[CacheEstimate] = None,
         trace: Optional[RewriteTrace] = None,
     ) -> PlannerResult:
-        """Plan a relational-algebra expression over external relations."""
-        return self._plan(expr, cache_estimate, trace, PlanMemo(self.scheme)).result
+        """Plan a relational-algebra expression over external relations (a
+        traced run in tables of its own)."""
+        table = self._table if trace is None else None
+        memo = PlanMemo(self.scheme, self.cost_model.stats, table)
+        return self._plan(expr, cache_estimate, trace, memo).result
+
+    # ------------------------------------------------------------------ #
+    # the stages
+    # ------------------------------------------------------------------ #
+
+    def _bind(self, query: ConjunctiveQuery, cache_estimate, memo) -> PlannerResult:
+        """Per query: its shape's result with the constants bound."""
+        shape, binding = _shape_of(query)
+        shaped = memo.table.get(self._shape, shape, cache_estimate, memo)
+        return shaped.bind(binding, self.scheme)
+
+    def _shape(self, shape: ConjunctiveQuery, cache_estimate, memo) -> "_Shaped":
+        """Per query shape: its plan, ranked."""
+        return self._plan(translate(shape, self.view), cache_estimate, None, memo)
 
     def _plan(
         self,
@@ -323,131 +287,61 @@ class Planner:
         memo: PlanMemo,
     ) -> "_Shaped":
         """:meth:`plan_expr`, with what binding its result needs (see
-        ``_Shaped``).  Everything derived per node lives in ``memo``."""
+        ``_Shaped``).  Everything derived per node lives in ``memo``, the
+        stages' rows in ``memo.table``; ``trace`` records what they found."""
         opts = self.options
         # the root chain of π/σ (``translate`` emits one) over the join graph
         chain, graph = [], expr
         while isinstance(graph, (Project, Select)):
             chain.append(graph)
             graph = graph.child
-
-        def attach(core: Expr, mapping: tuple) -> Expr:
-            renames = dict(mapping)
-            for node in reversed(chain):
-                core = rename_attrs(node, (core,), renames)
-            return core
-
-        def saturate(plans, rules, phase, cap=rewriter.MAX_PLANS):
-            if not rules:
-                return plans
-            return rewriter.closure(plans, rules, self.scheme, cap, trace, phase, memo)
-
-        def enumerate_graph(wrap) -> list[Expr]:
-            # step 2: rule 1, each expansion as ``wrap(core, mapping)``
-            expansions = self._expand(graph)
-            plans = []
-            for core, mapping in expansions:
-                plans.append(wrap(core, mapping))
-                if trace is not None:  # rule-1 expansions are lineage roots
-                    rule = "expansion (rule 1)", "DefaultNavigation"
-                    trace.record(*rule, memo.key(plans[-1]), expr=plans[-1])
-            # steps 3, 4: rules 4 and 8/9 rewrite joins, never what ``wrap``
-            # put above a core.  Behind each of a query's plans is at most one
-            # entry per expansion, so the query's own plans are capped below
-            cap = rewriter.MAX_PLANS * len(expansions)
-            plans = saturate(_dedup(plans), merge, "merge repeated (rule 4)", cap)
-            return saturate(plans, join_rules, "join rules (8/9)", cap)
-
-        merge = []
-        if opts.merge_repeated:
-            merge = [MergeRepeatedNavigation(stats=self.cost_model.stats)]
-        join_rules = [JoinPushdown()] if opts.join_pushdown else []
-        join_rules += merge
-        if opts.pointer_join:
-            join_rules.append(PointerJoin())
-        if opts.pointer_chase:
-            join_rules.append(PointerChase())
-        # steps 2-4 read the join graph only: untraced, they run once per
-        # graph and each query re-attaches its σ/π to the table's entries
-        # (step 5 reads the σ too: where it can, it runs once per σ, and the
-        # σ's row keeps what steps 6-8 learn of its cores)
-        pushed, cores = None, memo.results
-        if trace is None:
-            found = self._enumerations.get(id(graph))
-            if found is None:
-                found = (graph, enumerate_graph(_Expansion))
-                self._remember(self._enumerations, id(graph), found)
-            if opts.push_selections:
-                pushed = self._pushed(chain, found[1], memo)
-            if pushed is not None:
-                plans, cores = pushed
-            else:
-                plans = _dedup([attach(p.child, p.mapping) for p in found[1]])
-        else:
-            plans = enumerate_graph(attach)
-        if len(plans) > rewriter.MAX_PLANS:
-            raise OptimizerError(
-                f"rewrite closure exceeded {rewriter.MAX_PLANS} plans; "
-                "the query is too irregular for exhaustive enumeration"
-            )
-        # step 5: rule 6 — push selections
-        if opts.push_selections and pushed is None:
-            phase = "push selections (rule 6)"
-            plans = _dedup(_try_map(plans, push_selections, memo, trace, phase))
-
-        def fact(fn, core: Expr, *args):  # ``fn(core, *args, memo)``, kept
-            return remembered(cores, fn, core, *args, memo)
+        # steps 2-4: rules 1, 4 and 8/9, per join graph
+        entries, enumerated = memo.table.get(self._enumerate, graph, memo)
+        steps: list = []  # what the stages below find, as ``rewriter`` notes
+        # step 5: rule 6, per σ over the graph (its row keeps core facts)
+        plans, memo.facts = self._pushed(chain, entries, memo, steps)
 
         # step 6: rule 7 — substitute projections; it rewrites the root π only
         def substitutions(plan: Expr) -> list:
             top = _root_projection(plan)
             if top is None:
                 return []
+
+            def source(name: str) -> Optional[str]:
+                return memo.facts.get(projection_source, top.child, name, memo)
+
             return [
                 ("ProjectionSubstitution", top, _below(plan, rewritten))
-                for rewritten in substitute_projection(
-                    top, lambda name: fact(projection_source, top.child, name)
-                )
+                for rewritten in substitute_projection(top, source)
             ]
 
         if opts.substitute_projections:
             phase = "projection substitution (rule 7)"
             plans = rewriter.saturate(
-                plans, substitutions, rewriter.MAX_PLANS, trace, phase, memo
+                plans, substitutions, rewriter.MAX_PLANS, steps, phase
             )
-
-        # step 7: rules 5/3 — eliminate unnecessary navigations (named as
-        # ``rules.eliminate_unused_navigation``, whose lineage steps it records)
-        def eliminate_unused_navigation(plan: Expr, *_) -> Expr:
-            if not isinstance(plan, Project):
-                return plan
-            prefixes = fact(droppable_prefixes, plan.child)
-            hits = navigation_hits(prefixes, plan.in_names())
-            return Project(fact(eliminate_below, plan.child, hits), plan.outputs)
-
+        # step 7: rules 5/3 — eliminate unnecessary navigations
         if opts.eliminate_navigations:
             phase = "eliminate navigation (rules 3/5)"
-            plans = _try_map(plans, eliminate_unused_navigation, memo, trace, phase)
+            plans = _improve(plans, eliminate_unused_navigation, phase, memo, steps)
         final = _dedup(plans)
+        if trace is not None:
+            _observe(trace, itertools.chain(enumerated, steps), chain, memo)
         # step 8: validate, cost, choose (cache-aware when an estimate is
         # given: the effective per-access page cost shrinks by the expected
         # hit rate of the accessed page-scheme).  π downloads no page and
         # adds its 0.0 bytes first, so a π plan has its core's C(E) and
         # bytes; only its schema check and cardinality are its own
-        model = (
-            self.cost_model.with_cache(cache_estimate)
-            if cache_estimate is not None
-            else self.cost_model
-        )
+        model = self.cost_model
+        if cache_estimate is not None:
+            model = model.with_cache(cache_estimate)
         candidates, keys = [], {}
         for plan in final:
             top = plan if isinstance(plan, Project) else None
             core = plan if top is None else plan.child
-            checked = (  # a plan without a root π is not a query's: per call
-                _validated(plan, self.cost_model, memo)
-                if top is None
-                else fact(_validated, core, self.cost_model)
-            )
+            # (a plan without a root π is not a query's: validated per call)
+            facts = memo.results if top is None else memo.facts
+            checked = facts.get(_validated, core, self.cost_model, memo)
             names = () if top is None else top.in_names()
             if checked is None or any(name not in checked[1] for name in names):
                 continue
@@ -488,9 +382,7 @@ class Planner:
         first = ()
         if ties and ties[0][0] == 0:
             first = tuple(memo.key(c.expr, compact=True) for c in ties[0][1])
-        uncached_cost = None
-        if cache_estimate is not None:
-            uncached_cost = keys[id(candidates[0])][1]
+        uncached_cost = None if cache_estimate is None else keys[id(candidates[0])][1]
         result = PlannerResult(
             best=candidates[0],
             candidates=candidates,
@@ -501,65 +393,87 @@ class Planner:
         )
         return _Shaped(result, tuple(ties), first)
 
-    def _pushed(
-        self, chain: list, entries: list, memo: PlanMemo
-    ) -> Optional[tuple[list[Expr], dict]]:
-        """Step 5 over a join graph's enumeration ``entries`` from the
-        rule-6 table, with the table the σ keeps of its cores (see
-        ``remembered``), or None where the table does not apply.
+    def _enumerate(self, graph: Expr, memo: PlanMemo) -> tuple[list, list]:
+        """Per join graph: its core plans after rule 1 and rules 4 and 8/9
+        to closure, each an ``_Expansion`` with the mapping of the rule-1
+        expansion it descends from, and the steps that found them.  Rules 4
+        and 8/9 rewrite joins, never what a query puts above a core; behind
+        each of a query's plans is at most one entry per expansion, so the
+        query's own plans are capped below."""
+        expansions = self._expand(graph)
+        steps = [
+            ("expansion (rule 1)", "DefaultNavigation", None, None, _Expansion(*pair))
+            for pair in expansions
+        ]
+        entries = _dedup([step[-1] for step in steps])
+        cap = rewriter.MAX_PLANS * len(expansions)
+        rules = [rule for rule in RULES.values() if getattr(self.options, rule.option)]
+        merge = [rule for rule in rules if rule.name == "MergeRepeatedNavigation"]
+        for phase, chosen in (
+            ("merge repeated (rule 4)", merge), ("join rules (8/9)", rules)
+        ):
+            entries = rewriter.closure(
+                entries, chosen, self.scheme, cap, steps, phase, memo
+            )
+        return entries, steps
 
-        Rule 6 reads a plan's σ, not its root π: pushing selections in
-        ``π(e)`` is ``π`` over ``e`` pushed, under one σ per atom ``e``
-        does not provide, as long as ``π`` renames no atom's attribute.
-        So the table keeps, per σ over the graph (``id`` of the root π's
-        child, which it pins), each entry pushed under the σ, and a query
-        puts its own π on top."""
-        kinds = tuple(map(type, chain))
-        if kinds not in ((Project,), (Project, Select)):
-            return None  # not the π(σ(graph)) ``translate`` emits
-        if len(entries) > rewriter.MAX_PLANS:
-            return None  # the cap counts the query's own plans
-        root, sigma = chain[0], chain[1:]
-        found = self._pushes.get(id(root.child))
-        if found is None:
-            rows, attrs = [], set()
-            for entry in entries:
-                renames = dict(entry.mapping)
-                core = entry.child
-                for node in sigma:
-                    core = rename_attrs(node, (core,), renames)
+    def _select(self, node: Expr, memo: PlanMemo) -> tuple:
+        """Per σ over a join graph (``node``, a query's root π's child): the
+        graph's entries pushed under the σ (rule 6), as (entry, pushed core,
+        the atoms left for above the π); the attributes the atoms read; and
+        the table of what rules 7 and 3/5 and validation learn of the
+        cores, which goes with the row."""
+        sigma = [node] if isinstance(node, Select) else []
+        graph = node.child if sigma else node
+        rows, attrs = [], set()
+        for entry in memo.table.get(self._enumerate, graph, memo)[0]:
+            core, atoms, placed = _attach(sigma, entry), (), 0
+            if self.options.push_selections:
                 try:
                     core, atoms, placed = push_selections_below(core, memo)
                 except (AlgebraError, SchemaError, PredicateError):
-                    continue  # as ``_try_map`` drops it
-                rows.append((core, atoms[placed:], entry.mapping))
-                attrs.update(attr for atom in atoms for attr in atom.attrs())
-            found = (root.child, rows, frozenset(attrs), {})
-            self._remember(self._pushes, id(root.child), found)
-        _, rows, attrs, cores = found
-        if any(out in attrs for out, _ in root.outputs):
-            return None
-        plans = []
-        for core, unplaced, mapping in rows:
-            plan = rename_attrs(root, (core,), dict(mapping))
-            for atom in unplaced:
-                plan = Select(plan, Predicate([atom]))
-            plans.append(plan)
-        return _dedup(plans), cores
+                    continue  # as ``_improve`` drops the plan
+            rows.append((entry, core, atoms[placed:]))
+            attrs.update(attr for atom in atoms for attr in atom.attrs())
+        return rows, frozenset(attrs), Table()
 
-    # ------------------------------------------------------------------ #
-    # rule 1: expansion
-    # ------------------------------------------------------------------ #
+    def _pushed(self, chain: list, entries: list, memo: PlanMemo, steps: list):
+        """Step 5, rule 6: the query's plans over its graph's ``entries``.
+        Pushing selections in ``π(e)`` is ``π`` over ``e`` pushed, under one
+        σ per atom ``e`` does not provide, as long as ``π`` renames no atom's
+        attribute; so over the π(σ(graph)) ``translate`` emits, the query
+        puts its π on its σ's row (and keeps its cores' facts in the row's
+        table), and any other chain is attached and pushed entry by entry."""
+        phase = "push selections (rule 6)"
+        kinds, cap = tuple(map(type, chain)), rewriter.MAX_PLANS
+        # the cap counts the query's own plans: past it, the row is not used
+        if kinds in ((Project,), (Project, Select)) and len(entries) <= cap:
+            root = chain[0]
+            rows, attrs, facts = memo.table.get(self._select, root.child, memo)
+            if not any(out in attrs for out, _ in root.outputs):
+                plans = []
+                for entry, core, unplaced in rows:
+                    plan = rename_attrs(root, (core,), dict(entry.mapping))
+                    for atom in unplaced:
+                        plan = Select(plan, Predicate([atom]))
+                    plans.append(plan)
+                    steps.append((phase, "push_selections", entry, None, plan))
+                return _dedup(plans), facts
+        plans = _dedup([_attach(chain, entry) for entry in entries])
+        if len(plans) > cap:
+            raise OptimizerError(
+                f"rewrite closure exceeded {cap} plans; "
+                "the query is too irregular for exhaustive enumeration"
+            )
+        if self.options.push_selections:
+            plans = _dedup(_improve(plans, push_selections, phase, memo, steps))
+        return plans, memo.results
 
     def _expand(self, graph: Expr) -> list[tuple[Expr, tuple]]:
         """Rule 1: ``graph`` with every external relation replaced by one of
         its default navigations, in all possible ways, each with its
         mapping (sorted ``(alias.attr, qualified name)`` pairs)."""
-        scans = [
-            (path, node)
-            for path, node in walk(graph)
-            if isinstance(node, ExternalRelScan)
-        ]
+        scans = [(p, n) for p, n in walk(graph) if isinstance(n, ExternalRelScan)]
         # Self-joins: occurrences of the same relation must navigate under
         # distinct aliases, or rule 4 would wrongly collapse them.
         relation_counts = Counter(scan.name for _, scan in scans)
@@ -612,32 +526,27 @@ class Planner:
         mid-query: ``suffix`` is the join (or navigation) subtree it has
         not yet executed, and ``rule`` names the Section 7 strategy to
         switch to (``"PointerJoin"`` for rule 8, ``"PointerChase"`` for
-        rule 9).  Returns the first rewriting that validates and costs —
-        the same ``_validated`` bar every static candidate
-        clears — or None when the rule does not apply.  With ``trace``
-        the firing is recorded as an ``"adaptive re-planning"`` step, so
-        EXPLAIN ANALYZE can show the switch in the plan's lineage.
+        rule 9) — its entry of :data:`~repro.optimizer.rules.RULES`.
+        Returns the first rewriting that validates and costs — the same
+        ``_validated`` bar every static candidate clears — or None when
+        the rule does not apply.  With ``trace`` the firing is recorded as
+        an ``"adaptive re-planning"`` step, so EXPLAIN ANALYZE can show the
+        switch in the plan's lineage.
         """
         if rule not in ("PointerJoin", "PointerChase"):
             raise OptimizerError(
-                f"unknown strategy rule {rule!r} "
-                f"(PointerJoin or PointerChase)"
+                f"unknown strategy rule {rule!r} (PointerJoin or PointerChase)"
             )
-        rewriter = PointerJoin() if rule == "PointerJoin" else PointerChase()
         memo = PlanMemo(self.scheme)
-        for rewritten in rewriter.rewrite(suffix, memo):
+        for rewritten in RULES[rule].rewrite(suffix, memo):
             if _validated(rewritten, self.cost_model, memo) is None:
                 continue
             if trace is not None:
-                trace.record(
-                    "adaptive re-planning",
-                    rule,
-                    memo.key(rewritten),
-                    parent=memo.key(suffix),
-                    expr=rewritten,
-                )
+                step = ("adaptive re-planning", rule, suffix, None, rewritten)
+                _observe(trace, [step], [], memo)
             return rewritten
         return None
+
 
 def _validated(plan: Expr, model: CostModel, memo: PlanMemo) -> Optional[tuple]:
     """(``plan`` as a candidate under ``model``, its schema), or None when
@@ -653,35 +562,48 @@ def _validated(plan: Expr, model: CostModel, memo: PlanMemo) -> Optional[tuple]:
     return PlanCandidate(plan, estimate.cost, estimate.cardinality, bytes_cost), schema
 
 
-def _try_map(
-    exprs: Sequence[Expr],
-    rewrite,
-    memo: PlanMemo,
-    trace: Optional[RewriteTrace],
-    phase: str,
-) -> list[Expr]:
-    """Apply an improvement pass (``rewrite(plan, scheme, memo)``) to every
-    plan, dropping the ones it cannot handle.
-
-    With ``trace``, every application that actually changed the plan is
-    recorded as a lineage step (improvement passes rewrite in place, so
-    the output's lineage chains through its input)."""
+def _improve(plans, improve, phase: str, memo: PlanMemo, steps: list) -> list[Expr]:
+    """An improvement pass, ``improve(plan, scheme, memo)``, over every plan,
+    dropping the ones it cannot handle; each application noted in
+    ``steps``."""
     results = []
-    for expr in exprs:
+    for plan in plans:
         try:
-            out = rewrite(expr, memo.scheme, memo)
+            results.append(improve(plan, memo.scheme, memo))
         except (AlgebraError, SchemaError, PredicateError):
             continue
-        results.append(out)
-        if trace is not None and out is not expr:
-            trace.record(
-                phase,
-                rewrite.__name__,
-                memo.key(out),
-                parent=memo.key(expr),
-                expr=out,
-            )
+        steps.append((phase, improve.__name__, plan, None, results[-1]))
     return results
+
+
+def _observe(trace: RewriteTrace, steps, chain: list, memo: PlanMemo) -> None:
+    """Record the stages' ``steps`` (see :mod:`~repro.optimizer.rewriter`)
+    as the query's lineage: each plan under the query's root ``chain``,
+    applications that changed nothing left out."""
+    for phase, rule, parent, where, result in steps:
+        plan = _attach(chain, result)
+        source = None if parent is None else _attach(chain, parent)
+        if plan is source:
+            continue
+        trace.record(
+            phase,
+            rule,
+            memo.key(plan),
+            parent=None if source is None else memo.key(source),
+            subexpr="" if where is None else memo.key(where, compact=True),
+            expr=plan,
+        )
+
+
+def _attach(chain: list, plan: Expr) -> Expr:
+    """An enumeration entry's plan under a query's root ``chain`` (any
+    other plan is its own)."""
+    if not isinstance(plan, _Expansion):
+        return plan
+    core, renames = plan.child, dict(plan.mapping)
+    for node in reversed(chain):
+        core = rename_attrs(node, (core,), renames)
+    return core
 
 
 def _dedup(exprs: Sequence[Expr]) -> list[Expr]:
@@ -752,13 +674,7 @@ class _Bound(Sequence):
 
     __slots__ = ("_size", "_source", "_bound")
 
-    def __init__(
-        self,
-        shaped: _Shaped,
-        binding: dict,
-        scheme: WebScheme,
-        best: PlanCandidate,
-    ):
+    def __init__(self, shaped: _Shaped, binding: dict, scheme, best: PlanCandidate):
         self._size = len(shaped.result.candidates)
         self._source: Optional[tuple] = (shaped, binding, scheme, best)
         self._bound: Optional[list] = None

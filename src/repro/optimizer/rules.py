@@ -2,13 +2,15 @@
 
 All rules operate on *qualified-name* expressions (external relations
 already expanded by rule 1, which lives in the planner because it needs the
-view catalog).  Enumerative rules implement ``rewrite_node(node, scheme) →
-[replacement, ...]``: the rewriter tries them at every position of a plan.
+view catalog).  The enumerative rules are data: :data:`RULES`, in the
+order the rewriter tries them at every position of a plan, each entry a
+lineage name, the :class:`~repro.optimizer.planner.PlannerOptions` flag
+that enables it and ``rewrite(node, memo) → [replacement, ...]``.
 Improvement passes (selection pushing, navigation elimination) are plain
 functions applied once per plan — in this cost model they never hurt.
-Inside a planning call both get its :class:`~repro.optimizer.memo.PlanMemo`
-(``rule.rewrite(node, memo)``, the passes' last argument) and type nodes
-through it; every answer is a pure function of the node asked about.
+Both type nodes through the planning call's
+:class:`~repro.optimizer.memo.PlanMemo`; every answer is a pure function
+of the node asked about.
 
 Correspondence with the paper:
 
@@ -16,18 +18,19 @@ Correspondence with the paper:
 Rule 1                 :meth:`repro.optimizer.planner.Planner` (expansion)
 Rules 2, 3, 5          :func:`eliminate_unused_navigation` (unused
                        navigations and unnests dropped under a projection)
-Rule 4                 :class:`MergeRepeatedNavigation`
+Rule 4                 :func:`merge_repeated` (``MergeRepeatedNavigation``)
 Rule 6                 :func:`push_selections` (constraint-based attribute
                        substitution + physical pushdown)
-Rule 7                 :class:`ProjectionSubstitution`
-Rule 8                 :class:`PointerJoin`
-Rule 9                 :class:`PointerChase`
+Rule 7                 :func:`substitute_projection` with
+                       :func:`projection_source` (``ProjectionSubstitution``)
+Rule 8                 :func:`pointer_join` (``PointerJoin``)
+Rule 9                 :func:`pointer_chase` (``PointerChase``)
 =====================  =====================================================
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.adm.constraints import AttrRef
 from repro.adm.scheme import WebScheme
@@ -49,12 +52,12 @@ from repro.nested.schema import Field, RelationSchema
 from repro.optimizer.memo import PlanMemo, per_call
 
 __all__ = [
-    "RewriteRule",
-    "JoinPushdown",
-    "MergeRepeatedNavigation",
-    "PointerJoin",
-    "PointerChase",
-    "ProjectionSubstitution",
+    "Rule",
+    "RULES",
+    "join_pushdown",
+    "merge_repeated",
+    "pointer_join",
+    "pointer_chase",
     "projection_source",
     "substitute_projection",
     "push_selections",
@@ -98,9 +101,7 @@ def rename_attrs(node: Expr, kids: tuple, mapping: dict[str, str]) -> Expr:
     if isinstance(node, Select):
         return Select(kids[0], node.predicate.rename(mapping))
     if isinstance(node, Project):
-        return Project(
-            kids[0], tuple((o, mapping.get(i, i)) for o, i in node.outputs)
-        )
+        return Project(kids[0], tuple((o, mapping.get(i, i)) for o, i in node.outputs))
     if isinstance(node, Join):
         on = tuple(
             (mapping.get(lhs, lhs), mapping.get(rhs, rhs)) for lhs, rhs in node.on
@@ -144,30 +145,10 @@ def _source_attr_for(
     prov = link_field.provenance
     if prov is None:
         return None
-    constraint = scheme.find_link_constraint(
-        prov.base_scheme, prov.path, target_path
-    )
+    constraint = scheme.find_link_constraint(prov.base_scheme, prov.path, target_path)
     if constraint is None:
         return None
     return f"{prov.scheme}.{constraint.source_attr}"
-
-
-# --------------------------------------------------------------------- #
-# rule base
-# --------------------------------------------------------------------- #
-
-
-class RewriteRule:
-    """Base for enumerative rewrite rules."""
-
-    def rewrite_node(self, node: Expr, scheme: WebScheme) -> list[Expr]:
-        """Equivalent replacements for ``node`` (empty when no match)."""
-        return self.rewrite(node, PlanMemo(scheme))
-
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        """:meth:`rewrite_node` inside a planning call, typing nodes
-        through ``memo``.  A rule overrides one of the two."""
-        return self.rewrite_node(node, memo.scheme)
 
 
 # --------------------------------------------------------------------- #
@@ -175,7 +156,7 @@ class RewriteRule:
 # --------------------------------------------------------------------- #
 
 
-class MergeRepeatedNavigation(RewriteRule):
+def merge_repeated(node: Expr, memo: PlanMemo) -> list[Expr]:
     """``R ⋈_Y R = R`` and ``(R ∘ A) ⋈_Y R = R ∘ A`` (paper, rule 4).
 
     Matches a join whose one side occurs *verbatim* on the other side's
@@ -183,56 +164,49 @@ class MergeRepeatedNavigation(RewriteRule):
     the join then adds nothing and the longer navigation survives.
 
     The equality requires the equated attributes to identify tuples of the
-    shared navigation.  When constructed with site statistics the rule
+    shared navigation.  With site statistics (``memo.stats``) the rule
     *verifies* this (``c_A ≥ |μ_A(P)|``, i.e. every value is unique at the
     attribute's level); without statistics it assumes it, which is sound
     for the key-like attributes (names, URLs) view expansion produces.
     """
-
-    def __init__(self, stats=None):
-        self.stats = stats
-
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        if not isinstance(node, Join) or not node.on:
-            return []
-        results = []
-        if self._mergeable(node.left, node.right, node.on, memo):
-            results.append(node.right)
-        if self._mergeable(
-            node.right,
-            node.left,
-            [(rhs, lhs) for lhs, rhs in node.on],
-            memo,
-        ):
-            results.append(node.left)
-        return results
-
-    def _mergeable(self, short: Expr, long: Expr, on, memo: PlanMemo) -> bool:
-        if short not in spine(long):
-            return False
-        schema = memo.schemas.get(short)
-        if schema is None:
-            return False
-        return all(
-            lhs == rhs and lhs in schema and self._identifies(schema, lhs)
-            for lhs, rhs in on
+    if not isinstance(node, Join) or not node.on:
+        return []
+    flipped = [(rhs, lhs) for lhs, rhs in node.on]
+    return [
+        long
+        for short, long, on in (
+            (node.left, node.right, node.on), (node.right, node.left, flipped)
         )
+        if _mergeable(short, long, on, memo)
+    ]
 
-    def _identifies(self, schema: RelationSchema, attr: str) -> bool:
-        """True when values of ``attr`` are unique at its nesting level
-        (statistics-verified when available)."""
-        if self.stats is None:
-            return True
-        field = schema.field(attr)
-        prov = field.provenance
-        if prov is None:
-            return False
-        try:
-            distinct = self.stats.distinct(prov.base_scheme, prov.path)
-            total = self.stats.unnested_card(prov.base_scheme, prov.path)
-        except StatisticsError:
-            return False
-        return distinct >= total - 1e-9
+
+def _mergeable(short: Expr, long: Expr, on, memo: PlanMemo) -> bool:
+    if short not in spine(long):
+        return False
+    schema = memo.schemas.get(short)
+    if schema is None:
+        return False
+    return all(
+        lhs == rhs and lhs in schema and _identifies(schema, lhs, memo.stats)
+        for lhs, rhs in on
+    )
+
+
+def _identifies(schema: RelationSchema, attr: str, stats) -> bool:
+    """True when values of ``attr`` are unique at its nesting level
+    (statistics-verified when available)."""
+    if stats is None:
+        return True
+    prov = schema.field(attr).provenance
+    if prov is None:
+        return False
+    try:
+        distinct = stats.distinct(prov.base_scheme, prov.path)
+        total = stats.unnested_card(prov.base_scheme, prov.path)
+    except StatisticsError:
+        return False
+    return distinct >= total - 1e-9
 
 
 # --------------------------------------------------------------------- #
@@ -280,10 +254,7 @@ def _match_link_join(node: Expr, schemas: Schemas) -> list[_LinkJoinMatch]:
             continue
         target_alias = schemas.target_alias(nav_side)
         target_base = schemas.link_type(nav_side).target
-        oriented = [
-            ((rhs, lhs) if flipped else (lhs, rhs))
-            for lhs, rhs in node.on
-        ]  # (nav_attr, other_attr)
+        oriented = [(b, a) if flipped else (a, b) for a, b in node.on]  # (nav, other)
         for index, (na, oa) in enumerate(oriented):
             if na not in nav_schema or oa not in other_schema:
                 continue
@@ -316,9 +287,7 @@ def _match_link_join(node: Expr, schemas: Schemas) -> list[_LinkJoinMatch]:
                 if field.provenance.scheme != oa_field.provenance.scheme:
                     continue
                 constraint = scheme.find_link_constraint(
-                    field.provenance.base_scheme,
-                    field.provenance.path,
-                    b_path,
+                    field.provenance.base_scheme, field.provenance.path, b_path
                 )
                 if constraint is None:
                     continue
@@ -330,29 +299,25 @@ def _match_link_join(node: Expr, schemas: Schemas) -> list[_LinkJoinMatch]:
     return matches
 
 
-class PointerJoin(RewriteRule):
+def pointer_join(node: Expr, memo: PlanMemo) -> list[Expr]:
     """Rule 8: push the join below the navigation —
     ``(R1 →L R3) ⋈_{R3.B=R2.A} R2  =  (R1 ⋈_{R1.L=R2.L'} R2) →L R3``.
 
     Joining the two pointer sets first means only pages in the intersection
     are downloaded.
     """
-
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        results = []
-        for match in _link_join_matches(node, memo):
-            pairs = match.rest + [(match.nav.link_attr, match.other_link.name)]
-            sides = (match.nav.child, match.other)
-            if match.flipped:  # each input stays on the side it came from
-                pairs, sides = [(b, a) for a, b in pairs], sides[::-1]
-            inner = Join(*sides, tuple(pairs))
-            results.append(
-                FollowLink(inner, match.nav.link_attr, match.nav.alias)
-            )
-        return results
+    results = []
+    for match in _link_join_matches(node, memo):
+        pairs = match.rest + [(match.nav.link_attr, match.other_link.name)]
+        sides = (match.nav.child, match.other)
+        if match.flipped:  # each input stays on the side it came from
+            pairs, sides = [(b, a) for a, b in pairs], sides[::-1]
+        inner = Join(*sides, tuple(pairs))
+        results.append(FollowLink(inner, match.nav.link_attr, match.nav.alias))
+    return results
 
 
-class PointerChase(RewriteRule):
+def pointer_chase(node: Expr, memo: PlanMemo) -> list[Expr]:
     """Rule 9: replace the join by navigation —
     ``π_X((R1 →L R3) ⋈_{R3.B=R2.A} R2) = π_X(R2 →L' R3)`` when the
     inclusion constraint ``R2.L' ⊆ R1.L`` holds.
@@ -363,47 +328,38 @@ class PointerChase(RewriteRule):
     and are discarded by the planner — which is precisely the paper's side
     condition that X must not mention R1.
     """
-
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        results = []
-        for match in _link_join_matches(node, memo):
-            if match.rest:
-                continue  # residual pairs may reference the dropped side
-            nav_link_field = memo.schemas.of(match.nav.child).field(
-                match.nav.link_attr
-            )
-            if nav_link_field.provenance is None:
-                continue
-            subset = AttrRef(
-                match.other_link.provenance.base_scheme,
-                match.other_link.provenance.path,
-            )
-            superset = AttrRef(
-                nav_link_field.provenance.base_scheme,
-                nav_link_field.provenance.path,
-            )
-            if not memo.scheme.includes(subset, superset):
-                continue
-            # R1 must be an unrestricted navigation covering the full
-            # extent; at this stage selections are still at the query root,
-            # so a pure navigation chain suffices.
-            if not _is_pure_navigation(match.nav.child):
-                continue
-            target_alias = memo.schemas.target_alias(match.nav)
-            results.append(
-                FollowLink(match.other, match.other_link.name, target_alias)
-            )
-        return results
+    results = []
+    for match in _link_join_matches(node, memo):
+        if match.rest:
+            continue  # residual pairs may reference the dropped side
+        nav_link_field = memo.schemas.of(match.nav.child).field(match.nav.link_attr)
+        if nav_link_field.provenance is None:
+            continue
+        subset = AttrRef(
+            match.other_link.provenance.base_scheme,
+            match.other_link.provenance.path,
+        )
+        superset = AttrRef(
+            nav_link_field.provenance.base_scheme,
+            nav_link_field.provenance.path,
+        )
+        if not memo.scheme.includes(subset, superset):
+            continue
+        # R1 must be an unrestricted navigation covering the full
+        # extent; at this stage selections are still at the query root,
+        # so a pure navigation chain suffices.
+        if not _is_pure_navigation(match.nav.child):
+            continue
+        target_alias = memo.schemas.target_alias(match.nav)
+        results.append(FollowLink(match.other, match.other_link.name, target_alias))
+    return results
 
 
 def _is_pure_navigation(expr: Expr) -> bool:
-    return all(
-        isinstance(node, (EntryPointScan, Unnest, FollowLink))
-        for node in spine(expr)
-    )
+    return all(isinstance(n, (EntryPointScan, Unnest, FollowLink)) for n in spine(expr))
 
 
-class JoinPushdown(RewriteRule):
+def join_pushdown(node: Expr, memo: PlanMemo) -> list[Expr]:
     """Push a join below unary operators on either input —
     ``Op(X) ⋈ R = Op(X ⋈ R)`` when the join condition only references
     attributes ``X`` already provides.
@@ -415,22 +371,42 @@ class JoinPushdown(RewriteRule):
     one side, independently of the other side), so exposing the buried
     FollowLink for rules 8/9 is sound.
     """
+    if not isinstance(node, Join):
+        return []
+    results = []
+    # Op(X) ⋈ R → Op(X ⋈ R), then L ⋈ Op(X) → Op(L ⋈ X)
+    for index, side in enumerate(node.children()):
+        if isinstance(side, (Unnest, FollowLink, Select)):
+            (inner,) = side.children()
+            inner_schema = memo.schemas.get(inner)
+            if inner_schema is not None and all(
+                pair[index] in inner_schema for pair in node.on
+            ):
+                pushed = replace_child(node, index, inner)
+                results.append(side.with_children((pushed,)))
+    return results
 
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        if not isinstance(node, Join):
-            return []
-        results = []
-        # Op(X) ⋈ R → Op(X ⋈ R), then L ⋈ Op(X) → Op(L ⋈ X)
-        for index, side in enumerate(node.children()):
-            if isinstance(side, (Unnest, FollowLink, Select)):
-                (inner,) = side.children()
-                inner_schema = memo.schemas.get(inner)
-                if inner_schema is not None and all(
-                    pair[index] in inner_schema for pair in node.on
-                ):
-                    pushed = replace_child(node, index, inner)
-                    results.append(side.with_children((pushed,)))
-        return results
+
+class Rule(NamedTuple):
+    """An enumerative rule: its lineage name, the ``PlannerOptions`` flag
+    that enables it, and ``rewrite(node, memo) → [replacement, ...]``."""
+
+    name: str
+    option: str
+    rewrite: Callable[[Expr, PlanMemo], list[Expr]]
+
+
+#: The enumerative rules by lineage name, in the order the rewriter tries
+#: them at each position of a plan.
+RULES = {
+    rule.name: rule
+    for rule in (
+        Rule("JoinPushdown", "join_pushdown", join_pushdown),
+        Rule("MergeRepeatedNavigation", "merge_repeated", merge_repeated),
+        Rule("PointerJoin", "pointer_join", pointer_join),
+        Rule("PointerChase", "pointer_chase", pointer_chase),
+    )
+}
 
 
 # --------------------------------------------------------------------- #
@@ -494,9 +470,7 @@ def _insert_atom(node: Expr, atom: Atom, memo: PlanMemo) -> Expr:
         # σ under π; the atom may reference attributes the π drops)
         renamed = atom.rename({o: i for o, i in node.outputs})
         if _provides(schemas.get(node.child), renamed):
-            return Project(
-                _insert_atom(node.child, renamed, memo), node.outputs
-            )
+            return Project(_insert_atom(node.child, renamed, memo), node.outputs)
         return Select(node, Predicate([atom]))
 
     schema = schemas.get(node)
@@ -542,29 +516,15 @@ def _provides(schema: Optional[RelationSchema], atom: Atom) -> bool:
 # --------------------------------------------------------------------- #
 
 
-class ProjectionSubstitution(RewriteRule):
+def substitute_projection(node: Project, source) -> list[Project]:
     """Rule 7: a projected target-page attribute can be read off the source
     page instead — ``π_B(R1 →L R2) = π_A(π_{A,L}(R1 →L R2))`` given the
-    link constraint ``R1.A = R2.B``.
-
-    Implemented as: in a projection, replace an input attribute of a
-    navigated target page by the redundant source-side attribute.  Together
-    with :func:`eliminate_unused_navigation` this produces the plans that
-    skip downloading target pages entirely (e.g. reading department names
-    from the department *list* page's anchors).
-    """
-
-    def rewrite(self, node: Expr, memo: PlanMemo) -> list[Expr]:
-        if not isinstance(node, Project):
-            return []
-        return substitute_projection(
-            node, lambda name: projection_source(node.child, name, memo)
-        )
-
-
-def substitute_projection(node: Project, source) -> list[Project]:
-    """Rule 7's rewritings of ``node``, in output order: one per input
-    ``in_name`` with a ``source(in_name)`` to stand for it."""
+    link constraint ``R1.A = R2.B``.  The rewritings of ``node``, in output
+    order: one per input ``in_name`` with a ``source(in_name)`` (see
+    :func:`projection_source`) to stand for it.  Together with
+    :func:`eliminate_unused_navigation` this produces the plans that skip
+    downloading target pages entirely (e.g. reading department names from
+    the department *list* page's anchors)."""
     results = []
     for index, (out, in_name) in enumerate(node.outputs):
         found = source(in_name)
@@ -625,8 +585,9 @@ def eliminate_unused_navigation(
     if not isinstance(expr, Project):
         return expr
     memo = memo or PlanMemo(scheme)
-    hits = navigation_hits(droppable_prefixes(expr.child, memo), expr.in_names())
-    return Project(eliminate_below(expr.child, hits, memo), expr.outputs)
+    facts, core = memo.facts, expr.child  # what is known of the core below the π
+    hits = navigation_hits(facts.get(droppable_prefixes, core, memo), expr.in_names())
+    return Project(facts.get(eliminate_below, core, hits, memo), expr.outputs)
 
 
 def eliminate_below(core: Expr, hits: frozenset[str], memo: PlanMemo) -> Expr:
@@ -695,9 +656,7 @@ def _drop_unused(expr: Expr, used: frozenset[str], memo: PlanMemo) -> Expr:
     kids = expr.children()
     if not kids:
         return expr
-    rebuilt = expr.with_children(
-        tuple(_drop_unused(k, used, memo) for k in kids)
-    )
+    rebuilt = expr.with_children(tuple(_drop_unused(k, used, memo) for k in kids))
     if isinstance(rebuilt, FollowLink):
         try:
             link_type = memo.schemas.link_type(rebuilt)

@@ -148,6 +148,13 @@ def _parse_csv(text: str, universe: Sequence[str], what: str) -> tuple:
     return chosen
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.qa",
@@ -189,7 +196,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"ones on every page count and digest",
     )
     parser.add_argument(
-        "--max-plans", type=int, default=None, metavar="N",
+        "--max-plans", type=_at_least_one, default=None, metavar="N",
         help="cap the candidate plans per query (default: the full space)",
     )
     parser.add_argument(

@@ -47,13 +47,11 @@ from repro.optimizer import Planner
 from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rewriter import closure
 from repro.optimizer.rules import (
-    JoinPushdown,
-    MergeRepeatedNavigation,
-    PointerChase,
-    PointerJoin,
-    ProjectionSubstitution,
+    RULES,
     eliminate_unused_navigation,
+    projection_source,
     push_selections,
+    substitute_projection,
 )
 from repro.sitegen import UniversityConfig
 from repro.sites import university
@@ -193,13 +191,15 @@ def _planned_exprs() -> list[Expr]:
             "DeptListPage.DeptList->ToDept.ProfList->ToProf",
         )
     ]
-    rules = [
-        JoinPushdown(),
-        MergeRepeatedNavigation(stats=ENV.stats),
-        PointerJoin(),
-        PointerChase(),
-        ProjectionSubstitution(),
-    ]
+
+    def rule_7(node, memo):
+        if not isinstance(node, Project):
+            return []
+        return substitute_projection(
+            node, lambda name: projection_source(node.child, name, memo)
+        )
+
+    rules = [rule.rewrite for rule in RULES.values()] + [rule_7]
     for sql in adhoc_queries(ENV)[::60]:
         query = ENV.sql(sql)
         found.append(translate(query, ENV.view))
@@ -208,8 +208,8 @@ def _planned_exprs() -> list[Expr]:
             found.append(push_selections(candidate.expr, scheme))
             found.append(eliminate_unused_navigation(candidate.expr, scheme))
             for _, node in walk(candidate.expr):
-                for rule in rules:
-                    found.extend(rule.rewrite_node(node, scheme))
+                for rewrite in rules:
+                    found.extend(rewrite(node, PlanMemo(scheme, ENV.stats)))
     return found
 
 
@@ -322,8 +322,9 @@ class TestIdentityAndEquality:
         what closing each alone finds."""
         depts = EntryPointScan("DeptListPage").unnest("DeptListPage.DeptList")
         joins = [Join(s, depts, ()) for s in _permuted_professor_selections()]
-        together = closure(joins, [JoinPushdown()], ENV.scheme)
-        apart = [p for j in joins for p in closure([j], [JoinPushdown()], ENV.scheme)]
+        rules = [RULES["JoinPushdown"]]
+        together = closure(joins, rules, ENV.scheme)
+        apart = [p for j in joins for p in closure([j], rules, ENV.scheme)]
         rendered = sorted(map(render_expr, together))
         assert rendered == sorted(set(map(render_expr, apart)))
 
@@ -457,12 +458,12 @@ def _join_graph(env, sql: str) -> str:
 
 def test_four_threads_plan_what_one_thread_plans():
     """4 threads × 50 distinct queries on one ``SiteEnv`` (shared planner
-    and its four tables, shared intern table, call-local memos) at a 10 µs
+    and its table, shared intern table, call-local memos) at a 10 µs
     switch interval.  The queries come grouped by join graph, so the four
     lanes start together on one graph and race on each of its misses: the
-    enumeration table ends with one entry per graph, and the tables of
+    enumeration stage ends with one row per graph, and the stages of
     query shapes, rule-6 pushes and results with the serial run's
-    entries."""
+    rows."""
     env = university(UniversityConfig())
     groups: dict[str, list] = {}
     for sql in adhoc_queries(env)[::2][:200]:
@@ -483,17 +484,20 @@ def test_four_threads_plan_what_one_thread_plans():
         except BaseException as exc:  # surfaced below, in the main thread
             errors.append(exc)
 
-    assert not env.planner._enumerations and len(groups) == 4
+    def rows(planner, stage: str) -> list:
+        return planner._table.rows(getattr(planner, stage))
+
+    assert not rows(env.planner, "_enumerate") and len(groups) == 4
     _run_threads([lambda lane=lane: work(lane) for lane in range(4)])
     assert errors == []
     for lane in range(4):
         assert results[lane] == serial[lane::4]
-    assert len(env.planner._enumerations) == len(groups)
-    for table in ("_shapes", "_pushes", "_results"):
-        ours, serial = getattr(env.planner, table), getattr(serial_env.planner, table)
-        assert len(ours) == len(serial), table
-    assert len(env.planner._results) == len(queries)
-    assert len(env.planner._shapes) < len(queries)
+    assert len(rows(env.planner, "_enumerate")) == len(groups)
+    for stage in ("_shape", "_select", "_bind"):
+        ours, serial = rows(env.planner, stage), rows(serial_env.planner, stage)
+        assert len(ours) == len(serial), stage
+    assert len(rows(env.planner, "_bind")) == len(queries)
+    assert len(rows(env.planner, "_shape")) < len(queries)
 
 
 def test_racing_constructors_agree_on_one_object():

@@ -217,6 +217,25 @@ class TestPlanCache:
         )
         assert a is not b
 
+    def test_enumerate_plans_limit(self, uni_env):
+        """``limit`` keeps the cheapest candidates; below 1 it is an error,
+        not the whole plan space."""
+        from repro.errors import OptimizerError
+        from repro.optimizer import Planner
+
+        planner = Planner(uni_env.view, uni_env.cost_model)
+        query = parse_query(
+            "SELECT Professor.PName, email FROM Professor, ProfDept "
+            "WHERE Professor.PName = ProfDept.PName", uni_env.view
+        )
+        every = planner.enumerate_plans(query)
+        assert len(every) > 2
+        assert planner.enumerate_plans(query, limit=1) == every[:1]
+        assert planner.enumerate_plans(query, limit=2) == every[:2]
+        for limit in (0, -3):
+            with pytest.raises(OptimizerError, match="at least 1"):
+                planner.enumerate_plans(query, limit=limit)
+
     def test_refresh_statistics_drops_cache(self):
         from repro.sitegen import SiteMutator, UniversityConfig
         from repro.sites import university

@@ -6,7 +6,7 @@ from repro.algebra.ast import EntryPointScan, Join
 from repro.algebra.printer import render_expr
 from repro.errors import OptimizerError
 from repro.optimizer.rewriter import closure
-from repro.optimizer.rules import MergeRepeatedNavigation, RewriteRule
+from repro.optimizer.rules import RULES, Rule
 
 
 def prof_nav():
@@ -17,27 +17,22 @@ def prof_nav():
     )
 
 
-class _NoOpRule(RewriteRule):
-    def rewrite_node(self, node, scheme):
-        return []
+_NoOpRule = Rule("NoOp", "", lambda node, memo: [])
+
+#: Returns the node itself: must not loop (dedup catches it).
+_SelfRule = Rule("Self", "", lambda node, memo: [node])
 
 
-class _SelfRule(RewriteRule):
-    """Returns the node itself: must not loop (dedup catches it)."""
-
-    def rewrite_node(self, node, scheme):
-        return [node]
-
-
-class _AliasSpinner(RewriteRule):
+def _spin(node, memo):
     """Produces ever-new plans to exercise the safety cap."""
+    if isinstance(node, EntryPointScan):
+        return [
+            EntryPointScan(node.page_scheme, f"{node.name}x")
+        ]
+    return []
 
-    def rewrite_node(self, node, scheme):
-        if isinstance(node, EntryPointScan):
-            return [
-                EntryPointScan(node.page_scheme, f"{node.name}x")
-            ]
-        return []
+
+_AliasSpinner = Rule("AliasSpinner", "", _spin)
 
 
 class TestClosure:
@@ -46,23 +41,23 @@ class TestClosure:
         assert plans == [prof_nav()]
 
     def test_no_match_returns_inputs(self, uni_env):
-        plans = closure([prof_nav()], [_NoOpRule()], uni_env.scheme)
+        plans = closure([prof_nav()], [_NoOpRule], uni_env.scheme)
         assert plans == [prof_nav()]
 
     def test_identity_rewrites_deduplicated(self, uni_env):
-        plans = closure([prof_nav()], [_SelfRule()], uni_env.scheme)
+        plans = closure([prof_nav()], [_SelfRule], uni_env.scheme)
         assert len(plans) == 1
 
     def test_duplicate_inputs_deduplicated(self, uni_env):
         plans = closure(
-            [prof_nav(), prof_nav()], [_NoOpRule()], uni_env.scheme
+            [prof_nav(), prof_nav()], [_NoOpRule], uni_env.scheme
         )
         assert len(plans) == 1
 
     def test_cap_raises(self, uni_env):
         with pytest.raises(OptimizerError):
             closure(
-                [prof_nav()], [_AliasSpinner()], uni_env.scheme, max_plans=5
+                [prof_nav()], [_AliasSpinner], uni_env.scheme, max_plans=5
             )
 
     def test_closure_applies_at_any_depth(self, uni_env):
@@ -74,7 +69,7 @@ class TestClosure:
             inner, dept,
             (("ProfPage.DName", "DeptListPage.DeptList.DName"),),
         )
-        plans = closure([outer], [MergeRepeatedNavigation()], uni_env.scheme)
+        plans = closure([outer], [RULES["MergeRepeatedNavigation"]], uni_env.scheme)
         rendered = {render_expr(p) for p in plans}
         merged = Join(
             nav, dept, (("ProfPage.DName", "DeptListPage.DeptList.DName"),)

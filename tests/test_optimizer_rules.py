@@ -5,21 +5,33 @@ import pytest
 from repro.algebra.ast import EntryPointScan, FollowLink, Join, Select
 from repro.algebra.predicates import Comparison, Predicate
 from repro.algebra.printer import render_expr
+from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rules import (
-    JoinPushdown,
-    MergeRepeatedNavigation,
-    PointerChase,
-    PointerJoin,
-    ProjectionSubstitution,
+    RULES,
     eliminate_unused_navigation,
+    projection_source,
     push_selections,
     substitute_attrs,
+    substitute_projection,
 )
 
 
 @pytest.fixture(scope="module")
 def scheme(uni_env):
     return uni_env.scheme
+
+
+def rewrite(rule, node, scheme, stats=None):
+    """``node``'s rewritings by the entry of ``RULES`` named ``rule``."""
+    return RULES[rule].rewrite(node, PlanMemo(scheme, stats))
+
+
+def substitute(expr, scheme):
+    """Rule 7's rewritings of the projection ``expr``."""
+    memo = PlanMemo(scheme)
+    return substitute_projection(
+        expr, lambda name: projection_source(expr.child, name, memo)
+    )
 
 
 def prof_nav():
@@ -81,7 +93,7 @@ class TestMergeRepeatedNavigation:
         join = Join(
             prof_nav(), prof_nav(), (("ProfPage.PName", "ProfPage.PName"),)
         )
-        results = MergeRepeatedNavigation().rewrite_node(join, scheme)
+        results = rewrite("MergeRepeatedNavigation", join, scheme)
         assert prof_nav() in results
 
     def test_prefix_side_merges_into_longer(self, scheme):
@@ -89,7 +101,7 @@ class TestMergeRepeatedNavigation:
         join = Join(
             prof_nav(), longer, (("ProfPage.PName", "ProfPage.PName"),)
         )
-        results = MergeRepeatedNavigation().rewrite_node(join, scheme)
+        results = rewrite("MergeRepeatedNavigation", join, scheme)
         assert longer in results
 
     def test_different_attr_pairs_do_not_merge(self, scheme):
@@ -98,10 +110,10 @@ class TestMergeRepeatedNavigation:
             dept_prof_nav(),
             (("ProfPage.PName", "DeptPage.ProfList.PName"),),
         )
-        assert MergeRepeatedNavigation().rewrite_node(join, scheme) == []
+        assert rewrite("MergeRepeatedNavigation", join, scheme) == []
 
     def test_non_join_no_match(self, scheme):
-        assert MergeRepeatedNavigation().rewrite_node(prof_nav(), scheme) == []
+        assert rewrite("MergeRepeatedNavigation", prof_nav(), scheme) == []
 
 
 class TestPointerJoin:
@@ -114,7 +126,7 @@ class TestPointerJoin:
             prof_courses,
             (("CoursePage.CName", "ProfPage.CourseList.CName"),),
         )
-        results = PointerJoin().rewrite_node(join, scheme)
+        results = rewrite("PointerJoin", join, scheme)
         assert results
         rewritten = results[0]
         assert isinstance(rewritten, FollowLink)
@@ -134,7 +146,7 @@ class TestPointerJoin:
             prof_courses,
             (("CoursePage.Description", "ProfPage.CourseList.CName"),),
         )
-        assert PointerJoin().rewrite_node(join, scheme) == []
+        assert rewrite("PointerJoin", join, scheme) == []
 
 
 class TestPointerChase:
@@ -145,7 +157,7 @@ class TestPointerChase:
             prof_courses,
             (("CoursePage.CName", "ProfPage.CourseList.CName"),),
         )
-        results = PointerChase().rewrite_node(join, scheme)
+        results = rewrite("PointerChase", join, scheme)
         assert results
         rewritten = results[0]
         assert isinstance(rewritten, FollowLink)
@@ -171,7 +183,7 @@ class TestPointerChase:
             session_courses,
             (("CoursePage.CName", "SessionPage.CourseList.CName"),),
         )
-        results = PointerChase().rewrite_node(join, scheme)
+        results = rewrite("PointerChase", join, scheme)
         # R1 = ProfPage.CourseList: SessionPage.CourseList ⊄ it
         assert results == []
 
@@ -190,7 +202,7 @@ class TestPointerChase:
             prof_courses,
             (("CoursePage.CName", "ProfPage.CourseList.CName"),),
         )
-        assert PointerChase().rewrite_node(join, scheme) == []
+        assert rewrite("PointerChase", join, scheme) == []
 
 
 class TestJoinPushdown:
@@ -203,7 +215,7 @@ class TestJoinPushdown:
             dept_prof_nav(),
             (("ProfPage.PName", "DeptPage.ProfList.PName"),),
         )
-        results = JoinPushdown().rewrite_node(join, scheme)
+        results = rewrite("JoinPushdown", join, scheme)
         assert results
         # the FollowLink should now be above the join
         assert isinstance(results[0], FollowLink)
@@ -217,7 +229,7 @@ class TestJoinPushdown:
         # CoursePage.PName is produced by the left side's top FollowLink, so
         # the left side must not be pushed; the right side's top Unnest
         # produces DeptPage.ProfList.PName, so it must not be pushed either.
-        assert JoinPushdown().rewrite_node(join, scheme) == []
+        assert rewrite("JoinPushdown", join, scheme) == []
 
     def test_pushdown_preserves_semantics(self, uni_env, scheme):
         buried = prof_nav().unnest("ProfPage.CourseList").follow(
@@ -228,7 +240,7 @@ class TestJoinPushdown:
             dept_prof_nav(),
             (("ProfPage.PName", "DeptPage.ProfList.PName"),),
         )
-        rewritten = JoinPushdown().rewrite_node(join, scheme)[0]
+        rewritten = rewrite("JoinPushdown", join, scheme)[0]
         a = uni_env.executor.execute(join).relation
         b = uni_env.executor.execute(rewritten).relation
         assert a.same_contents(b)
@@ -294,14 +306,14 @@ class TestPushSelections:
 class TestProjectionSubstitution:
     def test_substitutes_target_attr(self, scheme):
         expr = prof_nav().project(("PName", "ProfPage.PName"))
-        results = ProjectionSubstitution().rewrite_node(expr, scheme)
+        results = substitute(expr, scheme)
         assert results
         out = results[0]
         assert out.outputs == (("PName", "ProfListPage.ProfList.PName"),)
 
     def test_no_substitution_without_constraint(self, scheme):
         expr = prof_nav().project(("email", "ProfPage.email"))
-        assert ProjectionSubstitution().rewrite_node(expr, scheme) == []
+        assert substitute(expr, scheme) == []
 
 
 class TestEliminateUnusedNavigation:
@@ -341,7 +353,7 @@ class TestEliminateUnusedNavigation:
             .follow("DeptListPage.DeptList.ToDept")
             .project(("DName", "DeptPage.DName"))
         )
-        substituted = ProjectionSubstitution().rewrite_node(expr, scheme)[0]
+        substituted = substitute(expr, scheme)[0]
         out = eliminate_unused_navigation(substituted, scheme)
         assert "ToDept" not in render_expr(out)
         result = uni_env.executor.execute(out)
@@ -355,33 +367,29 @@ class TestMergeKeyGuard:
     """With statistics, rule 4 only merges on identifying attributes."""
 
     def test_non_key_attribute_blocks_merge(self, uni_env, scheme):
-        rule = MergeRepeatedNavigation(stats=uni_env.stats)
         # DName in ProfPage has 3 distinct values over 20 pages: not a key
         join = Join(
             prof_nav(), prof_nav(), (("ProfPage.DName", "ProfPage.DName"),)
         )
-        assert rule.rewrite_node(join, scheme) == []
+        assert rewrite("MergeRepeatedNavigation", join, scheme, uni_env.stats) == []
 
     def test_key_attribute_allows_merge(self, uni_env, scheme):
-        rule = MergeRepeatedNavigation(stats=uni_env.stats)
         join = Join(
             prof_nav(), prof_nav(), (("ProfPage.PName", "ProfPage.PName"),)
         )
-        assert rule.rewrite_node(join, scheme)
+        assert rewrite("MergeRepeatedNavigation", join, scheme, uni_env.stats)
 
     def test_url_is_always_a_key(self, uni_env, scheme):
-        rule = MergeRepeatedNavigation(stats=uni_env.stats)
         join = Join(
             prof_nav(), prof_nav(), (("ProfPage.URL", "ProfPage.URL"),)
         )
-        assert rule.rewrite_node(join, scheme)
+        assert rewrite("MergeRepeatedNavigation", join, scheme, uni_env.stats)
 
     def test_without_stats_merge_is_assumed(self, scheme):
-        rule = MergeRepeatedNavigation()
         join = Join(
             prof_nav(), prof_nav(), (("ProfPage.DName", "ProfPage.DName"),)
         )
-        assert rule.rewrite_node(join, scheme)
+        assert rewrite("MergeRepeatedNavigation", join, scheme)
 
     def test_planner_still_merges_workload_queries(self, uni_env):
         """The stats-guarded planner still finds the cheap merged plans on

@@ -3,8 +3,8 @@ its core.
 
 Rule 7 rewrites only the root π, by a substitution per (core, in-name);
 rules 3/5 are a function of (core, hits); validation, C(E) and bytes of
-``π(core')`` are ``core'``'s.  An untraced planner keeps these per core on
-the σ's rule-6 row; a traced run computes the same function with no table.
+``π(core')`` are ``core'``'s.  A planner keeps these per core on the σ's
+rule-6 row; a traced run does too, in tables of its own that die with it.
 Both must answer alike — the same interned plans, in the same order, with
 the same figures — and the facts must go when their row goes.
 """
@@ -24,7 +24,7 @@ from repro.optimizer import planner as planner_module
 from repro.qa.cli import build_site
 from repro.views.translate import translate
 
-from tests.plan_space_golden import QA_SITES, _warm_estimate
+from tests.plan_space_golden import QA_SITES, _lineage, _warm_estimate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,7 +73,7 @@ def _agree(env, queries, warm_every: int = 4) -> None:
         for estimate in (None, warm) if index % warm_every == 0 else (None,):
             planned = env.planner.plan_query(query, estimate)
             _same_plans(planned, table_free.plan_query(query, estimate, trace=True))
-    assert not table_free._pushes and env.planner._pushes
+    assert not len(table_free._table) and env.planner._table.rows(env.planner._select)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
@@ -88,7 +88,7 @@ def test_each_golden_site_plans_as_a_table_free_traced_run(site):
     _agree(env, list(queries.values()), warm_every=1)
 
 
-def _depth_first(exprs, one_step, max_plans, trace, phase, memo):
+def _depth_first(exprs, one_step, max_plans, steps, phase):
     seen: dict = {}
 
     def visit(plan):
@@ -122,9 +122,9 @@ def test_rule_7_enumerates_breadth_first(seed_1, monkeypatch):
     )
     saturate = rewriter.saturate
 
-    def rule_7_depth_first(exprs, one_step, max_plans, trace, phase, memo):
+    def rule_7_depth_first(exprs, one_step, max_plans, steps, phase):
         walk = _depth_first if phase.startswith("projection") else saturate
-        return walk(exprs, one_step, max_plans, trace, phase, memo)
+        return walk(exprs, one_step, max_plans, steps, phase)
 
     monkeypatch.setattr(rewriter, "saturate", rule_7_depth_first)
     assert candidate_16() != (
@@ -141,10 +141,10 @@ def test_the_cap_bounds_rule_7(seed_1, monkeypatch):
     failed: list = []
     saturate = rewriter.saturate
 
-    def counted(exprs, one_step, max_plans, trace, phase, memo):
+    def counted(exprs, one_step, max_plans, steps, phase):
         exprs = list(exprs)
         try:
-            found = saturate(exprs, one_step, max_plans, trace, phase, memo)
+            found = saturate(exprs, one_step, max_plans, steps, phase)
         except OptimizerError:
             failed.append(phase)
             raise
@@ -189,8 +189,8 @@ def test_a_cores_facts_go_with_its_sigma_row(seed_1, monkeypatch):
     expr = translate(env.sql(queries[0]), env.view)
     sigma = weakref.ref(expr.child)
     planner.plan_expr(expr)
-    ((_, _, _, facts),) = planner._pushes.values()
-    assert asked and any(counted in key for key in facts)
+    ((_, _, facts),) = planner._table.rows(planner._select)
+    assert asked and facts.rows(counted)
     first = len(asked)
     planner.plan_expr(expr)
     assert len(asked) == first  # kept on the row
@@ -202,7 +202,7 @@ def test_a_cores_facts_go_with_its_sigma_row(seed_1, monkeypatch):
             planner.plan_expr(other)
         if len(others) == 3:
             break
-    assert all(row is not facts for *_, row in planner._pushes.values())
+    assert all(row is not facts for *_, row in planner._table.rows(planner._select))
     del expr, facts
     assert sigma() is None  # nothing else held the row
     before = len(asked)
@@ -242,4 +242,57 @@ def test_threads_share_the_core_facts(seed_1):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert [found[index] for index in range(len(queries))] == expected
-    assert shared._pushes
+    assert shared._table.rows(shared._select)
+
+
+def test_eviction_races_hits_beside_a_traced_run(seed_1, monkeypatch):
+    """Four threads plan distinct ad-hoc queries through one planner whose
+    stages keep three rows each, so eviction races with hits, while a
+    fifth plans traced on the same planner: every answer is serial
+    planning's, and every lineage a serial traced run's."""
+    env, queries = seed_1
+    queries = queries[:160]
+    traced_queries = queries[::10]
+    monkeypatch.setattr(planner_module, "MAX_MEMO", 3)
+    serial = Planner(env.view, env.cost_model)
+    expected = [_figures(serial.plan_query(env.sql(sql))) for sql in queries]
+    lineages = [
+        _lineage(serial.plan_query(env.sql(sql), trace=True)) for sql in traced_queries
+    ]
+    shared = Planner(env.view, env.cost_model)
+    found: dict = {}
+    traced: list = []
+    errors: list = []
+
+    def plan(offset: int) -> None:
+        try:
+            for index in range(offset, len(queries), 4):
+                found[index] = _figures(shared.plan_query(env.sql(queries[index])))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    def plan_traced() -> None:
+        try:
+            for sql in traced_queries:
+                traced.append(_lineage(shared.plan_query(env.sql(sql), trace=True)))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=plan, args=(i,)) for i in range(4)]
+        threads.append(threading.Thread(target=plan_traced))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [found[index] for index in range(len(queries))] == expected
+    assert traced == lineages
+    assert all(len(shared._table.rows(stage)) <= 3 for stage in (
+        shared._bind, shared._shape, shared._select, shared._enumerate
+    ))

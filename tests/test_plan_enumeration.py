@@ -35,6 +35,11 @@ from tests.test_plan_space_golden import GOLDEN_DIGESTS
 ENUMERATION = ("expansion (rule 1)", "merge repeated (rule 4)", "join rules (8/9)")
 
 
+def _graphs(planner: Planner) -> list:
+    """The join-graph enumerations ``planner`` keeps, as (entries, steps)."""
+    return planner._table.rows(planner._enumerate)
+
+
 @pytest.fixture(scope="module")
 def calls():
     return golden.calls()
@@ -64,7 +69,7 @@ def test_long_lived_planners_plan_what_fresh_ones_plan(calls):
         assert golden.value(call, planners[key]) == expected[index], call[:2]
     values = [expected[index] for index in range(len(calls))]
     assert golden.digests(calls, values) == GOLDEN_DIGESTS
-    assert all(planner._enumerations for planner in planners.values())
+    assert all(_graphs(planner) for planner in planners.values())
 
 
 def test_renderings_are_injective_over_every_plan_of_the_corpus(calls, monkeypatch):
@@ -119,10 +124,10 @@ def test_each_join_graph_is_enumerated_once(env, monkeypatch):
     queries = golden.adhoc_queries(env)
     for sql in queries:
         env.plan(sql)
-    assert len(derived) == len(env.planner._enumerations) == 4
+    assert len(derived) == len(_graphs(env.planner)) == 4
     first = env.planner
     env.refresh_statistics()
-    assert env.planner is not first and not env.planner._enumerations
+    assert env.planner is not first and not _graphs(env.planner)
     for sql in queries:
         env.plan(sql)
     assert len(derived) == 8
@@ -131,7 +136,7 @@ def test_each_join_graph_is_enumerated_once(env, monkeypatch):
 def _assert_plans_as_fresh(planner: Planner, expr, sibling) -> None:
     """``expr``'s plan space on ``planner`` after it planned ``sibling`` (an
     expression over the same join graph) is a fresh planner's, and a traced
-    run's, which reads no table."""
+    run's, which reads tables of its own."""
     planner.plan_expr(sibling)
     fresh = Planner(planner.view, planner.cost_model)
     traced = fresh.plan_expr(expr, trace=RewriteTrace())
@@ -167,7 +172,7 @@ def _translated(env, sql: str):
 def test_a_query_after_its_sibling_plans_as_fresh(env, sql, sibling):
     planner = Planner(env.view, env.cost_model)
     _assert_plans_as_fresh(planner, _translated(env, sql), _translated(env, sibling))
-    assert len(planner._enumerations) == 1
+    assert len(_graphs(planner)) == 1
 
 
 def test_an_expression_without_a_root_chain(env):
@@ -223,7 +228,7 @@ def test_the_cap_counts_the_query_plans(env, monkeypatch, twin):
     })
     warm = Planner(view, env.cost_model, options)
     warm.plan_query(query)
-    (_, pairs), = warm._enumerations.values()
+    (pairs, _), = _graphs(warm)
     assert (len(pairs) > space) == twin
 
     ways = [  # a cold table, a traced run, the warm table

@@ -17,6 +17,7 @@ from repro.qa.cli import (
     MOVIE_QUERIES,
     UNIVERSITY_QUERIES,
     build_oracle,
+    main,
 )
 from repro.sites import fuzzed
 from repro.web.client import FetchConfig
@@ -134,6 +135,14 @@ class TestCellReproduction:
         ):
             with pytest.raises(ValueError):
                 Cell.parse(bad)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cli_rejects_max_plans_below_one(self, value, capsys):
+        """``--max-plans 0`` would run the full plan space: refused."""
+        with pytest.raises(SystemExit) as exited:
+            main(["--site", "university", "--max-plans", value, "--list-cells"])
+        assert exited.value.code == 2
+        assert "--max-plans: must be at least 1" in capsys.readouterr().err
 
     def test_spec_rejects_unknown_exec_mode(self):
         with pytest.raises(ValueError):
