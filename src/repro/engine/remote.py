@@ -28,7 +28,6 @@ from repro.engine.compile import compile_plan
 from repro.engine.local import LocalExecutor
 from repro.engine.pipeline import (
     DEFAULT_PIPELINE_CONFIG,
-    PipelineConfig,
     PipelinedExecutor,
     PrefetchScheduler,
 )
@@ -38,14 +37,12 @@ from repro.nested.relation import Relation, relation_digest
 from repro.obs.journal import NULL_JOURNAL
 from repro.obs.progress import ProgressBoard, ProgressTracer, operator_estimates
 from repro.obs.trace import NULL_TRACER, RecordingTracer, Span
-from repro.options import QueryOptions, coerce_options
-from repro.web.cache import CachePolicy, PageCache
+from repro.options import DEFAULT_OPTIONS, QueryOptions
+from repro.web.cache import CachePolicy
 from repro.web.client import (
     DEFAULT_FETCH_CONFIG,
     AccessLog,
     CostSummary,
-    FetchConfig,
-    RetryPolicy,
     WebClient,
 )
 from repro.web.resources import WebResource
@@ -172,12 +169,6 @@ class RemoteExecutor:
         *,
         options: Optional[QueryOptions] = None,
         shared_pages: Optional[Mapping[str, Optional[WebResource]]] = None,
-        fetch_config: Optional[FetchConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        cache: Optional[PageCache] = None,
-        tracer=None,
-        execution: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
         request_id: Optional[str] = None,
         board: Optional[ProgressBoard] = None,
     ) -> ExecutionResult:
@@ -198,10 +189,6 @@ class RemoteExecutor:
         ``options.tracer`` records per-operator spans (observational; the
         recorded root span lands in ``ExecutionResult.trace``).
 
-        The individual keyword arguments are the deprecated pre-1.1
-        surface: still honoured (one :class:`DeprecationWarning` per
-        call), but they cannot be mixed with ``options=``.
-
         ``shared_pages`` pre-loads pages another query already fetched
         (the multi-query server's plan-level sharing): newly injected live
         pages are counted in the log's ``pages_shared`` — they cost this
@@ -218,15 +205,9 @@ class RemoteExecutor:
         digests, page counts, and cache counters) is what makes that
         safe, and the QA matrix's journal dimension re-proves it.
         """
-        opts = coerce_options(
-            options,
-            fetch_config=fetch_config,
-            retry_policy=retry_policy,
-            cache=cache,
-            tracer=tracer,
-            execution=execution,
-            pipeline=pipeline,
-        )
+        opts = DEFAULT_OPTIONS if options is None else options
+        if not isinstance(opts, QueryOptions):
+            raise OptionsError(f"options must be a QueryOptions, got {opts!r}")
         if isinstance(opts.cache, CachePolicy):
             raise OptionsError(
                 f"RemoteExecutor cannot resolve cache policy "

@@ -158,8 +158,8 @@ class ExecutionModeError(ReproError, ValueError):
 
 
 class OptionsError(ReproError, ValueError):
-    """A :class:`~repro.options.QueryOptions` bundle is invalid, cannot be
-    serialized, or was combined with conflicting legacy keyword arguments.
+    """A :class:`~repro.options.QueryOptions` bundle (or a request or
+    engine given one) is invalid.
 
     Doubles as a :class:`ValueError` (like :class:`ExecutionModeError`) so
     generic configuration validators keep working."""

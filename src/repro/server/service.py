@@ -470,7 +470,7 @@ class QueryServer:
         with self._plan_lock:
             # resolve policy names against the environment cache exactly
             # once, on the submitting thread (enable_cache mutates env)
-            return options.with_cache(self.env._resolve_cache(options.cache))
+            return self.env.resolve_options(options)
 
     def _make_task(self, request: QueryRequest) -> _Task:
         """Resolve options, allocate the correlation id, open the journal
@@ -698,8 +698,7 @@ def execute_shared(
     run the query on a specific clone — the oracle does, so the query's
     log stays observable even when the run aborts on exhausted retries
     (the exception propagates; the logs keep what happened up to it)."""
-    opts = options if options is not None else DEFAULT_OPTIONS
-    opts = opts.with_cache(env._resolve_cache(opts.cache))
+    opts = env.resolve_options(options)
     nav = navigator or SharedNavigator(env.scheme, env.client, env.registry)
     before = nav.log.snapshot()
     shared: dict[str, Optional[WebResource]] = {}

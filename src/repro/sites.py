@@ -20,10 +20,9 @@ from typing import Optional, Union
 
 from repro.adm.scheme import WebScheme
 from repro.algebra.ast import EntryPointScan, Expr
-from repro.engine.pipeline import PipelineConfig
 from repro.engine.remote import ExecutionResult, RemoteExecutor
 from repro.errors import OptionsError
-from repro.options import QueryOptions, coerce_options
+from repro.options import DEFAULT_OPTIONS, QueryOptions
 from repro.optimizer.cost import CacheEstimate, CostModel
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.sitegen.bibliography import BibliographyConfig, build_bibliography_site
@@ -36,7 +35,7 @@ from repro.views.conjunctive import ConjunctiveQuery
 from repro.views.external import DefaultNavigation, ExternalRelation, ExternalView
 from repro.views.sql import parse_query
 from repro.web.cache import NO_CACHE, CachePolicy, PageCache, ShardedPageCache
-from repro.web.client import FetchConfig, RetryPolicy, WebClient
+from repro.web.client import WebClient
 from repro.wrapper.conventions import registry_for_scheme
 from repro.wrapper.wrapper import WrapperRegistry
 
@@ -85,7 +84,8 @@ class SiteEnv:
         """Attach a page cache to this environment and return it.
 
         Subsequent :meth:`plan` / :meth:`execute` / :meth:`query` calls use
-        it by default; pass ``cache="off"`` per call to bypass it.
+        it by default; pass ``cache="off"`` to :meth:`plan` or
+        ``options=QueryOptions(cache="off")`` to bypass it for one call.
         ``shards > 1`` builds a :class:`~repro.web.cache.ShardedPageCache`
         (URL-hash partitioned LRUs, per-shard locking — the cross-query
         cache counterpart of the sharded materialized store)."""
@@ -101,10 +101,10 @@ class SiteEnv:
             )
         return self.page_cache
 
-    def _resolve_cache(
+    def _cache_for(
         self, cache: Union[PageCache, CachePolicy, str, None]
     ) -> Optional[PageCache]:
-        """Normalize a per-call ``cache`` argument.
+        """Normalize a cache spec.
 
         ``None`` means the environment default (``page_cache``, possibly
         none at all); a :class:`PageCache` is used as-is; a policy (or its
@@ -123,33 +123,20 @@ class SiteEnv:
         self.page_cache.policy = policy
         return self.page_cache
 
-    def _coerce_options(
-        self,
-        options: Optional[QueryOptions],
-        *,
-        fetch_config: Optional[FetchConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        cache: Union[PageCache, CachePolicy, str, None] = None,
-        tracer: object = None,
-        execution: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
-    ) -> QueryOptions:
-        """The environment's single option-coercion point: apply the
-        legacy-kwargs shim (:func:`repro.options.coerce_options`) and
-        resolve the cache spec against the environment cache *exactly
-        once*, so the resolved :class:`PageCache` (or None) threads
-        through planning and execution unchanged."""
-        opts = coerce_options(
-            options,
-            fetch_config=fetch_config,
-            retry_policy=retry_policy,
-            cache=cache,
-            tracer=tracer,
-            execution=execution,
-            pipeline=pipeline,
-            stacklevel=4,  # user → query/execute/explain → here → warn
-        )
-        return opts.with_cache(self._resolve_cache(opts.cache))
+    def resolve_options(self, options: Optional[QueryOptions]) -> QueryOptions:
+        """The environment's single option-resolution point: ``options``
+        (None: :data:`~repro.options.DEFAULT_OPTIONS`) with its cache spec
+        resolved against the environment cache *exactly once*, so the
+        resolved :class:`PageCache` (or None) threads through planning and
+        execution unchanged.  :meth:`query`, :meth:`execute`,
+        :meth:`explain` and the multi-query server all call it."""
+        if options is None:
+            options = DEFAULT_OPTIONS
+        elif not isinstance(options, QueryOptions):
+            raise OptionsError(
+                f"options must be a QueryOptions, got {options!r}"
+            )
+        return options.with_cache(self._cache_for(options.cache))
 
     @property
     def light_weight(self) -> float:
@@ -165,7 +152,7 @@ class SiteEnv:
         """Per-page-scheme hit rates from the current cache contents, each
         hit priced at :attr:`light_weight`, or None when no (active,
         non-empty) cache applies."""
-        resolved = self._resolve_cache(cache)
+        resolved = self._cache_for(cache)
         if (
             resolved is None
             or resolved.policy is CachePolicy.OFF
@@ -217,12 +204,6 @@ class SiteEnv:
         plan: Expr,
         *,
         options: Optional[QueryOptions] = None,
-        fetch_config: Optional[FetchConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        cache: Union[PageCache, CachePolicy, str, None] = None,
-        tracer: object = None,
-        execution: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
     ) -> ExecutionResult:
         """Execute one plan against the live site.
 
@@ -233,22 +214,9 @@ class SiteEnv:
         see that class for field semantics.  Defaults preserve the
         client's behaviour (serial fetching under the 1998 network model,
         default retries).  The cache spec is resolved against the
-        environment cache exactly once (see :meth:`_resolve_cache`).
-
-        The individual keyword arguments are the deprecated pre-1.1
-        surface: honoured via the :func:`~repro.options.coerce_options`
-        shim (one :class:`DeprecationWarning` per call), but they cannot
-        be mixed with ``options=``.
+        environment cache exactly once (see :meth:`resolve_options`).
         """
-        opts = self._coerce_options(
-            options,
-            fetch_config=fetch_config,
-            retry_policy=retry_policy,
-            cache=cache,
-            tracer=tracer,
-            execution=execution,
-            pipeline=pipeline,
-        )
+        opts = self.resolve_options(options)
         return self.executor.execute(plan, options=opts)
 
     def query(
@@ -256,30 +224,15 @@ class SiteEnv:
         query: ConjunctiveQuery | str,
         *,
         options: Optional[QueryOptions] = None,
-        fetch_config: Optional[FetchConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        cache: Union[PageCache, CachePolicy, str, None] = None,
-        tracer: object = None,
-        execution: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
     ) -> ExecutionResult:
         """Optimize and execute: the paper's end-to-end query path.
 
         With an active cache the optimizer sees its contents (cache-aware
-        costing) and the executor serves hits from it.  ``options`` (or
-        the deprecated individual kwargs — see :meth:`execute`) is
+        costing) and the executor serves hits from it.  ``options`` is
         validated *before* planning — an unknown execution mode raises
         :class:`~repro.errors.ExecutionModeError` instead of silently
         running staged."""
-        opts = self._coerce_options(
-            options,
-            fetch_config=fetch_config,
-            retry_policy=retry_policy,
-            cache=cache,
-            tracer=tracer,
-            execution=execution,
-            pipeline=pipeline,
-        )
+        opts = self.resolve_options(options)
         result = self.plan(query, cache=opts.cache)
         return self.executor.execute(result.best.expr, options=opts)
 
@@ -289,12 +242,6 @@ class SiteEnv:
         *,
         analyze: bool = False,
         options: Optional[QueryOptions] = None,
-        fetch_config: Optional[FetchConfig] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        cache: Union[PageCache, CachePolicy, str, None] = None,
-        tracer: object = None,
-        execution: Optional[str] = None,
-        pipeline: Optional[PipelineConfig] = None,
         plan_index: Optional[int] = None,
     ) -> str:
         """Human-readable optimizer report: considered plans, *why* the
@@ -311,9 +258,9 @@ class SiteEnv:
         measured column — own pages downloaded (summing exactly to the
         run's total), tuples produced, simulated seconds — and the report
         ends with the run's measured :class:`~repro.web.client.
-        CostSummary`.  Pass ``tracer`` (a :class:`~repro.obs.trace.
+        CostSummary`.  Pass ``options.tracer`` (a :class:`~repro.obs.trace.
         RecordingTracer`) to keep the recorded spans for export.  With
-        ``execution="adaptive"`` the analyzed run may fire runtime
+        ``options.execution="adaptive"`` the analyzed run may fire runtime
         relevance prunes and rule-8/9 switches; every fired decision is
         appended to the report (docs/ADAPTIVE.md — under a switched join
         the operator spans pair with the *decision* order, not the
@@ -324,15 +271,7 @@ class SiteEnv:
 
         if isinstance(query, str):
             query = self.sql(query)
-        opts = self._coerce_options(
-            options,
-            fetch_config=fetch_config,
-            retry_policy=retry_policy,
-            cache=cache,
-            tracer=tracer,
-            execution=execution,
-            pipeline=pipeline,
-        )
+        opts = self.resolve_options(options)
         planned = self.planner.plan_query(
             query, cache_estimate=self.cache_estimate(opts.cache), trace=True
         )

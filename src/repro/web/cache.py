@@ -315,7 +315,7 @@ class ShardedPageCache(PageCache):
     working, and all shards share one :class:`CacheStats` so lifetime
     observability is unchanged.  Policy semantics live in the facade —
     shard sub-caches are pure storage — so flipping ``policy`` on the
-    facade (as ``SiteEnv._resolve_cache`` does) affects every shard.
+    facade (as ``SiteEnv.resolve_options`` does) affects every shard.
 
     With ``shards=1`` behaviour is bit-for-bit the unsharded cache: one
     storage dict, same LRU order, same eviction points (per-shard capacity

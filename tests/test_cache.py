@@ -435,7 +435,7 @@ class TestCacheTransparencyAllSites:
         assert warm.pages <= cold.pages
         assert warm.pages + warm.pages_saved >= cold.pages
         # bypassing the attached cache restores the uncached cost
-        off = cached_env.query(sql, cache="off")
+        off = cached_env.query(sql, options=QueryOptions(cache="off"))
         assert off.relation.same_contents(reference.relation)
         assert off.pages == reference.pages
 

@@ -10,6 +10,7 @@ from repro.errors import (
     RetriesExhaustedError,
     TransientFetchError,
 )
+from repro.options import QueryOptions
 from repro.sitegen import UniversityConfig
 from repro.sites import bibliography, movies, university
 from repro.web import (
@@ -303,15 +304,17 @@ class TestQueryOptions:
         serial = uni_env.query("SELECT DName FROM Dept")
         parallel = uni_env.query(
             "SELECT DName FROM Dept",
-            fetch_config=FetchConfig(max_workers=4),
-            retry_policy=RetryPolicy(max_attempts=2),
+            options=QueryOptions(
+                fetch=FetchConfig(max_workers=4),
+                retry=RetryPolicy(max_attempts=2),
+            ),
         )
         assert parallel.relation.same_contents(serial.relation)
         assert parallel.pages == serial.pages
 
     def test_options_are_keyword_only(self, uni_env):
         with pytest.raises(TypeError):
-            uni_env.query("SELECT DName FROM Dept", FetchConfig())
+            uni_env.query("SELECT DName FROM Dept", QueryOptions())
 
     def test_parallel_query_counts_pages_like_serial(self, uni_env):
         sql = (
@@ -321,7 +324,7 @@ class TestQueryOptions:
         )
         serial = uni_env.query(sql)
         parallel = uni_env.query(
-            sql, fetch_config=FetchConfig(max_workers=8)
+            sql, options=QueryOptions(fetch=FetchConfig(max_workers=8))
         )
         assert parallel.pages == serial.pages
         assert parallel.relation.same_contents(serial.relation)
@@ -356,7 +359,7 @@ class TestFaultToleranceEndToEnd:
             failure_rate=0.10, seed=1998
         )
         faulty = faulty_env.query(
-            sql, fetch_config=FetchConfig(max_workers=8)
+            sql, options=QueryOptions(fetch=FetchConfig(max_workers=8))
         )
         assert faulty.relation.same_contents(clean.relation)
         assert faulty.pages == clean.pages
@@ -370,7 +373,7 @@ class TestFaultToleranceEndToEnd:
         )
         result = env.query(
             "SELECT PName, Rank FROM Professor",
-            fetch_config=FetchConfig(max_workers=4),
+            options=QueryOptions(fetch=FetchConfig(max_workers=4)),
         )
         assert result.log.failed_requests > 0
         assert result.log.attempts == (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import TransientFetchError
+from repro.options import QueryOptions
 from repro.qa import relation_digest
 from repro.sitegen import UniversityConfig
 from repro.sites import university
@@ -88,9 +89,11 @@ class TestPlanIndependence:
             before = ENV.client.log.snapshot()
             result = ENV.execute(
                 plan.expr,
-                fetch_config=FetchConfig(max_workers=workers),
-                retry_policy=RetryPolicy(max_attempts=8, backoff_seconds=0.01),
-                cache="off",
+                options=QueryOptions(
+                    fetch=FetchConfig(max_workers=workers),
+                    retry=RetryPolicy(max_attempts=8, backoff_seconds=0.01),
+                    cache="off",
+                ),
             )
             delta = ENV.client.log.delta(before)
         finally:

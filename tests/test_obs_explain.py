@@ -10,6 +10,7 @@ import pytest
 
 from repro.obs import RecordingTracer, spans_by_node
 from repro.obs.explain import plan_report, render_annotated_tree
+from repro.options import QueryOptions
 from repro.qa.cli import EX71_SQL, EX72_SQL
 
 pytestmark = pytest.mark.usefixtures("isolated_metrics")
@@ -18,7 +19,9 @@ pytestmark = pytest.mark.usefixtures("isolated_metrics")
 def _traced_best(uni_env, sql):
     planned = uni_env.planner.plan_query(uni_env.sql(sql), trace=True)
     tracer = RecordingTracer()
-    result = uni_env.executor.execute(planned.best.expr, tracer=tracer)
+    result = uni_env.executor.execute(
+        planned.best.expr, options=QueryOptions(tracer=tracer)
+    )
     return planned, result, tracer
 
 

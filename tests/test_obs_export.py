@@ -17,6 +17,7 @@ from repro.obs.export import (
     chrome_trace_events,
     write_chrome_trace,
 )
+from repro.options import QueryOptions
 from repro.qa.cli import EX72_SQL
 from repro.web.client import FetchConfig
 
@@ -27,8 +28,9 @@ def _traced_run(env, sql, workers):
     tracer = RecordingTracer()
     result = env.executor.execute(
         env.plan(sql).best.expr,
-        fetch_config=FetchConfig(max_workers=workers),
-        tracer=tracer,
+        options=QueryOptions(
+            fetch=FetchConfig(max_workers=workers), tracer=tracer
+        ),
     )
     return result, tracer
 

@@ -126,11 +126,6 @@ class TestOptionsIntegration:
         with pytest.raises(OptionsError):
             QueryOptions(journal="yes").validate()
 
-    def test_options_refuse_to_serialize_a_journal(self):
-        options = QueryOptions(journal=Journal())
-        with pytest.raises(OptionsError):
-            options.to_dict()
-
 
 def _journaled_run(env, expr):
     """One cache-off execution with tracer + journal attached."""

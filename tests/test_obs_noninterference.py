@@ -12,6 +12,7 @@ page cache: tracing must not perturb batching, dedup, or cache behaviour.
 import pytest
 
 from repro.obs import NULL_TRACER, RecordingTracer
+from repro.options import QueryOptions
 from repro.qa.cli import build_site
 from repro.web.client import FetchConfig
 
@@ -28,8 +29,9 @@ def _run(site, *, tracer, workers=1, cache=None):
         env.enable_cache(capacity=4096, policy=cache)
     result = env.query(
         sql,
-        fetch_config=FetchConfig(max_workers=workers),
-        tracer=tracer,
+        options=QueryOptions(
+            fetch=FetchConfig(max_workers=workers), tracer=tracer
+        ),
     )
     return result
 
@@ -76,7 +78,9 @@ def test_tracer_modes_identical_cached(site):
 def test_recording_run_carries_its_trace():
     env, queries = build_site("university")
     tracer = RecordingTracer()
-    result = env.query(next(iter(queries.values())), tracer=tracer)
+    result = env.query(
+        next(iter(queries.values())), options=QueryOptions(tracer=tracer)
+    )
     assert result.trace is not None
     assert result.trace.kind == "query"
     operator_spans = [

@@ -1,14 +1,14 @@
-"""The unified QueryOptions/QueryRequest surface and its legacy shim.
+"""The QueryOptions/QueryRequest surface: the one way to configure a query.
 
 PR 6 redesigned the public query API around one frozen, validated
 :class:`~repro.options.QueryOptions` bundle.  These tests pin the
 contract:
 
-* construction-time validation (one path, subsuming ``coerce_execution``);
-* serialization round-trips (and the refusals: live caches, tracers);
-* the deprecation shim — legacy kwargs still work, warn exactly once per
-  call, are bit-for-bit equivalent to the ``options=`` form (a hypothesis
-  property over the knob space), and mixing the two forms raises;
+* construction-time validation (``coerce_execution`` canonicalizes the
+  mode once; every typed field is type-checked);
+* ``options=`` is the only configuration keyword: each query entry point
+  rejects the six pre-bundle keyword arguments with :class:`TypeError`,
+  and an ``options`` that is not a bundle with ``OptionsError``;
 * the materialized engine's rejection of network-only fields.
 """
 
@@ -17,22 +17,14 @@ from __future__ import annotations
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.pipeline import PipelineConfig
 from repro.errors import ExecutionModeError, OptionsError
 from repro.obs import RecordingTracer
-from repro.options import (
-    DEFAULT_OPTIONS,
-    LEGACY_OPTION_KWARGS,
-    QueryOptions,
-    QueryRequest,
-    coerce_options,
-)
-from repro.qa.oracle import relation_digest
-from repro.sites import fuzzed, university
+from repro.options import DEFAULT_OPTIONS, QueryOptions, QueryRequest
+from repro.sites import university
 from repro.sitegen import UniversityConfig
-from repro.web.cache import CachePolicy, NO_CACHE, PageCache
+from repro.web.cache import CachePolicy, NO_CACHE
 from repro.web.client import FetchConfig, RetryPolicy
 
 SQL = "SELECT PName, Rank FROM Professor WHERE Rank = 'Full'"
@@ -89,35 +81,6 @@ class TestValidation:
         assert base.cache is None
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        opts = QueryOptions(
-            cache="per_query",
-            fetch=FetchConfig(max_workers=6),
-            retry=RetryPolicy(max_attempts=5, backoff_seconds=0.25),
-            execution="pipelined",
-            pipeline=PipelineConfig(chunk_size=8, max_inflight_batches=3),
-        )
-        assert QueryOptions.from_dict(opts.to_dict()) == opts
-
-    def test_default_round_trip(self):
-        assert QueryOptions.from_dict(QueryOptions().to_dict()) == (
-            QueryOptions()
-        )
-
-    def test_live_cache_refuses_to_serialize(self):
-        with pytest.raises(OptionsError):
-            QueryOptions(cache=PageCache(capacity=4)).to_dict()
-
-    def test_tracer_refuses_to_serialize(self):
-        with pytest.raises(OptionsError):
-            QueryOptions(tracer=RecordingTracer()).to_dict()
-
-    def test_unknown_keys_raise(self):
-        with pytest.raises(OptionsError):
-            QueryOptions.from_dict({"cachee": "off"})
-
-
 class TestQueryRequest:
     def test_needs_query_or_plan(self):
         with pytest.raises(OptionsError):
@@ -132,77 +95,61 @@ class TestQueryRequest:
             QueryRequest(query=SQL, options={"cache": "off"})
 
 
-class TestShim:
-    def test_neither_form_returns_defaults(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_options(None) is DEFAULT_OPTIONS
+#: One sample value for each keyword argument the pre-bundle entry
+#: points took, now a field of QueryOptions.
+REMOVED_KEYWORDS = {
+    "fetch_config": FetchConfig(max_workers=2),
+    "retry_policy": RetryPolicy(max_attempts=2),
+    "cache": NO_CACHE,
+    "tracer": RecordingTracer(),
+    "execution": "staged",
+    "pipeline": PipelineConfig(),
+}
 
-    def test_options_pass_through_silently(self):
-        opts = QueryOptions(execution="pipelined")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert coerce_options(opts) is opts
 
-    def test_legacy_kwargs_warn_exactly_once_per_call(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            opts = coerce_options(
-                None,
-                fetch_config=FetchConfig(max_workers=2),
-                retry_policy=RetryPolicy(max_attempts=2),
-                cache="off",
-                execution="pipelined",
-            )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert opts.fetch.max_workers == 2
-        assert opts.cache is CachePolicy.OFF
-        assert opts.execution == "pipelined"
-
-    @pytest.mark.parametrize("call_site", ["query", "execute", "explain"])
-    def test_env_legacy_call_sites_warn_exactly_once(
-        self, uni_env, call_site
+class TestRemovedKeywords:
+    @pytest.mark.parametrize("keyword", sorted(REMOVED_KEYWORDS))
+    @pytest.mark.parametrize(
+        "entry_point", ["query", "execute", "explain", "executor.execute"]
+    )
+    def test_entry_point_rejects_removed_keyword(
+        self, uni_env, entry_point, keyword
     ):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if call_site == "query":
-                uni_env.query(SQL, fetch_config=FetchConfig(max_workers=2))
-            elif call_site == "execute":
-                plan = uni_env.plan(SQL).best.expr
-                uni_env.execute(plan, fetch_config=FetchConfig(max_workers=2))
+        kwargs = {keyword: REMOVED_KEYWORDS[keyword]}
+        with pytest.raises(TypeError):
+            if entry_point == "query":
+                uni_env.query(SQL, **kwargs)
+            elif entry_point == "execute":
+                uni_env.execute(uni_env.plan(SQL).best.expr, **kwargs)
+            elif entry_point == "explain":
+                uni_env.explain(SQL, **kwargs)
             else:
-                uni_env.explain(SQL, cache="off")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1, (
-            f"{call_site} warned {len(deprecations)} times"
-        )
+                uni_env.executor.execute(uni_env.plan(SQL).best.expr, **kwargs)
 
-    def test_options_path_does_not_warn(self, uni_env):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            uni_env.query(
-                SQL, options=QueryOptions(fetch=FetchConfig(max_workers=2))
-            )
+    @pytest.mark.parametrize("entry_point", ["query", "executor.execute"])
+    def test_options_type_checked(self, uni_env, entry_point):
+        with pytest.raises(OptionsError):
+            if entry_point == "query":
+                uni_env.query(SQL, options={"cache": "off"})
+            else:
+                uni_env.executor.execute(
+                    uni_env.plan(SQL).best.expr, options={"cache": "off"}
+                )
 
     def test_mixing_forms_raises(self, uni_env):
-        with pytest.raises(OptionsError):
+        with pytest.raises(TypeError):
             uni_env.query(
                 SQL,
                 options=QueryOptions(),
                 fetch_config=FetchConfig(max_workers=2),
             )
 
-    def test_shim_covers_every_declared_legacy_kwarg(self):
-        import inspect
-
-        parameters = inspect.signature(coerce_options).parameters
-        for name in LEGACY_OPTION_KWARGS:
-            assert name in parameters
+    def test_options_path_does_not_warn(self, uni_env):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            uni_env.query(
+                SQL, options=QueryOptions(fetch=FetchConfig(max_workers=2))
+            )
 
 
 class TestMaterializedOptions:
@@ -221,82 +168,3 @@ class TestMaterializedOptions:
             )
         # tracer-only bundles apply cleanly
         engine.execute(plan, options=QueryOptions(tracer=RecordingTracer()))
-
-
-#: Site keys × lazily-built environments the equivalence property sweeps
-#: (built once per test session; fuzzed sites per the acceptance bar).
-_EQUIV_ENVS: dict = {}
-
-
-def _equiv_env(key: str):
-    if key not in _EQUIV_ENVS:
-        _EQUIV_ENVS[key] = (
-            university(UniversityConfig(n_depts=2, n_profs=6, n_courses=12))
-            if key == "university"
-            else fuzzed(int(key.removeprefix("fuzz:")))
-        )
-    return _EQUIV_ENVS[key]
-
-
-class TestLegacyEquivalence:
-    """Legacy kwargs and options= must be bit-for-bit the same run, for
-    every option combination, on hand-written and fuzzed sites alike."""
-
-    knobs = st.fixed_dictionaries(
-        {
-            "site": st.sampled_from(["university", "fuzz:17", "fuzz:42"]),
-            "workers": st.sampled_from([1, 2, 8]),
-            "cache": st.sampled_from(["off", "per_query", "cross_query"]),
-            "execution": st.sampled_from(["staged", "pipelined"]),
-            "attempts": st.sampled_from([1, 4]),
-        }
-    )
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(knobs)
-    def test_digest_and_cost_identical(self, knobs):
-        env = _equiv_env(knobs["site"])
-        sql = (
-            SQL
-            if knobs["site"] == "university"
-            else next(iter(sorted(env.site.queries().items())))[1]
-        )
-        fetch = FetchConfig(max_workers=knobs["workers"])
-        retry = RetryPolicy(max_attempts=knobs["attempts"])
-
-        # stateful policies get one fresh cache object per arm: the
-        # property under test is the shim's equivalence, so both arms
-        # must start from identical cache state ("off" is stateless)
-        def arm_cache():
-            if knobs["cache"] == "off":
-                return "off"
-            return PageCache(policy=knobs["cache"])
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = env.query(
-                sql,
-                fetch_config=fetch,
-                retry_policy=retry,
-                cache=arm_cache(),
-                execution=knobs["execution"],
-            )
-        modern = env.query(
-            sql,
-            options=QueryOptions(
-                fetch=fetch,
-                retry=retry,
-                cache=arm_cache(),
-                execution=knobs["execution"],
-            ),
-        )
-        assert relation_digest(modern.relation) == relation_digest(
-            legacy.relation
-        )
-        assert modern.pages == legacy.pages
-        assert modern.log.bytes_downloaded == legacy.log.bytes_downloaded
-        assert modern.log.attempts == legacy.log.attempts

@@ -33,6 +33,7 @@ from repro.engine.pipeline import (
 )
 from repro.engine.session import QuerySession
 from repro.errors import ExecutionModeError, RetriesExhaustedError
+from repro.options import QueryOptions
 from repro.qa import relation_digest
 from repro.sitegen import MovieConfig, UniversityConfig
 from repro.sites import fuzzed, movies, university
@@ -58,13 +59,15 @@ CHASE_SQL = (
 MOVIE_SQL = "SELECT Title, DName FROM MovieDirector"
 
 
-def run_both(build, sql, workers, **kwargs):
+def run_both(build, sql, workers):
     """Execute ``sql`` staged and pipelined, each on a fresh environment
     (exact-seconds comparisons need pristine cumulative counters)."""
     fetch = FetchConfig(max_workers=workers)
-    staged = build().query(sql, fetch_config=fetch, execution="staged", **kwargs)
+    staged = build().query(
+        sql, options=QueryOptions(fetch=fetch, execution="staged")
+    )
     pipelined = build().query(
-        sql, fetch_config=fetch, execution="pipelined", **kwargs
+        sql, options=QueryOptions(fetch=fetch, execution="pipelined")
     )
     return staged, pipelined
 
@@ -140,7 +143,9 @@ class TestNonSpeculation:
         of lookahead up (a one-batch window disables lookahead and may
         schedule a few percent worse; see ``PipelineConfig``)."""
         fetch = FetchConfig(max_workers=4)
-        staged = university().query(CHASE_SQL, fetch_config=fetch)
+        staged = university().query(
+            CHASE_SQL, options=QueryOptions(fetch=fetch)
+        )
         for config in (
             PipelineConfig(chunk_size=1, max_inflight_batches=1),
             PipelineConfig(chunk_size=1, max_inflight_batches=2),
@@ -149,9 +154,9 @@ class TestNonSpeculation:
         ):
             pipelined = university().query(
                 CHASE_SQL,
-                fetch_config=fetch,
-                execution="pipelined",
-                pipeline=config,
+                options=QueryOptions(
+                    fetch=fetch, execution="pipelined", pipeline=config
+                ),
             )
             assert_same_work(staged, pipelined)
             if config.max_inflight_batches >= 2:
@@ -286,9 +291,11 @@ class TestFaults:
             with pytest.raises(RetriesExhaustedError):
                 env.query(
                     CHASE_SQL,
-                    fetch_config=FetchConfig(max_workers=4),
-                    retry_policy=retry,
-                    execution=mode,
+                    options=QueryOptions(
+                        fetch=FetchConfig(max_workers=4),
+                        retry=retry,
+                        execution=mode,
+                    ),
                 )
             attempts[mode] = env.client.log.attempts
         # the abort happens at the same page with the same retry budget
@@ -377,12 +384,14 @@ class TestModeValidation:
         """An unknown mode must fail fast — even before the SQL is parsed,
         so a bad mode never triggers planning work (or its errors)."""
         with pytest.raises(ExecutionModeError):
-            small_env.query("THIS IS NOT SQL", execution="warp")
+            small_env.query(
+                "THIS IS NOT SQL", options=QueryOptions(execution="warp")
+            )
 
     def test_execute_validates_too(self, small_env):
         plan = small_env.plan("SELECT DName FROM Dept").best.expr
         with pytest.raises(ExecutionModeError):
-            small_env.execute(plan, execution="warp")
+            small_env.execute(plan, options=QueryOptions(execution="warp"))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -489,12 +498,14 @@ class TestFuzzedSites:
         staged_env, pipelined_env, queries = _FUZZ[seed]
         _, sql = queries[query_index % len(queries)]
         fetch = FetchConfig(max_workers=workers)
-        staged = staged_env.query(sql, fetch_config=fetch)
+        staged = staged_env.query(sql, options=QueryOptions(fetch=fetch))
         pipelined = pipelined_env.query(
             sql,
-            fetch_config=fetch,
-            execution="pipelined",
-            pipeline=PipelineConfig(chunk_size=chunk),
+            options=QueryOptions(
+                fetch=fetch,
+                execution="pipelined",
+                pipeline=PipelineConfig(chunk_size=chunk),
+            ),
         )
         assert pipelined.fingerprint() == staged.fingerprint()
         assert pipelined.pages == staged.pages

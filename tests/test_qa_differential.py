@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.options import QueryOptions
 from repro.qa import Cell, DifferentialOracle, MatrixSpec, relation_digest
 from repro.qa.cli import (
     BIBLIOGRAPHY_QUERIES,
@@ -97,7 +98,9 @@ class TestFuzzedSites:
             expected = site.expected_for(query_id)
             if expected is None or query_id == "q_join3":
                 continue
-            result = env.execute(env.plan(sql).best.expr, cache="off")
+            result = env.execute(
+                env.plan(sql).best.expr, options=QueryOptions(cache="off")
+            )
             names = [n for n, _ in _head_columns(env, sql)]
             got = {tuple(row[n] for n in names) for row in result.relation}
             assert got == expected, f"{query_id} diverged from the model"
@@ -209,15 +212,17 @@ class TestCellReproduction:
 class TestDigest:
     def test_digest_ignores_row_order(self, small_env):
         plan = small_env.plan("SELECT PName, Rank FROM Professor").best
-        a = small_env.execute(plan.expr, cache="off").relation
-        b = small_env.execute(plan.expr, cache="off").relation
+        off = QueryOptions(cache="off")
+        a = small_env.execute(plan.expr, options=off).relation
+        b = small_env.execute(plan.expr, options=off).relation
         b.rows.reverse()
         assert relation_digest(a) == relation_digest(b)
 
     def test_digest_detects_content_change(self, small_env):
         plan = small_env.plan("SELECT PName, Rank FROM Professor").best
-        a = small_env.execute(plan.expr, cache="off").relation
-        b = small_env.execute(plan.expr, cache="off").relation
+        off = QueryOptions(cache="off")
+        a = small_env.execute(plan.expr, options=off).relation
+        b = small_env.execute(plan.expr, options=off).relation
         b.rows[0] = dict(b.rows[0], PName="Nobody")
         assert relation_digest(a) != relation_digest(b)
 
@@ -243,7 +248,10 @@ class TestSuites:
         for k in (1, 8):
             before = env.client.log.snapshot()
             result = env.execute(
-                plan.expr, fetch_config=FetchConfig(max_workers=k), cache="off"
+                plan.expr,
+                options=QueryOptions(
+                    fetch=FetchConfig(max_workers=k), cache="off"
+                ),
             )
             delta = env.client.log.delta(before)
             runs.append((relation_digest(result.relation),

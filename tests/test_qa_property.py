@@ -20,6 +20,7 @@ import math
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.options import QueryOptions
 from repro.qa import relation_digest
 from repro.sitegen import UniversityConfig
 from repro.sites import university
@@ -61,9 +62,11 @@ def run(sql, cache, workers, retry=None, fault_seed=None):
         before = ENV.client.log.snapshot()
         result = ENV.execute(
             ENV.plan(sql).best.expr,
-            fetch_config=FetchConfig(max_workers=workers),
-            retry_policy=retry,
-            cache=cache,
+            options=QueryOptions(
+                fetch=FetchConfig(max_workers=workers),
+                retry=retry,
+                cache=cache,
+            ),
         )
         return relation_digest(result.relation), ENV.client.log.delta(before)
     finally:
