@@ -35,7 +35,7 @@ import pytest
 
 from repro.materialized import (
     MaterializedEngine,
-    ShardedMaterializedStore,
+    MaterializedStore,
     WorkloadQuery,
     advise,
     batch_refresh,
@@ -134,12 +134,12 @@ def run_policy(selection, rounds: int) -> dict:
                 for _ in range(frequencies[name]):
                     query_downloads += env.execute(plans[name]).pages
     else:
-        store = ShardedMaterializedStore(
+        store = MaterializedStore(
             env.scheme,
             WebClient(env.site.server),
             env.registry,
-            shards=SHARDS,
             retain_schemes=selection,
+            shards=SHARDS,
         )
         store.populate()
         stored_pages = store.page_count()
@@ -218,7 +218,7 @@ def run_shard_laws() -> list:
     reference = None
     for shards in (1, 2, 4):
         env = fuzzed(SITE_SEED)
-        store = ShardedMaterializedStore(
+        store = MaterializedStore(
             env.scheme, WebClient(env.site.server), env.registry, shards=shards
         )
         store.populate()
@@ -286,7 +286,7 @@ def check_shard_rows(rows: list) -> None:
         for index, shard_row in enumerate(row["_stale_report"].shards):
             shard_urls = {
                 url
-                for pages in store.shards[index].pages.values()
+                for pages in store.shards[index].values()
                 for url in pages
             }
             assert shard_row.downloads == len(touched & shard_urls)

@@ -92,7 +92,6 @@ from repro.materialized import (
     AdvisorReport,
     MaterializedEngine,
     MaterializedStore,
-    ShardedMaterializedStore,
     WorkloadQuery,
     advise,
     batch_refresh,
@@ -106,7 +105,6 @@ from repro.server import (
     warm_cache,
 )
 from repro.web import (
-    ShardedPageCache,
     SimulatedWebServer,
     WebClient,
     AccessLog,
@@ -150,7 +148,7 @@ __all__ = [
     "QueryServer", "ServerConfig", "SharedNavigator", "AdmissionRejected",
     "WarmupReport", "warm_cache",
     # materialized views
-    "MaterializedStore", "ShardedMaterializedStore", "MaterializedEngine",
+    "MaterializedStore", "MaterializedEngine",
     "batch_refresh", "advise", "WorkloadQuery", "AdvisorReport",
     # views
     "ExternalView", "ExternalRelation", "DefaultNavigation",
@@ -159,7 +157,7 @@ __all__ = [
     "SimulatedWebServer", "WebClient", "AccessLog", "NetworkModel",
     "CostSummary", "FaultPolicy", "FetchConfig", "FetchRecord",
     "RetryPolicy", "FetchError", "TransientFetchError",
-    "RetriesExhaustedError", "PageCache", "ShardedPageCache", "CachePolicy",
+    "RetriesExhaustedError", "PageCache", "CachePolicy",
     # wrappers
     "registry_for_scheme", "WrapperRegistry",
     "__version__",

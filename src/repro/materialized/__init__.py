@@ -8,20 +8,19 @@ not changed; stale pages are re-downloaded on the spot.  Answering queries
 thereby also maintains the view, touching only the minimal set of pages the
 chosen plan needs.
 
-* :mod:`repro.materialized.store` — the store + Function 2 (``URLCheck``);
+* :mod:`repro.materialized.store` — the store + Function 2 (``URLCheck``),
+  optionally partitioned by URL hash (``shards=N``, one refresh batch per
+  shard);
 * :mod:`repro.materialized.evaluate` — Algorithm 3 (query evaluation with
   lazy maintenance) via the local executor;
 * :mod:`repro.materialized.maintenance` — deferred ``CheckMissing``
   processing, full refresh, batched shard-parallel refresh, and
   consistency reporting;
-* :mod:`repro.materialized.sharded` — the store partitioned by URL hash
-  across N shards (same contract, per-shard refresh batches);
 * :mod:`repro.materialized.advisor` — workload-driven selection of *which*
   page-schemes to materialize under a page budget.
 """
 
 from repro.materialized.store import MaterializedStore, StoredPage, Status
-from repro.materialized.sharded import ShardedMaterializedStore
 from repro.materialized.evaluate import MaterializedEngine, MaterializedResult
 from repro.materialized.maintenance import (
     process_check_missing,
@@ -42,7 +41,6 @@ from repro.materialized.advisor import (
 
 __all__ = [
     "MaterializedStore",
-    "ShardedMaterializedStore",
     "StoredPage",
     "Status",
     "MaterializedEngine",

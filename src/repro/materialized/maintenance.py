@@ -13,7 +13,7 @@ entry points to pick up pages no stored link reaches yet.
 (dangling stored links, stale pages) without repairing anything.
 
 :func:`batch_refresh` is the sharded, batched variant of the periodic
-check: it walks the store shard by shard (one "shard" for a plain store),
+check: it walks ``store.shards`` (one for an unsharded store),
 revalidates each shard's pages as one k-lane ``head_batch`` and
 re-downloads its stale pages as one k-lane ``get_batch``, so the refresh
 of a large site overlaps on the simulated :class:`~repro.clock.Timeline`
@@ -185,17 +185,18 @@ class RefreshReport:
 
 def _refresh_shard(
     store: MaterializedStore,
-    shard: MaterializedStore,
+    shard: dict,
     index: int,
     workers: int,
     tracer,
 ) -> ShardRefresh:
-    """Revalidate one shard: one HEAD batch, one GET batch for the stale."""
+    """Revalidate one shard (``store.shards[index]``): one HEAD batch, one
+    GET batch for the stale."""
     client = store.client
     before = client.log.snapshot()
     entries = [
         (page.page_scheme, url, page)
-        for by_url in shard.pages.values()
+        for by_url in shard.values()
         for url, page in list(by_url.items())
     ]
     with tracer.span(
@@ -220,7 +221,7 @@ def _refresh_shard(
                 missing.append(url)
         removed = 0
         for url in missing:
-            shard._remove(url)
+            store._remove(url)
             removed += 1
         resources = (
             client.get_batch(
@@ -235,11 +236,11 @@ def _refresh_shard(
             resource = resources.get(url)
             if resource is None:
                 # vanished between the HEAD and the GET: treat as deleted
-                shard._remove(url)
+                store._remove(url)
                 store.check_missing.add(url)
                 removed += 1
                 continue
-            shard._ingest(page_scheme, url, resource, previous=page)
+            store._ingest(page_scheme, url, resource, previous=page)
             store.status[url] = Status.CHECKED
             redownloaded += 1
         delta = client.log.delta(before)
@@ -313,7 +314,7 @@ def batch_refresh(
 ) -> RefreshReport:
     """Refresh the whole store with batched, shard-parallel revalidation.
 
-    For each shard (a plain store is one shard) the stored pages are
+    For each of ``store.shards`` the stored pages are
     HEAD-ed as one ``workers``-lane batch and the stale ones re-downloaded
     as another, so the refresh traffic of a large site overlaps on the
     simulated :class:`~repro.clock.Timeline` exactly like a query's fetch
@@ -325,16 +326,15 @@ def batch_refresh(
 
     Returns a :class:`RefreshReport` with exact per-shard log deltas."""
     tracer = tracer if tracer is not None else NULL_TRACER
-    shards = getattr(store, "shards", None) or [store]
     store.reset_status()
     report = RefreshReport()
     with tracer.span(
         "store_refresh",
         kind="maintenance",
-        shards=len(shards),
+        shards=len(store.shards),
         workers=workers,
     ):
-        for index, shard in enumerate(shards):
+        for index, shard in enumerate(store.shards):
             report.shards.append(
                 _refresh_shard(store, shard, index, workers, tracer)
             )
@@ -346,12 +346,16 @@ def batch_refresh(
 
 
 def consistency_report(store: MaterializedStore) -> ConsistencyReport:
-    """Measure store/site drift using only light connections."""
+    """Measure store/site drift using only light connections: one per
+    stored page and one per distinct unstored link target, however many
+    stored pages link to it."""
     report = ConsistencyReport(stored_pages=store.page_count())
+    pages = store.pages
     stored_urls = set()
-    for by_url in store.pages.values():
+    for by_url in pages.values():
         stored_urls.update(by_url)
-    for scheme_name, by_url in store.pages.items():
+    target_alive: dict[str, bool] = {}
+    for scheme_name, by_url in pages.items():
         for url, page in by_url.items():
             if check_freshness(store.client, url, page.modified) is not Freshness.FRESH:
                 report.stale_pages += 1
@@ -360,7 +364,9 @@ def consistency_report(store: MaterializedStore) -> ConsistencyReport:
             ):
                 if link_url in stored_urls:
                     continue
-                if store.client.head(link_url).ok:
+                if link_url not in target_alive:
+                    target_alive[link_url] = store.client.head(link_url).ok
+                if target_alive[link_url]:
                     report.unstored_link_targets.append((url, link_url))
                 else:
                     report.dangling_links.append((url, link_url))

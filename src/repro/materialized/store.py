@@ -18,6 +18,13 @@ evaluated, all flags are initialized to none").
    and links that disappeared are flagged ``missing``;
 4. the URL itself is flagged ``checked`` so later navigations in the same
    query trust it without another connection.
+
+``shards`` partitions the stored pages by :func:`~repro.web.cache.shard_of`
+(CRC32 of the URL, stable across processes), so the batched refresh
+(:func:`repro.materialized.maintenance.batch_refresh`) revalidates one
+shard per k-lane batch.  The per-query state — flags, the deferred
+``check_missing`` queue, transient tuples — is one per store, because a
+re-download in one shard may flag link targets stored in another.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Iterable, Optional
 from repro.adm.links import outlink_set
 from repro.adm.scheme import WebScheme
 from repro.errors import MaterializationError, ResourceNotFound
-from repro.web.cache import Freshness, check_freshness
+from repro.web.cache import Freshness, check_freshness, shard_of
 from repro.web.client import WebClient
 from repro.web.resources import WebResource
 from repro.wrapper.wrapper import WrapperRegistry
@@ -67,6 +74,10 @@ class MaterializedStore:
     tuple lives only for the current query (``_transient``, cleared with
     the status flags) — the store pays nothing to keep them fresh.  None
     (the default) retains everything, the paper's Section 8 behaviour.
+
+    ``shards`` is the number of URL-hash partitions (module docstring);
+    ``shards[i]`` maps page-scheme → URL → :class:`StoredPage` for shard
+    ``i``.
     """
 
     def __init__(
@@ -75,7 +86,12 @@ class MaterializedStore:
         client: WebClient,
         registry: WrapperRegistry,
         retain_schemes: Optional[Iterable[str]] = None,
+        shards: int = 1,
     ):
+        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
+            raise MaterializationError(
+                f"shards must be a positive integer, got {shards!r}"
+            )
         self.scheme = scheme
         self.client = client
         self.registry = registry
@@ -89,17 +105,21 @@ class MaterializedStore:
                     f"unknown page-scheme(s) in retain_schemes: "
                     f"{sorted(unknown)}"
                 )
-        self.pages: dict[str, dict[str, StoredPage]] = {
-            name: {} for name in scheme.page_schemes
-        }
+        self.shards: list[dict[str, dict[str, StoredPage]]] = [
+            {name: {} for name in scheme.page_schemes} for _ in range(shards)
+        ]
         self.status: dict[str, Status] = {}
         self.check_missing: set[str] = set()
-        self._scheme_of_url: dict[str, str] = {}
+        #: every stored page by URL, whichever shard holds it
+        self._page_of_url: dict[str, StoredPage] = {}
         #: per-query tuples of non-retained pages (partial stores only)
         self._transient: dict[str, dict] = {}
 
     def _retains(self, page_scheme: str) -> bool:
         return self.retain_schemes is None or page_scheme in self.retain_schemes
+
+    def _shard(self, url: str) -> dict[str, dict[str, StoredPage]]:
+        return self.shards[shard_of(url, len(self.shards))]
 
     # ------------------------------------------------------------------ #
     # initial materialization
@@ -133,20 +153,38 @@ class MaterializedStore:
     # store access
     # ------------------------------------------------------------------ #
 
+    @property
+    def pages(self) -> dict[str, dict[str, StoredPage]]:
+        """page-scheme → URL → :class:`StoredPage`: the live dict of an
+        unsharded store, a merged copy otherwise (shards in index order,
+        insertion order within a shard)."""
+        if len(self.shards) == 1:
+            return self.shards[0]
+        merged: dict[str, dict[str, StoredPage]] = {
+            name: {} for name in self.scheme.page_schemes
+        }
+        for shard in self.shards:
+            for scheme_name, by_url in shard.items():
+                merged[scheme_name].update(by_url)
+        return merged
+
+    def _pages_of(self, page_scheme: str) -> Iterable[tuple[str, StoredPage]]:
+        """The stored (URL, page) pairs of one page-scheme, in ``pages``
+        order, without merging the other page-schemes."""
+        if page_scheme not in self.scheme.page_schemes:
+            raise MaterializationError(f"unknown page-scheme {page_scheme!r}")
+        for shard in self.shards:
+            yield from shard[page_scheme].items()
+
     def page_count(self) -> int:
-        return sum(len(d) for d in self.pages.values())
+        return sum(len(d) for shard in self.shards for d in shard.values())
 
     def stored(self, url: str) -> Optional[StoredPage]:
-        scheme_name = self._scheme_of_url.get(url)
-        if scheme_name is None:
-            return None
-        return self.pages[scheme_name].get(url)
+        return self._page_of_url.get(url)
 
     def tuples_of(self, page_scheme: str) -> dict[str, dict]:
         """All stored tuples of one page-scheme, keyed by URL (no checks)."""
-        if page_scheme not in self.pages:
-            raise MaterializationError(f"unknown page-scheme {page_scheme!r}")
-        return {url: p.plain for url, p in self.pages[page_scheme].items()}
+        return {url: page.plain for url, page in self._pages_of(page_scheme)}
 
     def as_relation(self, page_scheme: str, alias: Optional[str] = None):
         """The materialized page-relation of ``page_scheme`` as a qualified
@@ -159,7 +197,7 @@ class MaterializedStore:
         schema = page_relation_schema(self.scheme, page_scheme, alias)
         rows = [
             qualify_row(schema, page.plain)
-            for page in self.pages[page_scheme].values()
+            for _url, page in self._pages_of(page_scheme)
         ]
         return Relation(schema, rows)
 
@@ -171,7 +209,7 @@ class MaterializedStore:
         from repro.nested.decompose import decompose
 
         result: dict = {}
-        for page_scheme in self.pages:
+        for page_scheme in self.scheme.page_schemes:
             relation = self.as_relation(page_scheme)
             result.update(decompose(relation, page_scheme))
         return result
@@ -284,8 +322,8 @@ class MaterializedStore:
             modified=resource.last_modified,
         )
         if self._retains(page_scheme):
-            self.pages[page_scheme][url] = page
-            self._scheme_of_url[url] = page_scheme
+            self._shard(url)[page_scheme][url] = page
+            self._page_of_url[url] = page
         else:
             self._transient[url] = plain
 
@@ -303,12 +341,13 @@ class MaterializedStore:
         return page
 
     def _remove(self, url: str) -> None:
-        scheme_name = self._scheme_of_url.pop(url, None)
-        if scheme_name is not None:
-            self.pages[scheme_name].pop(url, None)
+        page = self._page_of_url.pop(url, None)
+        if page is not None:
+            self._shard(url)[page.page_scheme].pop(url, None)
 
     def __repr__(self) -> str:
+        shards = f" over {len(self.shards)} shards" if len(self.shards) > 1 else ""
         return (
-            f"MaterializedStore({self.page_count()} pages, "
+            f"MaterializedStore({self.page_count()} pages{shards}, "
             f"{len(self.check_missing)} pending missing-checks)"
         )

@@ -34,7 +34,7 @@ from repro.stats.statistics import SiteStatistics
 from repro.views.conjunctive import ConjunctiveQuery
 from repro.views.external import DefaultNavigation, ExternalRelation, ExternalView
 from repro.views.sql import parse_query
-from repro.web.cache import NO_CACHE, CachePolicy, PageCache, ShardedPageCache
+from repro.web.cache import NO_CACHE, CachePolicy, PageCache
 from repro.web.client import WebClient
 from repro.wrapper.conventions import registry_for_scheme
 from repro.wrapper.wrapper import WrapperRegistry
@@ -86,19 +86,11 @@ class SiteEnv:
         Subsequent :meth:`plan` / :meth:`execute` / :meth:`query` calls use
         it by default; pass ``cache="off"`` to :meth:`plan` or
         ``options=QueryOptions(cache="off")`` to bypass it for one call.
-        ``shards > 1`` builds a :class:`~repro.web.cache.ShardedPageCache`
-        (URL-hash partitioned LRUs, per-shard locking — the cross-query
-        cache counterpart of the sharded materialized store)."""
-        if shards > 1:
-            self.page_cache = ShardedPageCache(
-                capacity=capacity,
-                policy=CachePolicy.coerce(policy),
-                shards=shards,
-            )
-        else:
-            self.page_cache = PageCache(
-                capacity=capacity, policy=CachePolicy.coerce(policy)
-            )
+        ``shards`` partitions it into URL-hash LRUs with per-shard locks
+        (:class:`~repro.web.cache.PageCache`)."""
+        self.page_cache = PageCache(
+            capacity=capacity, policy=CachePolicy.coerce(policy), shards=shards
+        )
         return self.page_cache
 
     def _cache_for(

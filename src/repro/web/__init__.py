@@ -12,10 +12,10 @@ package provides an in-process web that measures exactly those quantities:
 * :mod:`repro.web.client` — GET/HEAD client with an :class:`AccessLog`, a
   concurrent batched fetch engine (:meth:`WebClient.get_batch`) governed by
   :class:`FetchConfig`, and transparent :class:`RetryPolicy` retries;
-* :mod:`repro.web.cache` — the cross-query LRU :class:`PageCache` with its
+* :mod:`repro.web.cache` — the cross-query LRU :class:`PageCache`
+  (optionally URL-hash partitioned, ``shards=N``) with its
   :class:`CachePolicy` (off / per-query / cross-query light-connection
-  revalidation), the URL-hash-partitioned :class:`ShardedPageCache`, and
-  the :class:`SingleFlight` in-flight download dedup.
+  revalidation), and the :class:`SingleFlight` in-flight download dedup.
 """
 
 from repro.web.resources import HeadResponse, WebResource
@@ -27,7 +27,6 @@ from repro.web.cache import (
     Freshness,
     NO_CACHE,
     PageCache,
-    ShardedPageCache,
     SingleFlight,
     check_freshness,
     freshness_from_head,
@@ -61,7 +60,6 @@ __all__ = [
     "NetworkModel",
     "MODEM_1998",
     "PageCache",
-    "ShardedPageCache",
     "CachePolicy",
     "CacheEntry",
     "CacheStats",

@@ -48,7 +48,6 @@ __all__ = [
     "CacheStats",
     "Freshness",
     "PageCache",
-    "ShardedPageCache",
     "SingleFlight",
     "check_freshness",
     "freshness_from_head",
@@ -58,12 +57,17 @@ __all__ = [
 
 
 def shard_of(url: str, shards: int) -> int:
-    """Deterministic shard index of ``url`` across ``shards`` shards.
+    """Deterministic shard index of ``url`` across ``shards`` shards — the
+    one placement rule of both :class:`PageCache` and
+    :class:`~repro.materialized.store.MaterializedStore` (``shards=1``
+    skips the hash).
 
     CRC32 rather than ``hash()``: Python string hashing is randomized per
     process, and shard placement must be reproducible across runs so the
     per-shard freshness laws (docs/MATERIALIZED.md) can be asserted against
     committed baselines."""
+    if shards == 1:
+        return 0
     return zlib.crc32(url.encode("utf-8")) % shards
 
 T = TypeVar("T")
@@ -165,6 +169,18 @@ class CacheStats:
         )
 
 
+class _Shard:
+    """One LRU partition of a :class:`PageCache`: its entries, the URLs
+    trusted this query, and its own lock."""
+
+    __slots__ = ("entries", "validated", "lock")
+
+    def __init__(self):
+        self.entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
+        self.validated: set[str] = set()
+        self.lock = threading.RLock()
+
+
 class PageCache:
     """A bounded LRU of page snapshots, shared across queries.
 
@@ -174,23 +190,35 @@ class PageCache:
     lifetime statistics stay accurate.  All methods are thread-safe; the
     engine only touches the cache from the accounting thread, but raw
     clients may be shared across threads.
+
+    ``shards`` partitions the cache by :func:`shard_of` into independent
+    LRUs of ``ceil(capacity / shards)`` pages, each with its own lock, so
+    concurrent queries contend per shard and eviction pressure in one URL
+    region cannot flush the whole cache.  One :class:`CacheStats` covers
+    every shard, and the policy is the cache's, so flipping ``policy`` (as
+    ``SiteEnv.resolve_options`` does) affects every shard.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         policy: CachePolicy | str = CachePolicy.CROSS_QUERY,
+        shards: int = 1,
     ):
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-            raise WebError(
-                f"PageCache capacity must be a positive integer, got {capacity!r}"
-            )
+        for name, value in (("capacity", capacity), ("shards", shards)):
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise WebError(
+                    f"PageCache {name} must be a positive integer, got {value!r}"
+                )
         self.capacity = capacity
         self.policy = CachePolicy.coerce(policy)
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
-        self._validated: set[str] = set()
-        self._lock = threading.RLock()
+        self._shard_capacity = -(-capacity // shards)  # ceil division
+        self._shards = [_Shard() for _ in range(shards)]
+
+    def _shard(self, url: str) -> _Shard:
+        shards = self._shards
+        return shards[0] if len(shards) == 1 else shards[shard_of(url, len(shards))]
 
     # ------------------------------------------------------------------ #
     # query lifecycle
@@ -200,19 +228,22 @@ class PageCache:
         """Start a new query: PER_QUERY drops all entries, CROSS_QUERY only
         forgets which URLs were already revalidated (the paper: "when a
         query is evaluated, all flags are initialized to none")."""
-        with self._lock:
-            if self.policy is CachePolicy.PER_QUERY:
-                self._entries.clear()
-            self._validated.clear()
+        for shard in self._shards:
+            with shard.lock:
+                if self.policy is CachePolicy.PER_QUERY:
+                    shard.entries.clear()
+                shard.validated.clear()
 
     def mark_validated(self, url: str) -> None:
         """Trust ``url`` without further connections until the next query."""
-        with self._lock:
-            self._validated.add(url)
+        shard = self._shard(url)
+        with shard.lock:
+            shard.validated.add(url)
 
     def is_validated(self, url: str) -> bool:
-        with self._lock:
-            return url in self._validated
+        shard = self._shard(url)
+        with shard.lock:
+            return url in shard.validated
 
     # ------------------------------------------------------------------ #
     # storage
@@ -220,42 +251,47 @@ class PageCache:
 
     def lookup(self, url: str) -> Optional[CacheEntry]:
         """The entry for ``url`` (bumped to most-recently-used), or None."""
-        with self._lock:
-            entry = self._entries.get(url)
+        shard = self._shard(url)
+        with shard.lock:
+            entry = shard.entries.get(url)
             if entry is not None:
-                self._entries.move_to_end(url)
+                shard.entries.move_to_end(url)
             return entry
 
     def store(self, resource: WebResource) -> CacheEntry:
-        """Snapshot ``resource`` into the cache (evicting LRU overflow)."""
+        """Snapshot ``resource`` into the cache (evicting LRU overflow of
+        its shard)."""
         entry = CacheEntry(
             url=resource.url,
             html=resource.html,
             last_modified=resource.last_modified,
             page_scheme=resource.page_scheme,
         )
-        with self._lock:
-            self._entries[resource.url] = entry
-            self._entries.move_to_end(resource.url)
+        shard = self._shard(resource.url)
+        with shard.lock:
+            shard.entries[resource.url] = entry
+            shard.entries.move_to_end(resource.url)
             self.stats.stores += 1
-            while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self._validated.discard(evicted)
+            while len(shard.entries) > self._shard_capacity:
+                evicted, _ = shard.entries.popitem(last=False)
+                shard.validated.discard(evicted)
                 self.stats.evictions += 1
         return entry
 
     def invalidate(self, url: str) -> None:
         """Drop ``url`` (it changed or vanished behind our back)."""
-        with self._lock:
-            if self._entries.pop(url, None) is not None:
+        shard = self._shard(url)
+        with shard.lock:
+            if shard.entries.pop(url, None) is not None:
                 self.stats.invalidations += 1
-            self._validated.discard(url)
+            shard.validated.discard(url)
 
     def clear(self) -> None:
         """Drop every entry (capacity and lifetime stats are kept)."""
-        with self._lock:
-            self._entries.clear()
-            self._validated.clear()
+        for shard in self._shards:
+            with shard.lock:
+                shard.entries.clear()
+                shard.validated.clear()
 
     # ------------------------------------------------------------------ #
     # observability
@@ -271,146 +307,45 @@ class PageCache:
         self.stats.misses += 1
 
     def urls(self) -> list[str]:
-        """Cached URLs, least- to most-recently used."""
-        with self._lock:
-            return list(self._entries)
+        """Cached URLs, least- to most-recently used within each shard,
+        shards in index order (there is no global LRU order across
+        shards)."""
+        urls: list[str] = []
+        for shard in self._shards:
+            with shard.lock:
+                urls.extend(shard.entries)
+        return urls
+
+    def shard_sizes(self) -> list[int]:
+        """Entries per shard, in shard-index order."""
+        return [len(shard.entries) for shard in self._shards]
 
     def scheme_counts(self) -> dict[str, int]:
         """Cached pages per page-scheme — the input of
         :meth:`repro.optimizer.cost.CacheEstimate.from_cache`."""
-        with self._lock:
-            counts: dict[str, int] = {}
-            for entry in self._entries.values():
-                if entry.page_scheme:
-                    counts[entry.page_scheme] = counts.get(entry.page_scheme, 0) + 1
-            return counts
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, url: str) -> bool:
-        with self._lock:
-            return url in self._entries
-
-    def __repr__(self) -> str:
-        return (
-            f"PageCache({len(self)}/{self.capacity} pages, "
-            f"policy={self.policy.value}, {self.stats!r})"
-        )
-
-
-class ShardedPageCache(PageCache):
-    """A :class:`PageCache` partitioned by URL hash across N shards.
-
-    Each shard is an independent LRU with its own lock, so concurrent
-    queries (and the sharded store's batched refresh) contend per shard
-    instead of on one global lock, and eviction pressure in one URL region
-    cannot flush the whole cache.  Placement is :func:`shard_of` — pure
-    CRC32, stable across processes.
-
-    The facade keeps the :class:`PageCache` contract exactly: the client
-    calls the same ``lookup`` / ``store`` / ``note_*`` methods (routing by
-    URL is internal), ``isinstance(cache, PageCache)`` checks keep
-    working, and all shards share one :class:`CacheStats` so lifetime
-    observability is unchanged.  Policy semantics live in the facade —
-    shard sub-caches are pure storage — so flipping ``policy`` on the
-    facade (as ``SiteEnv.resolve_options`` does) affects every shard.
-
-    With ``shards=1`` behaviour is bit-for-bit the unsharded cache: one
-    storage dict, same LRU order, same eviction points (per-shard capacity
-    is ``ceil(capacity / shards)``, which is ``capacity`` exactly).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        policy: CachePolicy | str = CachePolicy.CROSS_QUERY,
-        shards: int = 4,
-    ):
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise WebError(
-                f"ShardedPageCache shards must be a positive integer, "
-                f"got {shards!r}"
-            )
-        super().__init__(capacity=capacity, policy=policy)
-        per_shard = -(-capacity // shards)  # ceil division
-        self._shards = [
-            PageCache(capacity=per_shard, policy=self.policy)
-            for _ in range(shards)
-        ]
-        for shard in self._shards:
-            # one lifetime-stats object across the facade and every shard:
-            # shard-level stores/evictions and facade-level hit/miss notes
-            # accumulate into the same counters
-            shard.stats = self.stats
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def _shard(self, url: str) -> PageCache:
-        return self._shards[shard_of(url, len(self._shards))]
-
-    # -- query lifecycle (policy decisions stay in the facade) ---------- #
-
-    def begin_query(self) -> None:
-        for shard in self._shards:
-            with shard._lock:
-                if self.policy is CachePolicy.PER_QUERY:
-                    shard._entries.clear()
-                shard._validated.clear()
-
-    def mark_validated(self, url: str) -> None:
-        self._shard(url).mark_validated(url)
-
-    def is_validated(self, url: str) -> bool:
-        return self._shard(url).is_validated(url)
-
-    # -- storage (routed by URL) ---------------------------------------- #
-
-    def lookup(self, url: str) -> Optional[CacheEntry]:
-        return self._shard(url).lookup(url)
-
-    def store(self, resource: WebResource) -> CacheEntry:
-        return self._shard(resource.url).store(resource)
-
-    def invalidate(self, url: str) -> None:
-        self._shard(url).invalidate(url)
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    # -- observability --------------------------------------------------- #
-
-    def urls(self) -> list[str]:
-        """Cached URLs, LRU order *within* each shard, shards in index
-        order (there is no meaningful global LRU order across shards)."""
-        return [url for shard in self._shards for url in shard.urls()]
-
-    def shard_sizes(self) -> list[int]:
-        """Entries per shard, in shard-index order."""
-        return [len(shard) for shard in self._shards]
-
-    def scheme_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for shard in self._shards:
-            for name, count in shard.scheme_counts().items():
-                counts[name] = counts.get(name, 0) + count
+            with shard.lock:
+                for entry in shard.entries.values():
+                    if entry.page_scheme:
+                        counts[entry.page_scheme] = (
+                            counts.get(entry.page_scheme, 0) + 1
+                        )
         return counts
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return sum(self.shard_sizes())
 
     def __contains__(self, url: str) -> bool:
-        return url in self._shard(url)
+        shard = self._shard(url)
+        with shard.lock:
+            return url in shard.entries
 
     def __repr__(self) -> str:
+        shards = f", {len(self._shards)} shards" if len(self._shards) > 1 else ""
         return (
-            f"ShardedPageCache({len(self)}/{self.capacity} pages, "
-            f"{len(self._shards)} shards, policy={self.policy.value}, "
-            f"{self.stats!r})"
+            f"PageCache({len(self)}/{self.capacity} pages{shards}, "
+            f"policy={self.policy.value}, {self.stats!r})"
         )
 
 

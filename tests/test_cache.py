@@ -53,6 +53,13 @@ class TestPageCacheBasics:
         with pytest.raises(WebError, match="capacity"):
             PageCache(capacity=bad)
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 2.5, "4", None])
+    def test_enable_cache_shards_must_be_a_positive_integer(self, bad):
+        env = university(UniversityConfig(n_depts=1, n_profs=2, n_courses=2))
+        with pytest.raises(WebError, match="shards"):
+            env.enable_cache(shards=bad)
+        assert env.page_cache is None
+
     def test_policy_accepts_strings(self):
         assert PageCache(policy="per_query").policy is CachePolicy.PER_QUERY
 

@@ -272,6 +272,22 @@ class TestMaintenance:
         assert report.is_consistent
         assert report.stored_pages == store.page_count()
 
+    def test_consistency_report_heads_each_unstored_target_once(
+        self, env, store
+    ):
+        """One light connection per stored page plus one per *distinct*
+        unstored link target, however many stored pages link to it; every
+        (page, link) pair is still listed."""
+        prof = env.site.profs[0]
+        store._remove(prof.url)
+        before = store.client.log.snapshot()
+        report = consistency_report(store)
+        lights = store.client.log.delta(before).light_connections
+        pairs = report.unstored_link_targets + report.dangling_links
+        assert {link for _page, link in pairs} == {prof.url}
+        assert len(pairs) > 1  # the professor is linked from several pages
+        assert lights == store.page_count() + 1
+
 
 class TestURLCheckEdgeCases:
     def test_checked_then_removed_returns_none(self, env, store):

@@ -1,5 +1,5 @@
-"""Tests for the URL-hash-sharded store, sharded page cache, and the
-batched shard-parallel refresh (docs/MATERIALIZED.md)."""
+"""Tests for sharding (``shards=N``) of the materialized store and the page
+cache, and the batched shard-parallel refresh (docs/MATERIALIZED.md)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.errors import MaterializationError, WebError
 from repro.materialized import (
     MaterializedEngine,
     MaterializedStore,
-    ShardedMaterializedStore,
+    Status,
     batch_refresh,
 )
 from repro.materialized.maintenance import consistency_report
@@ -16,7 +16,7 @@ from repro.sitegen.university import UniversityConfig
 from repro.sites import university
 from repro.views.sql import parse_query
 from repro.web import WebClient
-from repro.web.cache import PageCache, ShardedPageCache, shard_of
+from repro.web.cache import CachePolicy, PageCache, shard_of
 from repro.web.resources import WebResource
 
 
@@ -25,22 +25,14 @@ def env():
     return university(UniversityConfig(n_depts=2, n_profs=6, n_courses=12))
 
 
-def build_store(env, shards=None, retain_schemes=None):
-    if shards is None:
-        store = MaterializedStore(
-            env.scheme,
-            WebClient(env.site.server),
-            env.registry,
-            retain_schemes=retain_schemes,
-        )
-    else:
-        store = ShardedMaterializedStore(
-            env.scheme,
-            WebClient(env.site.server),
-            env.registry,
-            shards=shards,
-            retain_schemes=retain_schemes,
-        )
+def build_store(env, shards=1, retain_schemes=None):
+    store = MaterializedStore(
+        env.scheme,
+        WebClient(env.site.server),
+        env.registry,
+        retain_schemes=retain_schemes,
+        shards=shards,
+    )
     store.populate()
     store.client.log.reset()
     return store
@@ -51,6 +43,8 @@ CS_QUERY = (
     "WHERE Professor.PName = ProfDept.PName "
     "AND ProfDept.DName = 'Computer Science'"
 )
+
+ALL_COURSES = "SELECT CName, Description FROM Course"
 
 
 class TestShardOf:
@@ -83,91 +77,140 @@ class TestShardedPageCache:
             page_scheme="P",
         )
 
-    def test_single_shard_matches_plain_cache(self):
-        plain = PageCache(capacity=8)
-        sharded = ShardedPageCache(capacity=8, shards=1)
-        for index in range(12):  # overflows capacity: same LRU evictions
-            plain.store(self.resource(index))
-            sharded.store(self.resource(index))
-        plain.lookup("http://s/p9.html")
-        sharded.lookup("http://s/p9.html")
-        assert sharded.urls() == plain.urls()
-        assert len(sharded) == len(plain)
+    def test_shard_count_changes_nothing(self):
+        """Within capacity, the shard count is invisible: same entries,
+        same validation marks, same lifetime counters."""
+
+        def trajectory(shards):
+            cache = PageCache(capacity=32, shards=shards)
+            for index in range(12):
+                cache.store(self.resource(index))
+            for index in range(0, 12, 3):
+                cache.mark_validated(f"http://s/p{index}.html")
+            cache.invalidate("http://s/p4.html")
+            hits = [
+                cache.lookup(f"http://s/p{index}.html") is not None
+                for index in range(14)
+            ]
+            marks = [cache.is_validated(url) for url in sorted(cache.urls())]
+            cache.begin_query()
+            return (
+                sorted(cache.urls()),
+                len(cache),
+                hits,
+                marks,
+                [cache.is_validated(url) for url in cache.urls()],
+                cache.scheme_counts(),
+                repr(cache.stats),
+            )
+
+        assert trajectory(1) == trajectory(3) == trajectory(4)
 
     def test_urls_routed_by_hash(self):
-        cache = ShardedPageCache(capacity=32, shards=4)
+        cache = PageCache(capacity=32, shards=4)
         for index in range(20):
             cache.store(self.resource(index))
+        expected = [0] * 4
         for index in range(20):
-            url = f"http://s/p{index}.html"
-            shard = cache._shards[shard_of(url, 4)]
-            assert url in shard
+            expected[shard_of(f"http://s/p{index}.html", 4)] += 1
+            assert f"http://s/p{index}.html" in cache
+        assert cache.shard_sizes() == expected
         assert sum(cache.shard_sizes()) == len(cache) == 20
 
     def test_stats_are_shared(self):
-        cache = ShardedPageCache(capacity=32, shards=4)
+        cache = PageCache(capacity=32, shards=4)
         cache.store(self.resource(0))
         cache.store(self.resource(1))
-        assert cache.stats.stores == 2  # sub-cache stores land in one ledger
-        for shard in cache._shards:
-            assert shard.stats is cache.stats
+        assert shard_of("http://s/p0.html", 4) != shard_of("http://s/p1.html", 4)
+        assert cache.stats.stores == 2  # two shards, one ledger
+
+    def test_per_shard_lru_evicts_at_ceil_capacity_over_shards(self):
+        """Each shard holds ceil(capacity / shards) pages and evicts its
+        own least recently used page past that."""
+        cache = PageCache(capacity=9, shards=4)  # 3 pages per shard
+        for index in range(40):
+            cache.store(self.resource(index))
+        stored = [[] for _ in range(4)]
+        for index in range(40):
+            url = f"http://s/p{index}.html"
+            stored[shard_of(url, 4)].append(url)
+        assert cache.shard_sizes() == [min(3, len(urls)) for urls in stored]
+        assert cache.urls() == [url for urls in stored for url in urls[-3:]]
+        assert cache.stats.evictions == 40 - len(cache)
+
+    def test_env_cache_flips_every_shard_to_per_query(self):
+        """Planning with ``cache="per_query"`` flips the sharded env cache;
+        the next query start empties every shard, not just one."""
+        env = university(UniversityConfig(n_depts=2, n_profs=6, n_courses=12))
+        cache = env.enable_cache(capacity=4096, shards=4)
+        env.query(ALL_COURSES)
+        assert all(cache.shard_sizes())  # every shard holds pages
+        env.plan(ALL_COURSES, cache="per_query")
+        assert cache.policy is CachePolicy.PER_QUERY
+        cache.begin_query()
+        assert cache.shard_sizes() == [0, 0, 0, 0]
 
     def test_invalid_shard_count_rejected(self):
         for bad in (0, -1, True, 1.5):
-            with pytest.raises(WebError):
-                ShardedPageCache(shards=bad)
+            with pytest.raises(WebError, match="shards"):
+                PageCache(shards=bad)
 
 
 class TestShardedStore:
     def test_invalid_shard_count_rejected(self, env):
         for bad in (0, -2, True):
             with pytest.raises(MaterializationError):
-                ShardedMaterializedStore(
+                MaterializedStore(
                     env.scheme,
                     WebClient(env.site.server),
                     env.registry,
                     shards=bad,
                 )
 
-    def test_single_shard_bit_for_bit(self, env):
-        """shards=1 must be indistinguishable from the unsharded store:
-        same pages, same iteration order, same network cost."""
-        plain = build_store(env)
-        single = build_store(env, shards=1)
-        for scheme_name in plain.pages:
-            assert list(single.pages[scheme_name]) == list(
-                plain.pages[scheme_name]
+    def test_shard_count_changes_nothing(self):
+        """The shard count is invisible: same pages and tuples per
+        page-scheme, same crawl cost."""
+
+        def observe(shards):
+            env = university(UniversityConfig(n_depts=2, n_profs=6, n_courses=12))
+            store = MaterializedStore(
+                env.scheme, WebClient(env.site.server), env.registry,
+                shards=shards,
             )
-        assert single.page_count() == plain.page_count()
+            store.populate()
+            log = store.client.log
+            return (
+                {name: sorted(by_url) for name, by_url in store.pages.items()},
+                {name: store.tuples_of(name) for name in store.pages},
+                store.page_count(),
+                (log.page_downloads, log.light_connections),
+            )
+
+        assert observe(1) == observe(3) == observe(4)
 
     def test_pages_routed_by_hash(self, env):
         store = build_store(env, shards=4)
         for index, shard in enumerate(store.shards):
-            for pages in shard.pages.values():
+            for pages in shard.values():
                 for url in pages:
-                    assert store.shard_index(url) == index
+                    assert shard_of(url, 4) == index
         assert store.page_count() == len(env.site.server)
 
     def test_per_query_state_shared_across_shards(self, env):
         """A re-download in one shard must flag link targets living in
-        other shards: status is one dict, aliased everywhere."""
+        other shards: the flags are the store's, not a shard's."""
         store = build_store(env, shards=4)
         mutator = SiteMutator(env.site)
         prof = env.site.profs[0]
         course = mutator.add_course(prof)
         store.url_check("ProfPage", prof.url)
-        for shard in store.shards:
-            assert shard.status is store.status
-            assert shard.check_missing is store.check_missing
-        from repro.materialized import Status
-
         assert store.status_of(course.url) is Status.NEW
 
     def test_sharded_answers_match_unsharded(self):
         """Same mutation stream, same refreshes: every query answer from
         the sharded store is bit-for-bit the unsharded store's."""
         results = {}
-        for shards in (None, 3):
+        for shards in (1, 3):
             env = university(
                 UniversityConfig(n_depts=2, n_profs=6, n_courses=12)
             )
@@ -177,14 +220,14 @@ class TestShardedStore:
             engine = MaterializedEngine(store, env.planner)
             result = engine.query(parse_query(CS_QUERY, env.view))
             results[shards] = result.relation.canonical()
-        assert results[3] == results[None]
+        assert results[3] == results[1]
 
 
 class TestBatchRefresh:
     def test_warm_refresh_laws(self, env):
         """A warm refresh costs exactly one light connection per stored
         page and zero downloads — per shard, not just in aggregate."""
-        for shards in (None, 1, 2, 4):
+        for shards in (1, 2, 4):
             store = build_store(env, shards=shards)
             report = batch_refresh(store, workers=4)
             assert report.downloads == 0
@@ -204,7 +247,7 @@ class TestBatchRefresh:
         for index, row in enumerate(report.shards):
             shard_urls = {
                 url
-                for pages in store.shards[index].pages.values()
+                for pages in store.shards[index].values()
                 for url in pages
             }
             assert row.redownloaded == len(touched_set & shard_urls)
