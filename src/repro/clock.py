@@ -91,6 +91,10 @@ class Timeline:
         self._busy: list[list[tuple[float, float]]] = [
             [] for _ in range(lanes)
         ]
+        #: lanes with an idle gap before their horizon: a task once started
+        #: later than its lane's horizon; every other lane is busy from 0
+        #: to its horizon without a break
+        self._gapped = [False] * lanes
         #: per-task ``(lane, start, end)`` intervals in submission order —
         #: the schedule itself, consumed by the Chrome-trace exporter
         #: (:mod:`repro.obs.export`) and by span instrumentation
@@ -103,7 +107,9 @@ class Timeline:
     def _feasible_start(self, lane: int, ready: float, duration: float) -> float:
         """Earliest instant >= ``ready`` at which ``duration`` fits on
         ``lane`` — inside an idle gap between already-placed tasks, or
-        after the last one."""
+        after the last one (at once when the lane has no gap)."""
+        if not self._gapped[lane]:
+            return max(ready, self._lanes[lane])
         candidate = ready
         for start, end in self._busy[lane]:
             if candidate + duration <= start:
@@ -151,6 +157,8 @@ class Timeline:
                     index, best = lane, start
         end = best + duration
         bisect.insort(self._busy[index], (best, end))
+        if best > self._lanes[index]:
+            self._gapped[index] = True
         self._lanes[index] = max(self._lanes[index], end)
         self.intervals.append((index, best, end))
         return end

@@ -232,7 +232,8 @@ class PrefetchScheduler:
             return 0.0
         self._finalized = True
         span = self.timeline.makespan
-        self.log.simulated_seconds += span
+        with self.log._lock:
+            self.log.simulated_seconds += span
         return span
 
 

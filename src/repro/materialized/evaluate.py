@@ -2,9 +2,10 @@
 
 A query plan (selected by Algorithm 1) is evaluated on the *local*
 page-relations; navigations become joins over URLs.  Before a page's tuple
-is used, :meth:`~repro.materialized.store.MaterializedStore.url_check`
-verifies freshness with a light connection, re-downloading only changed
-pages — "while answering queries, we also maintain the view".
+is used, :meth:`~repro.materialized.store.MaterializedStore.check_urls`
+(Function 2, one call per follow-link) verifies freshness with a light
+connection, re-downloading only changed pages — "while answering
+queries, we also maintain the view".
 
 The measured cost of a query is therefore: about C(E) light connections
 plus one full download per page that actually changed since the last
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 from repro.algebra.ast import Expr
 from repro.engine.local import LocalExecutor
 from repro.errors import OptionsError
-from repro.materialized.store import MaterializedStore, Status
+from repro.materialized.store import MaterializedStore
 from repro.nested.relation import Relation
 from repro.optimizer.planner import Planner
 from repro.options import QueryOptions
@@ -74,7 +75,7 @@ class MaterializedResult:
 
 
 class _CheckingProvider:
-    """PageRelationProvider running Algorithm 3's per-URL checks."""
+    """PageRelationProvider running Algorithm 3's URL checks."""
 
     def __init__(self, store: MaterializedStore, max_age: Optional[int] = None):
         self.store = store
@@ -92,19 +93,10 @@ class _CheckingProvider:
     def target_tuples(
         self, page_scheme: str, urls: Sequence[str]
     ) -> dict[str, dict]:
-        result = {}
-        for url in urls:
-            status = self.store.status_of(url)
-            if status is Status.MISSING:
-                # deferred: the page is probably deleted; check off-line
-                self.store.check_missing.add(url)
-                continue
-            plain = self.store.url_check(
-                page_scheme, url, max_age=self.max_age
-            )
-            if plain is not None:
-                result[url] = plain
-        return result
+        # a target flagged missing is probably deleted: checked off-line
+        return self.store.check_urls(
+            page_scheme, urls, max_age=self.max_age, defer_missing=True
+        )
 
 
 class _TrustingProvider:

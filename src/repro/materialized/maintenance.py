@@ -31,7 +31,7 @@ from repro.adm.links import outlink_set
 from repro.materialized.store import MaterializedStore, Status
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER
-from repro.web.cache import Freshness, check_freshness, freshness_from_head
+from repro.web.cache import Freshness, freshness_from_head
 from repro.web.client import FetchConfig
 
 __all__ = ["process_check_missing", "full_refresh", "batch_refresh",
@@ -42,20 +42,19 @@ __all__ = ["process_check_missing", "full_refresh", "batch_refresh",
 def process_check_missing(store: MaterializedStore) -> dict:
     """Drain the CheckMissing queue.  Returns counts:
     ``{"checked": n, "deleted": n, "still_alive": n}``."""
-    checked = deleted = alive = 0
     queue = sorted(store.check_missing)
     store.check_missing.clear()
+    heads = store.client.head_batch(queue, workers=1)
+    deleted = 0
     for url in queue:
-        checked += 1
-        head = store.client.head(url)
-        if head.ok:
-            alive += 1
-            continue
-        deleted += 1
-        page = store.stored(url)
-        if page is not None:
+        if not heads[url].ok:
+            deleted += 1
             store._remove(url)
-    return {"checked": checked, "deleted": deleted, "still_alive": alive}
+    return {
+        "checked": len(queue),
+        "deleted": deleted,
+        "still_alive": len(queue) - deleted,
+    }
 
 
 def full_refresh(store: MaterializedStore) -> dict:
@@ -68,13 +67,11 @@ def full_refresh(store: MaterializedStore) -> dict:
     before_count = store.page_count()
 
     # check every stored page (light connection each; downloads when stale)
-    stored_urls = [
-        (page.page_scheme, url)
-        for by_url in store.pages.values()
-        for url, page in list(by_url.items())
-    ]
-    for page_scheme, url in stored_urls:
-        store.url_check(page_scheme, url)
+    stored_urls = {
+        page_scheme: list(by_url) for page_scheme, by_url in store.pages.items()
+    }
+    for page_scheme, urls in stored_urls.items():
+        store.check_urls(page_scheme, urls)
 
     # discover pages no stored page linked to before the refresh
     frontier = [
@@ -350,24 +347,26 @@ def consistency_report(store: MaterializedStore) -> ConsistencyReport:
     stored page and one per distinct unstored link target, however many
     stored pages link to it."""
     report = ConsistencyReport(stored_pages=store.page_count())
-    pages = store.pages
-    stored_urls = set()
-    for by_url in pages.values():
-        stored_urls.update(by_url)
-    target_alive: dict[str, bool] = {}
-    for scheme_name, by_url in pages.items():
-        for url, page in by_url.items():
-            if check_freshness(store.client, url, page.modified) is not Freshness.FRESH:
-                report.stale_pages += 1
-            for link_url, _target in outlink_set(
-                store.scheme, scheme_name, page.plain
-            ):
-                if link_url in stored_urls:
-                    continue
-                if link_url not in target_alive:
-                    target_alive[link_url] = store.client.head(link_url).ok
-                if target_alive[link_url]:
-                    report.unstored_link_targets.append((url, link_url))
-                else:
-                    report.dangling_links.append((url, link_url))
+    client = store.client
+    stored = [
+        (scheme_name, url, page)
+        for scheme_name, by_url in store.pages.items()
+        for url, page in by_url.items()
+    ]
+    heads = client.head_batch([url for _, url, _ in stored], workers=1)
+    links = [
+        (url, link_url)
+        for scheme_name, url, page in stored
+        for link_url, _target in outlink_set(store.scheme, scheme_name, page.plain)
+        if link_url not in heads
+    ]
+    targets = client.head_batch([link_url for _, link_url in links], workers=1)
+    for _, url, page in stored:
+        if freshness_from_head(heads[url], page.modified) is not Freshness.FRESH:
+            report.stale_pages += 1
+    for url, link_url in links:
+        if targets[link_url].ok:
+            report.unstored_link_targets.append((url, link_url))
+        else:
+            report.dangling_links.append((url, link_url))
     return report

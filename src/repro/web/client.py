@@ -57,6 +57,7 @@ from repro.web.cache import (
     PageCache,
     SingleFlight,
     check_freshness,
+    freshness_of,
 )
 from repro.web.network import MODEM_1998, NetworkModel
 from repro.web.resources import HeadResponse, WebResource
@@ -558,68 +559,68 @@ class WebClient:
     def head(self, url: str) -> HeadResponse:
         """Open a light connection: returns error flag + modification date
         without downloading the page (paper, Section 8).  Never raises —
-        a missing page is reported through ``ok=False``.
-
-        This is the *only* place light connections are counted: the
-        materialized store's URLCheck and the cache's cross-query
-        revalidation both come through here (via
-        :func:`~repro.web.cache.check_freshness`), so the two code paths
-        can never double-account a HEAD."""
-        self._record_light_connection()
-        METRICS.counter(
-            "repro_light_connections_total", "HEAD requests issued"
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.event("head", url=url)
-        if not self.server.exists(url):
-            return HeadResponse(url=url, ok=False, last_modified=0)
-        resource = self.server.resource(url)
-        return HeadResponse(url=url, ok=True, last_modified=resource.last_modified)
+        a missing page is reported through ``ok=False``.  Charged, like
+        every HEAD, through :meth:`_charge_heads`."""
+        self._charge_heads((url,))
+        return self._head_response(url)
 
     def head_batch(
         self, urls: Sequence[str], workers: Optional[int] = None
     ) -> dict[str, HeadResponse]:
         """Open many light connections as one ``k``-lane batch.
 
-        Every HEAD still goes through :meth:`head` — the single accounting
-        point — so counts (``light_connections``, ``attempts``) are
+        The batch is charged through :meth:`_charge_heads` like any other
+        HEAD, so counts (``light_connections``, ``attempts``) are
         identical at every pool size.  Only simulated wall time changes:
-        with ``workers > 1`` the serial per-HEAD times are re-placed on a
+        with ``workers > 1`` the per-HEAD round trips are placed on a
         greedy :class:`~repro.clock.Timeline` of ``workers`` lanes and the
         batch is charged its makespan, exactly like :meth:`get_batch` —
         this is what lets a sharded-store refresh overlap its revalidation
         traffic the way query fetch batches already do.  ``workers=None``
         follows the network model's ``parallel_connections``; duplicates
-        are checked once; with one lane the accounting is bit-for-bit the
-        serial loop.
+        are checked once; with one lane the accounting is bit-for-bit
+        that many single :meth:`head` calls.
         """
-        distinct: list[str] = []
-        seen: set[str] = set()
-        for url in urls:
-            if url not in seen:
-                seen.add(url)
-                distinct.append(url)
+        distinct = list(dict.fromkeys(urls))
         if not distinct:
             return {}
-        lanes = max(
-            1,
-            workers if workers is not None else self.network.parallel_connections,
-        )
-        lanes = min(lanes, len(distinct))
+        if workers is None:
+            workers = self.network.parallel_connections
+        lanes = max(1, min(workers, len(distinct)))
         with self.tracer.span(
             "head_batch", kind="fetch", urls=len(distinct), workers=lanes
         ):
-            t0 = self.log.simulated_seconds
-            responses = {url: self.head(url) for url in distinct}
+            responses = {url: self._head_response(url) for url in distinct}
+            makespan = None
             if lanes > 1:
                 timeline = Timeline(lanes)
                 for _ in distinct:
                     timeline.add(self.network.head_seconds())
-                self.log.simulated_seconds = t0 + timeline.makespan
+                makespan = timeline.makespan
+            self._charge_heads(distinct, makespan)
         METRICS.counter(
             "repro_head_batches_total", "light-connection batches by pool size"
         ).inc(workers=lanes)
         return responses
+
+    def revalidate(
+        self, urls: Sequence[str], known_dates: Sequence[int]
+    ) -> list[Freshness]:
+        """Function 2's light connections over a run of stored pages: HEAD
+        ``urls`` in order, compare each against its ``known_dates`` entry,
+        and stop after the first answer that is not ``FRESH`` — that page
+        must be fetched or dropped before a later one is looked at.
+        Returns one answer per HEAD made and charges exactly those, in one
+        :meth:`_charge_heads` call."""
+        last_modified, fresh = self.server.last_modified, Freshness.FRESH
+        answers: list[Freshness] = []
+        for url, known in zip(urls, known_dates):
+            answer = freshness_of(known, last_modified(url))
+            answers.append(answer)
+            if answer is not fresh:
+                break
+        self._charge_heads(urls[: len(answers)])
+        return answers
 
     # ------------------------------------------------------------------ #
     # batch API
@@ -666,12 +667,7 @@ class WebClient:
         config = config or DEFAULT_FETCH_CONFIG
         retry = retry or self.retry_policy
         cache = cache if cache is not None else self.cache
-        distinct: list[str] = []
-        seen: set[str] = set()
-        for url in urls:
-            if url not in seen:
-                seen.add(url)
-                distinct.append(url)
+        distinct = list(dict.fromkeys(urls))
         if not distinct:
             return {}
         with self.tracer.span(
@@ -697,18 +693,15 @@ class WebClient:
                 1, min(config.effective_workers(self.network), len(to_fetch))
             )
             batch_t0 = self.log.simulated_seconds
+            if workers == 1:
+                outcomes = [self._fetch_shared(u, retry) for u in to_fetch]
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(
+                        pool.map(lambda u: self._fetch_shared(u, retry), to_fetch)
+                    )
             if schedule is not None:
                 lanes = schedule.timeline.lanes
-                if workers == 1:
-                    outcomes = [self._fetch_shared(u, retry) for u in to_fetch]
-                else:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        outcomes = list(
-                            pool.map(
-                                lambda u: self._fetch_shared(u, retry),
-                                to_fetch,
-                            )
-                        )
                 completed = schedule.ready
                 for outcome in outcomes:
                     end = schedule.timeline.add(
@@ -728,7 +721,6 @@ class WebClient:
                 schedule.completed = max(schedule.completed, completed)
             elif workers == 1:
                 offset = 0.0
-                outcomes = [self._fetch_shared(u, retry) for u in to_fetch]
                 for outcome in outcomes:
                     self._account(
                         outcome,
@@ -740,10 +732,6 @@ class WebClient:
                     )
                     offset += outcome.seconds
             else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    outcomes = list(
-                        pool.map(lambda u: self._fetch_shared(u, retry), to_fetch)
-                    )
                 timeline = Timeline(workers)
                 for outcome in outcomes:
                     end = timeline.add(outcome.seconds)
@@ -757,47 +745,68 @@ class WebClient:
                         lane_start=batch_t0 + start,
                         lane_end=batch_t0 + end,
                     )
-                self.log.simulated_seconds += timeline.makespan
+                with self.log._lock:
+                    self.log.simulated_seconds += timeline.makespan
             METRICS.counter(
                 "repro_fetch_batches_total", "fetch batches by pool size"
             ).inc(workers=workers)
             if schedule is not None:
-                span.set(
-                    from_cache=len(result),
-                    fetched=len(to_fetch),
-                    workers=workers,
-                    t0=schedule.base + schedule.ready,
-                    batch_seconds=schedule.completed - schedule.ready,
-                )
+                t0 = schedule.base + schedule.ready
+                seconds = schedule.completed - schedule.ready
             else:
-                span.set(
-                    from_cache=len(result),
-                    fetched=len(to_fetch),
-                    workers=workers,
-                    t0=batch_t0,
-                    batch_seconds=self.log.simulated_seconds - batch_t0,
-                )
-            exhausted: Optional[Exception] = None
+                t0, seconds = batch_t0, self.log.simulated_seconds - batch_t0
+            span.set(
+                from_cache=len(result),
+                fetched=len(to_fetch),
+                workers=workers,
+                t0=t0,
+                batch_seconds=seconds,
+            )
+            result.update((outcome.url, outcome.resource) for outcome in outcomes)
             for outcome in outcomes:
-                result[outcome.url] = outcome.resource
-                if exhausted is None and isinstance(
-                    outcome.error, RetriesExhaustedError
-                ):
-                    exhausted = outcome.error
-            if exhausted is not None:
-                raise exhausted
+                if isinstance(outcome.error, RetriesExhaustedError):
+                    raise outcome.error
             return result
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _record_light_connection(self) -> None:
-        """The single accounting point for light connections (HEADs)."""
-        with self.log._lock:
-            self.log.light_connections += 1
-            self.log.attempts += 1
-            self.log.simulated_seconds += self.network.head_seconds()
+    def _charge_heads(
+        self, urls: Sequence[str], makespan: Optional[float] = None
+    ) -> None:
+        """The single accounting point for light connections (HEADs): one
+        log-lock round trip for all of ``urls``.  Each HEAD adds one round
+        trip of simulated time, one addition at a time, so a run is
+        charged bit-for-bit what as many single HEADs would be; a
+        ``k``-lane batch passes its ``makespan`` instead."""
+        count = len(urls)
+        if not count:
+            return
+        log = self.log
+        with log._lock:
+            log.light_connections += count
+            log.attempts += count
+            if makespan is None:
+                rtt = self.network.head_seconds()
+                seconds = log.simulated_seconds
+                for _ in urls:
+                    seconds += rtt
+                log.simulated_seconds = seconds
+            else:
+                log.simulated_seconds += makespan
+        METRICS.counter(
+            "repro_light_connections_total", "HEAD requests issued"
+        ).inc(count)
+        if self.tracer.enabled:
+            for url in urls:
+                self.tracer.event("head", url=url)
+
+    def _head_response(self, url: str) -> HeadResponse:
+        modified = self.server.last_modified(url)
+        if modified is None:
+            return HeadResponse(url=url, ok=False, last_modified=0)
+        return HeadResponse(url=url, ok=True, last_modified=modified)
 
     def _serve_from_cache(
         self,
@@ -830,7 +839,7 @@ class WebClient:
             self._observe_cache(events, "hit", url, entry.page_scheme)
             return entry.as_resource()
         # cross-query entry on first touch this query: one light connection
-        # (counted through head(), the shared §8 code path)
+        # (the shared §8 code path, charged through _charge_heads)
         freshness = check_freshness(self, url, entry.last_modified)
         if freshness is Freshness.FRESH:
             cache.mark_validated(url)
@@ -887,13 +896,7 @@ class WebClient:
         if leader:
             return outcome
         return _FetchOutcome(
-            url=url,
-            resource=outcome.resource,
-            seconds=0.0,
-            attempts=0,
-            transient_failures=0,
-            error=outcome.error,
-            shared=True,
+            url, outcome.resource, error=outcome.error, shared=True
         )
 
     def _fetch_with_retries(
@@ -999,12 +1002,7 @@ class WebClient:
         scheme = (
             outcome.resource.page_scheme if outcome.resource is not None else ""
         )
-        if outcome.shared:
-            status = "shared"
-        elif error:
-            status = error
-        else:
-            status = "ok"
+        status = "shared" if outcome.shared else error or "ok"
         METRICS.counter(
             "repro_fetch_total", "page fetches by outcome and page scheme"
         ).inc(scheme=scheme, outcome=status)

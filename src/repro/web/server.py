@@ -181,6 +181,12 @@ class SimulatedWebServer:
     def exists(self, url: str) -> bool:
         return url in self._resources
 
+    def last_modified(self, url: str) -> Optional[int]:
+        """What a light connection to ``url`` reports: its ``Last-Modified``
+        date, or None when the page is missing (the client charges it)."""
+        resource = self._resources.get(url)
+        return None if resource is None else resource.last_modified
+
     def urls(self) -> Iterator[str]:
         """All currently served URLs (site-manager view, not crawlable)."""
         return iter(sorted(self._resources))

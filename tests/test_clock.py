@@ -1,6 +1,9 @@
 """Tests for the simulated clock and the k-lane timeline."""
 
+import bisect
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clock import NEVER, SimClock, Timeline
 
@@ -177,3 +180,78 @@ class TestReadyTimes:
             done = tl.add(d, ready=done)
         assert done == 1.75
         assert tl.makespan == 1.75
+
+
+class WalkingTimeline:
+    """The placement rule read literally: every add walks every busy
+    interval of every lane (quadratic in the tasks placed) — what
+    :class:`Timeline`'s no-gap shortcut must reproduce."""
+
+    def __init__(self, lanes: int):
+        self.horizons = [0.0] * lanes
+        self.busy: list[list[tuple[float, float]]] = [[] for _ in range(lanes)]
+        self.intervals: list[tuple[int, float, float]] = []
+
+    def _start(self, lane: int, ready: float, duration: float) -> float:
+        candidate = ready
+        for start, end in self.busy[lane]:
+            if candidate + duration <= start:
+                return candidate
+            candidate = max(candidate, end)
+        return candidate
+
+    def add(self, duration: float, ready: float = 0.0) -> float:
+        lanes = range(len(self.horizons))
+        if duration == 0:
+            index = min(lanes, key=lambda i: max(self.horizons[i], ready))
+            best = max(self.horizons[index], ready)
+        else:
+            index, best = 0, self._start(0, ready, duration)
+            for lane in lanes[1:]:
+                start = self._start(lane, ready, duration)
+                if start < best:
+                    index, best = lane, start
+        end = best + duration
+        bisect.insort(self.busy[index], (best, end))
+        self.horizons[index] = max(self.horizons[index], end)
+        self.intervals.append((index, best, end))
+        return end
+
+    @property
+    def makespan(self) -> float:
+        return max(self.horizons)
+
+
+#: durations and ready instants on a grid, with exact zeros and repeats
+_TIMES = st.one_of(
+    st.just(0.0),
+    st.integers(1, 40).map(lambda n: n / 8),
+    st.floats(0.001, 10.0),
+)
+
+
+class TestNoGapShortcut:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lanes=st.integers(1, 5),
+        tasks=st.lists(
+            st.tuples(_TIMES, st.one_of(st.just(0.0), _TIMES)), max_size=60
+        ),
+    )
+    def test_matches_the_full_walk(self, lanes, tasks):
+        fast, walk = Timeline(lanes), WalkingTimeline(lanes)
+        for duration, ready in tasks:
+            assert fast.add(duration, ready=ready) == walk.add(
+                duration, ready=ready
+            )
+        assert fast.intervals == walk.intervals
+        assert fast.makespan == walk.makespan
+
+    def test_contiguous_lanes_do_not_walk(self):
+        """Thousands of ready-at-zero tasks: each add is O(lanes), so the
+        walk that made a 1 146-HEAD refresh batch quadratic is gone."""
+        timeline = Timeline(2)
+        for _ in range(5000):
+            timeline.add(0.25)
+        assert timeline.makespan == 625.0
+        assert not any(timeline._gapped)

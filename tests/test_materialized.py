@@ -381,18 +381,19 @@ class TestSingleLightConnectionCodePath:
     def test_every_light_connection_goes_through_the_one_hook(
         self, env, store, engine, mutator
     ):
-        """URLCheck, maintenance, and cache revalidation all count light
-        connections through WebClient._record_light_connection — the
-        counter and the hook can never drift apart."""
+        """URLCheck runs, maintenance, and cache revalidation all charge
+        light connections through WebClient._charge_heads — the counter
+        and the summed charges can never drift apart."""
         client = store.client
-        calls = {"n": 0}
-        original = client._record_light_connection
+        charged = {"n": 0, "calls": 0}
+        original = client._charge_heads
 
-        def counting():
-            calls["n"] += 1
-            original()
+        def counting(urls, makespan=None):
+            charged["n"] += len(urls)
+            charged["calls"] += 1
+            original(urls, makespan)
 
-        client._record_light_connection = counting
+        client._charge_heads = counting
         try:
             client.log.reset()
             engine.query(env.sql(CS_QUERY))           # Algorithm 3 checks
@@ -401,16 +402,20 @@ class TestSingleLightConnectionCodePath:
             process_check_missing(store)
             consistency_report(store)
         finally:
-            client._record_light_connection = original
-        assert client.log.light_connections == calls["n"]
-        assert calls["n"] > 0
+            client._charge_heads = original
+        assert client.log.light_connections == charged["n"]
+        assert charged["n"] > 0
+        # runs, not URLs: fewer charges than light connections
+        assert charged["calls"] < charged["n"]
 
-    def test_head_is_the_only_counting_site(self):
+    def test_charge_heads_is_the_only_counting_site(self):
         """Grep-level guarantee: the counter is bumped exactly once, in
-        head(); everything else calls through it."""
+        _charge_heads; everything else calls through it."""
         import inspect
 
         from repro.web import client as client_module
 
         source = inspect.getsource(client_module)
-        assert source.count("light_connections += 1") == 1
+        assert source.count("light_connections +=") == 1
+        charging = inspect.getsource(client_module.WebClient._charge_heads)
+        assert "light_connections +=" in charging

@@ -231,3 +231,63 @@ class TestAccessLog:
         c1, c2 = WebClient(server), WebClient(server)
         c1.get("http://x/a.html")
         assert c2.log.page_downloads == 0
+
+
+class TestLogLockCharges:
+    def test_concurrent_charges_all_land(self):
+        """Every simulated-seconds charge is a ``+=`` under the log lock:
+        k-lane HEAD batches, k-lane GET batches, single HEADs and a
+        pipelined query's makespan, racing on one log at a 1 µs switch
+        interval, add up to the sum of the charges.  All charges are
+        dyadic, so the sum is exact in any order."""
+        import sys
+        import threading
+
+        from repro.engine.pipeline import PrefetchScheduler
+        from repro.web.cache import NO_CACHE
+        from repro.web.client import FetchConfig
+        from repro.web.network import NetworkModel
+
+        server = SimulatedWebServer(SimClock())
+        urls = [f"http://x/{i}.html" for i in range(4)]
+        for url in urls:
+            server.publish(url, "x" * 256)
+        client = WebClient(
+            server, network=NetworkModel(rtt_seconds=0.25, bytes_per_second=1024)
+        )
+        rounds = 200
+
+        def heads():
+            for _ in range(rounds):
+                client.head_batch(urls, workers=2)  # 2 × 0.25
+
+        def head():
+            for _ in range(rounds):
+                client.head(urls[0])  # 0.25
+
+        def gets():
+            for _ in range(rounds):  # 2 lanes × 2 pages × 0.5
+                client.get_batch(urls, FetchConfig(max_workers=2), cache=NO_CACHE)
+
+        def pipelined():
+            for _ in range(rounds):
+                scheduler = PrefetchScheduler(client.log, lanes=2)
+                scheduler.timeline.add(0.75)
+                scheduler.finalize()  # 0.75
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=f) for f in (heads, head, gets, pipelined)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert client.log.simulated_seconds == rounds * (0.5 + 0.25 + 1.0 + 0.75)
+        assert client.log.light_connections == rounds * 5
+        assert client.log.reconcile() == []
