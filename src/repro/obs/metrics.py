@@ -131,6 +131,11 @@ class Histogram:
         self._lock = lock or threading.Lock()
 
     def observe(self, value: float, **labels) -> None:
+        self.observe_each((value,), **labels)
+
+    def observe_each(self, values: Sequence[float], **labels) -> None:
+        """``observe`` each of ``values`` in order into one series: one
+        label-key sort and one lock round trip for all of them."""
         key = _label_key(labels)
         with self._lock:
             series = self._series.get(key)
@@ -140,28 +145,29 @@ class Histogram:
                 series = {
                     "count": 0,
                     "sum": 0.0,
-                    "min": value,
-                    "max": value,
+                    "min": values[0],
+                    "max": values[0],
                     "bucket_counts": [0] * (len(self.buckets) + 1),
                     "samples": [],
                     "stride": 1,
                 }
                 self._series[key] = series
-            if series["count"] % series["stride"] == 0:
-                series["samples"].append(value)
-                if len(series["samples"]) > self.max_samples:
-                    series["samples"] = series["samples"][::2]
-                    series["stride"] *= 2
-            series["count"] += 1
-            series["sum"] += value
-            series["min"] = min(series["min"], value)
-            series["max"] = max(series["max"], value)
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series["bucket_counts"][i] += 1
-                    break
-            else:
-                series["bucket_counts"][-1] += 1
+            for value in values:
+                if series["count"] % series["stride"] == 0:
+                    series["samples"].append(value)
+                    if len(series["samples"]) > self.max_samples:
+                        series["samples"] = series["samples"][::2]
+                        series["stride"] *= 2
+                series["count"] += 1
+                series["sum"] += value
+                series["min"] = min(series["min"], value)
+                series["max"] = max(series["max"], value)
+                for i, bound in enumerate(self.buckets):
+                    if value <= bound:
+                        series["bucket_counts"][i] += 1
+                        break
+                else:
+                    series["bucket_counts"][-1] += 1
 
     def count(self, **labels) -> int:
         series = self._series.get(_label_key(labels))

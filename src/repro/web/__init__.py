@@ -11,11 +11,13 @@ package provides an in-process web that measures exactly those quantities:
   :class:`FaultPolicy` injecting deterministic transient failures;
 * :mod:`repro.web.client` — GET/HEAD client with an :class:`AccessLog`, a
   concurrent batched fetch engine (:meth:`WebClient.get_batch`) governed by
-  :class:`FetchConfig`, and transparent :class:`RetryPolicy` retries;
+  :class:`FetchConfig`, and transparent :class:`RetryPolicy` retries; a
+  batch is resolved against the cache and accounted once, not per URL;
 * :mod:`repro.web.cache` — the cross-query LRU :class:`PageCache`
   (optionally URL-hash partitioned, ``shards=N``) with its
   :class:`CachePolicy` (off / per-query / cross-query light-connection
-  revalidation), and the :class:`SingleFlight` in-flight download dedup.
+  revalidation, in :meth:`WebClient.revalidate` runs), and the
+  :class:`SingleFlight` in-flight download dedup.
 """
 
 from repro.web.resources import HeadResponse, WebResource
@@ -28,7 +30,6 @@ from repro.web.cache import (
     NO_CACHE,
     PageCache,
     SingleFlight,
-    check_freshness,
     freshness_from_head,
     shard_of,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "CacheStats",
     "Freshness",
     "SingleFlight",
-    "check_freshness",
     "freshness_from_head",
     "shard_of",
     "NO_CACHE",

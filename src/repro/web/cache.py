@@ -23,13 +23,16 @@ materialized store to ordinary query execution:
 * :func:`freshness_of` — the one implementation of "compare the stored
   modification date against a light connection's", applied by
   :meth:`WebClient.revalidate <repro.web.client.WebClient.revalidate>`
-  (the client's cache revalidation through :func:`check_freshness`, and
-  the materialized store's URLCheck runs) and by
-  :func:`freshness_from_head` to HEAD responses already in hand.
+  (the runs of the client's cache revalidation and of the materialized
+  store's URLCheck) and by :func:`freshness_from_head` to HEAD responses
+  already in hand.
 
 Accounting lives in :class:`~repro.web.client.WebClient` (hits are charged
 zero pages, revalidations one light connection each, in submission order);
-the cache itself only keeps lifetime statistics for observability.
+the cache itself only keeps lifetime statistics for observability and the
+per-page-scheme counts the cache-aware planner reads.  A batch reads its
+entries through :meth:`PageCache.lookup_batch` — one lock round trip per
+shard — and the client settles its outcomes once per batch.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import threading
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from repro.errors import WebError
 from repro.web.resources import HeadResponse, WebResource
@@ -51,7 +54,6 @@ __all__ = [
     "Freshness",
     "PageCache",
     "SingleFlight",
-    "check_freshness",
     "freshness_from_head",
     "freshness_of",
     "shard_of",
@@ -174,14 +176,32 @@ class CacheStats:
 
 class _Shard:
     """One LRU partition of a :class:`PageCache`: its entries, the URLs
-    trusted this query, and its own lock."""
+    trusted this query, its cached pages per page-scheme, and its own
+    lock."""
 
-    __slots__ = ("entries", "validated", "lock")
+    __slots__ = ("entries", "validated", "schemes", "lock")
 
     def __init__(self):
         self.entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.validated: set[str] = set()
+        #: entries per page-scheme, kept as entries come and go (no zeros)
+        self.schemes: dict[str, int] = {}
         self.lock = threading.RLock()
+
+    def count(self, entry: CacheEntry, step: int) -> None:
+        """Move ``entry``'s page-scheme count by ``step`` (under ``lock``)."""
+        scheme = entry.page_scheme
+        if scheme:
+            left = self.schemes.get(scheme, 0) + step
+            if left:
+                self.schemes[scheme] = left
+            else:
+                del self.schemes[scheme]
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.validated.clear()
+        self.schemes.clear()
 
 
 class PageCache:
@@ -189,10 +209,9 @@ class PageCache:
 
     The cache is a passive store: policy decisions (serve / revalidate /
     bypass) and all cost accounting happen in the client, which calls
-    :meth:`note_hit` / :meth:`note_revalidation` / :meth:`note_miss` so the
-    lifetime statistics stay accurate.  All methods are thread-safe; the
-    engine only touches the cache from the accounting thread, but raw
-    clients may be shared across threads.
+    :meth:`note` so the lifetime statistics stay accurate.  All methods
+    are thread-safe; the engine only touches the cache from the accounting
+    thread, but raw clients may be shared across threads.
 
     ``shards`` partitions the cache by :func:`shard_of` into independent
     LRUs of ``ceil(capacity / shards)`` pages, each with its own lock, so
@@ -223,6 +242,20 @@ class PageCache:
         shards = self._shards
         return shards[0] if len(shards) == 1 else shards[shard_of(url, len(shards))]
 
+    def _spread(
+        self, urls: Sequence[str]
+    ) -> Iterator[tuple[_Shard, Sequence[int]]]:
+        """Each shard holding some of ``urls``, with their indexes in order."""
+        shards = self._shards
+        if len(shards) == 1:
+            yield shards[0], range(len(urls))
+            return
+        groups: dict[int, list[int]] = {}
+        for index, url in enumerate(urls):
+            groups.setdefault(shard_of(url, len(shards)), []).append(index)
+        for shard, indexes in sorted(groups.items()):
+            yield shards[shard], indexes
+
     # ------------------------------------------------------------------ #
     # query lifecycle
     # ------------------------------------------------------------------ #
@@ -234,14 +267,15 @@ class PageCache:
         for shard in self._shards:
             with shard.lock:
                 if self.policy is CachePolicy.PER_QUERY:
-                    shard.entries.clear()
+                    shard.clear()
                 shard.validated.clear()
 
-    def mark_validated(self, url: str) -> None:
-        """Trust ``url`` without further connections until the next query."""
-        shard = self._shard(url)
-        with shard.lock:
-            shard.validated.add(url)
+    def mark_validated(self, *urls: str) -> None:
+        """Trust ``urls`` without further connections until the next
+        query (one lock round trip per shard)."""
+        for shard, indexes in self._spread(urls):
+            with shard.lock:
+                shard.validated.update(urls[i] for i in indexes)
 
     def is_validated(self, url: str) -> bool:
         shard = self._shard(url)
@@ -261,6 +295,26 @@ class PageCache:
                 shard.entries.move_to_end(url)
             return entry
 
+    def lookup_batch(
+        self, urls: Sequence[str]
+    ) -> list[tuple[Optional[CacheEntry], bool]]:
+        """``(entry, validated)`` per URL of ``urls``, in order — what
+        :meth:`lookup` and :meth:`is_validated` answer, the entries found
+        bumped to most-recently-used in that order — in one lock round
+        trip per shard."""
+        found: list[tuple[Optional[CacheEntry], bool]]
+        found = [(None, False)] * len(urls)
+        for shard, indexes in self._spread(urls):
+            entries, validated = shard.entries, shard.validated
+            with shard.lock:
+                for i in indexes:
+                    url = urls[i]
+                    entry = entries.get(url)
+                    if entry is not None:
+                        entries.move_to_end(url)
+                        found[i] = (entry, url in validated)
+        return found
+
     def store(self, resource: WebResource) -> CacheEntry:
         """Snapshot ``resource`` into the cache (evicting LRU overflow of
         its shard)."""
@@ -272,12 +326,16 @@ class PageCache:
         )
         shard = self._shard(resource.url)
         with shard.lock:
+            replaced = shard.entries.pop(resource.url, None)
+            if replaced is not None:
+                shard.count(replaced, -1)
             shard.entries[resource.url] = entry
-            shard.entries.move_to_end(resource.url)
+            shard.count(entry, 1)
             self.stats.stores += 1
             while len(shard.entries) > self._shard_capacity:
-                evicted, _ = shard.entries.popitem(last=False)
-                shard.validated.discard(evicted)
+                evicted_url, evicted = shard.entries.popitem(last=False)
+                shard.validated.discard(evicted_url)
+                shard.count(evicted, -1)
                 self.stats.evictions += 1
         return entry
 
@@ -285,7 +343,9 @@ class PageCache:
         """Drop ``url`` (it changed or vanished behind our back)."""
         shard = self._shard(url)
         with shard.lock:
-            if shard.entries.pop(url, None) is not None:
+            dropped = shard.entries.pop(url, None)
+            if dropped is not None:
+                shard.count(dropped, -1)
                 self.stats.invalidations += 1
             shard.validated.discard(url)
 
@@ -293,21 +353,18 @@ class PageCache:
         """Drop every entry (capacity and lifetime stats are kept)."""
         for shard in self._shards:
             with shard.lock:
-                shard.entries.clear()
-                shard.validated.clear()
+                shard.clear()
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
 
-    def note_hit(self) -> None:
-        self.stats.hits += 1
-
-    def note_revalidation(self) -> None:
-        self.stats.revalidations += 1
-
-    def note_miss(self) -> None:
-        self.stats.misses += 1
+    def note(self, hits: int = 0, revalidations: int = 0, misses: int = 0) -> None:
+        """Add a lookup's or a batch's outcomes to the lifetime statistics."""
+        stats = self.stats
+        stats.hits += hits
+        stats.revalidations += revalidations
+        stats.misses += misses
 
     def urls(self) -> list[str]:
         """Cached URLs, least- to most-recently used within each shard,
@@ -325,15 +382,14 @@ class PageCache:
 
     def scheme_counts(self) -> dict[str, int]:
         """Cached pages per page-scheme — the input of
-        :meth:`repro.optimizer.cost.CacheEstimate.from_cache`."""
+        :meth:`repro.optimizer.cost.CacheEstimate.from_cache`.  The shards
+        keep these counts as entries are stored, replaced, evicted and
+        dropped, so this costs O(page-schemes), not a walk of the cache."""
         counts: dict[str, int] = {}
         for shard in self._shards:
             with shard.lock:
-                for entry in shard.entries.values():
-                    if entry.page_scheme:
-                        counts[entry.page_scheme] = (
-                            counts.get(entry.page_scheme, 0) + 1
-                        )
+                for scheme, count in shard.schemes.items():
+                    counts[scheme] = counts.get(scheme, 0) + count
         return counts
 
     def __len__(self) -> int:
@@ -366,7 +422,10 @@ class _InflightCall:
     __slots__ = ("done", "result", "error")
 
     def __init__(self):
-        self.done = threading.Event()
+        #: made by the first follower, under the group's lock: a leader
+        #: nobody waits for (every fetch of a cold, one-worker query)
+        #: never pays for an Event
+        self.done: Optional[threading.Event] = None
         self.result = None
         self.error: Optional[BaseException] = None
 
@@ -389,23 +448,28 @@ class SingleFlight:
     def do(self, key: object, fn: Callable[[], T]) -> tuple[T, bool]:
         with self._lock:
             call = self._calls.get(key)
+            leader = call is None
             if call is None:
-                call = _InflightCall()
-                self._calls[key] = call
-                leader = True
-            else:
-                leader = False
+                call = self._calls[key] = _InflightCall()
+            elif call.done is None:
+                call.done = threading.Event()
+            done = call.done
         if leader:
             try:
                 call.result = fn()
             except BaseException as err:  # propagate to every waiter
                 call.error = err
             finally:
+                # a follower makes the event while the call is listed, so
+                # the one read after unlisting it sees every waiter's
                 with self._lock:
                     self._calls.pop(key, None)
-                call.done.set()
+                    done = call.done
+                if done is not None:
+                    done.set()
         else:
-            call.done.wait()
+            assert done is not None
+            done.wait()
         if call.error is not None:
             raise call.error
         return call.result, leader
@@ -448,11 +512,3 @@ def freshness_from_head(head: HeadResponse, known_modified: int) -> Freshness:
     <repro.web.client.WebClient.head_batch>` first) applies the identical
     rule to responses it already holds."""
     return freshness_of(known_modified, head.last_modified if head.ok else None)
-
-
-def check_freshness(client, url: str, known_modified: int) -> Freshness:
-    """Open one light connection through ``client`` and compare dates: a
-    run of one for :meth:`WebClient.revalidate
-    <repro.web.client.WebClient.revalidate>`, which charges the HEAD
-    through the client's one accounting point."""
-    return client.revalidate((url,), (known_modified,))[0]

@@ -31,6 +31,10 @@ per-fetch durations over the available connections
 (:meth:`~repro.web.network.NetworkModel.batch_seconds`).  Page *counts*
 are therefore identical at every pool size — only wall time shrinks — and
 with the cache off they are bit-for-bit those of the uncached engine.
+
+A batch is accounted as a batch: one bulk cache read, revalidation in
+:meth:`WebClient.revalidate` runs, one log-lock round trip for the cache's
+outcomes and one for the GETs (``get`` is a batch of one).
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from repro.web.cache import (
     Freshness,
     PageCache,
     SingleFlight,
-    check_freshness,
     freshness_of,
 )
 from repro.web.network import MODEM_1998, NetworkModel
@@ -490,8 +493,23 @@ class _FetchOutcome:
     shared: bool = False
 
 
-#: Internal sentinel: the cache could not serve this URL, go to network.
-_MISS = object()
+#: the members bound once: reading one off its class costs ~0.2 µs, and a
+#: warm batch compares them once per cached URL
+_OFF, _PER_QUERY = CachePolicy.OFF, CachePolicy.PER_QUERY
+_FRESH = Freshness.FRESH
+
+#: the fetch counters, folded per batch: name → help
+_FETCH_COUNTERS = {
+    "repro_fetch_total": "page fetches by outcome and page scheme",
+    "repro_single_flight_dedup_total": (
+        "downloads shared with another in-flight fetch"
+    ),
+    "repro_fetch_bytes_total": "page bytes downloaded",
+    "repro_fetch_transient_faults_total": (
+        "injected transient faults absorbed by retries"
+    ),
+    "repro_fetch_retries_total": "retry attempts beyond the first",
+}
 
 
 class WebClient:
@@ -543,14 +561,11 @@ class WebClient:
         failed request.  ``cache`` overrides the client's attached cache
         for this call (pass :data:`~repro.web.cache.NO_CACHE` to bypass)."""
         cache = cache if cache is not None else self.cache
-        events: dict[tuple[str, str], int] = {}
-        served = self._serve_from_cache(url, cache, events)
-        self._count_cache_events(events, cache)
-        if served is not _MISS:
-            assert isinstance(served, WebResource)
-            return served
+        served, misses = self._serve_batch((url,), cache)
+        if not misses:
+            return served[url]
         outcome = self._fetch_shared(url, retry or self.retry_policy)
-        self._account(outcome, concurrency=1, cache=cache)
+        self._account([outcome], 1, cache)
         if outcome.error is not None:
             raise outcome.error
         assert outcome.resource is not None
@@ -611,8 +626,10 @@ class WebClient:
         and stop after the first answer that is not ``FRESH`` — that page
         must be fetched or dropped before a later one is looked at.
         Returns one answer per HEAD made and charges exactly those, in one
-        :meth:`_charge_heads` call."""
-        last_modified, fresh = self.server.last_modified, Freshness.FRESH
+        :meth:`_charge_heads` call.  The materialized store's URLCheck and
+        the page cache's revalidation (:meth:`get_batch`) both call it, a
+        run at a time, resuming after each answer that was not fresh."""
+        last_modified, fresh = self.server.last_modified, _FRESH
         answers: list[Freshness] = []
         for url, known in zip(urls, known_dates):
             answer = freshness_of(known, last_modified(url))
@@ -646,13 +663,15 @@ class WebClient:
 
         When a page cache is active, cached URLs are resolved *first*, on
         the calling thread in submission order — hits for free,
-        cross-query entries for one light connection each — and only the
-        misses go to the worker pool.  Accounting is deterministic
-        regardless of thread interleaving: the pool only performs the
-        fetches; counters, ``downloaded_urls`` order and per-fetch records
-        follow submission order, and simulated wall time is the greedy
-        ``k``-lane makespan of the per-fetch durations.  With one worker
-        this degenerates to the exact serial accumulation.
+        cross-query entries for one light connection each, opened in
+        :meth:`revalidate` runs — and only the misses go to the worker
+        pool.  Accounting is deterministic regardless of thread
+        interleaving: the pool only performs the fetches; counters,
+        ``downloaded_urls`` order and per-fetch records follow submission
+        order, and simulated wall time is the greedy ``k``-lane makespan
+        of the per-fetch durations.  With one worker this degenerates to
+        the exact serial accumulation.  The cache's outcomes take one
+        log-lock round trip per batch and the GETs one more.
 
         ``schedule`` (a :class:`~repro.clock.BatchSchedule`) switches the
         batch from the private per-batch timeline to a *shared* one: each
@@ -673,17 +692,8 @@ class WebClient:
         with self.tracer.span(
             "fetch_batch", kind="fetch", urls=len(distinct)
         ) as span:
-            result: dict[str, Optional[WebResource]] = {}
-            to_fetch: list[str] = []
-            events: dict[tuple[str, str], int] = {}
-            for url in distinct:
-                served = self._serve_from_cache(url, cache, events)
-                if served is _MISS:
-                    to_fetch.append(url)
-                else:
-                    assert isinstance(served, WebResource)
-                    result[url] = served
-            self._count_cache_events(events, cache)
+            served, to_fetch = self._serve_batch(distinct, cache)
+            result: dict[str, Optional[WebResource]] = dict(served)
             if schedule is not None:
                 schedule.completed = max(schedule.completed, schedule.ready)
             if not to_fetch:
@@ -701,52 +711,33 @@ class WebClient:
                         pool.map(lambda u: self._fetch_shared(u, retry), to_fetch)
                     )
             if schedule is not None:
-                lanes = schedule.timeline.lanes
                 completed = schedule.ready
+                placements = []
                 for outcome in outcomes:
                     end = schedule.timeline.add(
                         outcome.seconds, ready=schedule.ready
                     )
                     lane, start, _ = schedule.timeline.intervals[-1]
                     completed = max(completed, end)
-                    self._account(
-                        outcome,
-                        concurrency=lanes,
-                        charge_time=False,
-                        cache=cache,
-                        lane=lane,
-                        lane_start=schedule.base + start,
-                        lane_end=schedule.base + end,
+                    placements.append(
+                        (lane, schedule.base + start, schedule.base + end)
                     )
                 schedule.completed = max(schedule.completed, completed)
+                self._account(
+                    outcomes, schedule.timeline.lanes, cache, placements, 0.0
+                )
             elif workers == 1:
-                offset = 0.0
-                for outcome in outcomes:
-                    self._account(
-                        outcome,
-                        concurrency=1,
-                        cache=cache,
-                        lane=0,
-                        lane_start=batch_t0 + offset,
-                        lane_end=batch_t0 + offset + outcome.seconds,
-                    )
-                    offset += outcome.seconds
+                self._account(outcomes, 1, cache)
             else:
                 timeline = Timeline(workers)
+                placements = []
                 for outcome in outcomes:
                     end = timeline.add(outcome.seconds)
                     lane, start, _ = timeline.intervals[-1]
-                    self._account(
-                        outcome,
-                        concurrency=workers,
-                        charge_time=False,
-                        cache=cache,
-                        lane=lane,
-                        lane_start=batch_t0 + start,
-                        lane_end=batch_t0 + end,
-                    )
-                with self.log._lock:
-                    self.log.simulated_seconds += timeline.makespan
+                    placements.append((lane, batch_t0 + start, batch_t0 + end))
+                self._account(
+                    outcomes, workers, cache, placements, timeline.makespan
+                )
             METRICS.counter(
                 "repro_fetch_batches_total", "fetch batches by pool size"
             ).inc(workers=workers)
@@ -808,82 +799,79 @@ class WebClient:
             return HeadResponse(url=url, ok=False, last_modified=0)
         return HeadResponse(url=url, ok=True, last_modified=modified)
 
-    def _serve_from_cache(
-        self,
-        url: str,
-        cache: Optional[PageCache],
-        events: dict[tuple[str, str], int],
-    ):
-        """Try to satisfy ``url`` from ``cache`` per its policy.
-
-        Returns a :class:`WebResource` snapshot on success (accounting the
-        hit or revalidation), or :data:`_MISS` when the URL must go to the
-        network — because caching is off, the entry is absent, the page
-        changed, or it vanished (the subsequent GET then reports the
-        failure through the ordinary code path).  The caller passes the
-        ``events`` tally on to :meth:`_count_cache_events`, once per call
-        or batch."""
-        if cache is None or cache.policy is CachePolicy.OFF:
-            return _MISS
-        entry = cache.lookup(url)
-        if entry is None:
-            cache.note_miss()
-            self._observe_cache(events, "miss", url)
-            return _MISS
-        if cache.policy is CachePolicy.PER_QUERY or cache.is_validated(url):
-            # trusted for this query: zero connections, zero pages
-            cache.note_hit()
-            with self.log._lock:  # pages_saved is the sum at every instant
-                self.log.cache_hits += 1
-                self.log.pages_saved += 1
-            self._observe_cache(events, "hit", url, entry.page_scheme)
-            return entry.as_resource()
-        # cross-query entry on first touch this query: one light connection
-        # (the shared §8 code path, charged through _charge_heads)
-        freshness = check_freshness(self, url, entry.last_modified)
-        if freshness is Freshness.FRESH:
-            cache.mark_validated(url)
-            cache.note_revalidation()
-            with self.log._lock:
-                self.log.revalidations += 1
-                self.log.pages_saved += 1
-            self._observe_cache(events, "revalidation", url, entry.page_scheme)
-            return entry.as_resource()
-        cache.invalidate(url)  # stale or vanished: re-fetch (or fail) live
-        cache.note_miss()
-        self._observe_cache(events, "stale", url, entry.page_scheme)
-        return _MISS
-
-    def _observe_cache(
-        self,
-        events: dict[tuple[str, str], int],
-        event: str,
-        url: str,
-        scheme: str = "",
-    ) -> None:
-        """Record one cache outcome (observational): a trace event now, and
-        a tally in ``events`` for :meth:`_count_cache_events`."""
-        events[event, scheme] = events.get((event, scheme), 0) + 1
-        if self.tracer.enabled:
-            self.tracer.event(f"cache_{event}", url=url, scheme=scheme)
-
-    @staticmethod
-    def _count_cache_events(
-        events: dict[tuple[str, str], int], cache: Optional[PageCache]
-    ) -> None:
-        """Add a call's or batch's cache outcomes to the metrics registry:
-        one increment per ``(event, page scheme)``, not one per page."""
-        if not events:
-            return
-        assert cache is not None
+    def _serve_batch(
+        self, urls: Sequence[str], cache: Optional[PageCache]
+    ) -> tuple[dict[str, WebResource], list[str]]:
+        """Resolve the distinct ``urls`` against ``cache``: a snapshot of
+        each page it serves, and the URLs that must go to the network (no
+        cache, no entry, the page changed or vanished), in submission order.
+        One bulk read finds every entry and trust flag; untrusted entries
+        go to :meth:`revalidate` in runs, each stopping at a STALE or
+        MISSING answer (that URL is invalidated and missed, the next run
+        starts after it), so the HEADs are one per URL, in order.  The
+        trust set, the cache statistics, the log (``pages_saved ==
+        cache_hits + revalidations`` at every instant) and the metrics
+        registry are then settled once each.  Traced, a run is one URL, so
+        each ``head`` event precedes its URL's cache event."""
+        if cache is None or cache.policy is _OFF:
+            return {}, list(urls)
+        looked = cache.lookup_batch(urls)
+        trust_all = cache.policy is _PER_QUERY
+        checks = [
+            i
+            for i, (entry, trusted) in enumerate(looked)
+            if entry is not None and not (trust_all or trusted)
+        ]
+        tracer = self.tracer
+        limit = 1 if tracer.enabled else len(checks)
+        answers: dict[int, Freshness] = {}  # a prefix of ``checks``
+        served: dict[str, WebResource] = {}
+        misses: list[str] = []
+        fresh: list[str] = []
+        events: dict[tuple[str, str], int] = {}
+        hits = 0
+        for i, (url, (entry, trusted)) in enumerate(zip(urls, looked)):
+            if entry is None:
+                event, scheme = "miss", ""
+                misses.append(url)
+            elif trust_all or trusted:  # zero connections, zero pages
+                event, scheme = "hit", entry.page_scheme
+                hits += 1
+                served[url] = entry.as_resource()
+            else:
+                if i not in answers:  # the next run starts here
+                    run = checks[len(answers) : len(answers) + limit]
+                    dates = [looked[j][0].last_modified for j in run]
+                    heads = self.revalidate([urls[j] for j in run], dates)
+                    answers.update(zip(run, heads))
+                scheme = entry.page_scheme
+                if answers[i] is _FRESH:
+                    event = "revalidation"
+                    fresh.append(url)
+                    served[url] = entry.as_resource()
+                else:  # stale or vanished: re-fetch (or fail) live
+                    event = "stale"
+                    cache.invalidate(url)
+                    misses.append(url)
+            events[event, scheme] = events.get((event, scheme), 0) + 1
+            if tracer.enabled:
+                tracer.event(f"cache_{event}", url=url, scheme=scheme)
+        if fresh:
+            cache.mark_validated(*fresh)
+        cache.note(hits, len(fresh), len(misses))
+        if hits or fresh:
+            log = self.log
+            with log._lock:
+                log.cache_hits += hits
+                log.revalidations += len(fresh)
+                log.pages_saved += hits + len(fresh)
         counter = METRICS.counter(
             "repro_cache_events_total",
             "page-cache lookup outcomes by event, policy, and page scheme",
         )
         for (event, scheme), count in events.items():
-            counter.inc(
-                count, event=event, policy=cache.policy.value, scheme=scheme
-            )
+            counter.inc(count, event=event, policy=cache.policy.value, scheme=scheme)
+        return served, misses
 
     def _fetch_shared(self, url: str, retry: RetryPolicy) -> _FetchOutcome:
         """Fetch through the single-flight group: if another thread is
@@ -928,121 +916,130 @@ class WebClient:
 
     def _account(
         self,
-        outcome: _FetchOutcome,
+        outcomes: Sequence[_FetchOutcome],
         concurrency: int,
-        charge_time: bool = True,
-        cache: Optional[PageCache] = None,
-        lane: Optional[int] = None,
-        lane_start: Optional[float] = None,
-        lane_end: Optional[float] = None,
+        cache: Optional[PageCache],
+        placements: Optional[Sequence[tuple[int, float, float]]] = None,
+        makespan: Optional[float] = None,
     ) -> None:
-        log = self.log
-        if lane_start is None:
-            # single-URL path: the fetch occupies one lane starting now
-            lane = 0
-            lane_start = log.simulated_seconds
-            lane_end = lane_start + outcome.seconds
-        if outcome.shared:
-            # single-flight follower: the leader paid for the download
-            if outcome.resource is not None:
-                with log._lock:
-                    log.cache_hits += 1
-                    log.pages_saved += 1
-            self._observe_fetch(outcome, concurrency, lane, lane_start, lane_end)
-            return
-        error = ""
-        if isinstance(outcome.error, ResourceNotFound):
-            error = "not_found"
-        elif isinstance(outcome.error, RetriesExhaustedError):
-            error = "exhausted"
-        record = FetchRecord(
-            url=outcome.url,
-            seconds=outcome.seconds,
-            attempts=outcome.attempts,
-            concurrency=concurrency,
-            ok=outcome.resource is not None,
-            transient_failures=outcome.transient_failures,
-            error=error,
-        )
-        with log._lock:  # the fetch's counters and list entries move together
-            log.attempts += outcome.attempts
-            log.failed_requests += outcome.transient_failures
-            if error == "not_found":
-                log.failed_requests += 1
-            if record.ok:
-                log.page_downloads += 1
-                log.bytes_downloaded += len(outcome.resource.html)
-                log.downloaded_urls.append(outcome.url)
-            if charge_time:
-                log.simulated_seconds += outcome.seconds
-            log.records.append(record)
-        if record.ok and cache is not None and cache.policy is not CachePolicy.OFF:
-            # the caller gets the entry's snapshot, not the live server
-            # object, so the tuple it wraps lands on the entry
-            outcome.resource = cache.store(outcome.resource).as_resource()
-            cache.mark_validated(outcome.url)
-        self._observe_fetch(
-            outcome, concurrency, lane, lane_start, lane_end, error
-        )
-
-    def _observe_fetch(
-        self,
-        outcome: _FetchOutcome,
-        concurrency: int,
-        lane: Optional[int],
-        lane_start: Optional[float],
-        lane_end: Optional[float],
-        error: str = "",
-    ) -> None:
-        """Record one fetch outcome (metrics + trace event; observational).
-
-        ``lane``/``lane_start``/``lane_end`` place the fetch on the
-        simulated k-lane schedule (absolute simulated seconds) so the
-        Chrome-trace exporter can reconstruct the batch timeline."""
-        scheme = (
-            outcome.resource.page_scheme if outcome.resource is not None else ""
-        )
-        status = "shared" if outcome.shared else error or "ok"
-        METRICS.counter(
-            "repro_fetch_total", "page fetches by outcome and page scheme"
-        ).inc(scheme=scheme, outcome=status)
-        if outcome.shared:
-            METRICS.counter(
-                "repro_single_flight_dedup_total",
-                "downloads shared with another in-flight fetch",
-            ).inc(scheme=scheme)
-        else:
-            if outcome.resource is not None:
-                METRICS.counter(
-                    "repro_fetch_bytes_total", "page bytes downloaded"
-                ).inc(len(outcome.resource.html), scheme=scheme)
-            if outcome.transient_failures:
-                METRICS.counter(
-                    "repro_fetch_transient_faults_total",
-                    "injected transient faults absorbed by retries",
-                ).inc(outcome.transient_failures, scheme=scheme)
-            if outcome.attempts > 1:
-                METRICS.counter(
-                    "repro_fetch_retries_total", "retry attempts beyond the first"
-                ).inc(outcome.attempts - 1, scheme=scheme)
-            METRICS.histogram(
+        """Account a batch's fetch outcomes in submission order: one
+        log-lock round trip, the cache stores one fetch at a time, one
+        metrics increment per ``(page scheme, outcome)`` and a trace event
+        per fetch.  Each fetch's seconds are added in turn (one lane)
+        unless a ``k``-lane batch passes its ``makespan`` (0.0 on a shared
+        schedule, which its query charges).  ``placements``: each fetch's
+        ``(lane, start, end)`` on the simulated schedule, for the trace's
+        batch timeline; None is one lane from now."""
+        log, tracer = self.log, self.tracer
+        records: list[FetchRecord] = []
+        downloaded: list[str] = []
+        tally: dict[tuple[str, str, str], int] = {}  # (metric, scheme, outcome)
+        seconds: dict[str, list[float]] = {}  # scheme → each fetch's seconds
+        shared = attempts = failed = size = 0
+        t0, offset = log.simulated_seconds, 0.0  # one lane from now
+        for index, outcome in enumerate(outcomes):
+            resource = outcome.resource
+            scheme = resource.page_scheme if resource is not None else ""
+            folds = []
+            if outcome.shared:
+                # single-flight follower: the leader paid for the download
+                if resource is not None:
+                    shared += 1
+                status = "shared"
+                folds.append(("repro_single_flight_dedup_total", "", 1))
+            else:
+                status = "ok"
+                if isinstance(outcome.error, ResourceNotFound):
+                    status = "not_found"
+                    failed += 1
+                elif isinstance(outcome.error, RetriesExhaustedError):
+                    status = "exhausted"
+                records.append(FetchRecord(
+                    url=outcome.url,
+                    seconds=outcome.seconds,
+                    attempts=outcome.attempts,
+                    concurrency=concurrency,
+                    ok=resource is not None,
+                    transient_failures=outcome.transient_failures,
+                    error="" if status == "ok" else status,
+                ))
+                attempts += outcome.attempts
+                failed += outcome.transient_failures
+                if resource is not None:
+                    downloaded.append(outcome.url)
+                    size += len(resource.html)
+                    folds.append(("repro_fetch_bytes_total", "", len(resource.html)))
+                if outcome.transient_failures:
+                    folds.append((
+                        "repro_fetch_transient_faults_total",
+                        "",
+                        outcome.transient_failures,
+                    ))
+                if outcome.attempts > 1:
+                    folds.append(
+                        ("repro_fetch_retries_total", "", outcome.attempts - 1)
+                    )
+                seconds.setdefault(scheme, []).append(outcome.seconds)
+            folds.append(("repro_fetch_total", status, 1))
+            for name, label, amount in folds:
+                key = (name, scheme, label)
+                tally[key] = tally.get(key, 0) + amount
+            if tracer.enabled:
+                if placements is None:
+                    lane, begin = 0, t0 + offset
+                    end = t0 + offset + outcome.seconds
+                    offset += outcome.seconds
+                else:
+                    lane, begin, end = placements[index]
+                tracer.event(
+                    "fetch",
+                    url=outcome.url,
+                    scheme=scheme,
+                    outcome=status,
+                    seconds=outcome.seconds,
+                    attempts=outcome.attempts,
+                    transient_failures=outcome.transient_failures,
+                    shared=outcome.shared,
+                    concurrency=concurrency,
+                    lane=lane,
+                    start=begin,
+                    end=end,
+                )
+        with log._lock:  # the batch's counters and list entries move together
+            log.attempts += attempts
+            log.failed_requests += failed
+            log.page_downloads += len(downloaded)
+            log.bytes_downloaded += size
+            log.downloaded_urls.extend(downloaded)
+            log.records.extend(records)
+            log.cache_hits += shared
+            log.pages_saved += shared
+            if makespan is None:
+                total = log.simulated_seconds
+                for record in records:
+                    total += record.seconds
+                log.simulated_seconds = total
+            else:
+                log.simulated_seconds += makespan
+        if downloaded and cache is not None and cache.policy is not _OFF:
+            for outcome in outcomes:
+                if outcome.resource is not None and not outcome.shared:
+                    # the caller gets the entry's snapshot, not the live
+                    # server object, so the tuple it wraps lands on the entry
+                    outcome.resource = cache.store(outcome.resource).as_resource()
+                    cache.mark_validated(outcome.url)
+        for (name, scheme, label), amount in tally.items():
+            counter = METRICS.counter(name, _FETCH_COUNTERS[name])
+            if label:
+                counter.inc(amount, scheme=scheme, outcome=label)
+            else:
+                counter.inc(amount, scheme=scheme)
+        if seconds:
+            histogram = METRICS.histogram(
                 "repro_fetch_seconds", "simulated seconds per fetch"
-            ).observe(outcome.seconds, scheme=scheme)
-        if self.tracer.enabled:
-            self.tracer.event(
-                "fetch",
-                url=outcome.url,
-                scheme=scheme,
-                outcome=status,
-                seconds=outcome.seconds,
-                attempts=outcome.attempts,
-                transient_failures=outcome.transient_failures,
-                shared=outcome.shared,
-                concurrency=concurrency,
-                lane=lane,
-                start=lane_start,
-                end=lane_end,
             )
+            for scheme, values in seconds.items():
+                histogram.observe_each(values, scheme=scheme)
 
     def __repr__(self) -> str:
         return f"WebClient({self.log!r})"

@@ -4,6 +4,7 @@ off-policy bit-for-bit guarantee, and the wrapped tuples a cache entry
 owns."""
 
 import copy
+import random
 import sys
 import threading
 import time
@@ -28,6 +29,7 @@ from repro.web import (
     SimulatedWebServer,
     SingleFlight,
     WebClient,
+    WebResource,
 )
 from repro.optimizer.cost import CacheEstimate
 
@@ -129,6 +131,104 @@ class TestPageCacheBasics:
         assert cache.scheme_counts() == {}
 
 
+def recount(cache):
+    """``scheme_counts`` the long way: one lookup per cached URL."""
+    counts = {}
+    for url in cache.urls():
+        scheme = cache.lookup(url).page_scheme
+        if scheme:
+            counts[scheme] = counts.get(scheme, 0) + 1
+    return counts
+
+
+def scheme_page(index, scheme, version=0):
+    return WebResource(
+        f"http://x/p{index}.html", f"v{version}", version, scheme
+    )
+
+
+class TestSchemeCounts:
+    """The per-page-scheme counts are kept as entries come and go, so they
+    must equal a full recount after any sequence of operations."""
+
+    SCHEMES = ["A", "B", "C", ""]
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("policy", ["per_query", "cross_query"])
+    def test_counts_equal_a_recount(self, seed, shards, policy):
+        rng = random.Random(seed)
+        cache = PageCache(capacity=rng.choice([4, 9, 64]), policy=policy,
+                          shards=shards)
+        for step in range(300):
+            op = rng.choice(["store"] * 6 + ["invalidate"] * 2
+                            + ["clear", "begin_query", "lookup"])
+            index = rng.randrange(24)
+            if op == "store":  # a new page, a replacement or an eviction
+                cache.store(scheme_page(index, rng.choice(self.SCHEMES), step))
+            elif op == "invalidate":
+                cache.invalidate(f"http://x/p{index}.html")
+            elif op == "lookup":
+                cache.lookup_batch([f"http://x/p{i}.html" for i in range(index)])
+            elif rng.random() < 0.1:  # rare: they empty the cache
+                getattr(cache, op)()
+            assert cache.scheme_counts() == recount(cache), (step, op)
+
+    def test_a_replacement_moves_the_page_between_schemes(self):
+        cache = PageCache()
+        cache.store(scheme_page(0, "A"))
+        cache.store(scheme_page(0, "B", 1))
+        assert cache.scheme_counts() == {"B": 1}
+        cache.invalidate("http://x/p0.html")
+        assert cache.scheme_counts() == {}
+
+    def test_concurrent_stores_into_shards(self):
+        cache = PageCache(capacity=60, shards=3)
+
+        def worker(offset):
+            rng = random.Random(offset)
+            for step in range(400):
+                index = rng.randrange(120)
+                cache.store(scheme_page(index, self.SCHEMES[index % 3], step))
+                if step % 7 == 0:
+                    cache.invalidate(f"http://x/p{rng.randrange(120)}.html")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cache.scheme_counts() == recount(cache)
+        assert sum(cache.scheme_counts().values()) == len(cache)
+
+
+class TestLookupBatch:
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_answers_and_lru_order_match_single_lookups(self, shards):
+        def cache_of():
+            cache = PageCache(capacity=64, shards=shards)
+            for index in range(10):
+                cache.store(scheme_page(index, "A"))
+            for index in (1, 4, 7):
+                cache.mark_validated(f"http://x/p{index}.html")
+            return cache
+
+        urls = [f"http://x/p{i}.html" for i in (7, 12, 3, 1, 9, 0)]
+        batched, single = cache_of(), cache_of()
+        assert batched.lookup_batch(urls) == [
+            (single.lookup(url), single.is_validated(url)) for url in urls
+        ]
+        assert batched.urls() == single.urls()  # the same LRU bumps
+
+
 # --------------------------------------------------------------------- #
 # single-flight
 # --------------------------------------------------------------------- #
@@ -180,6 +280,63 @@ class TestSingleFlight:
         flight.do("k", lambda: calls.append(1))
         flight.do("k", lambda: calls.append(1))
         assert len(calls) == 2
+
+    def test_a_lone_leader_makes_no_event(self):
+        flight = SingleFlight()
+        seen = []
+
+        def fn():
+            seen.append(flight._calls["k"].done)
+            return 1
+
+        assert flight.do("k", fn) == (1, True)
+        assert seen == [None]
+
+    def test_followers_racing_the_leader_share_its_result(self):
+        """The event is made by the first follower under the group's lock;
+        with threads switching every microsecond, a follower that arrives
+        just before the leader unlists the call must still be woken, and
+        one that arrives just after leads a call of its own."""
+        rng = random.Random(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            followers = 0
+            for _ in range(60):
+                flight = SingleFlight()
+                start = threading.Barrier(6)
+                results = []
+                spin = rng.choice([0, 300, 3000, 10000, 30000])
+
+                def fn():
+                    token = object()
+                    for _ in range(spin):  # followers arrive mid-call
+                        pass
+                    return token
+
+                def caller():
+                    start.wait(timeout=10)
+                    results.append(flight.do("k", fn))
+
+                threads = [
+                    threading.Thread(target=caller, daemon=True)
+                    for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=5)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(results) == 6
+                led = {id(token) for token, leader in results if leader}
+                assert all(id(token) in led for token, _ in results)
+                followers += sum(not leader for _, leader in results)
+                assert flight._calls == {}
+                later = flight.do("k", fn)
+                assert later[1] and id(later[0]) not in led
+        finally:
+            sys.setswitchinterval(interval)
+        assert followers > 0
 
 
 # --------------------------------------------------------------------- #

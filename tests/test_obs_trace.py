@@ -82,6 +82,17 @@ class TestMetrics:
         assert snap["bucket_counts"] == [1, 1, 1]  # last is +Inf overflow
         assert snap["min"] == 0.05 and snap["max"] == 5.0
 
+    def test_observe_each_is_observe_in_order(self):
+        """Past ``max_samples`` too, where the series decimates."""
+        values = [((i * 7919) % 1000) / 97 for i in range(50)]
+        one_by_one = MetricsRegistry().histogram("t", max_samples=8)
+        batched = MetricsRegistry().histogram("t", max_samples=8)
+        for value in values:
+            one_by_one.observe(value, scheme="A")
+        batched.observe_each(values[:13], scheme="A")
+        batched.observe_each(values[13:], scheme="A")
+        assert batched.snapshot() == one_by_one.snapshot()
+
     def test_kind_mismatch_rejected(self):
         registry = MetricsRegistry()
         registry.counter("x")
