@@ -471,7 +471,10 @@ class SingleFlight:
             assert done is not None
             done.wait()
         if call.error is not None:
-            raise call.error
+            try:
+                raise call.error
+            finally:  # the error's traceback holds this frame: no cycle
+                del call
         return call.result, leader
 
 

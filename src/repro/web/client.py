@@ -567,7 +567,10 @@ class WebClient:
         outcome = self._fetch_shared(url, retry or self.retry_policy)
         self._account([outcome], 1, cache)
         if outcome.error is not None:
-            raise outcome.error
+            try:
+                raise outcome.error
+            finally:  # the error's traceback holds this frame: no cycle
+                del outcome
         assert outcome.resource is not None
         return outcome.resource
 
@@ -756,7 +759,10 @@ class WebClient:
             result.update((outcome.url, outcome.resource) for outcome in outcomes)
             for outcome in outcomes:
                 if isinstance(outcome.error, RetriesExhaustedError):
-                    raise outcome.error
+                    try:
+                        raise outcome.error
+                    finally:  # the error's traceback holds this frame: no cycle
+                        del outcome, outcomes
             return result
 
     # ------------------------------------------------------------------ #
@@ -892,7 +898,10 @@ class WebClient:
     ) -> _FetchOutcome:
         """Fetch one URL, retrying transient faults.  Pure with respect to
         the log (safe to run on a pool worker); accounting happens later in
-        :meth:`_account` on the calling thread."""
+        :meth:`_account` on the calling thread.  Errors are kept without
+        their traceback: its frames (this one, and through ``f_back`` the
+        query's) would hold the outcome that holds the error, a cycle only
+        the cyclic collector frees."""
         outcome = _FetchOutcome(url)
         last: Optional[Exception] = None
         for attempt in range(1, retry.max_attempts + 1):
@@ -901,10 +910,11 @@ class WebClient:
             try:
                 resource = self.server.serve(url)
             except ResourceNotFound as err:
-                outcome.error = err  # permanent: no retry, no time charged
+                # permanent: no retry, no time charged
+                outcome.error = err.with_traceback(None)
                 return outcome
             except TransientFetchError as err:
-                last = err
+                last = err.with_traceback(None)
                 outcome.transient_failures += 1
                 outcome.seconds += self.network.head_seconds()  # wasted RTT
                 continue

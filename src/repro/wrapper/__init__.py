@@ -3,13 +3,12 @@
 The paper *assumes* suitable wrappers exist (Section 3.1, citing Minerva and
 EDITOR); here we build them:
 
-* :mod:`repro.wrapper.dom` — :class:`Selector`, the element patterns specs
-  are written in;
-* :mod:`repro.wrapper.spec` — declarative extraction specs (selector-based
-  rules mapping page regions to attributes; pure data);
+* :mod:`repro.wrapper.spec` — declarative extraction specs (rules over
+  :class:`Selector` element patterns mapping page regions to attributes;
+  pure data);
 * :mod:`repro.wrapper.extractor` — compiles a spec once and evaluates it in
-  one pass over the events of its own linear scanner (no DOM is built; the
-  DOM evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
+  one loop over one linear token pattern (no DOM is built; the DOM
+  evaluator survives as the tests' reference, ``tests/wrapper_reference.py``);
 * :mod:`repro.wrapper.wrapper` — :class:`PageWrapper` applies a spec to a
   page and yields the nested tuple, or the part a :class:`ReadSet` names;
   :class:`WrapperRegistry` holds one wrapper per page-scheme;
@@ -19,8 +18,7 @@ EDITOR); here we build them:
   sites).
 """
 
-from repro.wrapper.dom import Selector
-from repro.wrapper.spec import AtomRule, ListRule, ExtractionSpec
+from repro.wrapper.spec import AtomRule, ListRule, ExtractionSpec, Selector
 from repro.wrapper.wrapper import PageWrapper, ReadSet, WrapperRegistry
 from repro.wrapper.conventions import spec_for_page_scheme, registry_for_scheme
 

@@ -29,8 +29,7 @@ from repro.adm.page_scheme import PageScheme
 from repro.adm.scheme import WebScheme
 from repro.adm.webtypes import ImageType, LinkType, ListType, TextType, WebType
 from repro.errors import WrapperError
-from repro.wrapper.dom import Selector
-from repro.wrapper.spec import AtomRule, ExtractionSpec, ListRule
+from repro.wrapper.spec import AtomRule, ExtractionSpec, ListRule, Selector
 from repro.wrapper.wrapper import PageWrapper, WrapperRegistry
 
 __all__ = ["spec_for_page_scheme", "registry_for_scheme"]

@@ -1,46 +1,60 @@
 """One pass over the page: extraction specs compiled to a flat program and
-evaluated over the events of a scanner of our own.
+run by one loop over one token pattern.
 
 :func:`compile_spec` resolves an :class:`ExtractionSpec` once into an
-immutable tree of scopes, each a set of *watches* (one per rule, plus one per
-list's item selector) indexed by the ``[attr=value]`` test they make;
-:func:`scan` reads a page once into start / end / data events; :func:`extract`
-runs the program over them with an explicit stack of open elements and a
-short list of open scopes.  No tree is built and nothing recurses on the
-page's depth.  docs/TUTORIAL.md states the rules for spec authors ("Tag soup"
-is the scanner's grammar); ``tests/wrapper_reference.py`` is the DOM evaluator
-over the standard library's tokenizer that the tests compare both with:
+immutable tree of scopes, each the tuple of its *watches* (one per rule, plus
+one per list's item selector); :func:`extract` reads the page with one
+``finditer`` of ``_MARKUP``, keeping an explicit stack of open elements and
+a short list of open scopes.  No tree is built and nothing recurses on the
+page's depth.  docs/TUTORIAL.md states the rules for spec authors ("Tag
+soup" is the pattern's grammar); ``tests/wrapper_reference.py`` is the DOM
+evaluator over the standard library's tokenizer that the tests compare both
+with:
 
 * **first match, no backtracking** — per scope and rule, the first visible
   matching element in document order decides the value, even if it lacks
   the wanted HTML attribute;
 * **visibility** — an element is visible to a scope (the document, or a
   list item) unless a ``LIST_BOUNDARY`` element lies strictly between them;
-* **text** is every data event while the matched element is open,
-  **own-text** those whose innermost open element is the matched one, both
+* **text** is all text read while the matched element is open, **own-text**
+  the part whose innermost open element is the matched one, both
   whitespace-normalised;
 * **stack discipline** — void elements and ``<x/>`` never open, an end tag
   closes up to the nearest open element of its name and is ignored when
   there is none, end of input closes everything;
 * **errors** are decided at end of input: the first failing rule in rule
   order, depth-first through list items;
-* **early exit** — the scan stops once every document slot is decided and
+* **early exit** — the loop stops once every document slot is decided and
   no list scope, boundary or text capture is open: by first match, nothing
   after that point can change the tuple.
 
-The compiled program is shared by every thread wrapping pages of the
-scheme; all run state lives in the per-call :class:`_Run`.
+Which tokens reach Python: **text** never does, since every token takes the
+text before it; comments, ``<!…>``, ``<?…>`` and a stray ``<`` cost the
+loop's dispatch only.  A **leaf** ``<x …>text</x>`` (no ``<`` in the text,
+the end tag's name spelled as the start tag's) is one token.  Unless its
+attribute text holds a needle of the program (``candidate``: what a
+selector or a boundary needs there) it changes neither stack nor slot, void
+and raw text names included, and costs that one search; with a needle it is
+a start tag and its end tag.  **Other tags** keep the stack; a start tag
+holding a needle is matched against the open scopes (``_matched``).  A **text
+capture** is read from page offsets when its element closes: normalised,
+and decoded unless ``script`` or ``style`` text, if no ``<`` lies in it;
+else the element is re-read by :func:`scan` (the same
+pattern as start / end / data events, which the tests compare with
+:mod:`html.parser`'s).  The compiled program is shared by every thread
+wrapping pages of the scheme; all run state lives in the per-call
+:class:`_Run`.
 """
 
 from __future__ import annotations
 
 import re
 from html import unescape
-from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeAlias, Union
 
 from repro.errors import ExtractionError
-from repro.wrapper.dom import Selector
 from repro.wrapper.spec import LIST_BOUNDARY, AtomRule, ExtractionSpec, ListRule
+from repro.wrapper.spec import Selector
 
 __all__ = ["Program", "Reads", "compile_spec", "extract", "scan", "attributes"]
 
@@ -56,12 +70,14 @@ VOID_ELEMENTS = frozenset(
 # slot states that are not values (None is one: an attribute rule's first
 # match lacks the wanted HTML attribute)
 _MISSING: Any = object()  # no visible element has matched
-_OPEN: Any = object()  # matched; its text is still being collected
+_OPEN: Any = object()  # matched; its text is read when it closes
 
 # watch kinds: what a matching element does
 _ATTR, _TEXT, _OWN, _LIST, _ITEM = range(5)
 
 _Rule = Union[AtomRule, ListRule]
+#: the watches of the document, of a list container or of a list item
+_Scope: TypeAlias = tuple["_Watch", ...]
 #: A read set: the attribute paths a caller reads, every prefix of a path
 #: included (``("CourseList",)`` with ``("CourseList", "CName")``).
 Reads = frozenset[tuple[str, ...]]
@@ -72,22 +88,14 @@ class _Watch(NamedTuple):
 
     tag: Optional[str]
     classes: frozenset[str]
-    key: Optional[tuple[str, str]]  # the selector's [attr=value]: the scope's index key
+    key: Optional[tuple[str, str]]  # the selector's [attr=value]
     kind: int
     slot: int  # index in the scope's slot list (unused by _ITEM)
     source: str  # _ATTR: the HTML attribute to read
     #: the scope a match opens: a list container's one item watch, an
-    #: item's rules; empty for atoms
-    opens: "_Scope"
+    #: item's rules (in rule order); empty for atoms
+    opens: tuple["_Watch", ...]
     rule: _Rule
-
-
-class _Scope(NamedTuple):
-    watches: tuple[_Watch, ...]  # in rule order
-    #: (attribute name, {wanted value: watches}), one per name the scope's
-    #: selectors test: a start tag costs a lookup, not a scan of the rules
-    keyed: tuple[tuple[str, dict[Optional[str], tuple[_Watch, ...]]], ...]
-    unkeyed: tuple[_Watch, ...]  # selectors without an attribute test
 
 
 class Program(NamedTuple):
@@ -95,25 +103,13 @@ class Program(NamedTuple):
 
     page_scheme: str
     scope: _Scope
-    own_text: bool  # some rule reads "own-text"
-    #: ``search`` of what a start tag's attribute text must contain for a
-    #: selector to match it or for it to be a boundary
-    candidate: Callable[[str], object]
-
-
-def _scope(*watches: _Watch) -> _Scope:
-    keyed: dict[str, dict[Optional[str], tuple[_Watch, ...]]] = {}
-    for watch in watches:
-        if watch.key is not None:
-            name, value = watch.key
-            table = keyed.setdefault(name, {})
-            table[value] = table.get(value, ()) + (watch,)
-    unkeyed = tuple(w for w in watches if w.key is None)
-    return _Scope(watches, tuple(keyed.items()), unkeyed)
+    #: ``search(html, pos, endpos)`` for what a start tag's attribute text
+    #: must contain for a selector to match it or for it to be a boundary
+    candidate: Callable[[str, int, int], object]
 
 
 def _watch(
-    on: Selector, kind: int, slot: int, rule: _Rule, opens: _Scope = _scope()
+    on: Selector, kind: int, slot: int, rule: _Rule, opens: _Scope = ()
 ) -> _Watch:
     source = rule.source if isinstance(rule, AtomRule) else ""
     return _Watch(on.tag, on.classes, on.attr_equals, kind, slot, source, opens, rule)
@@ -132,66 +128,69 @@ def _compile_rules(
         if isinstance(rule, ListRule):
             fields = _compile_rules(rule.rules, reads, here)
             item = _watch(rule.item, _ITEM, 0, rule, fields)
-            watches.append(_watch(rule.container, _LIST, slot, rule, _scope(item)))
+            watches.append(_watch(rule.container, _LIST, slot, rule, (item,)))
         else:
             kind = {"text": _TEXT, "own-text": _OWN}.get(rule.source, _ATTR)
             watches.append(_watch(rule.selector, kind, slot, rule))
-    return _scope(*watches)
+    return tuple(watches)
 
 
 def _all_watches(scope: _Scope) -> list[_Watch]:
-    return [x for w in scope.watches for x in (w, *_all_watches(w.opens))]
+    return [x for w in scope for x in (w, *_all_watches(w.opens))]
 
 
 def compile_spec(spec: ExtractionSpec, reads: Optional[Reads] = None) -> Program:
     """Resolve ``spec`` once, restricted to the rules ``reads`` names (all
     of them when None); the result is what :func:`extract` runs."""
     scope = _compile_rules(spec.rules, reads)
-    watches = _all_watches(scope)
     # Per selector, one string the attribute text of a matching start tag must
     # contain: the [attr=value] value, else a class, else "" (a tag-only
     # selector rules nothing out).  The value, not the shared class, lets the
     # elements of rules left out of ``reads`` fail it.  "&": a character
     # reference can spell any.
     needles = {"&", _BOUNDARY_CLASS}
-    needles.update(w.key[1] if w.key else min(w.classes, default="") for w in watches)
+    needles.update(
+        w.key[1] if w.key else min(w.classes, default="") for w in _all_watches(scope)
+    )
     candidate = re.compile("|".join(map(re.escape, sorted(needles))))
-    own_text = any(w.kind == _OWN for w in watches)
-    return Program(spec.page_scheme, scope, own_text, candidate.search)
+    return Program(spec.page_scheme, scope, candidate.search)
 
 
 # --------------------------------------------------------------------- #
-# the scanner: a page's text -> start / end / data events
-# (docs/TUTORIAL.md, "Tag soup", is this grammar one construct a line)
+# the token pattern (docs/TUTORIAL.md, "Tag soup", is its grammar)
 # --------------------------------------------------------------------- #
 
 _NAME = r"[a-zA-Z][^\s/>]*"
 #: Between a start tag's name and its ``>``: separators, and names with an
 #: optional value.  A quote opens a value only directly after ``=`` and runs
-#: to its partner or to end of input, so each branch matches wherever it is
-#: tried: the repeat stops only at ``>``, ``/>``, end of input or its bound,
-#: nothing backtracks, and no character is read twice.  The bound is there
-#: because the matcher keeps state per repetition; ``scan`` resumes a longer
-#: tag where the pattern stopped.
+#: to its partner or to end of input, so the repeat stops only at ``>``,
+#: ``/>``, end of input or its bound, and nothing backtracks.  The bound
+#: keeps the matcher's state per tag small; :func:`_cut_tag` reads on.
 _ATTRIBUTES = (
     r"""(?:\s+|/(?!>)|[^\s/>][^\s/>=]*"""
     r"""(?:\s*=\s*(?:"[^"]*(?:"|\Z)|'[^']*(?:'|\Z)|[^\s>]*))?){0,128}"""
 )
-#: One alternative per construct; one of them matches at every position and
-#: none can fail once past its first characters, so ``finditer`` reads the
-#: page once.  A construct whose ``>`` is missing has run to end of input
-#: and is dropped.  White space after markup is skipped, never reported.
-_TOKEN = re.compile(
-    rf"""([^<]+)                              # 1: text
-    |<({_NAME})({_ATTRIBUTES})(/?)(>?)\s*     # 2-5: start tag: name, attributes, /, >
-    |</({_NAME})[^>]*(>?)\s*                  # 6-7: end tag: name, >
-    |<!--(?s:.*?)(?:-->|\Z)\s*                # comment
-    |<[!?/][^>]*>?\s*                         # <!doctype>, <![CDATA[ ]]>, <?pi>, </3>
-    |(<)                                      # 8: any other "<" is text
-    """,
+#: One token per construct, each taking the text before it (``\Z`` takes the
+#: text that ends the page); none can fail once past its first characters.
+#: All after a start tag's attributes is optional: a leaf that does not close
+#: falls back to the bare start tag, and the matcher re-reads its text, never
+#: its attributes.  A construct missing its ``>`` runs to end of input and
+#: is dropped.
+_MARKUP = re.compile(
+    rf"""[^<]*(?:
+    <({_NAME}){_ATTRIBUTES}                               # 1: start tag name
+      (?:(/)>|(>)(?:([^<]*)</\1(?=[\s/>])[^>]*(>))?)?     # 2: <x/>; 3: >; 4-5: text</x>
+    |</({_NAME})[^>]*(>?)                                 # 6-7: end tag: name, >
+    |<!--(?s:.*?)(?:-->|\Z)                               # comment
+    |<[!?/][^>]*>?                                        # <!doctype>, <?pi>, </3>
+    |(<)                                                  # 8: any other "<" is text
+    |\Z)""",
     re.VERBOSE,
 )
-_MORE_ATTRIBUTES = re.compile(rf"{_ATTRIBUTES}(/?)(>?)\s*")
+#: A token's ``match.lastindex``: a start tag cut by the bound or the end of
+#: input, <x/>, <x>, a leaf, an end tag, a "<" (None for the rest).
+_CUT, _EMPTY, _START, _LEAF, _END, _LT = 1, 2, 3, 5, 7, 8
+_MORE_ATTRIBUTES = re.compile(rf"{_ATTRIBUTES}(/?)(>?)")
 _ATTRIBUTE = re.compile(
     r"""([^\s/>][^\s/>=]*)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]*)))?"""
 )
@@ -211,113 +210,187 @@ def attributes(raw: str) -> dict[str, str]:
     return values
 
 
-_Handler = Callable[[str], object]
+def _cut_tag(html: str, pos: int) -> Optional[tuple[int, int, bool]]:
+    """Read on from ``pos``, where the bound cut a start tag: the end of the
+    tag, the end of its attributes, and whether it is ``<x/>``; None when
+    the page ends inside it."""
+    while pos < len(html):
+        more = _MORE_ATTRIBUTES.match(html, pos)
+        assert more is not None  # every part of it is optional
+        pos, (slash, closed) = more.end(), more.groups()
+        if closed:
+            return pos, more.start(1), bool(slash)
+    return None
 
 
 def scan(
-    html: str, start: Callable[[str, str, bool], object], end: _Handler, data: _Handler
+    html: str,
+    start: Callable[[str, str, bool], object],
+    end: Callable[[str], object],
+    data: Callable[[str], object],
 ) -> None:
     """Call ``start(tag, attribute text, opens)`` (``opens`` is false for
-    ``<x/>``), ``end(tag)`` and ``data(decoded text)`` for ``html``'s events
+    ``<x/>``), ``end(tag)`` and ``data(decoded text)`` for ``html``'s tokens
     in document order, tag names lower-cased."""
     pos = 0
     while True:
-        for match in _TOKEN.finditer(html, pos):
-            kind = match.lastindex
-            if kind == 5:
-                tag, raw, slash, closed = match.group(2, 3, 4, 5)
-                if closed:
-                    tag = tag.lower()
-                    start(tag, raw, not slash)
-                    if tag in _RAW_TEXT and not slash:
-                        break
-                elif match.end() < len(html):
-                    break  # the pattern's bound: the tag goes on
-            elif kind == 7:
-                tag, closed = match.group(6, 7)
-                if closed:
-                    end(tag.lower())
-            elif kind == 1:
-                data(unescape(match.group()))
-            elif kind == 8:
+        for match in _MARKUP.finditer(html, pos):
+            kind, text = match.lastindex, match.group().partition("<")[0]
+            if text:
+                data(unescape(text))
+            if kind == _START or kind == _LEAF or kind == _EMPTY:
+                tag, text = match.group(1).lower(), match.group(4)
+                stop = match.start(_START if kind == _LEAF else kind)
+                start(tag, html[match.end(1) : stop], kind != _EMPTY)
+                if kind == _LEAF:
+                    if text:
+                        data(text if tag in _RAW_TEXT else unescape(text))
+                    end(tag)
+                elif kind == _START and tag in _RAW_TEXT:
+                    break
+            elif kind == _END and match.group(7):
+                end(match.group(6).lower())
+            elif kind == _LT:
                 data("<")
+            elif kind == _CUT and match.end() < len(html):
+                break
         else:
             return
         pos = match.end()
-        if not closed:
-            while not closed and pos < len(html):
-                more = _MORE_ATTRIBUTES.match(html, pos)
-                assert more is not None  # every part of it is optional
-                pos, (slash, closed) = more.end(), more.groups()
-            if not closed:
+        if kind == _CUT:
+            cut = _cut_tag(html, pos)
+            if cut is None:
                 return
-            tag = tag.lower()
-            start(tag, html[match.end(2) : more.start(1)], not slash)
-        if tag in _RAW_TEXT and not slash:
-            # the element's content, up to its end tag, is one undecoded event
-            close = _RAW_TEXT[tag].search(html, pos)
-            if close is None:
-                return
-            data(html[pos : close.start()])
-            pos = close.start()
+            pos, stop, empty = cut
+            tag = match.group(1).lower()
+            start(tag, html[match.end(1) : stop], not empty)
+            if empty or tag not in _RAW_TEXT:
+                continue
+        # the element's content, up to its end tag, is one undecoded event
+        close = _RAW_TEXT[tag].search(html, pos)
+        if close is None:
+            return
+        data(html[pos : close.start()])
+        pos = close.start()
+
+
+def _texts(markup: str) -> tuple[str, str]:
+    """The text and the own text of the element ``markup`` starts with."""
+    parts: list[tuple[str, bool]] = []  # (text, directly inside the element)
+    names: list[str] = []  # the element, then what is open inside it
+
+    def start(tag: str, raw: str, opens: bool) -> None:
+        if opens and tag not in VOID_ELEMENTS:
+            names.append(tag)
+
+    def end(tag: str) -> None:  # never the element's: that would have closed it
+        if tag in names:
+            del names[len(names) - 1 - names[::-1].index(tag) :]
+
+    scan(markup, start, end, lambda text: parts.append((text, len(names) == 1)))
+    every = " ".join(text for text, _ in parts)
+    own = " ".join(text for text, mine in parts if mine)
+    return " ".join(every.split()), " ".join(own.split())
 
 
 class _Done(Exception):
-    """Nothing left on the page can change the tuple: the scan stops."""
+    """Nothing left on the page can change the tuple: the loop stops."""
 
 
 class _Run:
-    """The state of one :func:`extract` call; ``start`` / ``end`` / ``data``
-    are :func:`scan`'s handlers.
+    """The state of one :func:`extract` call, and its loop (:meth:`read`).
 
     ``_groups`` are the open scopes visible to the next element, each a
     ``(slots, scope)`` pair: the document's, one per open list item (slots =
     that row's values) and one per open list container (slots = its rows,
     scope = its item watch).  ``_open`` is the stack of open elements: the
-    bare tag name, or ``(tag, groups to restore, text captures, own-text
-    parts)`` for the few elements that matched something or are a boundary.
-    The run raises :class:`_Done` once ``_undecided`` (the document's slots
-    missing or open) is 0 while ``_groups`` is the document's alone.
+    bare tag name, or ``(tag, groups to restore, text captures, start tag
+    offset, content offset)`` for the few elements that matched something or
+    are a boundary.  The run raises :class:`_Done` once ``_undecided`` (the
+    document's slots missing or open) is 0 while ``_groups`` is the
+    document's alone.
     """
 
     def __init__(self, program: Program) -> None:
-        self.slots: list[Any] = [_MISSING] * len(program.scope.watches)
+        self.slots: list[Any] = [_MISSING] * len(program.scope)
         self._undecided = len(self.slots)
         self._root: list[tuple[list[Any], _Scope]] = [(self.slots, program.scope)]
         self._groups = self._root
-        self._open: list[Any] = ["#root"]  # never popped: no tag is named so
-        self._open_count: dict[str, int] = {}
-        self._parts: list[str] = []  # every data event so far
+        # no tag is named "#root": only the end of the page closes it
+        self._open: list[Any] = ["#root"]
+        self._open_count: dict[str, int] = {"#root": 1}
         self._candidate = program.candidate
-        if not program.own_text:
-            # nobody asks which element a data event belongs to
-            self.data = self._parts.append  # type: ignore[method-assign]
+        self._html = ""
 
-    def start(self, tag: str, raw: str, opens: bool) -> None:
-        opens = opens and tag not in VOID_ELEMENTS
+    def read(self, html: str) -> int:
+        """Run the program over ``html``; returns the offset the page was
+        read to (its end, unless a raw text element never ends)."""
+        self._html = html
+        candidate, count = self._candidate, self._open_count
+        pos = 0
+        while True:
+            for match in _MARKUP.finditer(html, pos):
+                kind = match.lastindex
+                if kind == _LEAF:
+                    if candidate(html, match.end(1), match.start(3)) is not None:
+                        tag = self._start(match, match.start(3), match.end(3), _START)
+                        if count.get(tag):  # else it is void and never opened
+                            self._end(tag, match.end(4))
+                elif kind == _END:
+                    tag = match.group(6).lower()
+                    if match.group(7) and count.get(tag):
+                        self._end(tag, match.start(6) - 2)
+                elif kind == _START or kind == _EMPTY:  # <x>, <x/>
+                    tag = self._start(match, match.start(kind), match.end(), kind)
+                    if kind == _START and tag in _RAW_TEXT:
+                        break
+                elif kind == _CUT and match.end() < len(html):
+                    break
+            else:
+                return len(html)
+            pos = match.end()
+            if kind == _CUT:
+                cut = _cut_tag(html, pos)
+                if cut is None:
+                    return len(html)
+                pos, stop, empty = cut
+                tag = self._start(match, stop, pos, _EMPTY if empty else _START)
+                if empty or tag not in _RAW_TEXT:
+                    continue
+            close = _RAW_TEXT[tag].search(html, pos)
+            if close is None:
+                return pos
+            pos = close.start()
+
+    def _start(self, match: re.Match[str], stop: int, content: int, kind: int) -> str:
+        """A start tag, <x> or <x/>, whose attributes end at ``stop`` and
+        content begins at ``content``; returns its name."""
+        tag = match.group(1).lower()
+        opens = kind == _START and tag not in VOID_ELEMENTS
         entry: Any = tag
-        if self._candidate(raw) is not None:
+        if self._candidate(self._html, match.end(1), stop) is not None:
             # else no selector can match these attributes, and it is no boundary
-            entry = self._matched(tag, attributes(raw), opens)
+            raw = self._html[match.end(1) : stop]
+            entry = self._matched(tag, raw, opens, match.start(1) - 1, content)
         if opens:
             self._open.append(entry)
             self._open_count[tag] = self._open_count.get(tag, 0) + 1
+        return tag
 
-    def _matched(self, tag: str, values: dict[str, str], opens: bool) -> Any:
+    def _matched(
+        self, tag: str, raw: str, opens: bool, start: int, content: int
+    ) -> Any:
         """Fill the slots of the watches this element matches; returns its
         entry for ``_open``."""
+        values = attributes(raw)
         classes: Optional[frozenset[str]] = None
         scopes: list[tuple[list[Any], _Scope]] = []  # opened here
-        captures: list[tuple[list[Any], int, list[str], int]] = []
-        own: Optional[list[str]] = None
+        captures: list[tuple[list[Any], int, int]] = []
         for slots, scope in self._groups:
-            watches = scope[2]
-            for name, table in scope[1]:
-                found = table.get(values.get(name))
-                if found is not None:
-                    watches = watches + found if watches else found
-            for wanted, among, _key, kind, slot, source, inner, _rule in watches:
+            for wanted, among, key, kind, slot, source, inner, _rule in scope:
                 if wanted is not None and wanted != tag:
+                    continue
+                if key is not None and values.get(key[0]) != key[1]:
                     continue
                 if kind != _ITEM and slots[slot] is not _MISSING:
                     continue  # first match only
@@ -333,7 +406,7 @@ class _Run:
                     slots[slot] = rows
                     scopes.append((rows, inner))  # filled until it closes
                 elif kind == _ITEM:
-                    row = [_MISSING] * len(inner[0])
+                    row = [_MISSING] * len(inner)
                     slots.append(row)
                     scopes.append((row, inner))
                     continue
@@ -341,12 +414,7 @@ class _Run:
                     slots[slot] = ""
                 else:
                     slots[slot] = _OPEN  # decided when the element closes
-                    if kind == _TEXT:
-                        captures.append((slots, slot, self._parts, len(self._parts)))
-                    else:
-                        if own is None:
-                            own = []
-                        captures.append((slots, slot, own, 0))
+                    captures.append((slots, slot, kind))
                     continue
                 if slots is self.slots:
                     self._undecided -= 1
@@ -355,7 +423,7 @@ class _Run:
             # substring first: few elements get as far as the split
             boundary = _BOUNDARY_CLASS in cls and _BOUNDARY_CLASS in cls.split()
             if boundary or scopes or captures:
-                entry = (tag, self._groups, captures, own)
+                entry = (tag, self._groups, captures, start, content)
                 # a boundary hides every open scope but those it opens itself
                 self._groups = scopes if boundary else self._groups + scopes
                 return entry
@@ -363,48 +431,45 @@ class _Run:
             raise _Done
         return tag
 
-    def end(self, tag: str) -> None:
-        count = self._open_count
-        if not count.get(tag):
-            return  # nothing of that name is open: a stray end tag
-        stack = self._open
+    def _end(self, tag: str, at: int) -> None:
+        """An end tag at offset ``at``, of a name that is open: it closes
+        up to the nearest element of that name."""
+        stack, count = self._open, self._open_count
         while True:
             top = stack.pop()
             if top.__class__ is not str:
-                top = self._closed(top)
+                top = self._closed(top, at)
             count[top] -= 1
             if top == tag:
                 return
 
-    def data(self, data: str) -> None:
-        self._parts.append(data)
-        top = self._open[-1]
-        if top.__class__ is not str and top[3] is not None:
-            top[3].append(data)
-
-    def _closed(self, entry: tuple[str, Any, Any, Any]) -> str:
-        """Decide its text captures; restore the scopes visible before it."""
-        tag, self._groups, captures, _ = entry
-        for slots, slot, parts, start in captures:
-            slots[slot] = " ".join(" ".join(parts[start:]).split())
-            if slots is self.slots:
-                self._undecided -= 1
+    def _closed(self, entry: tuple[str, Any, Any, int, int], end: int) -> str:
+        """Decide its text captures, the page up to ``end`` read; restore
+        the scopes visible before it."""
+        tag, self._groups, captures, start, content = entry
+        if captures:
+            text = self._html[content:end]
+            if tag in _RAW_TEXT:
+                text = own = " ".join(text.split())
+            elif "<" in text:
+                text, own = _texts(self._html[start:end])
+            else:
+                text = own = " ".join(unescape(text).split())
+            for slots, slot, kind in captures:
+                slots[slot] = own if kind == _OWN else text
+                if slots is self.slots:
+                    self._undecided -= 1
         if not self._undecided and self._groups is self._root:
             raise _Done
         return tag
 
-    def finish(self) -> None:
-        """End of input closes everything."""
-        for entry in reversed(self._open):
-            if entry.__class__ is not str:
-                self._closed(entry)
 
 
 def _row(scope: _Scope, slots: list[Any]) -> dict[str, Any]:
     """Slots → ``{attr: value}`` in rule order, raising for the first rule
     that failed (depth-first through list items, like a per-rule walk)."""
     row: dict[str, Any] = {}
-    for watch in scope.watches:
+    for watch in scope:
         rule = watch.rule
         value = slots[watch.slot]
         if isinstance(rule, ListRule):
@@ -412,7 +477,7 @@ def _row(scope: _Scope, slots: list[Any]) -> dict[str, Any]:
                 raise ExtractionError(
                     f"list {rule.attr!r}: no container matches {rule.container}"
                 )
-            (item,) = watch.opens.watches
+            (item,) = watch.opens
             value = [_row(item.opens, values) for values in value]
         elif value is None:
             if not rule.optional:
@@ -433,9 +498,8 @@ def extract(program: Program, html: str) -> dict[str, Any]:
     """The page's raw tuple (without the URL, which the caller knows)."""
     run = _Run(program)
     try:
-        if program.scope.watches:  # else nothing on the page is read
-            scan(html, run.start, run.end, run.data)
-            run.finish()
+        if program.scope:  # else nothing on the page is read
+            run._end("#root", run.read(html))  # the end of the page closes all
     except _Done:
         pass
     try:

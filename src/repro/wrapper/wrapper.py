@@ -60,6 +60,7 @@ class PageWrapper:
             )
         self.page_scheme = page_scheme
         self.spec = spec
+        self._fields = [(attr.name, attr.wtype) for attr in page_scheme.attributes]
         #: read paths (None: every attribute) → their program, and the paths
         #: with every prefix added (what the program and the coercion test)
         self._programs: dict[Optional[Reads], tuple[Program, Optional[Reads]]] = {}
@@ -80,42 +81,30 @@ class PageWrapper:
             found = self._programs.setdefault(reads, found)
         program, reads = found
         raw = extract(program, html)
-        row = {URL_ATTR: url}
-        for attr in self.page_scheme.attributes:
-            path = (attr.name,)
-            if reads is not None and path not in reads:
-                continue
-            if attr.name not in raw:
-                raise WrapperError(
-                    f"{self.page_scheme.name}: spec produced no value for "
-                    f"{attr.name!r}"
-                )
-            row[attr.name] = self._coerce(path, attr.wtype, raw[attr.name], url, reads)
-        return row
+        return {URL_ATTR: url, **self._row((), self._fields, raw, url, reads)}
 
     def _error(self, path: tuple[str, ...], problem: str) -> WrapperError:
         return WrapperError(f"{self.page_scheme.name}.{'.'.join(path)}: {problem}")
+
+    def _row(self, path, fields, raw: dict, base_url: str, reads) -> dict:
+        """The fields ``reads`` names of one tuple: the page's, or a list
+        item's at ``path``."""
+        row = {}
+        for name, wtype in fields:
+            here = path + (name,)
+            if reads is not None and here not in reads:
+                continue
+            if name not in raw:
+                raise self._error(here, "the spec produced no value")
+            row[name] = self._coerce(here, wtype, raw[name], base_url, reads)
+        return row
 
     def _coerce(self, path, wtype: WebType, value, base_url: str, reads):
         if isinstance(wtype, ListType):
             if not isinstance(value, list):
                 raise self._error(path, f"expected a list, got {type(value).__name__}")
-            fields = [
-                (fname, ftype)
-                for fname, ftype in wtype.fields
-                if reads is None or path + (fname,) in reads
-            ]
-            rows = []
-            for sub in value:
-                row = {}
-                for fname, ftype in fields:
-                    if fname not in sub:
-                        raise self._error(path, f"item lacks field {fname!r}")
-                    row[fname] = self._coerce(
-                        path + (fname,), ftype, sub[fname], base_url, reads
-                    )
-                rows.append(row)
-            return rows
+            fields = wtype.fields
+            return [self._row(path, fields, sub, base_url, reads) for sub in value]
         if value is None:
             if isinstance(wtype, LinkType) and not wtype.optional:
                 raise self._error(path, "non-optional link is null")

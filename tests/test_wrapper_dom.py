@@ -8,7 +8,7 @@ content, void elements, prune scoping) is also asserted through
 import pytest
 
 from repro.errors import WrapperError
-from repro.wrapper.dom import Selector
+from repro.wrapper.spec import Selector
 
 from tests.wrapper_reference import matches, parse_html
 

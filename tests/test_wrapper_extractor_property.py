@@ -1,7 +1,7 @@
 """Property test: the one-pass extractor ≡ the reference DOM evaluator.
 
-``repro.wrapper.extractor`` evaluates a compiled spec over the events of its
-own scanner; ``tests/wrapper_reference.py`` builds a tree from html.parser's
+``repro.wrapper.extractor`` evaluates a compiled spec in one loop over its
+own token pattern; ``tests/wrapper_reference.py`` builds a tree from html.parser's
 events and walks it once per rule.  On every page they must produce the same
 raw tuple, or fail with the same :class:`ExtractionError` message:
 
@@ -17,7 +17,8 @@ raw tuple, or fail with the same :class:`ExtractionError` message:
     a case of ``DIFFERENCES`` with the value the scanner must produce.
 
 The ``@example`` pages pin one case per semantic rule of the extractor's
-module docstring, so breaking any one rule fails this file deterministically.
+module docstring, and one per kind of leaf token, so breaking any one rule
+fails this file deterministically.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from repro.sitegen.bibliography import build_bibliography_site
 from repro.sitegen.fuzz import FuzzConfig, build_fuzzed_site
 from repro.sitegen.movies import build_movie_site
 from repro.wrapper.conventions import registry_for_scheme
-from repro.wrapper.dom import Selector
+from repro.wrapper.spec import Selector
 from repro.wrapper.extractor import compile_spec, extract
 from repro.wrapper.spec import AtomRule, ExtractionSpec, ListRule
 
@@ -261,6 +262,15 @@ ORDER = ExtractionSpec(
 #: no selector of it shares a substring with the boundary class
 CELL = ExtractionSpec("P", (AtomRule("Cell", S("td.val")),))
 
+#: a tag-less selector without a class: text and own text of any element
+ANY = ExtractionSpec(
+    "P",
+    (
+        AtomRule("T", S("[data-attr=A]"), optional=True),
+        AtomRule("O", S("[data-attr=A]"), source="own-text", optional=True),
+    ),
+)
+
 HAND_SPECS = [
     conventional(False), conventional(True), NESTED, LEGACY, OWN_TEXT, ORDER, CELL
 ]
@@ -336,6 +346,25 @@ L = '<a class="attr" data-attr="L"'
 # a tag of more attributes than the scanner's pattern takes in one match
 @example(conventional(False), f'{A}a</span>{L}{" x=y" * 200} href="u"/>{XS}</ul>')
 @example(LEGACY, f'<ul{" / x = 1" * 99}><li>a<a{" x" * 500} href=u>n</a></li></ul>')
+# a leaf <x ...>text</x> is one token: one that opens a text capture, an
+# own-text capture, a list container, a boundary; a void one; raw text; <x/>
+# before an end tag of its name; end names that differ only in case
+@example(conventional(True), f"{A}leaf</span>{XS}</ul>{A}second</span>")
+@example(OWN_TEXT, '<div>own</div><p class="attr-list"><li><span>s</span></li></p>')
+@example(conventional(True), f'{A}a</span><div class="attr-list">{A}x</div>{XS}</ul>')
+@example(conventional(True), f'<br class="attr" data-attr="A">x</br>{XS}</ul>')
+@example(ANY, '<script data-attr=A>a&amp;b</script><style data-attr=A>c</style>')
+@example(ANY, '<p data-attr=A>a<script>b&amp;c<i>d</i></script>e&amp;f</p>')
+@example(conventional(True), f"{A}a<span/>t</span>u</span>{XS}</ul>")
+@example(conventional(True), f"<script/>{A}x</span></script>{XS}</ul>")
+@example(ANY, '<ai data-attr=A>a<aİ>b</ai>c</ai>')
+@example(ANY, '<ab data-attr=A>a<a>x</ab>y</ab>')
+@example(ANY, '<p data-attr=A>a<script>b&amp;c</script>d<i>e</i></p>')
+@example(ANY, '<b data-attr=A>a<B>b</b>c</b>d</b>')
+# an end tag's name is lower-cased before it closes anything
+@example(conventional(True), f"{A}a</SPAN>b{XS}</ul>")
+# the end of the page inside a start tag drops it
+@example(conventional(True), f'{XS}</ul><span class="attr" data-attr="A"')
 # errors: the first failing rule in rule order, through list items
 @example(ORDER, f"{A}a</span>{XS}{ITEM}</li>{ITEM}{L}>")
 @example(ORDER, f"{A}a</span>{XS}</ul>")
@@ -389,6 +418,8 @@ GRAMMAR = [
     ("<script>a<b>&amp;<!--</p></SCRIPT x>c",
      [start("script"), *data("a<b>&amp;<!--</p>"), end("script"), *data("c")]),
     ("<STYLE>a</styles></style\n>", [start("style"), *data("a</styles>"), end("style")]),
+    ("<script>a&amp;b</script><style>c&lt;</style>",
+     [start("script"), *data("a&amp;b"), end("script"), start("style"), *data("c&lt;"), end("style")]),
     ("<script/><b>", [start("script", False), start("b")]),
     ("<title><b></title>", [start("title"), start("b"), end("title")]),
     # any other "<" is text

@@ -11,7 +11,7 @@ import pytest
 from repro.adm.page_scheme import Attribute, PageScheme
 from repro.adm.webtypes import TEXT, link, list_of
 from repro.errors import ExtractionError
-from repro.wrapper.dom import Selector
+from repro.wrapper.spec import Selector
 from repro.wrapper.spec import AtomRule, ExtractionSpec, ListRule
 from repro.wrapper.wrapper import PageWrapper
 

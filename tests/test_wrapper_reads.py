@@ -279,52 +279,67 @@ def test_a_broken_unread_attribute_fails_only_where_the_page_wraps_in_full():
 
 
 class ReadToTheEnd(extractor._Run):
-    """A run with one slot that never decides: the scan cannot stop early."""
-
-    starts = 0
+    """A run with one slot that never decides: the loop cannot stop early."""
 
     def __init__(self, program):
         super().__init__(program)
         self._undecided += 1
 
-    def start(self, tag, raw, opens):
-        ReadToTheEnd.starts += 1
-        super().start(tag, raw, opens)
+
+class Reached:
+    """The extractor's token pattern, noting how far into ``page`` the loop
+    has read (the end of the last token it took)."""
+
+    pattern = extractor._MARKUP
+
+    def __init__(self, page):
+        self.page, self.offset = page, 0
+
+    def finditer(self, html, pos=0):
+        for match in self.pattern.finditer(html, pos):
+            if html is self.page:
+                self.offset = match.end()
+            yield match
 
 
-class Counted(extractor._Run):
-    starts = 0
-
-    def start(self, tag, raw, opens):
-        Counted.starts += 1
-        super().start(tag, raw, opens)
+def reached(program, html, monkeypatch):
+    """``program``'s tuple of ``html`` and the page offset its loop read to."""
+    tokens = Reached(html)
+    with monkeypatch.context() as patched:
+        patched.setattr(extractor, "_MARKUP", tokens)
+        return outcome(lambda: extract(program, html)), tokens.offset
 
 
 @pytest.mark.parametrize("site", SITES)
 def test_early_exit_changes_no_tuple(site, monkeypatch):
     _, registry, pages = built(site)
+    stopped = 0
     for resource in pages:
-        spec = registry.wrapper(resource.page_scheme).spec
-        program = compile_spec(spec)
-        early = outcome(lambda: extract(program, resource.html))
+        html = resource.html
+        program = compile_spec(registry.wrapper(resource.page_scheme).spec)
+        early, offset = reached(program, html, monkeypatch)
         with monkeypatch.context() as patched:
             patched.setattr(extractor, "_Run", ReadToTheEnd)
-            assert outcome(lambda: extract(program, resource.html)) == early
+            assert reached(program, html, monkeypatch) == (early, len(html))
+        stopped += offset < len(html)
+    # the law is not vacuous: the early runs stopped short on some pages
+    assert stopped > 0
 
 
 def test_early_exit_stops_the_scan(monkeypatch):
-    """Example 7.2 reads only a course's Type, which comes first on the
-    page: the rest of the page is not scanned."""
+    """Example 7.2 reads only a course's Type, the fourth of its six
+    attributes on the page: the loop stops at the token of Type's element,
+    and the rest of the page is never read."""
     site, registry, pages = built("university")
     course = next(p for p in pages if p.page_scheme == "CoursePage")
-    spec = registry.wrapper("CoursePage").spec
-    program = compile_spec(spec, closed([("Type",)]))
-    Counted.starts = ReadToTheEnd.starts = 0
-    monkeypatch.setattr(extractor, "_Run", Counted)
-    early = extract(program, course.html)
+    html = course.html
+    program = compile_spec(registry.wrapper("CoursePage").spec, closed([("Type",)]))
+    early, offset = reached(program, html, monkeypatch)
+    type_at = html.index('data-attr="Type"')
+    assert offset == html.index("</span>", type_at) + len("</span>")
+    assert html.index('data-attr="PName"') > offset
     monkeypatch.setattr(extractor, "_Run", ReadToTheEnd)
-    assert extract(program, course.html) == early
-    assert Counted.starts < ReadToTheEnd.starts
+    assert reached(program, html, monkeypatch) == (early, len(html))
 
 
 # --------------------------------------------------------------------- #

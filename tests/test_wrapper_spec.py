@@ -7,7 +7,7 @@ from repro.adm.webtypes import IMAGE, TEXT, link, list_of
 from repro.errors import ExtractionError, WrapperError
 from repro.sitegen.html_writer import render_page
 from repro.wrapper.conventions import spec_for_page_scheme
-from repro.wrapper.dom import Selector
+from repro.wrapper.spec import Selector
 from repro.wrapper.spec import AtomRule, ExtractionSpec, ListRule
 from repro.wrapper.wrapper import PageWrapper, WrapperRegistry
 
@@ -354,6 +354,10 @@ class TestHostilePages:
         "open references": lambda n: "&amp" * n,
         "one endless tag": lambda n: "<a" + ' x="y" /' * n + ">",
         "dashes in a comment": lambda n: "<!--" + "- -- " * n + "-->",
+        "a leaf's text to the end": lambda n: "<a>" + "x" * n,
+        "leaves of another end name": lambda n: "<a>x</b>" * n,
+        "leaves of another case": lambda n: "<A>x</a>" * n,
+        "a leaf past the bound": lambda n: "<a" + " x=y" * n + ">t</a>",
     }
 
     @pytest.mark.parametrize("shape", REPEATS)

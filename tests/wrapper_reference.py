@@ -10,9 +10,9 @@ It recurses on the page's depth and is an order of magnitude slower per
 rule; nothing under ``src/`` imports it.
 
 It stays on :mod:`html.parser`, which ``src/`` no longer imports: the
-tokenizer the extractor runs on (:func:`repro.wrapper.extractor.scan`) is
-compared with it event by event, :func:`parser_events` against
-:func:`scanner_events`.  docs/TUTORIAL.md ("Tag soup") lists where the two
+extractor's token pattern, read as events by
+:func:`repro.wrapper.extractor.scan`, is compared with it event by event,
+:func:`parser_events` against :func:`scanner_events`.  docs/TUTORIAL.md ("Tag soup") lists where the two
 differ on purpose.
 """
 
@@ -23,7 +23,7 @@ from html.parser import HTMLParser
 from typing import Iterator, Optional, Union
 
 from repro.errors import ExtractionError
-from repro.wrapper.dom import Selector
+from repro.wrapper.spec import Selector
 from repro.wrapper.extractor import attributes, scan
 from repro.wrapper.spec import LIST_BOUNDARY, AtomRule, ExtractionSpec, ListRule
 
