@@ -1,19 +1,21 @@
-"""Walking the link values of a wrapped tuple.
+"""The links of a wrapped tuple, and the one walk of a site along them.
 
-Both the statistics crawler and the materialized store need to enumerate
-the outgoing links of a page tuple — ``outlinks(t)`` in the paper's
-Function 2 — as ``(target page-scheme, URL)`` pairs.  Null links (optional
-attributes) are skipped.
+``iter_outlinks`` yields a page tuple's links — ``outlinks(t)`` in the
+paper's Function 2 — in tuple order, skipping null (optional) links.
+``crawl`` walks the site from its entry points: the entry points first, in
+the scheme's order, then breadth-first, level by level, the links of each
+level's pages in level order and tuple order.  The order depends only on
+the scheme and the pages, so a crawl repeats exactly across processes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Callable, Iterator, KeysView, Mapping, Optional, Sequence, Tuple
 
 from repro.adm.scheme import WebScheme
 from repro.adm.webtypes import LinkType, ListType
 
-__all__ = ["iter_outlinks", "outlink_set"]
+__all__ = ["crawl", "iter_outlinks", "outlink_set"]
 
 
 def iter_outlinks(
@@ -36,8 +38,45 @@ def iter_outlinks(
     yield from walk(top_fields, plain)
 
 
-def outlink_set(scheme: WebScheme, page_scheme: str, plain: dict) -> set:
-    """The paper's ``outlinks(t)``: the set of (URL, target scheme) pairs."""
-    return {
+def outlink_set(scheme: WebScheme, page_scheme: str, plain: dict) -> KeysView:
+    """The paper's ``outlinks(t)``: the distinct ``(URL, target scheme)``
+    pairs, in tuple order (a set view: ``-`` and ``in`` work)."""
+    return dict.fromkeys(
         (url, target) for target, url in iter_outlinks(scheme, page_scheme, plain)
-    }
+    ).keys()
+
+
+def crawl(
+    scheme: WebScheme,
+    fetch: Callable[[Sequence[Tuple[str, str]]], Mapping[str, Optional[dict]]],
+    max_pages: Optional[int] = None,
+) -> int:
+    """Visit the site in the module docstring's order; ``populate``,
+    ``full_refresh``, the server's warm-up and the statistics and discovery
+    crawls are ``fetch`` callbacks.
+
+    ``fetch(level)`` gets a level's ``(page_scheme, url)`` pairs in
+    first-reached order, each URL once and under the page-scheme that first
+    reached it, and returns ``{url: tuple}``; a URL it leaves out or maps to
+    None (dead, unwrappable) is a dead end.  ``max_pages`` bounds the URLs
+    visited, failures included.  Returns the number of URLs visited."""
+    visited: set[str] = set()
+    reached = [(ep.scheme, ep.url) for ep in scheme.entry_points.values()]
+    while reached:
+        level = []
+        for page_scheme, url in reached:
+            if max_pages is not None and len(visited) >= max_pages:
+                break
+            if url not in visited:
+                visited.add(url)
+                level.append((page_scheme, url))
+        if not level:
+            break
+        tuples = fetch(level)
+        reached = [
+            link
+            for page_scheme, url in level
+            if (plain := tuples.get(url)) is not None
+            for link in iter_outlinks(scheme, page_scheme, plain)
+        ]
+    return len(visited)

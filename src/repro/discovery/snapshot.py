@@ -8,11 +8,10 @@ that nesting level (what a link constraint may reference).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.adm.links import iter_outlinks
+from repro.adm.links import crawl
 from repro.adm.page_scheme import AttrPath
 from repro.adm.scheme import WebScheme
 from repro.errors import ResourceNotFound, SchemeError, WrapperError
@@ -123,28 +122,19 @@ def crawl_snapshot(
     registry: WrapperRegistry,
     max_pages: Optional[int] = None,
 ) -> SiteSnapshot:
-    """BFS-crawl the site from its entry points into a snapshot."""
+    """Crawl the site from its entry points into a snapshot
+    (:func:`~repro.adm.links.crawl`)."""
     snapshot = SiteSnapshot(scheme)
-    queue: deque = deque(
-        (ep.scheme, ep.url) for ep in scheme.entry_points.values()
-    )
-    visited: set[str] = set()
-    while queue:
-        if max_pages is not None and len(visited) >= max_pages:
-            break
-        page_scheme, url = queue.popleft()
-        if url in visited:
-            continue
-        visited.add(url)
-        try:
-            resource = client.get(url)
-            plain = registry.wrap(page_scheme, url, resource.html)
-        except (ResourceNotFound, WrapperError):
-            continue
-        snapshot.add(page_scheme, url, plain)
-        for target_scheme, target_url in iter_outlinks(
-            scheme, page_scheme, plain
-        ):
-            if target_url not in visited:
-                queue.append((target_scheme, target_url))
+
+    def add(level):
+        tuples = {}
+        for page_scheme, url in level:
+            try:
+                tuples[url] = registry.wrap(page_scheme, url, client.get(url).html)
+            except (ResourceNotFound, WrapperError):
+                continue
+            snapshot.add(page_scheme, url, tuples[url])
+        return tuples
+
+    crawl(scheme, add, max_pages)
     return snapshot

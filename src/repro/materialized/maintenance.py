@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.adm.links import outlink_set
+from repro.adm.links import crawl, outlink_set
 from repro.materialized.store import MaterializedStore, Status
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER
@@ -74,25 +74,13 @@ def full_refresh(store: MaterializedStore) -> dict:
         store.check_urls(page_scheme, urls)
 
     # discover pages no stored page linked to before the refresh
-    frontier = [
-        (ep.scheme, ep.url) for ep in store.scheme.entry_points.values()
-    ]
-    visited: set[str] = set()
-    while frontier:
-        page_scheme, url = frontier.pop()
-        if url in visited:
-            continue
-        visited.add(url)
-        plain = store.url_check(page_scheme, url)
-        if plain is None:
-            continue
-        for link_url, target in outlink_set(store.scheme, page_scheme, plain):
-            if link_url not in visited:
-                frontier.append((target, link_url))
+    def check(level):
+        return {url: store.url_check(page_scheme, url) for page_scheme, url in level}
 
+    checked = crawl(store.scheme, check)
     result = process_check_missing(store)
     return {
-        "checked": len(visited),
+        "checked": checked,
         "redownloaded": store.client.log.page_downloads - before_downloads,
         "added": max(0, store.page_count() - before_count),
         "removed": result["deleted"],

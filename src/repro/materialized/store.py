@@ -39,7 +39,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.adm.links import outlink_set
+from repro.adm.links import crawl, outlink_set
 from repro.adm.scheme import WebScheme
 from repro.errors import MaterializationError, ResourceNotFound
 from repro.web.cache import Freshness, shard_of
@@ -132,26 +132,15 @@ class MaterializedStore:
     # ------------------------------------------------------------------ #
 
     def populate(self) -> int:
-        """Crawl the whole site once from the entry points and store every
-        page (the paper: "we navigate the whole site once, wrap pages, and
-        store them locally").  Returns the number of pages stored."""
-        frontier = [
-            (ep.scheme, ep.url) for ep in self.scheme.entry_points.values()
-        ]
-        visited: set[str] = set()
-        while frontier:
-            page_scheme, url = frontier.pop()
-            if url in visited:
-                continue
-            visited.add(url)
-            page = self._download(page_scheme, url)
-            if page is None:
-                continue
-            for target_scheme, target_url in (
-                (t, u) for u, t in outlink_set(self.scheme, page_scheme, page.plain)
-            ):
-                if target_url not in visited:
-                    frontier.append((target_scheme, target_url))
+        """Crawl the whole site once (:func:`~repro.adm.links.crawl`) and
+        store every page (the paper: "we navigate the whole site once, wrap
+        pages, and store them locally").  Returns the number of pages stored."""
+
+        def download(level):
+            pages = (self._download(page_scheme, url) for page_scheme, url in level)
+            return {page.url: page.plain for page in pages if page is not None}
+
+        crawl(self.scheme, download)
         self.reset_status()
         return self.page_count()
 

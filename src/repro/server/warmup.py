@@ -2,13 +2,13 @@
 
 :func:`warm_cache` runs the materialization advisor
 (:mod:`repro.materialized.advisor`) over a workload, then crawls the site
-breadth-first, fetching each frontier level as one k-lane batch: pages of
-the advisor-chosen schemes go *through* the environment's cross-query
-:class:`~repro.web.cache.PageCache` (so the next query finds them warm —
-one light-connection revalidation, zero downloads, the §8 saving), while
-pages of unchosen schemes are fetched with :data:`~repro.web.cache.
-NO_CACHE` — traversed, never retained, exactly the budgeted set the
-advisor picked.
+(:func:`~repro.adm.links.crawl`), fetching each level as one k-lane batch:
+pages of the advisor-chosen schemes go *through* the environment's
+cross-query :class:`~repro.web.cache.PageCache` (so the next query finds
+them warm — one light-connection revalidation, zero downloads, the §8
+saving), while pages of unchosen schemes are fetched with
+:data:`~repro.web.cache.NO_CACHE` — traversed, never retained, exactly the
+budgeted set the advisor picked.
 
 :meth:`QueryServer.warm_up <repro.server.service.QueryServer.warm_up>`
 exposes this on the server: call it once before opening admission and the
@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, TYPE_CHECKING
 
-from repro.adm.links import outlink_set
+from repro.adm.links import crawl
 from repro.engine.session import QuerySession
 from repro.materialized.advisor import AdvisorReport, WorkloadQuery, advise
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER
 from repro.web.cache import NO_CACHE
 from repro.web.client import FetchConfig, WebClient
-from repro.web.resources import WebResource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sites import SiteEnv
@@ -71,7 +70,7 @@ def warm_cache(
     The crawl uses its own client clone (shared server/network, private
     log — the server's per-request isolation discipline), attached to the
     environment's cross-query cache (created at default capacity if the
-    environment has none).  Each breadth-first level is fetched as one
+    environment has none).  Each level of the crawl is fetched as one
     ``workers``-lane batch, chosen-scheme pages through the cache,
     transit pages around it."""
     report = advise(
@@ -89,52 +88,27 @@ def warm_cache(
     config = FetchConfig(max_workers=workers)
     warmed = 0
     transit = 0
+
+    def fetch(level):
+        nonlocal warmed, transit
+        chosen_urls = [u for ps, u in level if ps in chosen]
+        transit_urls = [u for ps, u in level if ps not in chosen]
+        resources = client.get_batch(chosen_urls, config=config)
+        warmed += sum(r is not None for r in resources.values())
+        passing = client.get_batch(transit_urls, config=config, cache=NO_CACHE)
+        transit += sum(r is not None for r in passing.values())
+        resources.update(passing)
+        # wrap for link discovery through a session over the level's pages:
+        # a chosen page's tuple stays on the cache entry it was stored as
+        # (or comes from there on a re-warm)
+        session = QuerySession(client, env.registry)
+        session.seed_resources(resources)
+        return {url: session.fetch_tuple(ps, url) for ps, url in level}
+
     with trace.span(  # type: ignore[attr-defined]
         "server_warmup", kind="maintenance", chosen=len(chosen), workers=workers
     ):
-        frontier: list[tuple[str, str]] = [
-            (ep.scheme, ep.url) for ep in env.scheme.entry_points.values()
-        ]
-        visited: set[str] = set()
-        while frontier:
-            level: list[tuple[str, str]] = []
-            for page_scheme, url in frontier:
-                if url not in visited:
-                    visited.add(url)
-                    level.append((page_scheme, url))
-            if not level:
-                break
-            resources: dict[str, Optional[WebResource]] = {}
-            chosen_urls = [u for ps, u in level if ps in chosen]
-            transit_urls = [u for ps, u in level if ps not in chosen]
-            if chosen_urls:
-                resources.update(client.get_batch(chosen_urls, config=config))
-                warmed += sum(
-                    1 for u in chosen_urls if resources.get(u) is not None
-                )
-            if transit_urls:
-                resources.update(
-                    client.get_batch(transit_urls, config=config, cache=NO_CACHE)
-                )
-                transit += sum(
-                    1 for u in transit_urls if resources.get(u) is not None
-                )
-            # wrap for link discovery through a session over the level's
-            # pages: a chosen page's tuple stays on the cache entry it was
-            # stored as (or comes from there on a re-warm)
-            session = QuerySession(client, env.registry)
-            session.seed_resources(resources)
-            next_frontier: list[tuple[str, str]] = []
-            for page_scheme, url in level:
-                plain = session.fetch_tuple(page_scheme, url)
-                if plain is None:
-                    continue
-                for link_url, target in outlink_set(
-                    env.scheme, page_scheme, plain
-                ):
-                    if link_url not in visited:
-                        next_frontier.append((target, link_url))
-            frontier = next_frontier
+        crawl(env.scheme, fetch)
     pages_total = METRICS.counter(
         "repro_server_warmup_pages_total", "warm-up pages by kind"
     )

@@ -1,11 +1,12 @@
 """Crawl-based statistics estimation (the paper's WebSQL exploration).
 
-:class:`SiteExplorer` breadth-first crawls a site from its entry points,
-wrapping every page it reaches and feeding the observations to a
-:class:`~repro.stats.statistics.StatsCollector`.  The crawl uses its own
-client, so its network cost is accounted separately from query execution —
-the paper assumes statistics "have been initially estimated ... and are
-updated on a regular basis", i.e. amortized outside query cost.
+:class:`SiteExplorer` crawls a site from its entry points
+(:func:`~repro.adm.links.crawl`), wrapping every page it reaches and
+feeding the observations to a :class:`~repro.stats.statistics.
+StatsCollector`.  The crawl uses its own client, so its network cost is
+accounted separately from query execution — the paper assumes statistics
+"have been initially estimated ... and are updated on a regular basis",
+i.e. amortized outside query cost.
 
 ``max_pages`` bounds the crawl; a partial crawl yields *estimates* (pages
 of a scheme seen so far, average list sizes over the sample) that the cost
@@ -15,10 +16,9 @@ sampled statistics, which the sensitivity benchmark exercises.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
-from repro.adm.links import iter_outlinks
+from repro.adm.links import crawl
 from repro.adm.scheme import WebScheme
 from repro.errors import ResourceNotFound, WrapperError
 from repro.stats.statistics import SiteStatistics, StatsCollector
@@ -30,7 +30,7 @@ __all__ = ["SiteExplorer", "estimate_statistics"]
 
 
 class SiteExplorer:
-    """BFS crawler that estimates the Section 6.2 parameters."""
+    """Crawler that estimates the Section 6.2 parameters."""
 
     def __init__(
         self,
@@ -49,30 +49,19 @@ class SiteExplorer:
         dead links and irregular pages).
         """
         collector = StatsCollector()
-        queue: deque = deque(
-            (ep.scheme, ep.url) for ep in self.scheme.entry_points.values()
-        )
-        visited: set[str] = set()
-        while queue:
-            if max_pages is not None and len(visited) >= max_pages:
-                break
-            page_scheme, url = queue.popleft()
-            if url in visited:
-                continue
-            visited.add(url)
-            try:
-                resource = self.client.get(url)
-                plain = self.registry.wrap(page_scheme, url, resource.html)
-            except (ResourceNotFound, WrapperError):
-                continue
-            collector.observe(
-                page_scheme, plain, byte_size=len(resource.html)
-            )
-            for target_scheme, target_url in iter_outlinks(
-                self.scheme, page_scheme, plain
-            ):
-                if target_url not in visited:
-                    queue.append((target_scheme, target_url))
+
+        def observe(level):
+            tuples = {}
+            for page_scheme, url in level:
+                try:
+                    html = self.client.get(url).html
+                    tuples[url] = self.registry.wrap(page_scheme, url, html)
+                except (ResourceNotFound, WrapperError):
+                    continue
+                collector.observe(page_scheme, tuples[url], byte_size=len(html))
+            return tuples
+
+        crawl(self.scheme, observe, max_pages)
         return collector.build()
 
 

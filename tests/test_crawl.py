@@ -1,0 +1,386 @@
+"""Tests for the one site walk, :func:`repro.adm.links.crawl`.
+
+The references are the loops ``crawl`` replaced, kept here as they were:
+the FIFO queue of ``SiteExplorer.explore`` and ``crawl_snapshot``, and the
+depth-first stack of ``MaterializedStore.populate`` and ``full_refresh``.
+``crawl`` must visit the FIFO loop's sequence exactly (breadth-first by
+queue and by level are the same order) and give the depth-first loops'
+results; and, unlike the loops that followed a ``set`` of links, it must
+not depend on the interpreter's string hashing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from repro.adm.builder import SchemeBuilder
+from repro.adm.links import crawl, iter_outlinks, outlink_set
+from repro.adm.webtypes import TEXT, link
+from repro.errors import ResourceNotFound
+from repro.materialized import WorkloadQuery
+from repro.materialized.maintenance import full_refresh, process_check_missing
+from repro.materialized.store import MaterializedStore
+from repro.options import QueryRequest
+from repro.server import QueryServer
+from repro.sitegen.bibliography import BibliographyConfig
+from repro.sitegen.movies import MovieConfig
+from repro.sitegen.mutations import SiteMutator
+from repro.sitegen.university import UniversityConfig
+from repro.sites import bibliography, fuzzed, movies, university
+from repro.web.client import WebClient
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fifo_reference(scheme, wrap_page, max_pages=None):
+    """The FIFO crawl ``explore`` and ``crawl_snapshot`` ran: the
+    ``(page_scheme, url)`` pairs it visited, in order."""
+    queue = deque((ep.scheme, ep.url) for ep in scheme.entry_points.values())
+    visited: set[str] = set()
+    order = []
+    while queue:
+        if max_pages is not None and len(visited) >= max_pages:
+            break
+        page_scheme, url = queue.popleft()
+        if url in visited:
+            continue
+        visited.add(url)
+        order.append((page_scheme, url))
+        plain = wrap_page(page_scheme, url)
+        if plain is None:
+            continue
+        for target_scheme, target_url in iter_outlinks(scheme, page_scheme, plain):
+            if target_url not in visited:
+                queue.append((target_scheme, target_url))
+    return order
+
+
+def depth_first_populate(store):
+    """``MaterializedStore.populate`` as a depth-first stack."""
+    frontier = [(ep.scheme, ep.url) for ep in store.scheme.entry_points.values()]
+    visited: set[str] = set()
+    while frontier:
+        page_scheme, url = frontier.pop()
+        if url in visited:
+            continue
+        visited.add(url)
+        page = store._download(page_scheme, url)
+        if page is None:
+            continue
+        for link_url, target in outlink_set(store.scheme, page_scheme, page.plain):
+            if link_url not in visited:
+                frontier.append((target, link_url))
+    store.reset_status()
+    return store.page_count()
+
+
+def depth_first_full_refresh(store):
+    """``full_refresh`` with its depth-first re-crawl."""
+    store.reset_status()
+    before_downloads = store.client.log.page_downloads
+    before_count = store.page_count()
+    stored_urls = {
+        page_scheme: list(by_url) for page_scheme, by_url in store.pages.items()
+    }
+    for page_scheme, urls in stored_urls.items():
+        store.check_urls(page_scheme, urls)
+    frontier = [(ep.scheme, ep.url) for ep in store.scheme.entry_points.values()]
+    visited: set[str] = set()
+    while frontier:
+        page_scheme, url = frontier.pop()
+        if url in visited:
+            continue
+        visited.add(url)
+        plain = store.url_check(page_scheme, url)
+        if plain is None:
+            continue
+        for link_url, target in outlink_set(store.scheme, page_scheme, plain):
+            if link_url not in visited:
+                frontier.append((target, link_url))
+    result = process_check_missing(store)
+    return {
+        "checked": len(visited),
+        "redownloaded": store.client.log.page_downloads - before_downloads,
+        "added": max(0, store.page_count() - before_count),
+        "removed": result["deleted"],
+    }
+
+
+def _wrapper_of(env):
+    """Oracle page access: the tuple of a live page, None for a dead one
+    (memoized, so the reference and ``crawl`` wrap each page once)."""
+    memo: dict = {}
+
+    def wrap_page(page_scheme, url):
+        if url not in memo:
+            try:
+                resource = env.site.server.resource(url)
+            except ResourceNotFound:
+                memo[url] = None
+            else:
+                memo[url] = env.registry.wrap(page_scheme, url, resource.html)
+        return memo[url]
+
+    return wrap_page
+
+
+def _with_dead_pages():
+    """A university with a department and two professors deleted: their
+    links are dead ends that still count against ``max_pages``."""
+    env = university(UniversityConfig(n_depts=3, n_profs=12, n_courses=20))
+    for url in (env.site.depts[1].url, env.site.profs[0].url, env.site.profs[5].url):
+        env.site.server.delete(url)
+    return env
+
+
+SITES = {
+    "university": lambda: university(),
+    "bibliography": lambda: bibliography(BibliographyConfig()),
+    "movies": lambda: movies(MovieConfig()),
+    "fuzzed-3": lambda: fuzzed(3),
+    "fuzzed-17": lambda: fuzzed(17),
+    "fuzzed-29": lambda: fuzzed(29),
+    "dead pages": _with_dead_pages,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SITES))
+def site(request):
+    env = SITES[request.param]()
+    return env, _wrapper_of(env)
+
+
+@pytest.mark.parametrize("max_pages", [None, 1, 7, 50])
+def test_crawl_visits_the_fifo_sequence(site, max_pages):
+    env, wrap_page = site
+    visited = []
+
+    def fetch(level):
+        visited.extend(level)
+        return {url: wrap_page(page_scheme, url) for page_scheme, url in level}
+
+    count = crawl(env.scheme, fetch, max_pages)
+    expected = fifo_reference(env.scheme, wrap_page, max_pages)
+    assert visited == expected
+    assert count == len(expected)
+    if max_pages is None:
+        # every live page of these sites is reachable from an entry point
+        live = {url for _scheme, url in visited if wrap_page(_scheme, url)}
+        assert live == set(env.site.server.urls())
+
+
+def test_a_url_is_visited_once_under_the_scheme_that_first_reached_it():
+    """``shared`` is linked as a T from A and as a U from B, one level
+    down: it is fetched once, as a T; ``dead`` is a dead end."""
+    b = SchemeBuilder()
+    b.page("T").attr("X", TEXT)
+    b.page("U").attr("X", TEXT)
+    b.page("A").attr("L", link("T"))
+    b.page("B").attr("L", link("U"))
+    home = b.page("Home").attr("ToA", link("A")).attr("ToB", link("B"))
+    home.attr("Dead", link("T")).entry_point("http://x/home")
+    scheme = b.build()
+    pages = {
+        "http://x/home": {
+            "ToA": "http://x/a", "ToB": "http://x/b", "Dead": "http://x/dead"
+        },
+        "http://x/a": {"L": "http://x/shared"},
+        "http://x/b": {"L": "http://x/shared"},
+        "http://x/shared": {"X": "x"},
+    }
+    levels = []
+
+    def wrap_page(_scheme, url):
+        return pages.get(url)
+
+    def fetch(level):
+        levels.append(list(level))
+        return {url: wrap_page(page_scheme, url) for page_scheme, url in level}
+
+    assert crawl(scheme, fetch) == 5
+    assert levels == [
+        [("Home", "http://x/home")],
+        [("A", "http://x/a"), ("B", "http://x/b"), ("T", "http://x/dead")],
+        [("T", "http://x/shared")],
+    ]
+    assert fifo_reference(scheme, wrap_page) == [p for lv in levels for p in lv]
+    del levels[:]
+    assert crawl(scheme, fetch, max_pages=3) == 3
+    assert levels == [
+        [("Home", "http://x/home")], [("A", "http://x/a"), ("B", "http://x/b")]
+    ]
+    del levels[:]
+    assert crawl(scheme, fetch, max_pages=0) == 0
+    assert levels == []
+
+
+def _university():
+    return university(UniversityConfig(n_depts=3, n_profs=20, n_courses=40))
+
+
+def _store(env, **kwargs):
+    client = WebClient(env.site.server)
+    return MaterializedStore(env.scheme, client, env.registry, **kwargs)
+
+
+def _stored(store):
+    return {
+        page_scheme: {url: page.plain for url, page in by_url.items()}
+        for page_scheme, by_url in store.pages.items()
+    }
+
+
+@pytest.mark.parametrize("retain", [None, ("DeptPage", "ProfPage")])
+def test_populate_stores_what_the_depth_first_loop_stored(retain):
+    env = _university()
+    walked = _store(env, retain_schemes=retain)
+    stacked = _store(env, retain_schemes=retain)
+    assert walked.populate() == depth_first_populate(stacked)
+    assert _stored(walked) == _stored(stacked)
+    assert walked.client.log.page_downloads == stacked.client.log.page_downloads
+    assert walked.client.log.page_downloads == len(env.site.server)
+
+
+def test_populate_stores_pages_in_crawl_order():
+    env = _university()
+    store = _store(env)
+    wrap_page = _wrapper_of(env)
+    order = []
+
+    def fetch(level):
+        order.extend(level)
+        return {url: wrap_page(page_scheme, url) for page_scheme, url in level}
+
+    crawl(env.scheme, fetch)
+    store.populate()
+    for page_scheme, by_url in store.pages.items():
+        assert list(by_url) == [url for ps, url in order if ps == page_scheme]
+
+
+def _mutate(env):
+    mutator = SiteMutator(env.site)
+    mutator.remove_prof(env.site.profs[0])
+    mutator.add_prof(env.site.depts[0].name)
+    for course in env.site.courses[:3]:
+        mutator.remove_course(course)
+    for prof in env.site.profs[:3]:
+        mutator.add_course(prof)
+    mutator.revise_courses(0.25)
+
+
+@pytest.mark.parametrize("retain", [None, ("DeptPage", "ProfPage")])
+def test_full_refresh_returns_what_the_depth_first_loop_returned(retain):
+    results = []
+    for refresh in (full_refresh, depth_first_full_refresh):
+        env = _university()
+        store = _store(env, retain_schemes=retain)
+        store.populate()
+        _mutate(env)
+        log = store.client.log
+        results.append((refresh(store), _stored(store), log.light_connections))
+    walked, stacked = results
+    assert walked == stacked
+    assert walked[0]["redownloaded"] > 0
+    # the refreshed store is what populating the edited site stores
+    fresh = _store(env, retain_schemes=retain)
+    fresh.populate()
+    assert walked[1] == _stored(fresh)
+
+
+def _workload(env):
+    queries = env.site.queries()
+    return [
+        WorkloadQuery(QueryRequest(query=queries[name]), frequency=6 - rank)
+        for rank, name in enumerate(sorted(queries))
+    ]
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_warm_up_warms_and_transits_the_reachable_pages(seed):
+    """Warmed pages are the reachable live pages of the chosen schemes (each
+    under the scheme it is first reached by), transit pages the others; the
+    cache holds exactly the warmed ones."""
+    env = fuzzed(seed)
+    report = QueryServer(env).warm_up(_workload(env), mutation_rate=0.1)
+    chosen = report.advisor.materialize_set()
+    wrap_page = _wrapper_of(fuzzed(seed))
+    live = [
+        (page_scheme, url)
+        for page_scheme, url in fifo_reference(env.scheme, wrap_page)
+        if wrap_page(page_scheme, url) is not None
+    ]
+    warmed = {url for page_scheme, url in live if page_scheme in chosen}
+    assert report.warmed_pages == len(warmed)
+    assert report.transit_pages == len(live) - len(warmed)
+    assert set(env.page_cache.urls()) == warmed
+
+
+_PROBE = """
+import dataclasses, json
+from repro.materialized import WorkloadQuery
+from repro.materialized.maintenance import consistency_report
+from repro.materialized.store import MaterializedStore
+from repro.options import QueryRequest
+from repro.server import QueryServer
+from repro.sitegen.mutations import SiteMutator
+from repro.sitegen.university import UniversityConfig
+from repro.sites import fuzzed, university
+from repro.web.client import WebClient
+
+env = fuzzed(17)
+queries = env.site.queries()
+workload = [
+    WorkloadQuery(QueryRequest(query=queries[name]), frequency=6 - rank)
+    for rank, name in enumerate(sorted(queries))
+]
+report = QueryServer(env).warm_up(workload, mutation_rate=0.1)
+
+uni = university(UniversityConfig(n_depts=3, n_profs=20, n_courses=40))
+
+
+def store(**kwargs):
+    client = WebClient(uni.site.server)
+    return MaterializedStore(uni.scheme, client, uni.registry, **kwargs)
+
+
+full = store()
+full.populate()
+partial = store(retain_schemes=("DeptPage", "ProfPage"))
+partial.populate()
+mutator = SiteMutator(uni.site)
+for course in uni.site.courses[:4]:
+    mutator.remove_course(course)
+for prof in uni.site.profs[:4]:
+    mutator.add_course(prof)
+drift = consistency_report(partial)
+print(json.dumps({
+    "warmup": repr(dataclasses.asdict(report)),
+    "populate": [[s, url] for s, by_url in full.pages.items() for url in by_url],
+    "populate_s": full.client.log.simulated_seconds,
+    "dangling": drift.dangling_links,
+    "unstored": drift.unstored_link_targets,
+}))
+"""
+
+
+def test_crawls_repeat_under_any_string_hash_seed():
+    """The warm-up report (every field), the populated store's page order
+    and a partial store's drift lists are the same in two interpreters
+    whose string hashing differs."""
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    first, second = runs
+    assert first["unstored"]  # the drift lists are not trivially equal
+    assert first == second

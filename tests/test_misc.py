@@ -66,6 +66,9 @@ class TestOutlinks:
         plain = {"URL": prof.url, **site.prof_tuple(prof)}
         pairs = outlink_set(site.scheme, "ProfPage", plain)
         assert (prof.dept.url, "DeptPage") in pairs
+        # in tuple order, whatever the string hash seed
+        links = iter_outlinks(site.scheme, "ProfPage", plain)
+        assert list(pairs) == list(dict.fromkeys((u, t) for t, u in links))
 
     def test_null_links_skipped(self):
         from repro.adm.builder import SchemeBuilder
