@@ -11,7 +11,8 @@ did): interning is the fast path, never the definition of equality.
 Lifetime rule: the weak intern table keeps no node alive, and nothing
 derived from a node (schema, rendering, estimate) is stored on it — such
 facts live in a memo owned by the call that needs them (:class:`Schemas`,
-``repro.optimizer.memo.PlanMemo``) and die with that call.
+``repro.optimizer.memo.PlanMemo``) and die with that call, or in a bounded
+``memo.Table`` row that holds the node (planner stages, compiled plans).
 
 Every node can compute its *output schema* against a web scheme; all
 runtime attribute names are *qualified* — ``alias.Attr`` or

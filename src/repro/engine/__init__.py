@@ -1,7 +1,7 @@
 """Execution engines for NALG plans.
 
 One executor core evaluates every plan: :mod:`repro.engine.compile`
-compiles it once per execution (schemas, column offsets, tuple builders)
+compiles it once per plan and scheme (schemas, column offsets, tuple builders)
 and the kernels of :mod:`repro.engine.columnar` run it over column
 batches.  What varies is where pages come from and how fetches are
 scheduled; the modes are listed once, at

@@ -240,7 +240,7 @@ class AdaptiveExecutor(LocalExecutor):
         self.planner = planner
         self.cost_model = cost_model
         self.report = AdaptiveReport()
-        self.schemas = Schemas(scheme)
+        self.schemas = Schemas(scheme)  # its own: compiled plans are shared
         self._constraints: list[_Constraint] = []
         self._chase_sites: dict[int, FollowLink] = {}
         #: nav follow node_id → the rule-8 check its link-join left for it
@@ -251,7 +251,6 @@ class AdaptiveExecutor(LocalExecutor):
     # ------------------------------------------------------------------ #
 
     def run(self, plan: CompiledPlan) -> Relation:
-        self.schemas = plan.schemas
         self._constraints = []
         self._link_joins = {}
         cost_fn = self.cost_model.cost if self.cost_model else None

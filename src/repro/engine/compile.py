@@ -4,7 +4,7 @@ Evaluating a plan row by row re-decides everything per tuple: which
 operator class a node is, which dict key a predicate probes, which
 wrapper attribute feeds which qualified field.  None of that depends on
 the data — it is all fixed the moment the plan and the web scheme are
-known.  :func:`compile_plan` resolves it once per execution:
+known.  :func:`compile_plan` resolves it once per (plan, scheme):
 
 * every node becomes a :class:`CompiledNode` carrying its output schema,
   a stable **preorder** ``node_id`` (0 at the root, children in
@@ -30,9 +30,11 @@ plan over :class:`~repro.engine.columnar.ColumnBatch` values with the
 :class:`~repro.nested.relation.Relation` only at the result boundary.
 
 Every node is typed through one :class:`~repro.algebra.ast.Schemas` memo
-per compilation, kept on the :class:`CompiledPlan` for the executor's own
-lookups, and the plan is dropped with its execution: there is no plan
-cache (docs/ENGINE.md says why).
+per compilation, dropped when it returns.  The compiled plan is kept in
+one bounded table (:data:`MAX_PLANS` rows, least recently used first)
+under the interned plan node and the scheme object, both pinned by the
+row, so a repeated query compiles once; executors only read it
+(docs/ENGINE.md).
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from repro.engine.columnar import (
 from repro.errors import AlgebraError
 from repro.nested.relation import canonical_value
 from repro.nested.schema import Field, RelationSchema
+from repro.optimizer.memo import Table
 
 __all__ = ["CompiledNode", "CompiledPlan", "compile_plan"]
 
@@ -146,12 +149,11 @@ PlanReads = dict[str, frozenset[tuple[str, ...]]]
 
 @dataclass
 class CompiledPlan:
-    """A compiled plan: the root node, the preorder node count, and the
-    :class:`Schemas` memo every node was typed through."""
+    """A compiled plan: the root node and the preorder node count.  Every
+    execution of the plan shares it and only reads it."""
 
     root: CompiledNode
     node_count: int
-    schemas: Schemas
 
     @cached_property
     def reads(self) -> Optional[PlanReads]:
@@ -160,18 +162,26 @@ class CompiledPlan:
         return _plan_reads(self.root)
 
 
+#: compiled plans kept across executions, like the planner's ``MAX_MEMO``
+MAX_PLANS = 64
+_PLANS = Table(MAX_PLANS)
+
+
 def compile_plan(expr: Expr, scheme: WebScheme) -> CompiledPlan:
-    """Compile ``expr`` against ``scheme`` for one execution.
+    """``expr`` compiled against ``scheme``, once per (plan, scheme).
 
     Raises NotComputableError for plans with a non-entry-point leaf and
     AlgebraError / SchemaError for schema violations — before any page
-    is fetched.
+    is fetched; an error is not kept.
     """
+    return _PLANS.get(_compile_plan, expr, scheme, None)  # no call memo
+
+
+def _compile_plan(expr: Expr, scheme: WebScheme, _memo: None) -> CompiledPlan:
     check_computable(expr, scheme)
-    schemas = Schemas(scheme)
     ids = itertools.count()
-    root = _compile(expr, schemas, ids)
-    return CompiledPlan(root, next(ids), schemas)
+    root = _compile(expr, Schemas(scheme), ids)
+    return CompiledPlan(root, next(ids))
 
 
 def _plan_reads(root: CompiledNode) -> Optional[PlanReads]:

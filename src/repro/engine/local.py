@@ -9,7 +9,7 @@ query session (:mod:`repro.engine.remote`), or the materialized store,
 which checks freshness with light connections before handing tuples over
 (Algorithm 3, :mod:`repro.materialized.evaluate`).
 
-The plan is compiled once per execution (:func:`~repro.engine.compile.
+The plan is compiled once per scheme (:func:`~repro.engine.compile.
 compile_plan`) and evaluated over :class:`~repro.engine.columnar.
 ColumnBatch` values; the answer relation is built once, at the result
 boundary.  The adaptive executor (:mod:`repro.engine.adaptive`) subclasses

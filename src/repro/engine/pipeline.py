@@ -26,7 +26,7 @@ This module removes the barriers without changing a single access:
 
 The executor runs the same compiled plan as the staged one
 (:func:`~repro.engine.compile.compile_plan`: every stage's schema, stable
-preorder ``node_id`` and column offsets pinned once per execution) and
+preorder ``node_id`` and column offsets pinned once per scheme) and
 transforms each chunk with the same whole-column kernels
 (:mod:`repro.engine.columnar`); only the scheduling differs.
 

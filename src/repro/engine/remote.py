@@ -236,13 +236,12 @@ class RemoteExecutor:
             # QA trace dimension), so forcing a private recorder here
             # cannot change the answer or the page accounting
             tracer = RecordingTracer()
+        # rendered only for a reader: a journal forces a recording tracer
+        text = render_expr(expr) if tracer.enabled else None
         if journal.enabled:
             request_id = journal.begin_request(request_id)
             journal.record(
-                "plan",
-                request_id,
-                plan=render_expr(expr),
-                execution=opts.execution,
+                "plan", request_id, plan=text, execution=opts.execution
             )
         elif board is not None and request_id is None:
             request_id = f"q{next(self._request_ids):04d}"
@@ -296,9 +295,7 @@ class RemoteExecutor:
         previous_tracer = client.tracer
         client.tracer = tracer  # fetch-batch spans nest under operator spans
         try:
-            with tracer.span(
-                "execute", kind="query", plan=render_expr(expr)
-            ) as span:
+            with tracer.span("execute", kind="query", plan=text) as span:
                 plan = compile_plan(expr, self.scheme)
                 if opts.execution != "adaptive":
                     # adaptive pruning and rule-9 switching read

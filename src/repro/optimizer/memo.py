@@ -6,8 +6,10 @@ of a node is computed once and found again by identity.  A
 :class:`PlanMemo` is created by the call that plans (``Planner.plan_expr``
 / ``replan_suffix``, a bare ``CostModel.cost``), passed down, and dropped
 when it returns — threads never share one.  What outlives a call lives in
-a :class:`Table`: the planner's (its stages' rows), and the one a σ's row
-keeps of the cores below it.
+a :class:`Table`: the planner's (its stages' rows), the one a σ's row
+keeps of the cores below it, the engine's compiled plans
+(:func:`repro.engine.compile.compile_plan`) and an environment's parsed
+SQL (:meth:`repro.sites.SiteEnv.sql`).
 """
 
 from __future__ import annotations

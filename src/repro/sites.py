@@ -15,7 +15,7 @@ from:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Optional, Union
 
 from repro.adm.scheme import WebScheme
@@ -24,6 +24,7 @@ from repro.engine.remote import ExecutionResult, RemoteExecutor
 from repro.errors import OptionsError
 from repro.options import DEFAULT_OPTIONS, QueryOptions
 from repro.optimizer.cost import CacheEstimate, CostModel
+from repro.optimizer.memo import Table
 from repro.optimizer.planner import Planner, PlannerResult
 from repro.sitegen.bibliography import BibliographyConfig, build_bibliography_site
 from repro.sitegen.fuzz import FuzzConfig, build_fuzzed_site, fuzzed_view
@@ -51,6 +52,9 @@ __all__ = [
     "movie_view",
 ]
 
+#: parsed SQL texts a :class:`SiteEnv` keeps, like the planner's ``MAX_MEMO``
+MAX_PARSED = 64
+
 
 @dataclass
 class SiteEnv:
@@ -66,14 +70,18 @@ class SiteEnv:
     executor: RemoteExecutor
     site: object  # UniversitySite or BibliographySite
     page_cache: Optional[PageCache] = None
+    _parsed: Table = field(
+        default_factory=lambda: Table(MAX_PARSED), init=False, repr=False
+    )
 
     # ------------------------------------------------------------------ #
     # the end-to-end user API
     # ------------------------------------------------------------------ #
 
     def sql(self, text: str) -> ConjunctiveQuery:
-        """Parse a conjunctive SQL query against this view."""
-        return parse_query(text, self.view)
+        """Parse a conjunctive SQL query against this view, once per text
+        (a :class:`ConjunctiveQuery` is frozen; a ParseError is not kept)."""
+        return self._parsed.get(parse_query, text, self.view)
 
     def enable_cache(
         self,

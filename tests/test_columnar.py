@@ -8,7 +8,7 @@ Three layers of evidence, coarsest last:
   the row operators define the semantics for);
 * compilation tests pin the preorder ``node_id`` numbering every
   executor and the EXPLAIN ANALYZE renderer share, and that a plan is
-  compiled per execution, never cached;
+  compiled once per (plan, scheme);
 * differential tests run the core and the reference over the seed sites
   and fuzzed sites, across cache modes, faults, worker counts and
   chunking, asserting the same digest, row order, pages, cache counters,
@@ -241,13 +241,15 @@ class TestCompilation:
         for report, node in zip(reports, nodes):
             assert report.node is node.expr
 
-    def test_each_execution_compiles_its_own_plan(self):
-        """No plan cache: compiling twice gives two plans, and nothing is
+    def test_compiles_once_per_plan_and_scheme(self):
+        """A plan is compiled once per (plan, scheme object): compiling it
+        again gives the same plan, another scheme its own, and nothing is
         kept on the scheme."""
-        env = university()
+        env, other = university(), university()
         plan = env.plan(CHASE_SQL).best.expr
         first = compile_plan(plan, env.scheme)
-        assert compile_plan(plan, env.scheme) is not first
+        assert compile_plan(plan, env.scheme) is first
+        assert compile_plan(plan, other.scheme) is not first
         assert not any("compiled" in name for name in vars(env.scheme))
 
     def test_executor_matches_interpreter_on_every_plan(self):
