@@ -25,7 +25,7 @@ from repro.algebra.ast import (
 )
 from repro.errors import AlgebraError
 
-__all__ = ["render_expr", "render_node", "render_plan_tree"]
+__all__ = ["render_expr", "render_node", "render_plan_tree", "render_projection"]
 
 
 def _short(attr: str) -> str:
@@ -52,11 +52,7 @@ def render_node(
             atoms = str(node.predicate.rename(mapping))
         return f"σ_{{{atoms}}}({kids[0]})"
     if isinstance(node, Project):
-        cols = ",".join(
-            name(i) if o == i or o == _short(i) else f"{name(i)} as {o}"
-            for o, i in node.outputs
-        )
-        return f"π_{{{cols}}}({kids[0]})"
+        return render_projection(node.outputs, kids[0], compact)
     if isinstance(node, Join):
         cond = ",".join(f"{name(lhs)}={name(rhs)}" for lhs, rhs in node.on)
         return f"({kids[0]} ⋈_{{{cond}}} {kids[1]})"
@@ -68,6 +64,19 @@ def render_node(
             target = node.target_alias(scheme)
         return f"{kids[0]} →{name(node.link_attr)} {target or '?'}"
     raise AlgebraError(f"cannot render {type(node).__name__}")
+
+
+def render_projection(outputs: tuple, kid: str, compact: bool = False) -> str:
+    """:func:`render_node` of ``π_outputs`` over a child rendered ``kid``."""
+
+    def name(attr: str) -> str:
+        return _short(attr) if compact else attr
+
+    cols = ",".join(
+        name(i) if o == i or o == _short(i) else f"{name(i)} as {o}"
+        for o, i in outputs
+    )
+    return f"π_{{{cols}}}({kid})"
 
 
 def render_expr(expr: Expr, compact: bool = False, scheme=None) -> str:

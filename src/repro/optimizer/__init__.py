@@ -14,12 +14,7 @@
 """
 
 from repro.optimizer.cost import CacheEstimate, CostModel
-from repro.optimizer.rules import (
-    RULES,
-    Rule,
-    push_selections,
-    eliminate_unused_navigation,
-)
+from repro.optimizer.rules import RULES, Rule, push_selections
 from repro.optimizer.rewriter import closure
 from repro.optimizer.planner import (
     PlanCandidate,
@@ -34,7 +29,6 @@ __all__ = [
     "RULES",
     "Rule",
     "push_selections",
-    "eliminate_unused_navigation",
     "closure",
     "Planner",
     "PlannerOptions",

@@ -85,8 +85,8 @@ class PlanMemo:
         self.results = Table()  #: the :func:`per_call` functions' rows
         #: the stages' rows: the planner's table, or (traced) this call's own
         self.table = self.results if table is None else table
-        #: what rules 7 and 3/5 and validation learn of a core: the table of
-        #: the σ row above it, or this call's own
+        #: what rules 7 and 3/5, validation and the tie-break learn of a
+        #: core: the table of the σ row above it, or this call's own
         self.facts = self.results
         #: ``id(node)`` → (node, rendering), full names and compact.  By
         #: identity: two selections with permuted atoms are ``==`` and print

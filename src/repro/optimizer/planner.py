@@ -18,14 +18,17 @@ Given a conjunctive query over external relations the planner:
 The steps run as stages, each a pure function of the part of the query it
 reads, with its rows in the planner's :class:`~repro.optimizer.memo.Table`:
 steps 2–4 per join graph below the query's root π/σ (``_enumerate``), step
-5 per σ over a graph (``_select``), step 8's ranking per query shape
-(``_shape``) and binding the constants per query (``_bind``).  Steps 6–8
-read a plan ``π(core)`` through its core: rule 7's substitute for an input
-is a function of (core, in-name), rules 3/5 of (core, the core's droppable
-prefixes some π input starts with), and π downloads no page, so C(E) and
-bytes of ``π(core')`` are ``core'``'s.  What they learn of a core is kept
-on the σ's row, and goes with it.  A traced run goes through the same
-stages in tables of its own, and its trace records what they found.
+5 per σ over a graph (``_select``), steps 6–8 per query shape (``_shape``)
+and binding the constants per query (``_bind``).  Steps 6–8 are one *π
+step* (``_project``, ``_rank``) over plans ``σ*(π(core))`` held as data
+(``_Pi``): rule 7's substitute for an input is a function of (core,
+in-name), rules 3/5 of (core, the core's droppable prefixes some π input
+starts with), and π downloads no page, so C(E) and bytes of ``π(core')``
+are ``core'``'s.  What is learnt of a core is kept on the σ's row, and
+goes with it; the plans are validated, priced and ranked from it, and
+only the chosen one becomes nodes — the others do when first read.  A
+traced run goes through the same stages in tables of its own, and its
+trace records what they found.
 
 The shape law: C(E) reads only distinct counts (``1/c`` per equality with
 a constant, ``k/c`` per IN list of ``k`` values), never a constant's value,
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
@@ -47,7 +51,7 @@ from repro.adm.scheme import WebScheme
 from repro.algebra.ast import Expr, ExternalRelScan, Project, Select, _intern
 from repro.algebra.computable import is_computable
 from repro.algebra.predicates import Predicate
-from repro.algebra.printer import render_expr
+from repro.algebra.printer import render_expr, render_projection
 from repro.algebra.visitors import replace_at, walk
 from repro.errors import AlgebraError, OptimizerError, PredicateError, SchemaError
 from repro.obs.rewrite import RewriteTrace
@@ -57,7 +61,7 @@ from repro.optimizer.memo import PlanMemo, Table
 from repro.optimizer.rules import (
     RULES,
     bind_constants,
-    eliminate_unused_navigation,
+    eliminate_unused,
     projection_source,
     push_selections,
     push_selections_below,
@@ -228,7 +232,7 @@ class Planner:
             )
             try:
                 expr = translate(query, self.view)
-                return self._plan(expr, cache_estimate, rewrite_trace, memo).result
+                return self._plan(expr, cache_estimate, rewrite_trace, memo)
             finally:
                 pricing.clear()  # which dies with the call, not with the trace
         memo = PlanMemo(self.scheme, self.cost_model.stats, self._table)
@@ -263,7 +267,7 @@ class Planner:
         traced run in tables of its own)."""
         table = self._table if trace is None else None
         memo = PlanMemo(self.scheme, self.cost_model.stats, table)
-        return self._plan(expr, cache_estimate, trace, memo).result
+        return self._plan(expr, cache_estimate, trace, memo)
 
     # ------------------------------------------------------------------ #
     # the stages
@@ -272,10 +276,9 @@ class Planner:
     def _bind(self, query: ConjunctiveQuery, cache_estimate, memo) -> PlannerResult:
         """Per query: its shape's result with the constants bound."""
         shape, binding = _shape_of(query)
-        shaped = memo.table.get(self._shape, shape, cache_estimate, memo)
-        return shaped.bind(binding, self.scheme)
+        return _bound(memo.table.get(self._shape, shape, cache_estimate, memo), binding)
 
-    def _shape(self, shape: ConjunctiveQuery, cache_estimate, memo) -> "_Shaped":
+    def _shape(self, shape: ConjunctiveQuery, cache_estimate, memo) -> PlannerResult:
         """Per query shape: its plan, ranked."""
         return self._plan(translate(shape, self.view), cache_estimate, None, memo)
 
@@ -285,11 +288,10 @@ class Planner:
         cache_estimate: Optional[CacheEstimate],
         trace: Optional[RewriteTrace],
         memo: PlanMemo,
-    ) -> "_Shaped":
-        """:meth:`plan_expr`, with what binding its result needs (see
-        ``_Shaped``).  Everything derived per node lives in ``memo``, the
-        stages' rows in ``memo.table``; ``trace`` records what they found."""
-        opts = self.options
+    ) -> PlannerResult:
+        """:meth:`plan_expr`, its candidates built on first read.  Everything
+        derived per node lives in ``memo``, the stages' rows in
+        ``memo.table``; ``trace`` records what they found."""
         # the root chain of π/σ (``translate`` emits one) over the join graph
         chain, graph = [], expr
         while isinstance(graph, (Project, Select)):
@@ -297,101 +299,130 @@ class Planner:
             graph = graph.child
         # steps 2-4: rules 1, 4 and 8/9, per join graph
         entries, enumerated = memo.table.get(self._enumerate, graph, memo)
-        steps: list = []  # what the stages below find, as ``rewriter`` notes
+        steps = None if trace is None else []  # what the stages below find
+        made = _Plans()
         # step 5: rule 6, per σ over the graph (its row keeps core facts)
-        plans, memo.facts = self._pushed(chain, entries, memo, steps)
-
-        # step 6: rule 7 — substitute projections; it rewrites the root π only
-        def substitutions(plan: Expr) -> list:
-            top = _root_projection(plan)
-            if top is None:
-                return []
-
-            def source(name: str) -> Optional[str]:
-                return memo.facts.get(projection_source, top.child, name, memo)
-
-            return [
-                ("ProjectionSubstitution", top, _below(plan, rewritten))
-                for rewritten in substitute_projection(top, source)
-            ]
-
-        if opts.substitute_projections:
-            phase = "projection substitution (rule 7)"
-            plans = rewriter.saturate(
-                plans, substitutions, rewriter.MAX_PLANS, steps, phase
-            )
-        # step 7: rules 5/3 — eliminate unnecessary navigations
-        if opts.eliminate_navigations:
-            phase = "eliminate navigation (rules 3/5)"
-            plans = _improve(plans, eliminate_unused_navigation, phase, memo, steps)
-        final = _dedup(plans)
+        plans, memo.facts = self._pushed(chain, entries, memo, steps, made)
+        final = self._project(plans, memo, steps, made)
         if trace is not None:
             _observe(trace, itertools.chain(enumerated, steps), chain, memo)
-        # step 8: validate, cost, choose (cache-aware when an estimate is
-        # given: the effective per-access page cost shrinks by the expected
-        # hit rate of the accessed page-scheme).  π downloads no page and
-        # adds its 0.0 bytes first, so a π plan has its core's C(E) and
-        # bytes; only its schema check and cardinality are its own
+        return self._rank(final, cache_estimate, memo, trace)
+
+    def _project(self, plans: list, memo: PlanMemo, steps, made: "_Plans") -> list:
+        """Steps 6 and 7, the π step's candidates: every plan's rule-7
+        substitutions, breadth first, then rules 3/5 on each π-rooted one,
+        all as data (``_Pi``) read off what ``memo.facts`` knows of the
+        cores; ``made`` gives each plan one object, so identity dedups
+        them as it does the nodes they stand for."""
+        facts = memo.facts
+        if self.options.substitute_projections:
+
+            def rewritings(plan: _Pi) -> list:
+                if plan.outputs is None:
+                    return []
+
+                def source(name: str) -> Optional[str]:
+                    return facts.get(projection_source, plan.core, name, memo)
+
+                core, preds = plan.core, plan.preds
+                where = None if steps is None else _Pi(core, plan.outputs)
+                return [
+                    ("ProjectionSubstitution", where, made.plan(core, outputs, preds))
+                    for outputs in substitute_projection(plan.outputs, source)
+                ]
+
+            phase, cap = "projection substitution (rule 7)", rewriter.MAX_PLANS
+            plans = rewriter.saturate(plans, rewritings, cap, steps, phase)
+        if self.options.eliminate_navigations:
+            phase, kept = "eliminate navigation (rules 3/5)", []
+            for plan in plans:
+                if plan.outputs is not None and not plan.preds:  # a root π
+                    try:
+                        names = _in_names(plan.outputs)
+                        core = eliminate_unused(plan.core, names, memo)
+                    except (AlgebraError, SchemaError, PredicateError):
+                        continue
+                    result = made.plan(core, plan.outputs)
+                    if steps is not None:
+                        rule = "eliminate_unused_navigation"
+                        steps.append((phase, rule, plan, None, result))
+                    plan = result
+                kept.append(plan)
+            plans = kept
+        return _dedup(plans)
+
+    def _rank(self, final: list, cache_estimate, memo, trace) -> PlannerResult:
+        """Step 8: validate, cost and rank the π step's plans, and build the
+        cheapest (cache-aware when an estimate is given: the effective
+        per-access page cost shrinks by the expected hit rate of the
+        accessed page-scheme).  π downloads no page and adds its 0.0 bytes
+        first, so a π plan has its core's C(E) and bytes; only its schema
+        check and cardinality are its own, the latter computed when the
+        plan is built."""
         model = self.cost_model
         if cache_estimate is not None:
             model = model.with_cache(cache_estimate)
-        candidates, keys = [], {}
+        keyed = []
         for plan in final:
-            top = plan if isinstance(plan, Project) else None
-            core = plan if top is None else plan.child
-            # (a plan without a root π is not a query's: validated per call)
-            facts = memo.results if top is None else memo.facts
-            checked = facts.get(_validated, core, self.cost_model, memo)
-            names = () if top is None else top.in_names()
-            if checked is None or any(name not in checked[1] for name in names):
-                continue
-            cold, schema = checked
-            priced = cold
+            if plan.outputs is not None and not plan.preds:
+                target = plan.core  # validated once per core, on the σ row
+                checked = memo.facts.get(_validated, target, self.cost_model, memo)
+                names = _in_names(plan.outputs)
+                if checked is None or any(name not in checked[1] for name in names):
+                    continue
+                schema = checked[1]
+            else:  # σs over the π type only if they read its outputs
+                outs = [out for out, _ in plan.outputs or ()]
+                atoms = [atom for sigma in plan.preds for atom in sigma]
+                if any(a not in outs for atom in atoms for a in atom.attrs()):
+                    continue
+                target, schema = plan.node(), None
+                checked = memo.results.get(_validated, target, self.cost_model, memo)
+                if checked is None:
+                    continue
+            cold = priced = checked[0]
             if cache_estimate is not None:  # priced per call
-                repriced = _validated(core, model, memo)
+                repriced = _validated(target, model, memo)
                 if repriced is None:
                     continue
                 priced = repriced[0]
-            if top is not None:
-                cardinality = model.projected(priced.cardinality, schema, names)
-                priced = replace(priced, expr=plan, cardinality=cardinality)
-            candidates.append(priced)
             # priced ties (a full cache prices every access alike) keep their
             # cold order: the cheapest plan if the cache turns out stale
-            keys[id(priced)] = (
+            key = (
                 (priced.cost, priced.bytes_cost)
                 if cache_estimate is None
                 else (priced.cost, cold.cost, priced.bytes_cost, cold.bytes_cost)
             )
-        if not candidates:
+            keyed.append((key, (plan, priced, schema)))
+        if not keyed:
             raise OptimizerError(
                 "no valid execution plan survived rewriting; check that "
                 "the view's default navigations cover the queried attributes"
             )
-        # rank, then break each run of ties on the compact rendering; both
+        # rank; each run of ties is broken on the compact rendering when the
+        # run is read, the first one now (it holds the chosen plan); both
         # sorts are stable, so plans that render alike keep their order
-        candidates.sort(key=lambda c: keys[id(c)])
-        ranked, ties = [], []
-        for _, run in itertools.groupby(candidates, key=lambda c: keys[id(c)]):
-            run = tuple(run)
+        keyed.sort(key=lambda pair: pair[0])
+        order, ties = [], []
+        for _, run in itertools.groupby(keyed, key=lambda pair: pair[0]):
+            run = [entry for _, entry in run]
             if len(run) > 1:
-                ties.append((len(ranked), run))
-                run = sorted(run, key=lambda c: memo.key(c.expr, compact=True))
-            ranked.extend(run)
-        candidates = ranked
-        first = ()
+                ties.append((len(order), len(order) + len(run)))
+            order.extend(run)
+        first, chosen = (), 0
         if ties and ties[0][0] == 0:
-            first = tuple(memo.key(c.expr, compact=True) for c in ties[0][1])
-        uncached_cost = None if cache_estimate is None else keys[id(candidates[0])][1]
-        result = PlannerResult(
-            best=candidates[0],
-            candidates=candidates,
+            first = tuple(_text(entry, memo) for entry in order[: ties[0][1]])
+            chosen = first.index(min(first))
+        best = _candidate(order[chosen], model)
+        ranked = _Ranked(order, tuple(ties), first, chosen, best, model)
+        return PlannerResult(
+            best=best,
+            candidates=ranked,
             generated=len(final),
             cache_estimate=cache_estimate,
-            uncached_cost=uncached_cost,
+            uncached_cost=None if cache_estimate is None else keyed[0][0][1],
             rewrite_trace=trace,
         )
-        return _Shaped(result, tuple(ties), first)
 
     def _enumerate(self, graph: Expr, memo: PlanMemo) -> tuple[list, list]:
         """Per join graph: its core plans after rule 1 and rules 4 and 8/9
@@ -420,9 +451,10 @@ class Planner:
     def _select(self, node: Expr, memo: PlanMemo) -> tuple:
         """Per σ over a join graph (``node``, a query's root π's child): the
         graph's entries pushed under the σ (rule 6), as (entry, pushed core,
-        the atoms left for above the π); the attributes the atoms read; and
-        the table of what rules 7 and 3/5 and validation learn of the
-        cores, which goes with the row."""
+        the atoms left for above the π as one σ each, the entry's renames);
+        the attributes the atoms read; and the table of what rules 7 and
+        3/5, validation and the tie-break learn of the cores, which goes
+        with the row."""
         sigma = [node] if isinstance(node, Select) else []
         graph = node.child if sigma else node
         rows, attrs = [], set()
@@ -432,18 +464,20 @@ class Planner:
                 try:
                     core, atoms, placed = push_selections_below(core, memo)
                 except (AlgebraError, SchemaError, PredicateError):
-                    continue  # as ``_improve`` drops the plan
-            rows.append((entry, core, atoms[placed:]))
+                    continue  # as rule 6 over the plan drops it
+            preds = tuple((atom,) for atom in atoms[placed:])
+            rows.append((entry, core, preds, dict(entry.mapping)))
             attrs.update(attr for atom in atoms for attr in atom.attrs())
         return rows, frozenset(attrs), Table()
 
-    def _pushed(self, chain: list, entries: list, memo: PlanMemo, steps: list):
-        """Step 5, rule 6: the query's plans over its graph's ``entries``.
-        Pushing selections in ``π(e)`` is ``π`` over ``e`` pushed, under one
-        σ per atom ``e`` does not provide, as long as ``π`` renames no atom's
-        attribute; so over the π(σ(graph)) ``translate`` emits, the query
-        puts its π on its σ's row (and keeps its cores' facts in the row's
-        table), and any other chain is attached and pushed entry by entry."""
+    def _pushed(self, chain: list, entries: list, memo: PlanMemo, steps, made):
+        """Step 5, rule 6: the query's plans over its graph's ``entries``, as
+        data (``_Pi``).  Pushing selections in ``π(e)`` is ``π`` over ``e``
+        pushed, under one σ per atom ``e`` does not provide, as long as
+        ``π`` renames no atom's attribute; so over the π(σ(graph))
+        ``translate`` emits, the query puts its π on its σ's row (and keeps
+        its cores' facts in the row's table), and any other chain is
+        attached and pushed entry by entry."""
         phase = "push selections (rule 6)"
         kinds, cap = tuple(map(type, chain)), rewriter.MAX_PLANS
         # the cap counts the query's own plans: past it, the row is not used
@@ -452,12 +486,11 @@ class Planner:
             rows, attrs, facts = memo.table.get(self._select, root.child, memo)
             if not any(out in attrs for out, _ in root.outputs):
                 plans = []
-                for entry, core, unplaced in rows:
-                    plan = rename_attrs(root, (core,), dict(entry.mapping))
-                    for atom in unplaced:
-                        plan = Select(plan, Predicate([atom]))
-                    plans.append(plan)
-                    steps.append((phase, "push_selections", entry, None, plan))
+                for entry, core, preds, renames in rows:
+                    outputs = tuple((o, renames.get(i, i)) for o, i in root.outputs)
+                    plans.append(made.plan(core, outputs, preds))
+                    if steps is not None:
+                        steps.append((phase, "push_selections", entry, None, plans[-1]))
                 return _dedup(plans), facts
         plans = _dedup([_attach(chain, entry) for entry in entries])
         if len(plans) > cap:
@@ -466,8 +499,16 @@ class Planner:
                 "the query is too irregular for exhaustive enumeration"
             )
         if self.options.push_selections:
-            plans = _dedup(_improve(plans, push_selections, phase, memo, steps))
-        return plans, memo.results
+            pushed = []
+            for plan in plans:
+                try:
+                    pushed.append(push_selections(plan, self.scheme, memo))
+                except (AlgebraError, SchemaError, PredicateError):
+                    continue  # the plan is dropped
+                if steps is not None:
+                    steps.append((phase, "push_selections", plan, None, pushed[-1]))
+            plans = _dedup(pushed)
+        return [made.of(plan) for plan in plans], memo.results
 
     def _expand(self, graph: Expr) -> list[tuple[Expr, tuple]]:
         """Rule 1: ``graph`` with every external relation replaced by one of
@@ -562,20 +603,6 @@ def _validated(plan: Expr, model: CostModel, memo: PlanMemo) -> Optional[tuple]:
     return PlanCandidate(plan, estimate.cost, estimate.cardinality, bytes_cost), schema
 
 
-def _improve(plans, improve, phase: str, memo: PlanMemo, steps: list) -> list[Expr]:
-    """An improvement pass, ``improve(plan, scheme, memo)``, over every plan,
-    dropping the ones it cannot handle; each application noted in
-    ``steps``."""
-    results = []
-    for plan in plans:
-        try:
-            results.append(improve(plan, memo.scheme, memo))
-        except (AlgebraError, SchemaError, PredicateError):
-            continue
-        steps.append((phase, improve.__name__, plan, None, results[-1]))
-    return results
-
-
 def _observe(trace: RewriteTrace, steps, chain: list, memo: PlanMemo) -> None:
     """Record the stages' ``steps`` (see :mod:`~repro.optimizer.rewriter`)
     as the query's lineage: each plan under the query's root ``chain``,
@@ -590,14 +617,16 @@ def _observe(trace: RewriteTrace, steps, chain: list, memo: PlanMemo) -> None:
             rule,
             memo.key(plan),
             parent=None if source is None else memo.key(source),
-            subexpr="" if where is None else memo.key(where, compact=True),
+            subexpr="" if where is None else memo.key(_attach(chain, where), True),
             expr=plan,
         )
 
 
-def _attach(chain: list, plan: Expr) -> Expr:
-    """An enumeration entry's plan under a query's root ``chain`` (any
-    other plan is its own)."""
+def _attach(chain: list, plan) -> Expr:
+    """An enumeration entry's plan under a query's root ``chain``; a plan
+    of the π step's, built (any other plan is its own)."""
+    if isinstance(plan, _Pi):
+        return plan.node()
     if not isinstance(plan, _Expansion):
         return plan
     core, renames = plan.child, dict(plan.mapping)
@@ -610,21 +639,6 @@ def _dedup(exprs: Sequence[Expr]) -> list[Expr]:
     """``exprs`` without repeats, first occurrences in order — by identity,
     which for interned nodes is the written form."""
     return list({id(expr): expr for expr in exprs}.values())
-
-
-def _root_projection(plan: Expr) -> Optional[Project]:
-    """The π below ``plan``'s root σs, if any — the one rule 7 rewrites: a
-    translated query has one π, and view navigations carry none."""
-    while isinstance(plan, Select):
-        plan = plan.child
-    return plan if isinstance(plan, Project) else None
-
-
-def _below(plan: Expr, top: Project) -> Expr:
-    """``plan`` with its root π (below its root σs) replaced by ``top``."""
-    if isinstance(plan, Project):
-        return top
-    return plan.with_children((_below(plan.child, top),))
 
 
 class _Expansion(Expr):
@@ -640,82 +654,153 @@ class _Expansion(Expr):
         return _intern(cls, (cls, id(child), mapping), (child, mapping))
 
 
-class _Shaped(NamedTuple):
-    """A planning call's result with what binding it needs: ``ties``, each
-    run of candidates the ranking ordered by rendered text alone, as
-    ``(position, the run in pre-text order)``, and ``first``, the texts of
-    a run at position 0.  The text holds the constants, so a binding
-    re-sorts these runs and only these."""
+class _Pi(NamedTuple):
+    """A plan of the π step, as data: ``σ_preds(π_outputs(core))``, each σ
+    as its atoms, innermost first; ``outputs`` is None when ``core`` is the
+    whole plan (one with no root π)."""
 
-    result: PlannerResult
-    ties: tuple
-    first: tuple
+    core: Expr
+    outputs: Optional[tuple]
+    preds: tuple = ()
 
-    def bind(self, binding: dict, scheme: WebScheme) -> PlannerResult:
-        """The result of the query whose shape this is, under ``binding``
-        (placeholder → constant): ``best`` bound now, the other candidates
-        when first read."""
-        if not binding:
-            return self.result
-        best = self.result.best
-        if self.first:
-            texts = [_bound_text(text, binding) for text in self.first]
-            best = self.ties[0][1][texts.index(min(texts))]
-        best = _bind(best, binding, {})
-        return replace(
-            self.result, best=best, candidates=_Bound(self, binding, scheme, best)
-        )
+    def node(self) -> Expr:
+        plan = self.core if self.outputs is None else Project(self.core, self.outputs)
+        for atoms in self.preds:
+            plan = Select(plan, Predicate(atoms))
+        return plan
 
 
-class _Bound(Sequence):
-    """A shape's candidates with the query's constants bound, cheapest
-    first.  Bound on first read — ``len`` reads none — after which the
-    shape is let go."""
+class _Plans(dict):
+    """One planning call's ``_Pi`` plans, one object per plan: keyed as the
+    interned nodes they stand for are (the core by identity, a σ by its
+    atoms as written), so identity dedups plans as it dedups nodes."""
 
-    __slots__ = ("_size", "_source", "_bound")
-
-    def __init__(self, shaped: _Shaped, binding: dict, scheme, best: PlanCandidate):
-        self._size = len(shaped.result.candidates)
-        self._source: Optional[tuple] = (shaped, binding, scheme, best)
-        self._bound: Optional[list] = None
-
-    def _list(self) -> list:
-        found = self._bound
-        if found is None:
-            source = self._source
-            if source is None:  # another thread bound them meanwhile
-                return self._bound
-            (result, ties, _), binding, scheme, best = source
-            memo = PlanMemo(scheme)
-
-            def text(candidate: PlanCandidate) -> str:
-                return _bound_text(memo.key(candidate.expr, compact=True), binding)
-
-            order = list(result.candidates)
-            for start, run in ties:
-                order[start : start + len(run)] = sorted(run, key=text)
-            nodes: dict = {}
-            found = [_bind(c, binding, nodes) for c in order]
-            found = [best if c.expr is best.expr else c for c in found]
-            self._bound, self._source = found, None
+    def plan(self, core: Expr, outputs: Optional[tuple], preds: tuple = ()) -> _Pi:
+        key = (id(core), outputs, preds)
+        found = self.get(key)
+        if found is None:  # the entry holds the core, which pins its id
+            found = self[key] = _Pi(core, outputs, preds)
         return found
 
+    def of(self, plan: Expr) -> _Pi:
+        """``plan``, a node, as data."""
+        preds, top = [], plan
+        while isinstance(top, Select):
+            preds.append(top.predicate.atoms)
+            top = top.child
+        if not isinstance(top, Project):
+            return self.plan(plan, None)
+        return self.plan(top.child, top.outputs, tuple(reversed(preds)))
+
+
+def _in_names(outputs: tuple) -> tuple:
+    return tuple(name for _, name in outputs)
+
+
+def _text(entry: tuple, memo: PlanMemo) -> str:
+    """A ranked plan's compact rendering — the final tie-break — composed
+    from its core's, which the σ row keeps."""
+    plan, priced, schema = entry
+    if schema is None:
+        return memo.key(priced.expr, compact=True)
+    core = memo.facts.get(_compact, plan.core, memo)
+    return render_projection(plan.outputs, core, compact=True)
+
+
+def _compact(core: Expr, memo: PlanMemo) -> str:
+    return memo.key(core, compact=True)
+
+
+def _candidate(entry: tuple, model: CostModel) -> PlanCandidate:
+    """A ranked plan, built: a π plan has its core's C(E) and bytes."""
+    plan, priced, schema = entry
+    if schema is None:
+        return priced
+    names = _in_names(plan.outputs)
+    cardinality = model.projected(priced.cardinality, schema, names)
+    expr = Project(plan.core, plan.outputs)
+    return PlanCandidate(expr, priced.cost, cardinality, priced.bytes_cost)
+
+
+#: one list per result, whichever thread builds it first
+_PUBLISH = threading.Lock()
+
+
+class _Ranked(Sequence):
+    """A planning call's valid candidates, cheapest first, built on first
+    read (``len`` reads none).  ``order`` holds the ranked plans as
+    (``_Pi``, its core's candidate, the core's schema) — a plan without a
+    root π as (``_Pi``, its candidate, None) — each run of ties
+    (``ties``, as ``(start, stop)``) in the order it was found; the
+    ``chosen``-th, ``best``, is built already.  Each run is ordered by
+    rendered text when read; ``first`` are the texts of a run at position
+    0.  The text holds the constants, so a query's plans are its shape's
+    under ``binding`` (placeholder → constant) with these runs re-sorted
+    (:func:`_bound`)."""
+
+    __slots__ = (
+        "order", "ties", "first", "chosen", "best", "model", "binding", "_built"
+    )
+
+    def __init__(self, order, ties, first, chosen, best, model, binding=None):
+        self.order, self.ties, self.first, self.chosen = order, ties, first, chosen
+        self.best, self.model, self.binding = best, model, binding
+        self._built: Optional[list] = None
+
+    def member(self, index: int, bound: Optional[dict] = None) -> PlanCandidate:
+        """The ``index``-th plan in found order, built (and bound, sharing
+        the subtrees in ``bound``)."""
+        if index == self.chosen:
+            return self.best
+        found = _candidate(self.order[index], self.model)
+        if self.binding is None:
+            return found
+        return _bind(found, self.binding, {} if bound is None else bound)
+
+    def _list(self) -> list:
+        if self._built is None:
+            bound: dict = {}
+            found = [self.member(index, bound) for index in range(len(self.order))]
+            for start, stop in self.ties:
+                found[start:stop] = sorted(
+                    found[start:stop], key=lambda c: render_expr(c.expr, compact=True)
+                )
+            with _PUBLISH:
+                if self._built is None:
+                    self._built = found
+        return self._built
+
     def __len__(self) -> int:
-        return self._size
+        return len(self.order)
 
     def __getitem__(self, index):
         return self._list()[index]
 
-    def __iter__(self):
-        return iter(self._list())
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, _Bound)):
+        if isinstance(other, (list, _Ranked)):
             return self._list() == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         return repr(self._list())
+
+
+def _bound(result: PlannerResult, binding: dict) -> PlannerResult:
+    """The result of the query whose shape planned to ``result``, under
+    ``binding``: ``best`` bound now, the other candidates when first read.
+    A bound plan renders as its shape plan's text with the constants put
+    in (:func:`_bound_text`), so only the runs of ties re-sort."""
+    if not binding:
+        return result
+    shaped = result.candidates
+    chosen = shaped.chosen
+    if shaped.first:
+        texts = [_bound_text(text, binding) for text in shaped.first]
+        chosen = texts.index(min(texts))
+    best = _bind(shaped.member(chosen), binding, {})
+    order, ties, model = shaped.order, shaped.ties, shaped.model
+    candidates = _Ranked(order, ties, (), chosen, best, model, binding)
+    return replace(result, best=best, candidates=candidates)
 
 
 #: a placeholder, and one as a shape plan's rendering quotes it

@@ -16,8 +16,8 @@ Correspondence with the paper:
 
 =====================  =====================================================
 Rule 1                 :meth:`repro.optimizer.planner.Planner` (expansion)
-Rules 2, 3, 5          :func:`eliminate_unused_navigation` (unused
-                       navigations and unnests dropped under a projection)
+Rules 2, 3, 5          :func:`eliminate_unused` (unused navigations and
+                       unnests dropped under a projection)
 Rule 4                 :func:`merge_repeated` (``MergeRepeatedNavigation``)
 Rule 6                 :func:`push_selections` (constraint-based attribute
                        substitution + physical pushdown)
@@ -62,9 +62,8 @@ __all__ = [
     "substitute_projection",
     "push_selections",
     "push_selections_below",
-    "eliminate_unused_navigation",
+    "eliminate_unused",
     "eliminate_below",
-    "navigation_hits",
     "droppable_prefixes",
     "substitute_attrs",
     "rename_attrs",
@@ -516,21 +515,20 @@ def _provides(schema: Optional[RelationSchema], atom: Atom) -> bool:
 # --------------------------------------------------------------------- #
 
 
-def substitute_projection(node: Project, source) -> list[Project]:
+def substitute_projection(outputs: tuple, source) -> list[tuple]:
     """Rule 7: a projected target-page attribute can be read off the source
     page instead — ``π_B(R1 →L R2) = π_A(π_{A,L}(R1 →L R2))`` given the
-    link constraint ``R1.A = R2.B``.  The rewritings of ``node``, in output
-    order: one per input ``in_name`` with a ``source(in_name)`` (see
-    :func:`projection_source`) to stand for it.  Together with
-    :func:`eliminate_unused_navigation` this produces the plans that skip
-    downloading target pages entirely (e.g. reading department names from
-    the department *list* page's anchors)."""
+    link constraint ``R1.A = R2.B``.  The rewritings of a projection's
+    ``outputs``, in output order: one per input ``in_name`` with a
+    ``source(in_name)`` (see :func:`projection_source`) to stand for it.
+    Together with :func:`eliminate_unused` this produces the plans that
+    skip downloading target pages entirely (e.g. reading department names
+    from the department *list* page's anchors)."""
     results = []
-    for index, (out, in_name) in enumerate(node.outputs):
+    for index, (out, in_name) in enumerate(outputs):
         found = source(in_name)
         if found is not None:
-            outputs = node.outputs[:index] + ((out, found),) + node.outputs[index + 1:]
-            results.append(Project(node.child, outputs))
+            results.append(outputs[:index] + ((out, found),) + outputs[index + 1:])
     return results
 
 
@@ -575,40 +573,31 @@ def _navigations(node: Expr, memo: PlanMemo) -> dict[str, FollowLink]:
 # --------------------------------------------------------------------- #
 
 
-def eliminate_unused_navigation(
-    expr: Expr, scheme: WebScheme, memo: Optional[PlanMemo] = None
-) -> Expr:
-    """Drop navigations (rule 5) and unnests (rule 3) whose attributes are
-    never used above them.  Only applies under a root projection (the rules
-    are stated modulo π); non-optional links only (optional links filter
-    rows, so removing them would change the result)."""
-    if not isinstance(expr, Project):
-        return expr
-    memo = memo or PlanMemo(scheme)
-    facts, core = memo.facts, expr.child  # what is known of the core below the π
-    hits = navigation_hits(facts.get(droppable_prefixes, core, memo), expr.in_names())
-    return Project(facts.get(eliminate_below, core, hits, memo), expr.outputs)
+def eliminate_unused(core: Expr, in_names: tuple, memo: PlanMemo) -> Expr:
+    """``core`` without the navigations (rule 5) and unnests (rule 3) whose
+    attributes nothing uses — its operators, nor a projection on
+    ``in_names`` over it (the rules are stated modulo π) — read through
+    what ``memo.facts`` knows of the core.  Non-optional links only
+    (optional links filter rows, so removing them would change the
+    result)."""
+    prefixes = memo.facts.get(droppable_prefixes, core, memo)
+    # the prefixes some input starts with (the inputs themselves where the
+    # prefixes are unknown): all a drop reads of the π
+    hits = frozenset(in_names) if prefixes is None else frozenset(
+        [p for p in prefixes for n in in_names if n.startswith(p)]
+    )
+    return memo.facts.get(eliminate_below, core, hits, memo)
 
 
 def eliminate_below(core: Expr, hits: frozenset[str], memo: PlanMemo) -> Expr:
-    """:func:`eliminate_unused_navigation` of ``π(core)``, below the π: all
-    it reads of the π is the prefixes its inputs start with (``hits``, from
-    :func:`navigation_hits`), since a drop only asks whether some used
-    attribute starts with the dropped node's prefix."""
+    """:func:`eliminate_unused` of ``core``: all it reads of the π is the
+    prefixes its inputs start with (``hits``), since a drop only asks
+    whether some used attribute starts with the dropped node's prefix."""
     while True:  # dropping one navigation can orphan the one below it
         rebuilt = _drop_unused(core, _used_attrs(core, memo) | hits, memo)
         if rebuilt == core:
             return core
         core = rebuilt
-
-
-def navigation_hits(prefixes: Optional[frozenset[str]], in_names) -> frozenset[str]:
-    """The ``prefixes`` (of :func:`droppable_prefixes`) that some of
-    ``in_names`` starts with; the names themselves where the prefixes are
-    unknown."""
-    if prefixes is None:
-        return frozenset(in_names)
-    return frozenset(p for p in prefixes if any(n.startswith(p) for n in in_names))
 
 
 def droppable_prefixes(core: Expr, memo: PlanMemo) -> Optional[frozenset[str]]:

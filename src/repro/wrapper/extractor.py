@@ -333,7 +333,8 @@ class _Run:
                 kind = match.lastindex
                 if kind == _LEAF:
                     if candidate(html, match.end(1), match.start(3)) is not None:
-                        tag = self._start(match, match.start(3), match.end(3), _START)
+                        stop = match.start(3)
+                        tag = self._start(match, stop, match.end(3), _START, True)
                         if count.get(tag):  # else it is void and never opened
                             self._end(tag, match.end(4))
                 elif kind == _END:
@@ -362,13 +363,24 @@ class _Run:
                 return pos
             pos = close.start()
 
-    def _start(self, match: re.Match[str], stop: int, content: int, kind: int) -> str:
+    def _start(
+        self,
+        match: re.Match[str],
+        stop: int,
+        content: int,
+        kind: int,
+        hit: Optional[bool] = None,
+    ) -> str:
         """A start tag, <x> or <x/>, whose attributes end at ``stop`` and
-        content begins at ``content``; returns its name."""
+        content begins at ``content``; returns its name.  ``hit`` is whether
+        the candidate pattern occurs in the attributes, when the caller
+        searched them already."""
         tag = match.group(1).lower()
         opens = kind == _START and tag not in VOID_ELEMENTS
         entry: Any = tag
-        if self._candidate(self._html, match.end(1), stop) is not None:
+        if hit is None:
+            hit = self._candidate(self._html, match.end(1), stop) is not None
+        if hit:
             # else no selector can match these attributes, and it is no boundary
             raw = self._html[match.end(1) : stop]
             entry = self._matched(tag, raw, opens, match.start(1) - 1, content)

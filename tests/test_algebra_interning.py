@@ -46,18 +46,16 @@ from repro.algebra.visitors import walk
 from repro.optimizer import Planner
 from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rewriter import closure
-from repro.optimizer.rules import (
-    RULES,
-    eliminate_unused_navigation,
-    projection_source,
-    push_selections,
-    substitute_projection,
-)
+from repro.optimizer.rules import RULES, projection_source, push_selections
 from repro.sitegen import UniversityConfig
 from repro.sites import university
 from repro.views.translate import translate
 
 from tests.plan_space_golden import adhoc_queries
+from tests.planner_reference import (
+    eliminate_unused_navigation,
+    substitute_projection_node,
+)
 
 ENV = university(UniversityConfig(n_depts=2, n_profs=6, n_courses=10))
 ROOT = Path(__file__).resolve().parent.parent
@@ -195,7 +193,7 @@ def _planned_exprs() -> list[Expr]:
     def rule_7(node, memo):
         if not isinstance(node, Project):
             return []
-        return substitute_projection(
+        return substitute_projection_node(
             node, lambda name: projection_source(node.child, name, memo)
         )
 

@@ -11,10 +11,11 @@ import pytest
 from repro.algebra.ast import EntryPointScan
 from repro.algebra.printer import render_expr
 from repro.engine.remote import RemoteExecutor
-from repro.optimizer.rules import eliminate_unused_navigation
 from repro.sitegen.movies import MovieConfig, build_movie_site
 from repro.web import WebClient
 from repro.wrapper.conventions import registry_for_scheme
+
+from tests.planner_reference import eliminate_unused_navigation
 
 
 @pytest.fixture(scope="module")

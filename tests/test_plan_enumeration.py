@@ -76,7 +76,8 @@ def test_renderings_are_injective_over_every_plan_of_the_corpus(calls, monkeypat
     """Deduplication is by identity; it picks the plans rendering-based
     deduplication picked as long as no two distinct nodes one planning
     call sees render alike.  Every plan a closure or a dedup of the
-    corpus sees, and every subtree of it, is checked."""
+    corpus sees (the π step's, as the nodes they stand for), and every
+    subtree of it, is checked."""
     seen: list = []
     closure, dedup = rewriter.closure, planner_module._dedup
 
@@ -87,7 +88,11 @@ def test_renderings_are_injective_over_every_plan_of_the_corpus(calls, monkeypat
         return found
 
     def recording_dedup(exprs):
-        seen.extend(exprs)
+        # the π step dedups its plans as data: check the nodes they stand for
+        seen.extend(
+            plan.node() if isinstance(plan, planner_module._Pi) else plan
+            for plan in exprs
+        )
         return dedup(exprs)
 
     monkeypatch.setattr(rewriter, "closure", recording_closure)
