@@ -284,11 +284,7 @@ def check_shard_rows(rows: list) -> None:
         assert row["stale downloads"] == row["touched"]
         touched = set(row["_touched_urls"])
         for index, shard_row in enumerate(row["_stale_report"].shards):
-            shard_urls = {
-                url
-                for pages in store.shards[index].values()
-                for url in pages
-            }
+            shard_urls = {page.url for page in store.by_shard()[index]}
             assert shard_row.downloads == len(touched & shard_urls)
         assert row["answers"] == "match"
 

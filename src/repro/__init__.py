@@ -102,7 +102,6 @@ from repro.server import (
     ServerConfig,
     SharedNavigator,
     WarmupReport,
-    warm_cache,
 )
 from repro.web import (
     SimulatedWebServer,
@@ -146,7 +145,7 @@ __all__ = [
     # query options / server
     "QueryOptions", "QueryRequest", "DEFAULT_OPTIONS", "OptionsError",
     "QueryServer", "ServerConfig", "SharedNavigator", "AdmissionRejected",
-    "WarmupReport", "warm_cache",
+    "WarmupReport",
     # materialized views
     "MaterializedStore", "MaterializedEngine",
     "batch_refresh", "advise", "WorkloadQuery", "AdvisorReport",

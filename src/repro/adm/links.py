@@ -51,9 +51,10 @@ def crawl(
     fetch: Callable[[Sequence[Tuple[str, str]]], Mapping[str, Optional[dict]]],
     max_pages: Optional[int] = None,
 ) -> int:
-    """Visit the site in the module docstring's order; ``populate``,
-    ``full_refresh``, the server's warm-up and the statistics and discovery
-    crawls are ``fetch`` callbacks.
+    """Visit the site in the module docstring's order; the store's
+    ``populate`` (which is also the server's warm-up, see
+    :mod:`repro.materialized.store`), ``full_refresh`` and the statistics
+    and discovery crawls are ``fetch`` callbacks.
 
     ``fetch(level)`` gets a level's ``(page_scheme, url)`` pairs in
     first-reached order, each URL once and under the page-scheme that first

@@ -9,69 +9,25 @@ queries, we also maintain the view".
 
 The measured cost of a query is therefore: about C(E) light connections
 plus one full download per page that actually changed since the last
-access — which the Section 8 benchmark sweeps over update rates.
+access — which the Section 8 benchmark sweeps over update rates.  The
+answer is the virtual path's :class:`~repro.engine.remote.ExecutionResult`:
+its ``pages`` are the re-downloads, its ``light_connections`` the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.algebra.ast import Expr
 from repro.engine.local import LocalExecutor
+from repro.engine.remote import ExecutionResult
 from repro.errors import OptionsError
 from repro.materialized.store import MaterializedStore
-from repro.nested.relation import Relation
 from repro.optimizer.planner import Planner
 from repro.options import QueryOptions
 from repro.views.conjunctive import ConjunctiveQuery
-from repro.web.client import AccessLog, CostSummary
 
-__all__ = ["MaterializedResult", "MaterializedEngine"]
-
-
-@dataclass
-class MaterializedResult:
-    """Answer + the network cost of producing it from the store."""
-
-    relation: Relation
-    log: AccessLog
-
-    @property
-    def light_connections(self) -> int:
-        return self.log.light_connections
-
-    @property
-    def pages(self) -> int:
-        """Pages actually (re-)downloaded during maintenance."""
-        return self.log.page_downloads
-
-    @property
-    def cache_hits(self) -> int:
-        """Accesses served from the client's page cache (if attached)."""
-        return self.log.cache_hits
-
-    @property
-    def revalidations(self) -> int:
-        """Cached pages confirmed fresh by the client's page cache."""
-        return self.log.revalidations
-
-    @property
-    def pages_saved(self) -> int:
-        """Full downloads avoided by the client's page cache."""
-        return self.log.pages_saved
-
-    @property
-    def cost(self) -> CostSummary:
-        """Measured cost in the shared summary shape."""
-        return CostSummary.from_log(self.log)
-
-    def __repr__(self) -> str:
-        return (
-            f"MaterializedResult({len(self.relation)} rows, "
-            f"{self.light_connections} light connections, "
-            f"{self.pages} downloads)"
-        )
+__all__ = ["MaterializedEngine"]
 
 
 class _CheckingProvider:
@@ -111,14 +67,18 @@ class _TrustingProvider:
         for page_scheme in page_schemes:
             page = self.store.stored(self.store.scheme.entry_point(page_scheme).url)
             if page is not None:
-                result[page_scheme] = page.plain
+                result[page_scheme] = self.store.tuple_of(page)
         return result
 
     def target_tuples(
         self, page_scheme: str, urls: Sequence[str]
     ) -> dict[str, dict]:
-        tuples = self.store.tuples_of(page_scheme)
-        return {url: tuples[url] for url in urls if url in tuples}
+        result = {}
+        for url in urls:
+            page = self.store.stored(url)
+            if page is not None and page.page_scheme == page_scheme:
+                result[url] = self.store.tuple_of(page)
+        return result
 
 
 class MaterializedEngine:
@@ -174,16 +134,13 @@ class MaterializedEngine:
         max_age: Optional[int] = None,
         *,
         options: Optional[QueryOptions] = None,
-    ) -> MaterializedResult:
+    ) -> ExecutionResult:
         """Evaluate one plan.  ``check=True`` runs Algorithm 3 (lazy
         maintenance); ``check=False`` trusts the store blindly (possibly
         stale answers, zero network cost).  ``max_age`` tolerates a
         controlled level of obsolescence: tuples verified within the last
-        ``max_age`` clock ticks are used without any connection.
-        ``options`` accepts the unified :class:`~repro.options.
-        QueryOptions` bundle; only its ``tracer`` applies here (operator
-        spans), any network-execution field raises
-        :class:`~repro.errors.OptionsError`."""
+        ``max_age`` clock ticks are used without any connection.  Of
+        ``options`` only the ``tracer`` applies (:meth:`_check_options`)."""
         opts = self._check_options(options)
         self.store.reset_status()
         provider = (
@@ -198,9 +155,7 @@ class MaterializedEngine:
         )
         before = self.store.client.log.snapshot()
         relation = executor.evaluate(expr)
-        return MaterializedResult(
-            relation, self.store.client.log.delta(before)
-        )
+        return ExecutionResult(relation, self.store.client.log.delta(before))
 
     def query(
         self,
@@ -209,7 +164,7 @@ class MaterializedEngine:
         max_age: Optional[int] = None,
         *,
         options: Optional[QueryOptions] = None,
-    ) -> MaterializedResult:
+    ) -> ExecutionResult:
         """Optimize with Algorithm 1, then evaluate with Algorithm 3."""
         if self.planner is None:
             raise ValueError("MaterializedEngine was built without a planner")

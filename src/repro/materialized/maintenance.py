@@ -13,14 +13,8 @@ entry points to pick up pages no stored link reaches yet.
 (dangling stored links, stale pages) without repairing anything.
 
 :func:`batch_refresh` is the sharded, batched variant of the periodic
-check: it walks ``store.shards`` (one for an unsharded store),
-revalidates each shard's pages as one k-lane ``head_batch`` and
-re-downloads its stale pages as one k-lane ``get_batch``, so the refresh
-of a large site overlaps on the simulated :class:`~repro.clock.Timeline`
-the way query traffic does.  Its :class:`RefreshReport` carries per-shard
-light-connection and download counts — the freshness laws (warm shard:
-one light per page, zero downloads; stale shard: re-downloads exactly its
-touched pages) are asserted per shard in ``benchmarks/bench_advisor.py``.
+check; its :class:`RefreshReport` makes the freshness laws assertable per
+shard (``benchmarks/bench_advisor.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +25,7 @@ from repro.adm.links import crawl, outlink_set
 from repro.materialized.store import MaterializedStore, Status
 from repro.obs.metrics import METRICS
 from repro.obs.trace import NULL_TRACER
-from repro.web.cache import Freshness, freshness_from_head
+from repro.web.cache import NO_CACHE, CacheEntry, Freshness, freshness_from_head
 from repro.web.client import FetchConfig
 
 __all__ = ["process_check_missing", "full_refresh", "batch_refresh",
@@ -67,11 +61,9 @@ def full_refresh(store: MaterializedStore) -> dict:
     before_count = store.page_count()
 
     # check every stored page (light connection each; downloads when stale)
-    stored_urls = {
-        page_scheme: list(by_url) for page_scheme, by_url in store.pages.items()
-    }
-    for page_scheme, urls in stored_urls.items():
-        store.check_urls(page_scheme, urls)
+    # (a page-scheme's checks add, replace or drop only its own pages)
+    for page_scheme in store.scheme.page_schemes:
+        store.check_urls(page_scheme, list(store.tuples_of(page_scheme)))
 
     # discover pages no stored page linked to before the refresh
     def check(level):
@@ -170,63 +162,48 @@ class RefreshReport:
 
 def _refresh_shard(
     store: MaterializedStore,
-    shard: dict,
+    entries: list[CacheEntry],
     index: int,
     workers: int,
     tracer,
 ) -> ShardRefresh:
-    """Revalidate one shard (``store.shards[index]``): one HEAD batch, one
-    GET batch for the stale."""
+    """Revalidate one shard (``store.by_shard()[index]``): one HEAD batch,
+    one GET batch for the stale."""
     client = store.client
     before = client.log.snapshot()
-    entries = [
-        (page.page_scheme, url, page)
-        for by_url in shard.values()
-        for url, page in list(by_url.items())
-    ]
     with tracer.span(
         "refresh_shard", kind="maintenance", shard=index, pages=len(entries)
     ):
-        heads = client.head_batch(
-            [url for _, url, _ in entries], workers=workers
-        )
+        heads = client.head_batch([page.url for page in entries], workers=workers)
         now = client.server.clock.now()
-        fresh = 0
-        stale: list = []
-        missing: list = []
-        for page_scheme, url, page in entries:
-            outcome = freshness_from_head(heads[url], page.modified)
+        fresh = removed = redownloaded = 0
+        stale: list[CacheEntry] = []
+        for page in entries:
+            outcome = freshness_from_head(heads[page.url], page.last_modified)
             if outcome is Freshness.FRESH:
                 fresh += 1
-                page.access_date = now
-                store.status[url] = Status.CHECKED
+                page.checked_at = now
+                store.status[page.url] = Status.CHECKED
             elif outcome is Freshness.STALE:
-                stale.append((page_scheme, url, page))
+                stale.append(page)
             else:
-                missing.append(url)
-        removed = 0
-        for url in missing:
-            store._remove(url)
-            removed += 1
-        resources = (
-            client.get_batch(
-                [url for _, url, _ in stale],
-                config=FetchConfig(max_workers=workers),
-            )
-            if stale
-            else {}
+                store._remove(page.url)
+                removed += 1
+        resources = client.get_batch(
+            [page.url for page in stale],
+            config=FetchConfig(max_workers=workers),
+            cache=NO_CACHE,
         )
-        redownloaded = 0
-        for page_scheme, url, page in stale:
-            resource = resources.get(url)
+        for page in stale:
+            resource = resources.get(page.url)
             if resource is None:
                 # vanished between the HEAD and the GET: treat as deleted
-                store._remove(url)
-                store.check_missing.add(url)
+                store._remove(page.url)
+                store.check_missing.add(page.url)
                 removed += 1
                 continue
-            store._ingest(page_scheme, url, resource, previous=page)
-            store.status[url] = Status.CHECKED
+            store._ingest(page.page_scheme, page.url, resource, previous=page)
+            store.status[page.url] = Status.CHECKED
             redownloaded += 1
         delta = client.log.delta(before)
     pages_total = METRICS.counter(
@@ -263,21 +240,20 @@ def _fetch_new_targets(store: MaterializedStore, workers: int) -> tuple[int, int
     added = 0
     while True:
         wave: dict[str, str] = {}
-        for scheme_name, by_url in store.pages.items():
-            for url, page in by_url.items():
-                for link_url, target in outlink_set(
-                    store.scheme, scheme_name, page.plain
+        for page in store.entries():
+            for link_url, target in outlink_set(
+                store.scheme, page.page_scheme, store.tuple_of(page)
+            ):
+                if (
+                    store.status_of(link_url) is Status.NEW
+                    and store.stored(link_url) is None
+                    and store._retains(target)
                 ):
-                    if (
-                        store.status_of(link_url) is Status.NEW
-                        and store.stored(link_url) is None
-                        and store._retains(target)
-                    ):
-                        wave.setdefault(link_url, target)
+                    wave.setdefault(link_url, target)
         if not wave:
             break
         resources = client.get_batch(
-            sorted(wave), config=FetchConfig(max_workers=workers)
+            sorted(wave), config=FetchConfig(max_workers=workers), cache=NO_CACHE
         )
         for url in sorted(wave):
             resource = resources.get(url)
@@ -299,7 +275,7 @@ def batch_refresh(
 ) -> RefreshReport:
     """Refresh the whole store with batched, shard-parallel revalidation.
 
-    For each of ``store.shards`` the stored pages are
+    For each of ``store.by_shard()`` the stored pages are
     HEAD-ed as one ``workers``-lane batch and the stale ones re-downloaded
     as another, so the refresh traffic of a large site overlaps on the
     simulated :class:`~repro.clock.Timeline` exactly like a query's fetch
@@ -316,12 +292,12 @@ def batch_refresh(
     with tracer.span(
         "store_refresh",
         kind="maintenance",
-        shards=len(store.shards),
+        shards=len(store.pages.shard_sizes()),
         workers=workers,
     ):
-        for index, shard in enumerate(store.shards):
+        for index, entries in enumerate(store.by_shard()):
             report.shards.append(
-                _refresh_shard(store, shard, index, workers, tracer)
+                _refresh_shard(store, entries, index, workers, tracer)
             )
         report.added, report.added_downloads = _fetch_new_targets(
             store, workers
@@ -336,21 +312,20 @@ def consistency_report(store: MaterializedStore) -> ConsistencyReport:
     stored pages link to it."""
     report = ConsistencyReport(stored_pages=store.page_count())
     client = store.client
-    stored = [
-        (scheme_name, url, page)
-        for scheme_name, by_url in store.pages.items()
-        for url, page in by_url.items()
-    ]
-    heads = client.head_batch([url for _, url, _ in stored], workers=1)
+    stored = store.entries()
+    heads = client.head_batch([page.url for page in stored], workers=1)
     links = [
-        (url, link_url)
-        for scheme_name, url, page in stored
-        for link_url, _target in outlink_set(store.scheme, scheme_name, page.plain)
+        (page.url, link_url)
+        for page in stored
+        for link_url, _target in outlink_set(
+            store.scheme, page.page_scheme, store.tuple_of(page)
+        )
         if link_url not in heads
     ]
     targets = client.head_batch([link_url for _, link_url in links], workers=1)
-    for _, url, page in stored:
-        if freshness_from_head(heads[url], page.modified) is not Freshness.FRESH:
+    for page in stored:
+        fresh = freshness_from_head(heads[page.url], page.last_modified)
+        if fresh is not Freshness.FRESH:
             report.stale_pages += 1
     for url, link_url in links:
         if targets[link_url].ok:

@@ -1,10 +1,17 @@
 """The materialized ADM store and Function 2 (URLCheck).
 
-Each stored page keeps its wrapped tuple, the logical date it was accessed,
-and the ``Last-Modified`` date observed at that access.  URL status flags
-(``none`` / ``checked`` / ``new`` / ``missing``) are per-query state, reset
-by :meth:`MaterializedStore.reset_status` (the paper: "when a query is
-evaluated, all flags are initialized to none").
+The store keeps its pages in a :class:`~repro.web.cache.PageCache`
+(``store.pages``), one :class:`~repro.web.cache.CacheEntry` per page: the
+wrapped tuple (``entry.tuples[entry.page_scheme]``), the ``Last-Modified``
+date seen at download, and the logical access date (``checked_at``).  A
+store whose client carries a ``cross_query`` cache keeps its pages in that
+cache — one copy for queries and store; any other store makes its own,
+unbounded.  The store reads entries without the LRU bump and fetches
+around the client's cache (:data:`~repro.web.cache.NO_CACHE`), so
+Function 2's light connection is a stored page's one revalidation.  URL
+status flags (``none`` / ``checked`` / ``new`` / ``missing``) are
+per-query state, reset by :meth:`MaterializedStore.reset_status` (the
+paper: "when a query is evaluated, all flags are initialized to none").
 
 ``URLCheck`` follows the paper's Function 2
 (:meth:`MaterializedStore.check_urls`, over a list of URLs in order):
@@ -20,15 +27,16 @@ evaluated, all flags are initialized to none").
 4. the URL itself is flagged ``checked`` so later navigations in the same
    query trust it without another connection.
 
-Consecutive URLs that need step 2 are revalidated as one *run*, charged
-in one call; a run ends wherever a later URL's check could depend on an
-earlier one's outcome (:meth:`MaterializedStore.check_urls`), so the
-events are those of checking one URL at a time, in the same order.
+Runs of consecutive step-2 URLs share one call
+(:meth:`MaterializedStore.check_urls`), with the events of checking one
+URL at a time.
 
-``shards`` partitions the stored pages by :func:`~repro.web.cache.shard_of`
-(CRC32 of the URL, stable across processes), so the batched refresh
-(:func:`repro.materialized.maintenance.batch_refresh`) revalidates one
-shard per k-lane batch.  The per-query state — flags, the deferred
+The page set's shards (``shards=N``, by :func:`~repro.web.cache.shard_of`)
+are the unit of the batched refresh
+(:func:`~repro.materialized.maintenance.batch_refresh`), each in
+:meth:`MaterializedStore.by_shard` order: page-scheme order, then
+first-stored order — reads do not reorder it, and a re-downloaded page
+keeps its place.  The per-query state — flags, the deferred
 ``check_missing`` queue, transient tuples — is one per store, because a
 re-download in one shard may flag link targets stored in another.
 """
@@ -36,18 +44,19 @@ re-download in one shard may flag link targets stored in another.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import sys
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from repro.adm.links import crawl, outlink_set
 from repro.adm.scheme import WebScheme
 from repro.errors import MaterializationError, ResourceNotFound
-from repro.web.cache import Freshness, shard_of
-from repro.web.client import WebClient
+from repro.web.cache import NO_CACHE, CacheEntry, CachePolicy, Freshness, PageCache
+from repro.web.client import FetchConfig, WebClient
 from repro.web.resources import WebResource
 from repro.wrapper.wrapper import WrapperRegistry
 
-__all__ = ["Status", "StoredPage", "MaterializedStore"]
+__all__ = ["Status", "MaterializedStore"]
 
 
 class Status(enum.Enum):
@@ -57,17 +66,6 @@ class Status(enum.Enum):
     CHECKED = "checked"
     NEW = "new"
     MISSING = "missing"
-
-
-@dataclass
-class StoredPage:
-    """One materialized page: tuple + freshness metadata."""
-
-    page_scheme: str
-    url: str
-    plain: dict
-    access_date: int
-    modified: int
 
 
 class MaterializedStore:
@@ -81,9 +79,8 @@ class MaterializedStore:
     the status flags) — the store pays nothing to keep them fresh.  None
     (the default) retains everything, the paper's Section 8 behaviour.
 
-    ``shards`` is the number of URL-hash partitions (module docstring);
-    ``shards[i]`` maps page-scheme → URL → :class:`StoredPage` for shard
-    ``i``.
+    ``shards`` partitions a page set the store makes itself (module
+    docstring); a store in its client's cache has that cache's shards.
     """
 
     def __init__(
@@ -111,75 +108,87 @@ class MaterializedStore:
                     f"unknown page-scheme(s) in retain_schemes: "
                     f"{sorted(unknown)}"
                 )
-        self.shards: list[dict[str, dict[str, StoredPage]]] = [
-            {name: {} for name in scheme.page_schemes} for _ in range(shards)
-        ]
+        cache = client.cache
+        if cache is not None and cache.policy is CachePolicy.CROSS_QUERY:
+            if shards != 1:
+                raise MaterializationError(f"shards={shards} over a client's cache")
+            self.pages = cache
+        else:
+            self.pages = PageCache(capacity=sys.maxsize, shards=shards)
+        #: the store's page order: page-scheme order (stable sorts keep the rest)
+        rank = {name: i for i, name in enumerate(scheme.page_schemes)}
+        self._order = lambda entry: rank[entry.page_scheme]
         self.status: dict[str, Status] = {}
         self.check_missing: set[str] = set()
-        #: every stored page by URL, whichever shard holds it
-        self._page_of_url: dict[str, StoredPage] = {}
         #: per-query tuples of non-retained pages (partial stores only)
         self._transient: dict[str, dict] = {}
 
     def _retains(self, page_scheme: str) -> bool:
         return self.retain_schemes is None or page_scheme in self.retain_schemes
 
-    def _shard(self, url: str) -> dict[str, dict[str, StoredPage]]:
-        return self.shards[shard_of(url, len(self.shards))]
-
     # ------------------------------------------------------------------ #
     # initial materialization
     # ------------------------------------------------------------------ #
 
-    def populate(self) -> int:
-        """Crawl the whole site once (:func:`~repro.adm.links.crawl`) and
-        store every page (the paper: "we navigate the whole site once, wrap
-        pages, and store them locally").  Returns the number of pages stored."""
+    def populate(self, workers: int = 1) -> int:
+        """Crawl the whole site once (:func:`~repro.adm.links.crawl`), a
+        level per ``workers``-lane batch, and store every retained page (the
+        paper: "we navigate the whole site once, wrap pages, and store them
+        locally").  Returns the number of pages stored."""
+        config = FetchConfig(max_workers=workers)
+        stored = 0
 
         def download(level):
-            pages = (self._download(page_scheme, url) for page_scheme, url in level)
-            return {page.url: page.plain for page in pages if page is not None}
+            nonlocal stored
+            resources = self.client.get_batch(
+                [url for _, url in level], config=config, cache=NO_CACHE
+            )
+            tuples = {}
+            for page_scheme, url in level:
+                resource = resources.get(url)
+                if resource is not None:
+                    tuples[url] = self._ingest(page_scheme, url, resource)
+                    stored += self._retains(page_scheme)
+            return tuples
 
         crawl(self.scheme, download)
         self.reset_status()
-        return self.page_count()
+        return stored
 
     # ------------------------------------------------------------------ #
     # store access
     # ------------------------------------------------------------------ #
 
-    @property
-    def pages(self) -> dict[str, dict[str, StoredPage]]:
-        """page-scheme → URL → :class:`StoredPage`: the live dict of an
-        unsharded store, a merged copy otherwise (shards in index order,
-        insertion order within a shard)."""
-        if len(self.shards) == 1:
-            return self.shards[0]
-        merged: dict[str, dict[str, StoredPage]] = {
-            name: {} for name in self.scheme.page_schemes
-        }
-        for shard in self.shards:
-            for scheme_name, by_url in shard.items():
-                merged[scheme_name].update(by_url)
-        return merged
+    def by_shard(self) -> list[list[CacheEntry]]:
+        """Each shard's stored pages: page-scheme order, then first-stored."""
+        return [sorted(shard, key=self._order) for shard in self.pages.shard_entries()]
 
-    def _pages_of(self, page_scheme: str) -> Iterable[tuple[str, StoredPage]]:
-        """The stored (URL, page) pairs of one page-scheme, in ``pages``
-        order, without merging the other page-schemes."""
-        if page_scheme not in self.scheme.page_schemes:
-            raise MaterializationError(f"unknown page-scheme {page_scheme!r}")
-        for shard in self.shards:
-            yield from shard[page_scheme].items()
+    def entries(self) -> list[CacheEntry]:
+        """Every stored page: page-scheme order, then shard, then first-stored."""
+        return sorted(chain.from_iterable(self.pages.shard_entries()), key=self._order)
 
     def page_count(self) -> int:
-        return sum(len(d) for shard in self.shards for d in shard.values())
+        return len(self.pages)
 
-    def stored(self, url: str) -> Optional[StoredPage]:
-        return self._page_of_url.get(url)
+    def stored(self, url: str) -> Optional[CacheEntry]:
+        return self.pages.peek(url)
+
+    def tuple_of(self, entry: CacheEntry) -> dict:
+        """``entry``'s stored tuple, wrapped now if a query left it unwrapped."""
+        tuples, scheme = entry.tuples, entry.page_scheme
+        if scheme not in tuples:
+            tuples[scheme] = self.registry.wrap(scheme, entry.url, entry.html)
+        return tuples[scheme]
 
     def tuples_of(self, page_scheme: str) -> dict[str, dict]:
         """All stored tuples of one page-scheme, keyed by URL (no checks)."""
-        return {url: page.plain for url, page in self._pages_of(page_scheme)}
+        if page_scheme not in self.scheme.page_schemes:
+            raise MaterializationError(f"unknown page-scheme {page_scheme!r}")
+        return {
+            entry.url: self.tuple_of(entry)
+            for entry in self.entries()
+            if entry.page_scheme == page_scheme
+        }
 
     def as_relation(self, page_scheme: str, alias: Optional[str] = None):
         """The materialized page-relation of ``page_scheme`` as a qualified
@@ -190,11 +199,8 @@ class MaterializedStore:
         from repro.nested.relation import Relation
 
         schema = page_relation_schema(self.scheme, page_scheme, alias)
-        rows = [
-            qualify_row(schema, page.plain)
-            for _url, page in self._pages_of(page_scheme)
-        ]
-        return Relation(schema, rows)
+        tuples = self.tuples_of(page_scheme).values()
+        return Relation(schema, [qualify_row(schema, plain) for plain in tuples])
 
     def export_flat(self) -> dict:
         """Decompose every materialized page-relation into flat relations
@@ -223,10 +229,7 @@ class MaterializedStore:
     # ------------------------------------------------------------------ #
 
     def url_check(
-        self,
-        page_scheme: str,
-        url: str,
-        max_age: Optional[int] = None,
+        self, page_scheme: str, url: str, max_age: Optional[int] = None
     ) -> Optional[dict]:
         """Function 2 on one page: its fresh tuple, or None when the page
         no longer exists (:meth:`check_urls` with one URL)."""
@@ -261,7 +264,7 @@ class MaterializedStore:
         Function 2 would produce it.
         """
         result: dict[str, dict] = {}
-        status, stored = self.status, self._page_of_url
+        status, peek, tuple_of = self.status, self.pages.peek, self.tuple_of
         now = self.client.server.clock.now
         # enum members bound once: a class-attribute read costs ~0.2 µs
         NONE, CHECKED, NEW, MISSING = (
@@ -270,12 +273,12 @@ class MaterializedStore:
         FRESH, STALE = Freshness.FRESH, Freshness.STALE
         index, count = 0, len(urls)
         while index < count:
-            run: dict[str, StoredPage] = {}
+            run: dict[str, CacheEntry] = {}
             end = index
             while end < count:
                 url = urls[end]
                 flag = status.get(url, NONE)
-                page = stored.get(url)
+                page = peek(url)
                 if (
                     page is None
                     or flag is CHECKED
@@ -284,7 +287,7 @@ class MaterializedStore:
                     or (
                         max_age is not None
                         and flag is NONE
-                        and now() - page.access_date <= max_age
+                        and now() - page.checked_at <= max_age
                     )
                     or url in run
                 ):
@@ -293,20 +296,21 @@ class MaterializedStore:
                 end += 1
             if run:
                 answers = self.client.revalidate(
-                    list(run), [page.modified for page in run.values()]
+                    list(run), [page.last_modified for page in run.values()]
                 )
                 today = now()
                 for (url, page), answer in zip(run.items(), answers):
                     if answer is FRESH:
                         # verified fresh: restart the obsolescence window
-                        page.access_date = today
+                        page.checked_at = today
                         status[url] = CHECKED
-                        result[url] = page.plain
+                        plain = page.tuples.get(page.page_scheme)  # tuple_of, inlined
+                        result[url] = plain or tuple_of(page)  # a tuple is never {}
                     elif answer is STALE:
                         fresh = self._download(page_scheme, url, previous=page)
                         status[url] = CHECKED
                         if fresh is not None:
-                            result[url] = fresh.plain
+                            result[url] = fresh
                     else:  # the page was deleted behind our back
                         self._remove(url)
                         status[url] = MISSING
@@ -316,17 +320,17 @@ class MaterializedStore:
             url = urls[index]
             index += 1
             flag = status.get(url, NONE)
-            page = stored.get(url)
+            page = peek(url)
             if flag is CHECKED:
                 # partial stores: a checked page of a non-retained scheme
                 # was kept for this query only
-                plain = page.plain if page is not None else self._transient.get(url)
+                plain = tuple_of(page) if page is not None else self._transient.get(url)
                 if plain is not None:
                     result[url] = plain
             elif flag is MISSING and defer_missing:
                 self.check_missing.add(url)  # probably deleted: check off-line
             elif page is not None and flag is NONE:
-                result[url] = page.plain  # tolerated obsolescence: no connection
+                result[url] = tuple_of(page)  # tolerated obsolescence: no connection
             else:  # flagged new, or never stored
                 fresh = self._download(page_scheme, url, previous=page)
                 if fresh is None:
@@ -334,7 +338,7 @@ class MaterializedStore:
                     self.check_missing.add(url)
                 else:
                     status[url] = CHECKED
-                    result[url] = fresh.plain
+                    result[url] = fresh
         return result
 
     # ------------------------------------------------------------------ #
@@ -342,15 +346,12 @@ class MaterializedStore:
     # ------------------------------------------------------------------ #
 
     def _download(
-        self,
-        page_scheme: str,
-        url: str,
-        previous: Optional[StoredPage] = None,
-    ) -> Optional[StoredPage]:
-        """Download + wrap + store one page; diffs outlinks against the
-        previous version to flag new/missing link targets."""
+        self, page_scheme: str, url: str, previous: Optional[CacheEntry] = None
+    ) -> Optional[dict]:
+        """Download (around the client's cache), wrap and store one page:
+        its tuple, or None if it is gone.  :meth:`_ingest` flags links."""
         try:
-            resource = self.client.get(url)
+            resource = self.client.get(url, cache=NO_CACHE)
         except ResourceNotFound:
             if previous is not None:
                 self._remove(url)
@@ -363,22 +364,17 @@ class MaterializedStore:
         page_scheme: str,
         url: str,
         resource: WebResource,
-        previous: Optional[StoredPage] = None,
-    ) -> StoredPage:
-        """Wrap + store one already-fetched page (the storage half of
-        :meth:`_download`, shared with the batched refresh which fetches
-        a whole shard through ``get_batch`` first)."""
+        previous: Optional[CacheEntry] = None,
+    ) -> dict:
+        """Wrap + store one fetched page (:meth:`_download`, the batched
+        crawls and refreshes); diffs outlinks against ``previous`` to flag
+        new/missing link targets.  Returns the page's tuple."""
         plain = self.registry.wrap(page_scheme, url, resource.html)
-        page = StoredPage(
-            page_scheme=page_scheme,
-            url=url,
-            plain=plain,
-            access_date=self.client.server.clock.now(),
-            modified=resource.last_modified,
-        )
         if self._retains(page_scheme):
-            self._shard(url)[page_scheme][url] = page
-            self._page_of_url[url] = page
+            self.pages.put(CacheEntry(
+                url, resource.html, resource.last_modified, page_scheme,
+                {page_scheme: plain}, checked_at=self.client.server.clock.now(),
+            ))
         else:
             self._transient[url] = plain
 
@@ -386,23 +382,20 @@ class MaterializedStore:
         # links that appeared are flagged new, links that vanished missing.
         if previous is not None:
             new_links = outlink_set(self.scheme, page_scheme, plain)
-            old_links = outlink_set(self.scheme, page_scheme, previous.plain)
+            old_links = outlink_set(self.scheme, page_scheme, self.tuple_of(previous))
             for out_url, _target in new_links - old_links:
                 if self.status_of(out_url) is not Status.CHECKED:
                     self.status[out_url] = Status.NEW
             for out_url, _target in old_links - new_links:
                 if self.status_of(out_url) is not Status.CHECKED:
                     self.status[out_url] = Status.MISSING
-        return page
+        return plain
 
     def _remove(self, url: str) -> None:
-        page = self._page_of_url.pop(url, None)
-        if page is not None:
-            self._shard(url)[page.page_scheme].pop(url, None)
+        self.pages.invalidate(url)
 
     def __repr__(self) -> str:
-        shards = f" over {len(self.shards)} shards" if len(self.shards) > 1 else ""
         return (
-            f"MaterializedStore({self.page_count()} pages{shards}, "
+            f"MaterializedStore({self.page_count()} pages, "
             f"{len(self.check_missing)} pending missing-checks)"
         )

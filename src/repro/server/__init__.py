@@ -28,9 +28,9 @@ from repro.server.service import (
     ServerStatus,
     SharedExecution,
     Ticket,
+    WarmupReport,
     execute_shared,
 )
-from repro.server.warmup import WarmupReport, warm_cache
 
 __all__ = [
     "PrefixSignature",
@@ -44,5 +44,4 @@ __all__ = [
     "Ticket",
     "execute_shared",
     "WarmupReport",
-    "warm_cache",
 ]

@@ -51,13 +51,13 @@ from repro.obs.metrics import METRICS
 from repro.obs.progress import ProgressBoard, QueryProgress, operator_estimates
 from repro.obs.trace import NULL_TRACER
 from repro.options import DEFAULT_OPTIONS, QueryOptions, QueryRequest
-from repro.materialized.advisor import WorkloadQuery
+from repro.materialized.advisor import AdvisorReport, WorkloadQuery, advise
+from repro.materialized.store import MaterializedStore
 from repro.server.prefix import (
     PrefixSignature,
     SharedNavigator,
     navigation_prefixes,
 )
-from repro.server.warmup import WarmupReport, warm_cache
 from repro.sites import SiteEnv
 from repro.web.client import AccessLog, WebClient
 from repro.web.resources import WebResource
@@ -70,6 +70,7 @@ __all__ = [
     "QueryServer",
     "execute_shared",
     "SharedExecution",
+    "WarmupReport",
 ]
 
 
@@ -111,6 +112,27 @@ class ServerConfig:
                 f"journal must be a repro.obs.journal.Journal or None, "
                 f"got {self.journal!r}"
             )
+
+
+@dataclass(frozen=True)
+class WarmupReport:
+    """What one :meth:`QueryServer.warm_up` decided and did."""
+
+    #: the advisor's decision (chosen schemes, candidates, estimates)
+    advisor: AdvisorReport
+    #: chosen-scheme pages now resident in the cross-query cache
+    warmed_pages: int
+    #: unchosen pages fetched only to traverse their links (not cached)
+    transit_pages: int
+    light_connections: int
+    seconds: float
+
+    def __repr__(self) -> str:
+        return (
+            f"WarmupReport({self.warmed_pages} warmed over "
+            f"{sorted(self.advisor.chosen)}, {self.transit_pages} transit, "
+            f"{self.seconds:.2f}s)"
+        )
 
 
 @dataclass
@@ -389,18 +411,41 @@ class QueryServer:
 
         Runs the materialization advisor over ``workload`` (requests with
         per-round frequencies, a sitegen mutation rate, and an optional
-        page budget), then pre-loads the chosen page-schemes in k-lane
-        batches so subsequent queries find them warm — one light
+        page budget), then populates a partial store of the chosen
+        page-schemes over a clone of the environment's client (private
+        log) carrying the environment's cache, made if missing: the store
+        keeps its pages there, so later queries find them warm — one light
         connection per page instead of a download (docs/MATERIALIZED.md).
-        Call before :meth:`serve` / :meth:`submit`; purely additive, no
-        effect on answer digests."""
-        return warm_cache(
-            self.env,
-            workload,
-            mutation_rate=mutation_rate,
-            page_budget=page_budget,
-            light_weight=light_weight,
-            workers=workers,
+        Call before :meth:`serve` / :meth:`submit`; no effect on answers."""
+        env = self.env
+        advice = advise(
+            env, workload, mutation_rate=mutation_rate,
+            page_budget=page_budget, light_weight=light_weight,
+        )
+        chosen = advice.materialize_set()
+        cache = env.page_cache if env.page_cache is not None else env.enable_cache()
+        base = env.client
+        client = WebClient(base.server, base.network, base.retry_policy, cache)
+        store = MaterializedStore(
+            env.scheme, client, env.registry, retain_schemes=chosen
+        )
+        tracer = self.config.default_options.tracer or NULL_TRACER
+        with tracer.span(
+            "server_warmup", kind="maintenance", chosen=len(chosen), workers=workers
+        ):
+            warmed = store.populate(workers=workers)
+        transit = client.log.page_downloads - warmed
+        pages_total = METRICS.counter(
+            "repro_server_warmup_pages_total", "warm-up pages by kind"
+        )
+        pages_total.inc(warmed, kind="warmed")
+        pages_total.inc(transit, kind="transit")
+        return WarmupReport(
+            advisor=advice,
+            warmed_pages=warmed,
+            transit_pages=transit,
+            light_connections=client.log.light_connections,
+            seconds=client.log.simulated_seconds,
         )
 
     def status(self) -> ServerStatus:

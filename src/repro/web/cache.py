@@ -9,10 +9,11 @@ replace a full download.  This module generalizes that saving from the
 materialized store to ordinary query execution:
 
 * :class:`PageCache` — an in-memory LRU of page bodies keyed by URL, each
-  entry a frozen snapshot of ``html`` + ``Last-Modified`` (server resources
-  are mutable; the cache must observe staleness, not alias it away) that
-  also owns the tuples wrapped from that ``html``, so a served page is not
-  parsed again;
+  :class:`CacheEntry` a snapshot of ``html`` + ``Last-Modified`` (server
+  resources are mutable; the cache must observe staleness, not alias it
+  away) that also owns the tuples wrapped from that ``html``, so a served
+  page is not parsed again.  It is also the materialized store's page set
+  (:mod:`repro.materialized.store`);
 * :class:`CachePolicy` — ``off`` (bit-for-bit the uncached engine),
   ``per_query`` (entries live for one query), ``cross_query`` (entries
   persist; the first touch per query revalidates with a light connection,
@@ -63,9 +64,8 @@ __all__ = [
 
 def shard_of(url: str, shards: int) -> int:
     """Deterministic shard index of ``url`` across ``shards`` shards — the
-    one placement rule of both :class:`PageCache` and
-    :class:`~repro.materialized.store.MaterializedStore` (``shards=1``
-    skips the hash).
+    placement rule of :class:`PageCache`, and so of the materialized
+    store's pages (``shards=1`` skips the hash).
 
     CRC32 rather than ``hash()``: Python string hashing is randomized per
     process, and shard placement must be reproducible across runs so the
@@ -115,9 +115,10 @@ class CachePolicy(enum.Enum):
             ) from None
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheEntry:
-    """One cached page: a frozen snapshot of the body and its date.
+    """One page record of §8: a snapshot of the body and its date, the
+    tuples wrapped from it, and the date it was last found fresh.
 
     ``page_scheme`` is carried along so the cache-aware cost model can
     estimate per-page-scheme hit rates (the optimizer inspecting its own
@@ -127,13 +128,17 @@ class CacheEntry:
     ``html``, filled by whoever first wraps a snapshot of it.  It has no
     key, capacity or freshness rule of its own: it is valid exactly as long
     as the entry is and is garbage the moment the entry is dropped or
-    replaced.  The tuples are shared by every later query — read-only."""
+    replaced.  The tuples are shared by every later query — read-only.
+
+    ``checked_at`` is the materialized store's access date, 0 on a page
+    only a query fetched; the other fields are fixed."""
 
     url: str
     html: str
     last_modified: int
     page_scheme: str = ""
     tuples: dict = field(default_factory=dict, compare=False, repr=False)
+    checked_at: int = 0
 
     def as_resource(self) -> WebResource:
         """A fresh :class:`WebResource` copy (never the live server object)
@@ -237,6 +242,8 @@ class PageCache:
         self.stats = CacheStats()
         self._shard_capacity = -(-capacity // shards)  # ceil division
         self._shards = [_Shard() for _ in range(shards)]
+        if shards == 1:  # Function 2 peeks per URL: a C call, no Python frame
+            self.peek = self._shards[0].entries.get
 
     def _shard(self, url: str) -> _Shard:
         shards = self._shards
@@ -288,12 +295,7 @@ class PageCache:
 
     def lookup(self, url: str) -> Optional[CacheEntry]:
         """The entry for ``url`` (bumped to most-recently-used), or None."""
-        shard = self._shard(url)
-        with shard.lock:
-            entry = shard.entries.get(url)
-            if entry is not None:
-                shard.entries.move_to_end(url)
-            return entry
+        return self.lookup_batch((url,))[0][0]
 
     def lookup_batch(
         self, urls: Sequence[str]
@@ -315,21 +317,25 @@ class PageCache:
                         found[i] = (entry, url in validated)
         return found
 
+    def peek(self, url: str) -> Optional[CacheEntry]:
+        """The entry for ``url`` or None, without the LRU bump or the lock."""
+        return self._shard(url).entries.get(url)
+
     def store(self, resource: WebResource) -> CacheEntry:
-        """Snapshot ``resource`` into the cache (evicting LRU overflow of
-        its shard)."""
-        entry = CacheEntry(
-            url=resource.url,
-            html=resource.html,
-            last_modified=resource.last_modified,
-            page_scheme=resource.page_scheme,
-        )
-        shard = self._shard(resource.url)
+        """Snapshot ``resource`` into the cache (:meth:`put`)."""
+        return self.put(CacheEntry(
+            resource.url, resource.html, resource.last_modified, resource.page_scheme
+        ))
+
+    def put(self, entry: CacheEntry) -> CacheEntry:
+        """Store ``entry``: a URL already cached keeps its place, a new one
+        is most recently used (evicting its shard's LRU overflow)."""
+        shard = self._shard(entry.url)
         with shard.lock:
-            replaced = shard.entries.pop(resource.url, None)
+            replaced = shard.entries.get(entry.url)
             if replaced is not None:
                 shard.count(replaced, -1)
-            shard.entries[resource.url] = entry
+            shard.entries[entry.url] = entry
             shard.count(entry, 1)
             self.stats.stores += 1
             while len(shard.entries) > self._shard_capacity:
@@ -370,11 +376,15 @@ class PageCache:
         """Cached URLs, least- to most-recently used within each shard,
         shards in index order (there is no global LRU order across
         shards)."""
-        urls: list[str] = []
+        return [entry.url for shard in self.shard_entries() for entry in shard]
+
+    def shard_entries(self) -> list[list[CacheEntry]]:
+        """Each shard's entries, least- to most-recently used."""
+        entries = []
         for shard in self._shards:
             with shard.lock:
-                urls.extend(shard.entries)
-        return urls
+                entries.append(list(shard.entries.values()))
+        return entries
 
     def shard_sizes(self) -> list[int]:
         """Entries per shard, in shard-index order."""
@@ -396,9 +406,7 @@ class PageCache:
         return sum(self.shard_sizes())
 
     def __contains__(self, url: str) -> bool:
-        shard = self._shard(url)
-        with shard.lock:
-            return url in shard.entries
+        return self.peek(url) is not None
 
     def __repr__(self) -> str:
         shards = f", {len(self._shards)} shards" if len(self._shards) > 1 else ""

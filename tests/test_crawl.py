@@ -6,7 +6,9 @@ depth-first stack of ``MaterializedStore.populate`` and ``full_refresh``.
 ``crawl`` must visit the FIFO loop's sequence exactly (breadth-first by
 queue and by level are the same order) and give the depth-first loops'
 results; and, unlike the loops that followed a ``set`` of links, it must
-not depend on the interpreter's string hashing.
+not depend on the interpreter's string hashing.  The server's warm-up
+(a partial store populated into the environment's cache) is held to the
+cache-filling crawl it replaced, ``warm_cache``, kept here too.
 """
 
 import json
@@ -21,8 +23,9 @@ import pytest
 from repro.adm.builder import SchemeBuilder
 from repro.adm.links import crawl, iter_outlinks, outlink_set
 from repro.adm.webtypes import TEXT, link
+from repro.engine.session import QuerySession
 from repro.errors import ResourceNotFound
-from repro.materialized import WorkloadQuery
+from repro.materialized import WorkloadQuery, advise
 from repro.materialized.maintenance import full_refresh, process_check_missing
 from repro.materialized.store import MaterializedStore
 from repro.options import QueryRequest
@@ -32,7 +35,8 @@ from repro.sitegen.movies import MovieConfig
 from repro.sitegen.mutations import SiteMutator
 from repro.sitegen.university import UniversityConfig
 from repro.sites import bibliography, fuzzed, movies, university
-from repro.web.client import WebClient
+from repro.web.cache import NO_CACHE
+from repro.web.client import FetchConfig, WebClient
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -69,10 +73,10 @@ def depth_first_populate(store):
         if url in visited:
             continue
         visited.add(url)
-        page = store._download(page_scheme, url)
-        if page is None:
+        plain = store._download(page_scheme, url)
+        if plain is None:
             continue
-        for link_url, target in outlink_set(store.scheme, page_scheme, page.plain):
+        for link_url, target in outlink_set(store.scheme, page_scheme, plain):
             if link_url not in visited:
                 frontier.append((target, link_url))
     store.reset_status()
@@ -85,7 +89,8 @@ def depth_first_full_refresh(store):
     before_downloads = store.client.log.page_downloads
     before_count = store.page_count()
     stored_urls = {
-        page_scheme: list(by_url) for page_scheme, by_url in store.pages.items()
+        page_scheme: list(store.tuples_of(page_scheme))
+        for page_scheme in store.scheme.page_schemes
     }
     for page_scheme, urls in stored_urls.items():
         store.check_urls(page_scheme, urls)
@@ -230,8 +235,8 @@ def _store(env, **kwargs):
 
 def _stored(store):
     return {
-        page_scheme: {url: page.plain for url, page in by_url.items()}
-        for page_scheme, by_url in store.pages.items()
+        page_scheme: store.tuples_of(page_scheme)
+        for page_scheme in store.scheme.page_schemes
     }
 
 
@@ -258,8 +263,9 @@ def test_populate_stores_pages_in_crawl_order():
 
     crawl(env.scheme, fetch)
     store.populate()
-    for page_scheme, by_url in store.pages.items():
-        assert list(by_url) == [url for ps, url in order if ps == page_scheme]
+    for page_scheme in store.scheme.page_schemes:
+        urls = list(store.tuples_of(page_scheme))
+        assert urls == [url for ps, url in order if ps == page_scheme]
 
 
 def _mutate(env):
@@ -320,6 +326,100 @@ def test_warm_up_warms_and_transits_the_reachable_pages(seed):
     assert set(env.page_cache.urls()) == warmed
 
 
+def warm_cache(env, workload, *, mutation_rate, workers=4):
+    """The server's warm-up as it was before it became a partial store's
+    ``populate``: each crawl level fetched as two ``workers``-lane batches,
+    the chosen schemes' pages through the environment's cache and the
+    others around it (its span and metric left out)."""
+    report = advise(env, workload, mutation_rate=mutation_rate)
+    chosen = report.materialize_set()
+    cache = env.page_cache if env.page_cache is not None else env.enable_cache()
+    base = env.client
+    client = WebClient(base.server, base.network, base.retry_policy, cache)
+    config = FetchConfig(max_workers=workers)
+    warmed = 0
+    transit = 0
+
+    def fetch(level):
+        nonlocal warmed, transit
+        chosen_urls = [u for ps, u in level if ps in chosen]
+        transit_urls = [u for ps, u in level if ps not in chosen]
+        resources = client.get_batch(chosen_urls, config=config)
+        warmed += sum(r is not None for r in resources.values())
+        passing = client.get_batch(transit_urls, config=config, cache=NO_CACHE)
+        transit += sum(r is not None for r in passing.values())
+        resources.update(passing)
+        session = QuerySession(client, env.registry)
+        session.seed_resources(resources)
+        return {url: session.fetch_tuple(ps, url) for ps, url in level}
+
+    crawl(env.scheme, fetch)
+    return {
+        "warmed_pages": warmed,
+        "transit_pages": transit,
+        "light_connections": client.log.light_connections,
+        "seconds": client.log.simulated_seconds,
+    }
+
+
+UNIVERSITY_QUERIES = [
+    "SELECT DName FROM Dept",
+    "SELECT CName, Description FROM Course",
+    "SELECT Professor.PName, Rank FROM Professor, ProfDept "
+    "WHERE Professor.PName = ProfDept.PName "
+    "AND ProfDept.DName = 'Computer Science'",
+]
+
+WARM_SITES = {
+    "fuzzed-3": lambda: fuzzed(3),
+    "fuzzed-17": lambda: fuzzed(17),
+    "fuzzed-29": lambda: fuzzed(29),
+    "university-3-20-40": _university,
+}
+
+
+def _warm_workload(env):
+    if hasattr(env.site, "queries"):
+        return _workload(env)
+    return [
+        WorkloadQuery(QueryRequest(query=sql), frequency=3 - rank)
+        for rank, sql in enumerate(UNIVERSITY_QUERIES)
+    ]
+
+
+def _cached(env):
+    cache = env.page_cache
+    return [
+        (url, cache.peek(url).last_modified, cache.peek(url).tuples)
+        for url in cache.urls()
+    ]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("site_name", sorted(WARM_SITES))
+def test_warm_up_fills_the_cache_warm_cache_filled(site_name, workers):
+    """Same counts, the same cache (URLs in order, dates, tuples), and
+    no longer: one batch per level can only shorten the k-lane makespan,
+    and one lane is the same fetch times summed in level order instead of
+    chosen-then-transit order (equal up to float reassociation)."""
+    old_env, new_env = WARM_SITES[site_name](), WARM_SITES[site_name]()
+    old = warm_cache(
+        old_env, _warm_workload(old_env), mutation_rate=0.1, workers=workers
+    )
+    new = QueryServer(new_env).warm_up(
+        _warm_workload(new_env), mutation_rate=0.1, workers=workers
+    )
+    assert new.warmed_pages > 0
+    assert new.warmed_pages == old["warmed_pages"]
+    assert new.transit_pages == old["transit_pages"]
+    assert new.light_connections == old["light_connections"]
+    assert _cached(new_env) == _cached(old_env)
+    if workers == 1:
+        assert new.seconds == pytest.approx(old["seconds"], rel=1e-12, abs=0)
+    else:
+        assert new.seconds <= old["seconds"]
+
+
 _PROBE = """
 import dataclasses, json
 from repro.materialized import WorkloadQuery
@@ -360,7 +460,7 @@ for prof in uni.site.profs[:4]:
 drift = consistency_report(partial)
 print(json.dumps({
     "warmup": repr(dataclasses.asdict(report)),
-    "populate": [[s, url] for s, by_url in full.pages.items() for url in by_url],
+    "populate": [[page.page_scheme, page.url] for page in full.entries()],
     "populate_s": full.client.log.simulated_seconds,
     "dangling": drift.dangling_links,
     "unstored": drift.unstored_link_targets,

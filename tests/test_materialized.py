@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import MaterializationError
 from repro.materialized.evaluate import MaterializedEngine
 from repro.materialized.maintenance import (
     consistency_report,
@@ -13,6 +14,7 @@ from repro.sitegen.mutations import SiteMutator
 from repro.sitegen.university import UniversityConfig
 from repro.sites import university
 from repro.views.sql import parse_query
+from repro.web.cache import PageCache
 from repro.web.client import WebClient
 
 
@@ -58,7 +60,7 @@ class TestPopulate:
 
     def test_stored_tuples_match_site(self, env, store):
         prof = env.site.profs[0]
-        assert store.stored(prof.url).plain == {
+        assert store.stored(prof.url).tuples["ProfPage"] == {
             "URL": prof.url,
             **env.site.prof_tuple(prof),
         }
@@ -92,7 +94,7 @@ class TestURLCheck:
         plain = store.url_check("ProfPage", prof.url)
         assert plain["Rank"] == "Emeritus"
         assert store.client.log.page_downloads == 1
-        assert store.stored(prof.url).plain["Rank"] == "Emeritus"
+        assert store.stored(prof.url).tuples["ProfPage"]["Rank"] == "Emeritus"
 
     def test_deleted_page_removed_and_queued(self, env, store, mutator):
         course = env.site.courses[0]
@@ -220,17 +222,55 @@ class TestAlgorithm3:
         engine.query(parse_query(CS_QUERY, env.view))
         # the dept page (route of this plan) is fresh...
         dept = next(d for d in env.site.depts if d.name == "Computer Science")
-        dept_tuple = engine.store.stored(dept.url).plain
+        dept_tuple = engine.store.stored(dept.url).tuples["DeptPage"]
         assert any(
             i["PName"] == "Zoe Newhire" for i in dept_tuple["ProfList"]
         )
         # ...but the global professor list page was never on the plan's
         # route, so it is still the old version
         prof_list_url = env.site.entry_url("ProfListPage")
-        stored_list = engine.store.stored(prof_list_url).plain
+        stored_list = engine.store.stored(prof_list_url).tuples["ProfListPage"]
         assert all(
             i["PName"] != "Zoe Newhire" for i in stored_list["ProfList"]
         )
+
+
+class TestStoreInTheClientsCache:
+    """A store whose client carries a cross-query cache keeps its pages in
+    that cache: one copy per page, and Function 2's light connection is
+    the only revalidation, so a changed page is re-downloaded, not served
+    from a copy the cache still trusts."""
+
+    RANKS = (
+        "SELECT Professor.PName, Rank FROM Professor, ProfDept "
+        "WHERE Professor.PName = ProfDept.PName "
+        "AND ProfDept.DName = 'Computer Science'"
+    )
+
+    def test_a_changed_page_is_answered_fresh_with_one_download(self, env):
+        cache = PageCache(capacity=4096)
+        client = WebClient(env.site.server, cache=cache)
+        store = MaterializedStore(env.scheme, client, env.registry)
+        store.populate()
+        engine = MaterializedEngine(store, env.planner)
+        query = parse_query(self.RANKS, env.view)
+        prof = cs_profs(env)[0]
+        SiteMutator(env.site).update_prof_rank(prof, "Emeritus")
+        changed = engine.query(query)
+        assert {r["PName"]: r["Rank"] for r in changed.relation}[prof.name] == (
+            "Emeritus"
+        )
+        assert changed.pages == 1
+        again = engine.query(query)
+        assert again.relation.canonical() == changed.relation.canonical()
+        assert again.pages == 0
+        assert len(cache) == store.page_count() == len(env.site.server)
+        assert set(cache.urls()) == set(env.site.server.urls())
+
+    def test_sharding_a_store_in_a_cache_is_an_error(self, env):
+        client = WebClient(env.site.server, cache=PageCache(capacity=64))
+        with pytest.raises(MaterializationError, match="shards"):
+            MaterializedStore(env.scheme, client, env.registry, shards=2)
 
 
 class TestMaintenance:

@@ -180,8 +180,8 @@ class TestShardedStore:
             store.populate()
             log = store.client.log
             return (
-                {name: sorted(by_url) for name, by_url in store.pages.items()},
-                {name: store.tuples_of(name) for name in store.pages},
+                {name: sorted(store.tuples_of(name)) for name in env.scheme.page_schemes},
+                {name: store.tuples_of(name) for name in env.scheme.page_schemes},
                 store.page_count(),
                 (log.page_downloads, log.light_connections),
             )
@@ -190,10 +190,9 @@ class TestShardedStore:
 
     def test_pages_routed_by_hash(self, env):
         store = build_store(env, shards=4)
-        for index, shard in enumerate(store.shards):
-            for pages in shard.values():
-                for url in pages:
-                    assert shard_of(url, 4) == index
+        for index, shard in enumerate(store.by_shard()):
+            for page in shard:
+                assert shard_of(page.url, 4) == index
         assert store.page_count() == len(env.site.server)
 
     def test_per_query_state_shared_across_shards(self, env):
@@ -245,11 +244,7 @@ class TestBatchRefresh:
         # shard-local attribution: each lane re-downloads only its own
         touched_set = set(touched)
         for index, row in enumerate(report.shards):
-            shard_urls = {
-                url
-                for pages in store.shards[index].values()
-                for url in pages
-            }
+            shard_urls = {page.url for page in store.by_shard()[index]}
             assert row.redownloaded == len(touched_set & shard_urls)
 
     def test_404_mid_revalidation_removes_page(self, env):

@@ -230,10 +230,16 @@ class World:
             dict(store.status),
             sorted(store.check_missing),
             [
-                (index, url, p.page_scheme, p.plain, p.access_date, p.modified)
-                for index, shard in enumerate(store.shards)
-                for by_url in shard.values()
-                for url, p in by_url.items()
+                (
+                    index,
+                    p.url,
+                    p.page_scheme,
+                    p.tuples[p.page_scheme],
+                    p.checked_at,
+                    p.last_modified,
+                )
+                for index, shard in enumerate(store.by_shard())
+                for p in shard
             ],
             dict(store._transient),
             [(e.name, e.attrs) for e in self.tracer.events()],

@@ -34,7 +34,7 @@ def url_check(
     if status is Status.CHECKED:
         page = store.stored(url)
         if page is not None:
-            return page.plain
+            return page.tuples[page.page_scheme]
         return store._transient.get(url)
 
     page = store.stored(url)
@@ -42,9 +42,9 @@ def url_check(
         max_age is not None
         and page is not None
         and status is Status.NONE
-        and store.client.server.clock.now() - page.access_date <= max_age
+        and store.client.server.clock.now() - page.checked_at <= max_age
     ):
-        return page.plain
+        return page.tuples[page.page_scheme]
     if status is Status.NEW or page is None:
         fresh = store._download(page_scheme, url, previous=page)
         if fresh is None:
@@ -52,9 +52,9 @@ def url_check(
             store.check_missing.add(url)
             return None
         store.status[url] = Status.CHECKED
-        return fresh.plain
+        return fresh
 
-    freshness = freshness_from_head(store.client.head(url), page.modified)
+    freshness = freshness_from_head(store.client.head(url), page.last_modified)
     if freshness is Freshness.MISSING:
         store._remove(url)
         store.status[url] = Status.MISSING
@@ -63,10 +63,10 @@ def url_check(
     if freshness is Freshness.STALE:
         fresh = store._download(page_scheme, url, previous=page)
         store.status[url] = Status.CHECKED
-        return fresh.plain if fresh is not None else None
-    page.access_date = store.client.server.clock.now()
+        return fresh
+    page.checked_at = store.client.server.clock.now()
     store.status[url] = Status.CHECKED
-    return page.plain
+    return page.tuples[page.page_scheme]
 
 
 class ReferenceCheckingProvider:
