@@ -230,42 +230,38 @@ def _refresh_shard(
 
 
 def _fetch_new_targets(store: MaterializedStore, workers: int) -> tuple[int, int]:
-    """Download link targets flagged ``new`` by the shard re-downloads.
+    """Download the link targets the shard re-downloads flagged ``new``.
 
-    Waves of k-lane batches until no retained ``new`` target remains
-    unstored (bounded — each wave either stores or terminally flags every
-    URL it fetches)."""
+    :meth:`~MaterializedStore._ingest` records each target as it flags it.
+    Those still flagged ``new``, unstored and retained are fetched as one
+    ``workers``-lane batch, in URL order.  The batch passes no previous
+    version, so it flags nothing: there is no second wave."""
+    wave = {
+        url: target
+        for url, target in store._flagged_new.items()
+        if store.status_of(url) is Status.NEW
+        and store.stored(url) is None
+        and store._retains(target)
+    }
+    if not wave:
+        return 0, 0
     client = store.client
     before = client.log.snapshot()
+    urls = sorted(wave)
+    resources = client.get_batch(
+        urls, config=FetchConfig(max_workers=workers), cache=NO_CACHE
+    )
     added = 0
-    while True:
-        wave: dict[str, str] = {}
-        for page in store.entries():
-            for link_url, target in outlink_set(
-                store.scheme, page.page_scheme, store.tuple_of(page)
-            ):
-                if (
-                    store.status_of(link_url) is Status.NEW
-                    and store.stored(link_url) is None
-                    and store._retains(target)
-                ):
-                    wave.setdefault(link_url, target)
-        if not wave:
-            break
-        resources = client.get_batch(
-            sorted(wave), config=FetchConfig(max_workers=workers), cache=NO_CACHE
-        )
-        for url in sorted(wave):
-            resource = resources.get(url)
-            if resource is None:
-                store.status[url] = Status.MISSING
-                store.check_missing.add(url)
-                continue
-            store._ingest(wave[url], url, resource)
-            store.status[url] = Status.CHECKED
-            added += 1
-    delta = client.log.delta(before)
-    return added, delta.page_downloads
+    for url in urls:
+        resource = resources.get(url)
+        if resource is None:
+            store.status[url] = Status.MISSING
+            store.check_missing.add(url)
+            continue
+        store._ingest(wave[url], url, resource)
+        store.status[url] = Status.CHECKED
+        added += 1
+    return added, client.log.delta(before).page_downloads
 
 
 def batch_refresh(
@@ -280,7 +276,7 @@ def batch_refresh(
     as another, so the refresh traffic of a large site overlaps on the
     simulated :class:`~repro.clock.Timeline` exactly like a query's fetch
     batches; pages that vanished are dropped.  Link targets that appeared
-    on re-downloaded pages are then fetched in follow-up batches, and the
+    on re-downloaded pages are then fetched as one more batch, and the
     deferred ``check_missing`` queue is drained last (as in
     :func:`full_refresh`).  With ``workers=1`` the page/light counts *and*
     the simulated time are bit-for-bit the serial loop's.

@@ -119,6 +119,8 @@ class MaterializedStore:
         rank = {name: i for i, name in enumerate(scheme.page_schemes)}
         self._order = lambda entry: rank[entry.page_scheme]
         self.status: dict[str, Status] = {}
+        #: every URL :meth:`_ingest` flagged ``new``, with its page-scheme
+        self._flagged_new: dict[str, str] = {}
         self.check_missing: set[str] = set()
         #: per-query tuples of non-retained pages (partial stores only)
         self._transient: dict[str, dict] = {}
@@ -131,29 +133,49 @@ class MaterializedStore:
     # ------------------------------------------------------------------ #
 
     def populate(self, workers: int = 1) -> int:
-        """Crawl the whole site once (:func:`~repro.adm.links.crawl`), a
-        level per ``workers``-lane batch, and store every retained page (the
-        paper: "we navigate the whole site once, wrap pages, and store them
-        locally").  Returns the number of pages stored."""
-        config = FetchConfig(max_workers=workers)
-        stored = 0
+        """Crawl the whole site once (:func:`~repro.adm.links.crawl`) and
+        store every retained page (the paper: "we navigate the whole site
+        once, wrap pages, and store them locally").  A retained page the
+        store already holds goes through Function 2 (:meth:`check_urls`, in
+        level order): a light connection, and a download only if it
+        changed.  The other pages of a level download as one
+        ``workers``-lane batch.  Returns the number of retained pages
+        reached."""
+        return self._populate(workers)[0]
 
-        def download(level):
-            nonlocal stored
-            resources = self.client.get_batch(
-                [url for _, url in level], config=config, cache=NO_CACHE
-            )
-            tuples = {}
+    def _populate(self, workers: int) -> tuple[int, int]:
+        """:meth:`populate`, also counting the non-retained pages it
+        downloaded (the server warm-up's transit pages)."""
+        config = FetchConfig(max_workers=workers)
+        stored = transit = 0
+
+        def visit(level):
+            nonlocal stored, transit
+            tuples, fetch = {}, []
             for page_scheme, url in level:
-                resource = resources.get(url)
-                if resource is not None:
-                    tuples[url] = self._ingest(page_scheme, url, resource)
-                    stored += self._retains(page_scheme)
+                if self._retains(page_scheme) and self.stored(url) is not None:
+                    # a changed page may have flagged this held one ``new``,
+                    # which Function 2 would download unchecked; the crawl
+                    # reaches each URL once, so no flag of the walk applies
+                    self.status.pop(url, None)
+                    tuples.update(self.check_urls(page_scheme, (url,)))
+                else:
+                    fetch.append((page_scheme, url))
+            if fetch:
+                resources = self.client.get_batch(
+                    [url for _, url in fetch], config=config, cache=NO_CACHE
+                )
+                for page_scheme, url in fetch:
+                    resource = resources.get(url)
+                    if resource is not None:
+                        tuples[url] = self._ingest(page_scheme, url, resource)
+                        transit += not self._retains(page_scheme)
+            stored += sum(self._retains(s) for s, url in level if url in tuples)
             return tuples
 
-        crawl(self.scheme, download)
+        crawl(self.scheme, visit)
         self.reset_status()
-        return stored
+        return stored, transit
 
     # ------------------------------------------------------------------ #
     # store access
@@ -219,6 +241,7 @@ class MaterializedStore:
         """Start a new query: all flags back to ``none`` (and drop any
         transient tuples of non-retained pages — they live one query)."""
         self.status.clear()
+        self._flagged_new.clear()
         self._transient.clear()
 
     def status_of(self, url: str) -> Status:
@@ -383,9 +406,10 @@ class MaterializedStore:
         if previous is not None:
             new_links = outlink_set(self.scheme, page_scheme, plain)
             old_links = outlink_set(self.scheme, page_scheme, self.tuple_of(previous))
-            for out_url, _target in new_links - old_links:
+            for out_url, target in new_links - old_links:
                 if self.status_of(out_url) is not Status.CHECKED:
                     self.status[out_url] = Status.NEW
+                    self._flagged_new[out_url] = target
             for out_url, _target in old_links - new_links:
                 if self.status_of(out_url) is not Status.CHECKED:
                     self.status[out_url] = Status.MISSING

@@ -2,16 +2,14 @@
 
 The paper's central semantic claim (Sections 6–7): every rewrite in rules
 1–9 — and hence every plan Algorithm 1 enumerates — computes the *same
-relation*, differing only in page accesses.  PR 1 added concurrent,
-fault-tolerant fetching and PR 2 added three cache policies; both promise
-their own transparency properties (page counts invariant under the worker
-pool, ``off`` bit-for-bit equal to no cache, warm caches only trading
-downloads for light connections).  This oracle enforces all of it
-mechanically.
+relation*, differing only in page accesses.  Concurrent fetching, retries,
+page caches, prefix sharing and adaptive execution each promise to keep
+that relation and to move page costs only in stated ways.  This oracle
+enforces all of it mechanically.
 
 For one query it enumerates **all** candidate plans
-(:meth:`repro.optimizer.planner.Planner.enumerate_plans`), then executes
-each under a configurable matrix of
+(:meth:`repro.optimizer.planner.Planner.enumerate_plans`) and executes
+each under a matrix of
 
 * **cache modes** — ``off``, ``per_query``, ``cross_query_cold``,
   ``cross_query_warm`` (pre-warmed with the same plan), and
@@ -21,38 +19,16 @@ each under a configurable matrix of
   hash-scheduled faults absorbed by retries), ``exhausted`` (every
   attempt fails; the query must abort with RetriesExhaustedError unless
   a warm cache can answer it without the network);
-* **worker counts** — serial and pooled.
+* **worker counts** — serial and pooled;
+* **exec modes** — :data:`EXEC_MODES`.
 
-PR 6 added a fourth axis: **execution strategy** now includes ``server``
-cells, which push the plan through the multi-query server's plan-level
-sharing machinery (:func:`repro.server.service.execute_shared`) — a
-shared navigator evaluates the plan's navigation prefixes on its own
-client, the query runs on a clone with those pages injected, and the
-*combined* footprint (navigator + query) must obey every law a solo run
-does, plus the sharing-attribution arithmetic
-(``own pages + revalidations + pages_shared == reference pages``).
-
-PR 8 added ``adaptive`` cells: the runtime executor may prune provably
-irrelevant fetches and switch pointer-join ↔ pointer-chase mid-query
-(:mod:`repro.engine.adaptive`), so those cells
-keep the digest-equality law verbatim but relax every cost equality to a
-one-sided bound against the static reference (never *more* pages, bytes,
-attempts, or URLs — ``pages_adaptive ≤ pages_staged`` in every cell).
-
-and asserts, cell by cell:
-
-1. *relation equality* — every successful cell's canonical answer equals
-   the query's baseline (plan 0, serial, uncached, fault-free);
-2. *cost accounting* — the :class:`~repro.web.client.AccessLog`
-   reconciles (``pages_saved == cache_hits + revalidations``, aggregate
-   counters re-derivable from the per-fetch records);
-3. *mode-specific cost laws* — e.g. a serial uncached fault-free cell is
-   bit-for-bit the reference execution; page counts are invariant under
-   the worker count; a fully warm cross-query cache downloads zero pages
-   and revalidates exactly the reference page set; a stale cache
-   re-downloads exactly the touched pages; a warm cache parses nothing and
-   a stale one parses exactly what it re-downloaded (the wrapped tuple
-   lives on the cache entry).
+Every cell must reproduce the query's baseline answer (plan 0, serial,
+uncached, fault-free), its :class:`~repro.web.client.AccessLog` must
+reconcile, and every row of :data:`LAWS` that applies to it must hold:
+the cost laws per cache, fault, worker and exec mode, and the server
+cells' sharing arithmetic.  :data:`RELATIONS` states once how a law
+relaxes in an adaptive cell (an access proven irrelevant may be skipped,
+so ``pages_adaptive ≤ pages_staged``).
 
 Any violation lands in the cell's report record with a reproducible cell
 id (see :mod:`repro.qa.report` and ``docs/TESTING.md``).
@@ -61,10 +37,12 @@ id (see :mod:`repro.qa.report` and ``docs/TESTING.md``).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+import operator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from repro.engine.pipeline import EXECUTION_MODES
 from repro.errors import RetriesExhaustedError
@@ -79,19 +57,27 @@ from repro.sitegen.mutations import perturb_server
 from repro.sites import SiteEnv
 from repro.views.conjunctive import ConjunctiveQuery
 from repro.web.cache import CachePolicy, NO_CACHE, PageCache
-from repro.web.client import AccessLog, CostSummary, FetchConfig, RetryPolicy
+from repro.web.client import (
+    AccessLog, CostSummary, FetchConfig, RetryPolicy, WebClient,
+)
 from repro.web.server import FaultPolicy
 from repro.wrapper.wrapper import WrapperRegistry
 
 __all__ = [
     "CACHE_MODES",
+    "LAWS",
+    "RELATIONS",
     "EXEC_MODES",
     "FAULT_MODES",
     "TRACE_MODES",
     "JOURNAL_MODES",
     "Cell",
+    "Cells",
     "DifferentialOracle",
+    "Law",
     "MatrixSpec",
+    "Run",
+    "check_laws",
     "counted_wraps",
     "relation_digest",
 ]
@@ -132,17 +118,13 @@ FAULT_MODES = ("none", "transient", "exhausted")
 #: All execution-mode dimensions, in canonical order: the
 #: :data:`~repro.engine.pipeline.EXECUTION_MODES` plus ``server``.
 #: ``pipelined`` cells must be indistinguishable from ``staged`` ones in
-#: every checked invariant — pages, URL sets, digests — which is exactly
-#: the non-speculation guarantee of :mod:`repro.engine.pipeline`.
-#: ``adaptive`` cells run the runtime-pruning, strategy-switching
-#: executor (:mod:`repro.engine.adaptive`): digests
-#: stay bit-for-bit equal to the baseline, but the cost laws become
-#: one-sided — pages, bytes, attempts, and the downloaded URL set are
-#: bounded *above* by (resp. subsets of) the static reference's, which
-#: is exactly the "provably irrelevant fetches only" guarantee.
-#: ``server`` cells run through the multi-query server's prefix-sharing
-#: machinery and are held to the same invariants on the *combined*
-#: navigator + query footprint, plus the attribution arithmetic.
+#: every checked invariant — the non-speculation guarantee of
+#: :mod:`repro.engine.pipeline`.  ``adaptive`` cells run the runtime-pruning,
+#: strategy-switching executor (:mod:`repro.engine.adaptive`); their cost
+#: laws hold one-sided (:data:`RELATIONS`).  ``server`` cells run through
+#: the multi-query server's prefix sharing
+#: (:func:`repro.server.service.execute_shared`): their laws read the
+#: *combined* navigator + query footprint, plus the sharing arithmetic.
 EXEC_MODES = EXECUTION_MODES + ("server",)
 
 #: Tracer configurations the matrix can run under.  Tracing must never
@@ -152,20 +134,13 @@ TRACE_MODES = ("off", "noop", "recording")
 
 #: Journal configurations: ``on`` attaches a fresh event journal to every
 #: measured run (one request block per cell, keyed by the cell id).  Like
-#: tracing, journaling must be digest- and cost-neutral — the matrix is
-#: re-runnable with journaling on and compared bit-for-bit against
-#: ``off`` (tests/test_obs_journal.py pins this).
+#: tracing, journaling must be digest- and cost-neutral.
 JOURNAL_MODES = ("off", "on")
 
 
 # --------------------------------------------------------------------- #
 # the matrix
 # --------------------------------------------------------------------- #
-
-# relation_digest moved next to Relation itself so the event journal can
-# record per-request digests without importing the QA layer; the import
-# above keeps the oracle's historical public name working.
-
 
 @dataclass(frozen=True)
 class MatrixSpec:
@@ -174,28 +149,22 @@ class MatrixSpec:
     cache_modes: Sequence[str] = CACHE_MODES
     fault_modes: Sequence[str] = FAULT_MODES
     worker_counts: Sequence[int] = (1, 4)
-    #: execution strategies each cell is run under; pipelined cells are
-    #: held to the same invariants as staged ones (same pages, same
-    #: digests) — the pipeline's non-speculation guarantee
     exec_modes: Sequence[str] = EXEC_MODES
     #: per-attempt transient failure probability (absorbed by retries)
     transient_rate: float = 0.25
     #: per-attempt failure probability for the retries-exhausted schedule
     exhausted_rate: float = 0.999999999
     retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=8, backoff_seconds=0.01
-        )
+        default_factory=lambda: RetryPolicy(max_attempts=8, backoff_seconds=0.01)
     )
     #: fraction of pages silently touched for ``cross_query_stale``
     stale_fraction: float = 0.5
     #: keep only the N cheapest candidate plans (None: the full space)
     max_plans: Optional[int] = None
     cache_capacity: int = 4096
-    #: tracer attached to every measured run: ``off`` (no tracer at all),
-    #: ``noop`` (the shared null tracer), or ``recording`` (a fresh
-    #: :class:`~repro.obs.RecordingTracer` per cell, whose rendering is
-    #: attached to any violation the cell produces)
+    #: tracer attached to every measured run: ``off`` (none), ``noop`` (the
+    #: shared null tracer), or ``recording`` (a fresh RecordingTracer per
+    #: cell, its rendering attached to any violation the cell produces)
     trace: str = "off"
     #: event journal attached to every measured run: ``off`` or ``on`` (a
     #: fresh :class:`~repro.obs.journal.Journal` per cell, request id =
@@ -203,27 +172,21 @@ class MatrixSpec:
     journal: str = "off"
 
     def __post_init__(self) -> None:
-        for mode in self.cache_modes:
-            if mode not in CACHE_MODES:
-                raise ValueError(f"unknown cache mode {mode!r}")
-        for mode in self.fault_modes:
-            if mode not in FAULT_MODES:
-                raise ValueError(f"unknown fault mode {mode!r}")
-        for mode in self.exec_modes:
-            if mode not in EXEC_MODES:
-                raise ValueError(f"unknown exec mode {mode!r}")
+        for label, values, allowed in (
+            ("cache", self.cache_modes, CACHE_MODES),
+            ("fault", self.fault_modes, FAULT_MODES),
+            ("exec", self.exec_modes, EXEC_MODES),
+            ("trace", (self.trace,), TRACE_MODES),
+            ("journal", (self.journal,), JOURNAL_MODES),
+        ):
+            for value in values:
+                if value not in allowed:
+                    raise ValueError(
+                        f"unknown {label} mode {value!r} "
+                        f"(choose from {', '.join(allowed)})"
+                    )
         if any(w < 1 for w in self.worker_counts):
             raise ValueError("worker counts must be >= 1")
-        if self.trace not in TRACE_MODES:
-            raise ValueError(
-                f"unknown trace mode {self.trace!r} "
-                f"(choose from {', '.join(TRACE_MODES)})"
-            )
-        if self.journal not in JOURNAL_MODES:
-            raise ValueError(
-                f"unknown journal mode {self.journal!r} "
-                f"(choose from {', '.join(JOURNAL_MODES)})"
-            )
 
 
 @dataclass(frozen=True)
@@ -252,10 +215,8 @@ class Cell:
 
     @classmethod
     def parse(cls, cell_id: str) -> "Cell":
-        """Inverse of :attr:`cell_id` (used by ``--cell`` reproduction).
-
-        Accepts both the 5-part pre-pipeline form (exec mode defaults to
-        ``staged``) and the 6-part form with an explicit exec mode."""
+        """Inverse of :attr:`cell_id` (used by ``--cell`` reproduction):
+        5 parts (exec mode ``staged``) or 6."""
         parts = cell_id.split("/")
         if len(parts) not in (5, 6) or not parts[1].startswith("p") \
                 or not parts[4].startswith("w"):
@@ -269,14 +230,8 @@ class Cell:
                 f"bad cell id {cell_id!r} (unknown exec mode "
                 f"{exec_mode!r}; choose from {', '.join(EXEC_MODES)})"
             )
-        return cls(
-            query_id=parts[0],
-            plan_index=int(parts[1][1:]),
-            cache_mode=parts[2],
-            fault_mode=parts[3],
-            workers=int(parts[4][1:]),
-            exec_mode=exec_mode,
-        )
+        return cls(parts[0], int(parts[1][1:]), parts[2], parts[3],
+                   int(parts[4][1:]), exec_mode)
 
 
 @dataclass
@@ -287,6 +242,184 @@ class _Reference:
     rows: int
     cost: CostSummary
     urls: frozenset
+
+
+@dataclass
+class Run:
+    """One measured run of a cell, as the laws read it."""
+
+    #: the run's log delta (a server cell's: navigator + query, merged)
+    delta: AccessLog
+    #: pages parsed during the run (:func:`counted_wraps`)
+    wraps: int
+    reference: _Reference
+    #: pages the ``cross_query_stale`` perturbation touched
+    touched: frozenset
+    result: Any = None
+    error: Optional[RetriesExhaustedError] = None
+    #: a server cell's two logs: the query's own and its navigator's
+    query_log: Optional[AccessLog] = None
+    nav_log: Optional[AccessLog] = None
+
+
+# --------------------------------------------------------------------- #
+# the laws
+# --------------------------------------------------------------------- #
+
+#: How a law's measured value must relate to its expected one: the
+#: relation a static cell holds, then the one an adaptive cell holds.  An
+#: adaptive cell may skip an access proven irrelevant (docs/ADAPTIVE.md),
+#: so a cost against the reference holds one-sided there
+#: (``pages_adaptive ≤ pages_staged``); a ``static-only`` law is not
+#: checked in adaptive cells at all.
+RELATIONS = {
+    "exact": ("==", "≤"),
+    "set": ("==", "⊆"),
+    "≥": ("≥", "≥"),
+    "static-only": ("==", None),
+    "always": ("==", "=="),
+}
+
+
+def _same(measured, expected) -> bool:
+    # wall time is compared up to float accumulation error: log deltas
+    # subtract running sums
+    if isinstance(measured, float):
+        return math.isclose(measured, expected, rel_tol=1e-9, abs_tol=1e-9)
+    return measured == expected
+
+
+_HOLDS = {"==": _same, "≤": operator.le, "⊆": operator.le, "≥": operator.ge}
+
+
+@dataclass(frozen=True)
+class Cells:
+    """The cells a law applies to: a cell matches when each of its
+    dimensions is among the allowed values (``workers=None``: any)."""
+
+    cache: tuple = CACHE_MODES
+    fault: tuple = FAULT_MODES
+    workers: Optional[int] = None
+    exec: tuple = EXEC_MODES
+
+    def __contains__(self, cell: Cell) -> bool:
+        return (
+            cell.cache_mode in self.cache
+            and cell.fault_mode in self.fault
+            and self.workers in (None, cell.workers)
+            and cell.exec_mode in self.exec
+        )
+
+
+@dataclass(frozen=True)
+class Law:
+    """One cost law: ``measured(run) <relation> expected(run)`` in every
+    cell of ``cells``."""
+
+    name: str
+    cells: Cells
+    measured: Callable[[Run], Any]
+    expected: Callable[[Run], Any]
+    relation: str = "exact"
+
+
+_at = operator.attrgetter
+_COLD = Cells(cache=("off", "per_query", "cross_query_cold"))
+_SERVER = Cells(exec=("server",))
+_WARM = Cells(cache=("cross_query_warm",))
+_STALE = Cells(cache=("cross_query_stale",))
+_SERIAL = Cells(cache=("off",), fault=("none",), workers=1)
+_SERIAL_COUNTERS = ("pages", "light_connections", "bytes", "attempts",
+                    "cache_hits", "revalidations", "pages_saved")
+
+
+def _stale(run: Run) -> int:
+    """Reference pages the stale perturbation touched."""
+    return len(run.touched & run.reference.urls)
+
+
+#: Every cost law of a successful cell, in the order they are checked.
+#: A cold or scoped-out cache cannot help, so a cold cell downloads the
+#: reference's pages at every worker count, and the serial uncached
+#: fault-free cell *is* the reference execution.  A warm cache downloads
+#: nothing, revalidates the reference pages and parses none.  A stale one
+#: re-downloads and parses exactly the touched pages the plan needs.  A
+#: server cell's navigator and query partition the reference pages, with
+#: ``pages_shared`` marking the hand-off.
+LAWS = (
+    Law("cold pages", _COLD, _at("delta.page_downloads"),
+        _at("reference.cost.pages")),
+    Law("cold bytes", _COLD, _at("delta.bytes_downloaded"),
+        _at("reference.cost.bytes")),
+    Law("cold (hits, revalidations)", _COLD,
+        _at("delta.cache_hits", "delta.revalidations"),
+        lambda run: (0, 0), "always"),
+    Law("cold downloaded URLs", _COLD,
+        lambda run: set(run.delta.downloaded_urls),
+        lambda run: set(run.reference.urls), "set"),
+    Law("cold attempts without faults", replace(_COLD, fault=("none",)),
+        _at("delta.attempts"), _at("reference.cost.attempts")),
+    Law("serial counters", _SERIAL,
+        _at(*(f"delta.cost.{name}" for name in _SERIAL_COUNTERS)),
+        _at(*(f"reference.cost.{name}" for name in _SERIAL_COUNTERS)),
+        "static-only"),
+    Law("serial wall time", _SERIAL, _at("delta.cost.simulated_seconds"),
+        _at("reference.cost.simulated_seconds"), "static-only"),
+    Law("cold attempts cover downloads under faults",
+        replace(_COLD, fault=("transient", "exhausted")),
+        _at("delta.attempts"), _at("delta.page_downloads"), "≥"),
+    Law("warm downloads", _WARM, _at("delta.page_downloads"),
+        lambda run: 0, "always"),
+    Law("warm revalidations", _WARM, _at("delta.revalidations"),
+        _at("reference.cost.pages")),
+    Law("warm pages_saved", _WARM, _at("delta.pages_saved"),
+        _at("reference.cost.pages")),
+    Law("warm parses", _WARM, _at("wraps"), lambda run: 0, "always"),
+    Law("stale downloads = touched pages", _STALE,
+        _at("delta.page_downloads"), _stale),
+    Law("stale revalidations = untouched pages", _STALE,
+        _at("delta.revalidations"),
+        lambda run: int(run.reference.cost.pages) - _stale(run)),
+    Law("stale light connections", _STALE, _at("delta.light_connections"),
+        _at("reference.cost.pages")),
+    Law("stale downloads + pages_saved", _STALE,
+        lambda run: run.delta.page_downloads + run.delta.pages_saved,
+        _at("reference.cost.pages")),
+    Law("stale parses = downloads", _STALE, _at("wraps"),
+        _at("delta.page_downloads"), "always"),
+    Law("sharing own + revalidated + shared = reference pages", _SERVER,
+        lambda run: (run.query_log.page_downloads + run.query_log.revalidations
+                     + run.query_log.pages_shared),
+        _at("reference.cost.pages"), "always"),
+    Law("sharing navigator pages = pages credited", _SERVER,
+        lambda run: run.nav_log.page_downloads + run.nav_log.revalidations,
+        _at("query_log.pages_shared"), "always"),
+    Law("sharing entry-point prefix", _SERVER,
+        _at("query_log.pages_shared"), lambda run: 1, "≥"),
+)
+
+
+def check_laws(cell: Cell, run: Run) -> list[str]:
+    """The violations of every row of :data:`LAWS` that applies to
+    ``cell``, in table order; each names its law and gives both values."""
+    adaptive = cell.exec_mode == "adaptive"
+    problems = []
+    for law in LAWS:
+        static, relaxed = RELATIONS[law.relation]
+        relation = relaxed if adaptive else static
+        if relation is None or cell not in law.cells:
+            continue
+        measured, expected = law.measured(run), law.expected(run)
+        if not _HOLDS[relation](measured, expected):
+            problems.append(
+                f"{law.name}: {_show(measured)}, want {relation} "
+                f"{_show(expected)}"
+            )
+    return problems
+
+
+def _show(value) -> str:
+    return repr(sorted(value)) if isinstance(value, set) else repr(value)
 
 
 class DifferentialOracle:
@@ -338,34 +471,21 @@ class DifferentialOracle:
 
     def cells(self) -> list[Cell]:
         """The full matrix, in canonical (deterministic) order."""
-        out = []
-        for query_id in sorted(self.queries):
-            for plan_index in range(len(self.plans(query_id))):
-                for cache_mode in self.spec.cache_modes:
-                    for fault_mode in self.spec.fault_modes:
-                        for workers in self.spec.worker_counts:
-                            for exec_mode in self.spec.exec_modes:
-                                out.append(
-                                    Cell(
-                                        query_id=query_id,
-                                        plan_index=plan_index,
-                                        cache_mode=cache_mode,
-                                        fault_mode=fault_mode,
-                                        workers=workers,
-                                        exec_mode=exec_mode,
-                                    )
-                                )
-        return out
+        spec = self.spec
+        return [
+            Cell(query_id, plan_index, *point)
+            for query_id in sorted(self.queries)
+            for plan_index in range(len(self.plans(query_id)))
+            for point in itertools.product(
+                spec.cache_modes, spec.fault_modes, spec.worker_counts, spec.exec_modes
+            )
+        ]
 
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
 
-    def run(
-        self,
-        shard_index: int = 0,
-        shard_count: int = 1,
-    ) -> ConformanceReport:
+    def run(self, shard_index: int = 0, shard_count: int = 1) -> ConformanceReport:
         """Execute one shard of the matrix (cell ``i`` belongs to shard
         ``i % shard_count``) and return the conformance report."""
         if not (0 <= shard_index < shard_count):
@@ -406,14 +526,9 @@ class DifferentialOracle:
 
         record = CellRecord(
             cell_id=cell.cell_id,
-            query_id=cell.query_id,
-            plan_index=cell.plan_index,
-            cache_mode=cell.cache_mode,
-            fault_mode=cell.fault_mode,
-            workers=cell.workers,
-            exec_mode=cell.exec_mode,
             ok=True,
             plan_text=plan.render(scheme=env.scheme),
+            **asdict(cell),
         )
         violations: list[str] = []
 
@@ -424,22 +539,17 @@ class DifferentialOracle:
             server.fault_policy = None
             prewarm = env.executor.execute(
                 plan.expr,
-                options=QueryOptions(
-                    cache=cache, fetch=FetchConfig(max_workers=1)
-                ),
+                options=QueryOptions(cache=cache, fetch=FetchConfig(max_workers=1)),
             )
             if relation_digest(prewarm.relation) != reference.digest:
                 violations.append(
                     "prewarm run disagrees with the uncached reference"
                 )
             if cell.cache_mode == "cross_query_stale":
-                touched = frozenset(
-                    perturb_server(
-                        server,
-                        seed=self._cell_seed(cell),
-                        fraction=self.spec.stale_fraction,
-                    )
-                )
+                touched = frozenset(perturb_server(
+                    server, seed=self._cell_seed(cell),
+                    fraction=self.spec.stale_fraction,
+                ))
 
         # -- fault schedule --------------------------------------------- #
         fault = self._make_fault(cell.fault_mode)
@@ -447,128 +557,60 @@ class DifferentialOracle:
 
         # -- the measured run ------------------------------------------- #
         tracer = self._make_tracer()
-        journal = self._make_journal(cell)
         server.fault_policy = fault
-        result = None
-        error: Optional[RetriesExhaustedError] = None
-        query_delta: Optional[AccessLog] = None
-        navigator: Optional[SharedNavigator] = None
-        if cell.exec_mode == "server":
-            # the multi-query server's sharing machinery, single-threaded:
-            # a fresh navigator resolves the plan's navigation prefixes on
-            # its own client, the query runs on a clone with those pages
-            # injected.  Invariants below are checked on the COMBINED
-            # footprint, which must match a solo run's law for the cell's
-            # cache/fault mode; the sharing attribution is checked on the
-            # split logs afterwards.
-            navigator, clone = self._make_server(env)
-            options = QueryOptions(
+        run = self._measure(
+            cell,
+            plan,
+            QueryOptions(
                 cache=cache,
                 fetch=FetchConfig(max_workers=cell.workers),
                 retry=self.spec.retry,
                 tracer=tracer,
-                journal=journal,
-            )
-            try:
-                with counted_wraps(env.registry) as wraps:
-                    shared_run = execute_shared(
-                        env,
-                        plan.expr,
-                        options,
-                        navigator=navigator,
-                        client=clone,
-                        request_id=cell.cell_id,
-                    )
-                result = shared_run.result
-                query_delta = result.log
-            except RetriesExhaustedError as err:
-                error = err
-                query_delta = clone.log  # private clone, nobody else writes it
-            finally:
-                server.fault_policy = None
-            delta = navigator.log.merge(query_delta)
-        else:
-            before = env.client.log.snapshot()
-            try:
-                with counted_wraps(env.registry) as wraps:
-                    result = env.executor.execute(
-                        plan.expr,
-                        options=QueryOptions(
-                            cache=cache,
-                            fetch=FetchConfig(max_workers=cell.workers),
-                            retry=self.spec.retry,
-                            tracer=tracer,
-                            execution=cell.exec_mode,
-                            journal=journal,
-                        ),
-                        request_id=cell.cell_id,
-                    )
-            except RetriesExhaustedError as err:
-                error = err
-            finally:
-                server.fault_policy = None
-            delta = env.client.log.delta(before)
+                journal=self._make_journal(cell),
+            ),
+            reference,
+            touched,
+        )
 
         # -- invariants -------------------------------------------------- #
+        delta = run.delta
         violations.extend(delta.reconcile())
         cost = delta.cost
-        record.pages = cost.pages
-        record.light_connections = cost.light_connections
-        record.bytes = cost.bytes
-        record.attempts = cost.attempts
-        record.cache_hits = cost.cache_hits
-        record.revalidations = cost.revalidations
-        record.pages_saved = cost.pages_saved
-        record.pages_shared = cost.pages_shared
-        record.simulated_seconds = cost.simulated_seconds
+        for name in (f.name for f in fields(CostSummary)):
+            setattr(record, name, getattr(cost, name))
 
-        if error is not None:
+        if run.error is not None:
             record.expected_failure = True
-            if not expected_failure and not self._doomed(fault, error):
+            if not expected_failure and not self._doomed(fault, run.error):
                 record.expected_failure = False
                 violations.append(
-                    f"unexpected retries-exhausted abort on {error.url!r}"
+                    f"unexpected retries-exhausted abort on {run.error.url!r}"
                 )
             if delta.page_downloads != 0:
                 violations.append(
                     f"{delta.page_downloads} downloads succeeded under an "
                     "exhausted fault schedule"
                 )
-        elif expected_failure:
-            if cell.exec_mode == "adaptive" and delta.page_downloads == 0:
-                # an adaptive cell may legitimately survive an exhausted
-                # schedule by pruning the very fetch that would have
-                # aborted — but only if it touched the network zero times
-                # (any download under an exhausted schedule would fail)
-                record.rows = len(result.relation)
-                record.relation_digest = relation_digest(result.relation)
-                if record.relation_digest != baseline.digest:
-                    violations.append(
-                        f"relation mismatch: {record.rows} rows, digest "
-                        f"{record.relation_digest} != baseline "
-                        f"{baseline.digest} ({baseline.rows} rows)"
-                    )
-            else:
-                violations.append(
-                    "expected a retries-exhausted abort, but the query "
-                    "succeeded"
-                )
+        elif expected_failure and not (
+            # an adaptive cell may survive an exhausted schedule by pruning
+            # the very fetch that would have aborted — but only if it
+            # touched the network zero times
+            cell.exec_mode == "adaptive" and delta.page_downloads == 0
+        ):
+            violations.append(
+                "expected a retries-exhausted abort, but the query succeeded"
+            )
         else:
-            record.rows = len(result.relation)
-            record.relation_digest = relation_digest(result.relation)
+            record.rows = len(run.result.relation)
+            record.relation_digest = relation_digest(run.result.relation)
             if record.relation_digest != baseline.digest:
                 violations.append(
                     f"relation mismatch: {record.rows} rows, digest "
                     f"{record.relation_digest} != baseline {baseline.digest} "
                     f"({baseline.rows} rows)"
                 )
-            violations.extend(
-                self._check_costs(cell, delta, reference, touched, len(wraps))
-            )
-            if cell.exec_mode == "server":
-                violations.extend(
-                    self._check_sharing(query_delta, navigator.log, reference)
-                )
+            if not expected_failure:
+                violations.extend(check_laws(cell, run))
 
         record.violations = violations
         record.ok = not violations
@@ -577,27 +619,67 @@ class DifferentialOracle:
             if violations:
                 # every conformance violation ships with its trace: the
                 # cell id reproduces the run, the excerpt explains it
-                record.trace_excerpt = tracer.render(
-                    max_events=4, max_lines=80
-                )
+                record.trace_excerpt = tracer.render(max_events=4, max_lines=80)
         return record
+
+    def _measure(
+        self,
+        cell: Cell,
+        plan,
+        options: QueryOptions,
+        reference: _Reference,
+        touched: frozenset,
+    ) -> Run:
+        """The cell's measured run; removes the fault policy on exit.
+
+        A ``server`` cell runs single-threaded through the server's
+        sharing machinery: a fresh navigator resolves the plan's navigation
+        prefixes on its own client, the query runs on a clone with those
+        pages injected.  Its laws read the merged and the split logs."""
+        env = self.env
+        result = error = navigator = None
+        client = env.client
+        if cell.exec_mode == "server":
+            navigator, client = self._make_server(env)
+        before = client.log.snapshot()
+        try:
+            with counted_wraps(env.registry) as wraps:
+                if navigator is not None:
+                    result = execute_shared(
+                        env, plan.expr, options, navigator=navigator,
+                        client=client, request_id=cell.cell_id,
+                    ).result
+                else:
+                    result = env.executor.execute(
+                        plan.expr,
+                        options=replace(options, execution=cell.exec_mode),
+                        request_id=cell.cell_id,
+                    )
+        except RetriesExhaustedError as err:
+            error = err.with_traceback(None)
+        finally:
+            env.site.server.fault_policy = None
+        own = client.log.delta(before)
+        if navigator is None:
+            return Run(own, len(wraps), reference, touched, result, error)
+        # the clone is private: on an abort its whole log is the query's
+        query_log = own if result is None else result.log
+        return Run(navigator.log.merge(query_log), len(wraps), reference,
+                   touched, result, error, query_log, navigator.log)
 
     # ------------------------------------------------------------------ #
     # per-cell machinery
     # ------------------------------------------------------------------ #
 
     def _make_tracer(self):
-        if self.spec.trace == "noop":
-            return NULL_TRACER
         if self.spec.trace == "recording":
             return RecordingTracer()
-        return None
+        return NULL_TRACER if self.spec.trace == "noop" else None
 
     def _make_journal(self, cell: Cell) -> Optional[Journal]:
         """A fresh per-cell journal (``journal="on"``), its request block
-        opened under the cell id with enough metadata to replay: the site
-        name and the query's SQL text.  Retained on ``last_journal`` so
-        tests can reconstruct the cell they just ran."""
+        opened under the cell id with the site name and the query's SQL
+        (enough to replay), kept on ``last_journal``."""
         if self.spec.journal != "on":
             return None
         journal = Journal()
@@ -615,71 +697,24 @@ class DifferentialOracle:
         """A fresh navigator + query-client clone for one ``server`` cell
         (hermetic: nothing is retained across cells, so every cell's
         prefixes are led by its own navigator)."""
-        from repro.web.client import WebClient
-
         navigator = SharedNavigator(env.scheme, env.client, env.registry)
         clone = WebClient(
             env.client.server, env.client.network, env.client.retry_policy
         )
         return navigator, clone
 
-    def _check_sharing(
-        self,
-        query_log: AccessLog,
-        nav_log: AccessLog,
-        reference: _Reference,
-    ) -> list[str]:
-        """The sharing-attribution arithmetic for a successful server cell.
-
-        The navigator's fetches and the query's own fetches partition the
-        reference page set, with ``pages_shared`` marking the hand-off:
-        every page is either fetched (or revalidated) by exactly one of
-        the two logs, and the query's share of the navigator's work is
-        exactly the pages it was handed."""
-        problems: list[str] = []
-        ref = reference.cost
-        accounted = (
-            query_log.page_downloads
-            + query_log.revalidations
-            + query_log.pages_shared
-        )
-        if accounted != ref.pages:
-            problems.append(
-                f"sharing attribution: own {query_log.page_downloads} + "
-                f"revalidated {query_log.revalidations} + shared "
-                f"{query_log.pages_shared} != reference pages {ref.pages}"
-            )
-        provided = nav_log.page_downloads + nav_log.revalidations
-        if provided != query_log.pages_shared:
-            problems.append(
-                f"sharing attribution: navigator provided {provided} pages "
-                f"but the query was credited {query_log.pages_shared}"
-            )
-        if query_log.pages_shared <= 0:
-            problems.append(
-                "server cell shared no pages (every plan has at least its "
-                "entry-point prefix)"
-            )
-        return problems
-
     def _make_cache(self, cache_mode: str) -> PageCache:
         if cache_mode == "off":
             return NO_CACHE
-        policy = (
-            CachePolicy.PER_QUERY
-            if cache_mode == "per_query"
-            else CachePolicy.CROSS_QUERY
-        )
+        per_query = cache_mode == "per_query"
+        policy = CachePolicy.PER_QUERY if per_query else CachePolicy.CROSS_QUERY
         return PageCache(capacity=self.spec.cache_capacity, policy=policy)
 
     def _make_fault(self, fault_mode: str) -> Optional[FaultPolicy]:
         if fault_mode == "none":
             return None
-        rate = (
-            self.spec.transient_rate
-            if fault_mode == "transient"
-            else self.spec.exhausted_rate
-        )
+        spec = self.spec
+        rate = spec.transient_rate if fault_mode == "transient" else spec.exhausted_rate
         return FaultPolicy(failure_rate=rate, seed=self.seed)
 
     def _cell_seed(self, cell: Cell) -> int:
@@ -698,9 +733,7 @@ class DifferentialOracle:
         cache answers through light connections (HEADs bypass the fault
         policy), and a stale one aborts iff the perturbation touched a
         page this plan actually needs."""
-        if cell.fault_mode != "exhausted":
-            return False
-        if cell.cache_mode == "cross_query_warm":
+        if cell.fault_mode != "exhausted" or cell.cache_mode == "cross_query_warm":
             return False
         if cell.cache_mode == "cross_query_stale":
             return bool(touched & reference.urls)
@@ -719,162 +752,6 @@ class DifferentialOracle:
             fault.will_fail(error.url, attempt)
             for attempt in range(1, self.spec.retry.max_attempts + 1)
         )
-
-    def _check_costs(
-        self,
-        cell: Cell,
-        delta,
-        reference: _Reference,
-        touched: frozenset,
-        wraps: int,
-    ) -> list[str]:
-        """Mode-specific cost laws for a successful cell (``wraps``: pages
-        parsed during the measured run).
-
-        Static modes are held to *equalities* against the serial uncached
-        reference.  The ``adaptive`` mode may prune provably irrelevant
-        fetches (docs/ADAPTIVE.md), so its laws relax to one-sided bounds:
-        never more pages, bytes, or URLs than the reference — and the
-        relation digest (checked by the caller) must still be bit-for-bit
-        the baseline's."""
-        problems: list[str] = []
-        ref = reference.cost
-        adaptive = cell.exec_mode == "adaptive"
-
-        def check(condition: bool, message: str) -> None:
-            if not condition:
-                problems.append(message)
-
-        if cell.cache_mode in ("off", "per_query", "cross_query_cold"):
-            # the cache cannot help a cold / scoped-out run: downloads are
-            # exactly the reference's, at every worker count (bounded
-            # above by it for the adaptive modes)
-            check(
-                delta.page_downloads <= ref.pages
-                if adaptive
-                else delta.page_downloads == ref.pages,
-                f"pages={delta.page_downloads} "
-                f"{'>' if adaptive else '!='} reference {ref.pages}",
-            )
-            check(
-                delta.bytes_downloaded <= ref.bytes
-                if adaptive
-                else delta.bytes_downloaded == ref.bytes,
-                f"bytes={delta.bytes_downloaded} "
-                f"{'>' if adaptive else '!='} reference {ref.bytes}",
-            )
-            check(
-                delta.cache_hits == 0 and delta.revalidations == 0,
-                f"cold cell served {delta.cache_hits} hits / "
-                f"{delta.revalidations} revalidations from the cache",
-            )
-            check(
-                set(delta.downloaded_urls) <= set(reference.urls)
-                if adaptive
-                else set(delta.downloaded_urls) == set(reference.urls),
-                "downloaded URL set is not a subset of the reference"
-                if adaptive
-                else "downloaded URL set differs from the reference",
-            )
-            if cell.fault_mode == "none":
-                check(
-                    delta.attempts <= ref.attempts
-                    if adaptive
-                    else delta.attempts == ref.attempts,
-                    f"attempts={delta.attempts} "
-                    f"{'>' if adaptive else '!='} reference {ref.attempts} "
-                    "without faults",
-                )
-                if cell.workers == 1 and cell.cache_mode == "off" and (
-                    not adaptive
-                ):
-                    # the serial uncached cell IS the reference execution:
-                    # every counter bit-for-bit, wall time up to float
-                    # accumulation error (log deltas subtract running sums)
-                    cost = delta.cost
-                    check(
-                        (cost.pages, cost.light_connections, cost.bytes,
-                         cost.attempts, cost.cache_hits, cost.revalidations,
-                         cost.pages_saved)
-                        == (ref.pages, ref.light_connections, ref.bytes,
-                            ref.attempts, ref.cache_hits, ref.revalidations,
-                            ref.pages_saved),
-                        f"serial k=1 cost {cost} != reference {ref}",
-                    )
-                    check(
-                        math.isclose(
-                            cost.simulated_seconds,
-                            ref.simulated_seconds,
-                            rel_tol=1e-9,
-                            abs_tol=1e-9,
-                        ),
-                        f"serial k=1 wall time {cost.simulated_seconds!r} "
-                        f"!= reference {ref.simulated_seconds!r}",
-                    )
-            else:
-                check(
-                    delta.attempts >= delta.page_downloads,
-                    "fewer attempts than downloads under faults",
-                )
-        elif cell.cache_mode == "cross_query_warm":
-            check(
-                delta.page_downloads == 0,
-                f"warm cache still downloaded {delta.page_downloads} pages",
-            )
-            check(
-                delta.revalidations <= ref.pages
-                if adaptive
-                else delta.revalidations == ref.pages,
-                f"revalidations={delta.revalidations} "
-                f"{'>' if adaptive else '!='} reference pages {ref.pages}",
-            )
-            check(
-                delta.pages_saved <= ref.pages
-                if adaptive
-                else delta.pages_saved == ref.pages,
-                f"pages_saved={delta.pages_saved} "
-                f"{'>' if adaptive else '!='} reference pages {ref.pages}",
-            )
-            check(wraps == 0, f"warm cache still parsed {wraps} pages")
-        elif cell.cache_mode == "cross_query_stale":
-            stale = len(touched & reference.urls)
-            fresh = int(ref.pages) - stale
-            check(
-                delta.page_downloads <= stale
-                if adaptive
-                else delta.page_downloads == stale,
-                f"stale cache re-downloaded {delta.page_downloads} pages, "
-                f"expected {'at most' if adaptive else 'exactly'} the "
-                f"{stale} touched ones",
-            )
-            check(
-                delta.revalidations <= fresh
-                if adaptive
-                else delta.revalidations == fresh,
-                f"revalidations={delta.revalidations} "
-                f"{'>' if adaptive else '!='} untouched pages {fresh}",
-            )
-            check(
-                delta.light_connections <= ref.pages
-                if adaptive
-                else delta.light_connections == ref.pages,
-                f"light={delta.light_connections} "
-                f"{'>' if adaptive else '!='} one HEAD per cached "
-                f"page ({ref.pages})",
-            )
-            check(
-                delta.page_downloads + delta.pages_saved <= ref.pages
-                if adaptive
-                else delta.page_downloads + delta.pages_saved == ref.pages,
-                f"downloads + pages_saved "
-                f"{'>' if adaptive else '!='} reference pages",
-            )
-            check(
-                wraps == delta.page_downloads,
-                f"stale cache parsed {wraps} pages but re-downloaded "
-                f"{delta.page_downloads}",
-            )
-        return problems
 
     # ------------------------------------------------------------------ #
     # references

@@ -416,6 +416,7 @@ class QueryServer:
         log) carrying the environment's cache, made if missing: the store
         keeps its pages there, so later queries find them warm — one light
         connection per page instead of a download (docs/MATERIALIZED.md).
+        A second warm-up revalidates the pages the cache still holds.
         Call before :meth:`serve` / :meth:`submit`; no effect on answers."""
         env = self.env
         advice = advise(
@@ -433,8 +434,7 @@ class QueryServer:
         with tracer.span(
             "server_warmup", kind="maintenance", chosen=len(chosen), workers=workers
         ):
-            warmed = store.populate(workers=workers)
-        transit = client.log.page_downloads - warmed
+            warmed, transit = store._populate(workers)
         pages_total = METRICS.counter(
             "repro_server_warmup_pages_total", "warm-up pages by kind"
         )

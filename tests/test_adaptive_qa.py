@@ -1,13 +1,11 @@
 """The QA matrix's adaptive execution dimension.
 
 Adaptive cells keep the differential oracle's digest-equality law
-verbatim, but every cost law relaxes to a one-sided bound against the
-static reference: an adaptive cell may never fetch *more* pages, bytes,
-attempts, or URLs than its staged sibling (``pages_adaptive ≤
-pages_staged``, per cell).  These tests run the matrix with the adaptive
-exec mode enabled and additionally re-assert the one-sided law directly
-from the report's cell records, so the bound is checked here even if the
-oracle's internal `_check_costs` ever regressed to a no-op.
+verbatim; how each cost law relaxes for them is
+``repro.qa.oracle.RELATIONS`` (``tests/test_qa_laws.py`` breaks every
+row of ``LAWS``).  These tests run the matrix with the adaptive exec mode
+enabled and re-assert the one-sided bound (``pages_adaptive ≤
+pages_staged``) from the report's cell records.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ def assert_one_sided(report):
     sibling ran the identical fetch schedule; warm/stale cells seed their
     staleness schedule from the cell id, so their resource counters are
     only comparable to the oracle's own per-plan reference (which
-    `_check_costs` already bounds).  Digest equality holds everywhere."""
+    ``LAWS`` already bounds).  Digest equality holds everywhere."""
     by_id = {record.cell_id: record for record in report.cells}
     adaptive_cells = [
         record for record in report.cells if record.exec_mode == "adaptive"

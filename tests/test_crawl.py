@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -418,6 +419,73 @@ def test_warm_up_fills_the_cache_warm_cache_filled(site_name, workers):
         assert new.seconds == pytest.approx(old["seconds"], rel=1e-12, abs=0)
     else:
         assert new.seconds <= old["seconds"]
+
+
+
+@contextmanager
+def served_gets(server):
+    """Log the URL of every GET ``server`` serves inside the block."""
+    gets: list[str] = []
+    inner = server.serve
+
+    def serve(url):
+        gets.append(url)
+        return inner(url)
+
+    server.serve = serve
+    try:
+        yield gets
+    finally:
+        del server.serve
+
+
+@pytest.mark.parametrize(
+    "seed, warmed, transit", [(3, 15, 0), (17, 17, 7), (29, 19, 5)]
+)
+def test_a_second_warm_up_revalidates_what_the_first_stored(seed, warmed, transit):
+    """On an unchanged site the second warm-up downloads only the transit
+    pages and opens one light connection per warmed page; the cache is
+    the first warm-up's."""
+    env = fuzzed(seed)
+    server = QueryServer(env)
+    first = server.warm_up(_workload(env), mutation_rate=0.1)
+    cached = _cached(env)
+    with served_gets(env.site.server) as gets:
+        second = server.warm_up(_workload(env), mutation_rate=0.1)
+    assert (first.warmed_pages, first.transit_pages) == (warmed, transit)
+    assert (second.warmed_pages, second.transit_pages) == (warmed, transit)
+    assert len(gets) == transit
+    assert not set(gets) & set(env.page_cache.urls())
+    assert second.light_connections == warmed
+    assert _cached(env) == cached
+
+
+def test_a_second_warm_up_downloads_what_changed():
+    """After edits the second warm-up's GETs are its transit pages plus the
+    chosen pages that changed or newly appeared."""
+    env = _university()
+    server = QueryServer(env)
+    workload = _warm_workload(env)
+    server.warm_up(workload, mutation_rate=0.1)
+    before = {url: modified for url, modified, _ in _cached(env)}
+    mutator = SiteMutator(env.site)
+    site = env.site
+    mutator.update_course_description(site.courses[0], "Revised.")
+    mutator.update_prof_rank(site.profs[1], "Emeritus")
+    mutator.add_course(site.profs[2])
+    mutator.remove_course(site.courses[3])
+    mutator.add_prof(site.depts[0].name)
+    with served_gets(site.server) as gets:
+        second = server.warm_up(workload, mutation_rate=0.1)
+    after = {url: modified for url, modified, _ in _cached(env)}
+    changed = {url for url, modified in after.items() if before.get(url) != modified}
+    assert changed
+    chosen_gets = [url for url in gets if url in after]
+    assert sorted(chosen_gets) == sorted(changed)
+    assert len(gets) - len(chosen_gets) == second.transit_pages > 0
+    # one HEAD per held page the crawl still reaches, none for a new one
+    new = after.keys() - before.keys()
+    assert second.light_connections == second.warmed_pages - len(new)
 
 
 _PROBE = """
