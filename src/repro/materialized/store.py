@@ -139,8 +139,9 @@ class MaterializedStore:
         store already holds goes through Function 2 (:meth:`check_urls`, in
         level order): a light connection, and a download only if it
         changed.  The other pages of a level download as one
-        ``workers``-lane batch.  Returns the number of retained pages
-        reached."""
+        ``workers``-lane batch.  A held page the crawl no longer reaches is
+        out of the view: it is dropped, without a connection.  Returns the
+        number of retained pages reached."""
         return self._populate(workers)[0]
 
     def _populate(self, workers: int) -> tuple[int, int]:
@@ -148,11 +149,13 @@ class MaterializedStore:
         downloaded (the server warm-up's transit pages)."""
         config = FetchConfig(max_workers=workers)
         stored = transit = 0
+        reached: set[str] = set()
 
         def visit(level):
             nonlocal stored, transit
             tuples, fetch = {}, []
             for page_scheme, url in level:
+                reached.add(url)
                 if self._retains(page_scheme) and self.stored(url) is not None:
                     # a changed page may have flagged this held one ``new``,
                     # which Function 2 would download unchecked; the crawl
@@ -174,6 +177,9 @@ class MaterializedStore:
             return tuples
 
         crawl(self.scheme, visit)
+        for entry in chain.from_iterable(self.pages.shard_entries()):
+            if entry.url not in reached and self._retains(entry.page_scheme):
+                self.pages.invalidate(entry.url)
         self.reset_status()
         return stored, transit
 

@@ -121,8 +121,7 @@ class ProgressBoard:
         self, request_id: str, estimates: dict[int, dict]
     ) -> None:
         """Register a request with its per-operator estimates (node id ->
-        ``{"op": ..., "est_tuples": ...}``).  First registration wins —
-        the server registers before the executor re-derives."""
+        ``{"op": ..., "est_tuples": ...}``).  First registration wins."""
         with self._lock:
             if request_id in self._queries:
                 return

@@ -121,8 +121,8 @@ FAULT_MODES = ("none", "transient", "exhausted")
 #: every checked invariant — the non-speculation guarantee of
 #: :mod:`repro.engine.pipeline`.  ``adaptive`` cells run the runtime-pruning,
 #: strategy-switching executor (:mod:`repro.engine.adaptive`); their cost
-#: laws hold one-sided (:data:`RELATIONS`).  ``server`` cells run through
-#: the multi-query server's prefix sharing
+#: laws hold one-sided (:data:`RELATIONS`).  ``server`` cells run the
+#: multi-query server's request core, the code its worker threads run
 #: (:func:`repro.server.service.execute_shared`): their laws read the
 #: *combined* navigator + query footprint, plus the sharing arithmetic.
 EXEC_MODES = EXECUTION_MODES + ("server",)
@@ -632,10 +632,10 @@ class DifferentialOracle:
     ) -> Run:
         """The cell's measured run; removes the fault policy on exit.
 
-        A ``server`` cell runs single-threaded through the server's
-        sharing machinery: a fresh navigator resolves the plan's navigation
-        prefixes on its own client, the query runs on a clone with those
-        pages injected.  Its laws read the merged and the split logs."""
+        A ``server`` cell runs the server's request core single-threaded:
+        a fresh navigator resolves the plan's navigation prefixes on its
+        own client, the query runs on a clone with those pages injected.
+        Its laws read the merged and the split logs."""
         env = self.env
         result = error = navigator = None
         client = env.client

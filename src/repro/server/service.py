@@ -18,18 +18,21 @@ service:
   the shared :class:`~repro.server.prefix.SharedNavigator` evaluates each
   distinct prefix once and the page batch is fanned out to every
   subscribed query via session seeding, which records the hand-off in the
-  per-query ``pages_shared`` counter.
+  per-query ``pages_shared`` counter.  Adaptive requests run unshared
+  (:data:`_SHARING_MODES`).
 
-Every query executes on its **own** client clone (shared simulated server
-and network model, private :class:`~repro.web.client.AccessLog`), so
-per-query accounting is exact under concurrency and, because injected
-prefix pages remove those URLs from the query's own fetch set, fully
-deterministic: a query's log depends only on which prefix pages it was
-handed, never on thread interleaving.
+Every request runs one core, :func:`_subscribe` then :func:`_execute`
+(:func:`execute_shared` runs it single-threaded): the query executes on
+its **own** client clone (shared simulated server and network model,
+private :class:`~repro.web.client.AccessLog`), so per-query accounting is
+exact under concurrency and, because injected prefix pages remove those
+URLs from the query's own fetch set, fully deterministic: a query's log
+depends only on which prefix pages it was handed, never on thread
+interleaving.
 
 :meth:`QueryServer.serve` runs a *cohort*: plan every request first,
 pre-resolve all distinct prefixes serially (in first-appearance order),
-then dispatch the queries over the pool.  Every query is then a sharing
+then dispatch the queries over the pool.  Every sharing query is then a
 follower, which makes the whole cohort's accounting — navigator log
 included — bit-for-bit reproducible; the benchmark regression gate relies
 on this.
@@ -44,11 +47,12 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+from repro.algebra.ast import Expr
 from repro.engine.remote import ExecutionResult, RemoteExecutor
 from repro.errors import AdmissionRejected, OptionsError
 from repro.obs.journal import Journal
 from repro.obs.metrics import METRICS
-from repro.obs.progress import ProgressBoard, QueryProgress, operator_estimates
+from repro.obs.progress import ProgressBoard, QueryProgress
 from repro.obs.trace import NULL_TRACER
 from repro.options import DEFAULT_OPTIONS, QueryOptions, QueryRequest
 from repro.materialized.advisor import AdvisorReport, WorkloadQuery, advise
@@ -80,10 +84,10 @@ class ServerConfig:
 
     ``max_workers`` bounds concurrent query execution; ``max_queue``
     bounds *pending* (admitted, not yet started) requests; a submit
-    beyond it raises :class:`~repro.errors.AdmissionRejected`.
-    ``share_plans`` toggles plan-level prefix sharing (off: every query
-    fetches for itself — the serial-equivalent baseline).
-    ``default_options`` applies to requests that carry none.
+    beyond it raises :class:`~repro.errors.AdmissionRejected`.  Both are
+    positive ints.  ``default_options`` applies to requests that carry
+    none; its ``execution`` decides, like any request's, whether the
+    request shares navigation prefixes (module docstring).
     ``journal`` attaches a server-wide event journal: every request that
     does not bring its own journal records its correlated event block
     (request / plan / spans / result) there, stamped with the request's
@@ -91,17 +95,14 @@ class ServerConfig:
 
     max_workers: int = 4
     max_queue: int = 64
-    share_plans: bool = True
     default_options: QueryOptions = DEFAULT_OPTIONS
     journal: Optional[Journal] = None
 
     def __post_init__(self) -> None:
-        if self.max_workers < 1:
-            raise OptionsError(
-                f"max_workers must be >= 1, got {self.max_workers}"
-            )
-        if self.max_queue < 1:
-            raise OptionsError(f"max_queue must be >= 1, got {self.max_queue}")
+        for name in ("max_workers", "max_queue"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise OptionsError(f"{name} must be a positive int, got {value!r}")
         if not isinstance(self.default_options, QueryOptions):
             raise OptionsError(
                 f"default_options must be a QueryOptions, "
@@ -141,9 +142,9 @@ class QueryOutcome:
 
     ``sequence`` is the dequeue order (global, 0-based) — the observable
     trace of the fair scheduler.  ``signatures`` lists the navigation
-    prefixes this query subscribed to (empty: sharing off, no pure
-    prefix, or navigator fault fallback).  ``pages_shared`` is the number
-    of live pages the navigator handed this query for free; the
+    prefixes this query subscribed to (empty: an adaptive request, no
+    pure prefix, or navigator fault fallback).  ``pages_shared`` is the
+    number of live pages the navigator handed this query for free; the
     attribution law ``own pages + pages_shared == solo pages`` holds for
     cache-cold runs.  ``queued_seconds`` is real wall-clock queue time
     (observational only — simulated time lives in the logs)."""
@@ -243,8 +244,11 @@ class _Task:
     ticket: Ticket
     enqueued_at: float
     request_id: str = ""
-    expr: object = None  # pre-planned Expr (cohort mode), else None
+    expr: Optional[Expr] = None  # pre-planned (cohort mode), else None
     sequence: int = -1
+    #: simulated seconds of the prefix resolutions this request led
+    #: (added to its makespan histogram entry)
+    prefix_seconds: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -297,9 +301,6 @@ class QueryServer:
         self._request_ids = itertools.count(1)
         self._in_flight: dict[str, int] = {}
         self._completed = 0
-        #: simulated seconds of shared-prefix evaluation credited to the
-        #: request that led it (drained into the makespan histogram)
-        self._prefix_seconds: dict[str, float] = {}
         self._workers: list[threading.Thread] = []
         self._open = True
         if start:
@@ -380,19 +381,11 @@ class QueryServer:
             task = self._make_task(request)
             task.expr = self._plan(request, task.options)
             tasks.append(task)
-        if self.config.share_plans:
-            for task in tasks:
-                for signature, chain in navigation_prefixes(task.expr):
-                    try:
-                        _, seconds = self.navigator.resolve(
-                            signature, chain, task.options
-                        )
-                    except Exception:
-                        # the leading query will retry (and fail) for
-                        # itself; pre-resolution is best-effort
-                        pass
-                    else:
-                        self._credit_prefix(task.request_id, seconds)
+        for task in tasks:
+            # best-effort: a prefix that fails here is led again by its query
+            _, _, task.prefix_seconds = _subscribe(
+                self.navigator, task.expr, task.options
+            )
         self.start()
         for task in tasks:
             self._admit(task, bounded=False)
@@ -538,7 +531,7 @@ class QueryServer:
             request_id=request_id,
         )
 
-    def _plan(self, request: QueryRequest, options: QueryOptions):
+    def _plan(self, request: QueryRequest, options: QueryOptions) -> Expr:
         if request.plan is not None:
             return request.plan
         with self._plan_lock:
@@ -602,26 +595,10 @@ class QueryServer:
             expr = task.expr
             if expr is None:
                 expr = self._plan(task.request, task.options)
-            if not self.progress.known(task.request_id):
-                estimates = operator_estimates(expr, self.env.cost_model)
-                self.progress.begin(task.request_id, estimates)
-            shared: dict[str, Optional[WebResource]] = {}
-            signatures: list[PrefixSignature] = []
-            if self.config.share_plans:
-                for signature, chain in navigation_prefixes(expr):
-                    try:
-                        pages, seconds = self.navigator.resolve(
-                            signature, chain, task.options
-                        )
-                    except Exception:
-                        # navigator fault (e.g. retries exhausted): fall
-                        # back to unshared fetching for this chain — the
-                        # query sees the fault itself if it is persistent
-                        continue
-                    self._credit_prefix(task.request_id, seconds)
-                    signatures.append(signature)
-                    shared.update(pages)
-            outcome.signatures = tuple(signatures)
+            shared, outcome.signatures, seconds = _subscribe(
+                self.navigator, expr, task.options
+            )
+            task.prefix_seconds += seconds
             tracer = (
                 task.options.tracer
                 if task.options.tracer is not None
@@ -632,10 +609,15 @@ class QueryServer:
                 kind="server",
                 tenant=task.tenant,
                 sequence=task.sequence,
-                prefixes=len(signatures),
+                prefixes=len(outcome.signatures),
             ):
-                outcome.result = self._execute(
-                    expr, task.options, shared, task.request_id
+                outcome.result = _execute(
+                    self.env,
+                    expr,
+                    task.options,
+                    shared,
+                    request_id=task.request_id,
+                    board=self.progress,
                 )
         except Exception as err:  # surfaced through the ticket
             outcome.error = err
@@ -651,54 +633,87 @@ class QueryServer:
             "finished requests by tenant and outcome",
         ).inc(tenant=task.tenant, outcome="ok" if outcome.ok else "error")
         if outcome.result is not None:
-            with self._cond:
-                credited = self._prefix_seconds.pop(task.request_id, 0.0)
             METRICS.histogram(
                 "repro_server_request_simulated_seconds",
                 "per-request simulated makespan: own fetches plus any "
                 "shared-prefix evaluation the request led (the SLO "
                 "suite's p99 source)",
             ).observe(
-                outcome.result.log.simulated_seconds + credited,
+                outcome.result.log.simulated_seconds + task.prefix_seconds,
                 tenant=task.tenant,
             )
         return outcome
 
-    def _credit_prefix(self, request_id: str, seconds: float) -> None:
-        """Attribute a lead prefix resolution's simulated seconds to the
-        request that triggered it (hits and waiters credit 0)."""
-        if seconds <= 0.0 or not request_id:
-            return
-        with self._cond:
-            self._prefix_seconds[request_id] = (
-                self._prefix_seconds.get(request_id, 0.0) + seconds
-            )
 
-    def _execute(
-        self,
-        expr: object,
-        options: QueryOptions,
-        shared: dict[str, Optional[WebResource]],
-        request_id: str,
-    ) -> ExecutionResult:
-        """One query on a private client clone (exact per-query log)."""
-        base = self.env.client
+# ---------------------------------------------------------------------- #
+# the request core: what every worker, the cohort and execute_shared run
+# ---------------------------------------------------------------------- #
+
+#: The execution modes whose executor fetches every page of a navigation
+#: prefix, so only their requests subscribe.  An adaptive one may prune or
+#: switch away part of a prefix (docs/ADAPTIVE.md), so it runs unshared.
+_SHARING_MODES = frozenset({"staged", "pipelined"})
+
+
+def _subscribe(
+    navigator: SharedNavigator, expr: Expr, options: QueryOptions
+) -> tuple[dict[str, Optional[WebResource]], tuple[PrefixSignature, ...], float]:
+    """The pages of ``expr``'s navigation prefixes, resolved through
+    ``navigator``, their signatures, and the simulated seconds this call
+    spent leading resolutions; nothing for a request outside
+    :data:`_SHARING_MODES`.  A prefix whose resolution raises (navigator
+    fault, e.g. retries exhausted) is skipped: the query fetches that
+    chain itself, and sees a persistent fault itself."""
+    shared: dict[str, Optional[WebResource]] = {}
+    signatures: list[PrefixSignature] = []
+    led = 0.0
+    if options.execution not in _SHARING_MODES:
+        return shared, (), led
+    for signature, chain in navigation_prefixes(expr):
+        try:
+            pages, seconds = navigator.resolve(signature, chain, options)
+        except Exception:
+            continue
+        led += seconds
+        signatures.append(signature)
+        shared.update(pages)
+    return shared, tuple(signatures), led
+
+
+def _execute(
+    env: SiteEnv,
+    expr: Expr,
+    options: QueryOptions,
+    shared: dict[str, Optional[WebResource]],
+    *,
+    client: Optional[WebClient] = None,
+    request_id: Optional[str] = None,
+    board: Optional[ProgressBoard] = None,
+) -> ExecutionResult:
+    """Run ``expr`` with the ``shared`` pages injected, on ``client``
+    (default: a private clone of the environment's client), through an
+    executor built as :func:`~repro.sites.site_env` builds ``env.executor``,
+    with the planner and cost model ``env`` holds now (after any
+    :meth:`~repro.sites.SiteEnv.refresh_statistics`)."""
+    if client is None:
+        base = env.client
         client = WebClient(
             base.server, base.network, base.retry_policy, base.cache
         )
-        executor = RemoteExecutor(self.env.scheme, client, self.env.registry)
-        return executor.execute(
-            expr,
-            options=options,
-            shared_pages=shared or None,
-            request_id=request_id,
-            board=self.progress,
-        )
-
-
-# ---------------------------------------------------------------------- #
-# one-shot shared execution (the QA oracle's server dimension)
-# ---------------------------------------------------------------------- #
+    executor = RemoteExecutor(
+        env.scheme,
+        client,
+        env.registry,
+        planner=env.planner,
+        cost_model=env.cost_model,
+    )
+    return executor.execute(
+        expr,
+        options=options,
+        shared_pages=shared or None,
+        request_id=request_id,
+        board=board,
+    )
 
 
 @dataclass
@@ -725,19 +740,19 @@ class SharedExecution:
 
 def execute_shared(
     env: SiteEnv,
-    expr: object,
+    expr: Expr,
     options: Optional[QueryOptions] = None,
     navigator: Optional[SharedNavigator] = None,
     client: Optional[WebClient] = None,
     request_id: Optional[str] = None,
 ) -> SharedExecution:
-    """Evaluate one plan with plan-level prefix sharing, single-threaded.
+    """Run one plan through the server's request core, single-threaded.
 
-    This is the serial core of what :class:`QueryServer` does per request
-    — navigator resolves the plan's prefixes, the query executes on a
-    client clone with the pages injected — exposed directly so the QA
-    oracle's ``server`` execution dimension can differential-test the
-    sharing machinery without threads in the loop.  Pass a ``navigator``
+    The core the worker threads run (:func:`_subscribe`, then
+    :func:`_execute`), without threads in the loop: the navigator
+    resolves the plan's prefixes (a staged or pipelined request only),
+    the query executes on a client clone with the pages injected — the QA
+    oracle's ``server`` cells differential-test it.  Pass a ``navigator``
     to share across calls (hot prefixes); by default each call gets a
     fresh one (every prefix led, nothing reused).  Pass a ``client`` to
     run the query on a specific clone — the oracle does, so the query's
@@ -746,29 +761,12 @@ def execute_shared(
     opts = env.resolve_options(options)
     nav = navigator or SharedNavigator(env.scheme, env.client, env.registry)
     before = nav.log.snapshot()
-    shared: dict[str, Optional[WebResource]] = {}
-    signatures: list[PrefixSignature] = []
-    for signature, chain in navigation_prefixes(expr):
-        try:
-            pages, _ = nav.resolve(signature, chain, opts)
-        except Exception:
-            continue
-        signatures.append(signature)
-        shared.update(pages)
-    base = env.client
-    if client is None:
-        client = WebClient(
-            base.server, base.network, base.retry_policy, base.cache
-        )
-    executor = RemoteExecutor(env.scheme, client, env.registry)
-    result = executor.execute(
-        expr,
-        options=opts,
-        shared_pages=shared or None,
-        request_id=request_id,
+    shared, signatures, _ = _subscribe(nav, expr, opts)
+    result = _execute(
+        env, expr, opts, shared, client=client, request_id=request_id
     )
     return SharedExecution(
         result=result,
         navigator_log=nav.log.delta(before),
-        signatures=tuple(signatures),
+        signatures=signatures,
     )

@@ -460,6 +460,16 @@ def test_a_second_warm_up_revalidates_what_the_first_stored(seed, warmed, transi
     assert _cached(env) == cached
 
 
+def _edit(site):
+    """Five edits, a removed course among them."""
+    mutator = SiteMutator(site)
+    mutator.update_course_description(site.courses[0], "Revised.")
+    mutator.update_prof_rank(site.profs[1], "Emeritus")
+    mutator.add_course(site.profs[2])
+    mutator.remove_course(site.courses[3])
+    mutator.add_prof(site.depts[0].name)
+
+
 def test_a_second_warm_up_downloads_what_changed():
     """After edits the second warm-up's GETs are its transit pages plus the
     chosen pages that changed or newly appeared."""
@@ -468,13 +478,8 @@ def test_a_second_warm_up_downloads_what_changed():
     workload = _warm_workload(env)
     server.warm_up(workload, mutation_rate=0.1)
     before = {url: modified for url, modified, _ in _cached(env)}
-    mutator = SiteMutator(env.site)
     site = env.site
-    mutator.update_course_description(site.courses[0], "Revised.")
-    mutator.update_prof_rank(site.profs[1], "Emeritus")
-    mutator.add_course(site.profs[2])
-    mutator.remove_course(site.courses[3])
-    mutator.add_prof(site.depts[0].name)
+    _edit(site)
     with served_gets(site.server) as gets:
         second = server.warm_up(workload, mutation_rate=0.1)
     after = {url: modified for url, modified, _ in _cached(env)}
@@ -486,6 +491,24 @@ def test_a_second_warm_up_downloads_what_changed():
     # one HEAD per held page the crawl still reaches, none for a new one
     new = after.keys() - before.keys()
     assert second.light_connections == second.warmed_pages - len(new)
+
+
+def test_a_second_warm_up_drops_what_the_site_no_longer_serves():
+    """After edits that remove a course, the second warm-up's cache is a
+    fresh warm-up's over the edited site: the vanished page is gone."""
+    env = _university()
+    server = QueryServer(env, start=False)  # warming needs no worker
+    server.warm_up(_warm_workload(env), mutation_rate=0.1)
+    _edit(env.site)
+    server.warm_up(_warm_workload(env), mutation_rate=0.1)
+    fresh = _university()
+    _edit(fresh.site)
+    QueryServer(fresh, start=False).warm_up(
+        _warm_workload(fresh), mutation_rate=0.1
+    )
+    assert sorted(_cached(env)) == sorted(_cached(fresh))
+    served = set(env.site.server.urls())
+    assert all(url in served for url, _, _ in _cached(env))
 
 
 _PROBE = """

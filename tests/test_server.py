@@ -4,7 +4,9 @@ The answer contract is absolute: a query served concurrently, with its
 navigation prefixes fetched by the shared navigator instead of itself,
 must produce the *same relation* as a solo run — and the attribution law
 ``own pages + pages_shared == solo pages`` (cache-cold) must recompose
-the solo footprint exactly.  Scheduling is pinned too: with one worker
+the solo footprint exactly.  Staged and pipelined requests share; an
+adaptive request runs unshared and costs exactly what it costs solo,
+switches and prunes included.  Scheduling is pinned too: with one worker
 the service order IS the round-robin interleaving across tenants.
 """
 
@@ -15,6 +17,7 @@ import pytest
 from repro.errors import AdmissionRejected, OptionsError
 from repro.obs.metrics import METRICS
 from repro.options import QueryOptions, QueryRequest
+from repro.qa.cli import MOVIE_QUERIES, UNIVERSITY_QUERIES
 from repro.qa.oracle import counted_wraps
 from repro.server import (
     QueryServer,
@@ -23,7 +26,9 @@ from repro.server import (
     execute_shared,
     navigation_prefixes,
 )
-from repro.sites import fuzzed
+from repro.sites import fuzzed, movies, university
+from tests.adaptive_golden import SKEW_SQL, _skew_a, _skew_b, record
+from tests.test_adaptive import plain_candidate
 
 pytestmark = pytest.mark.usefixtures("isolated_metrics")
 
@@ -35,6 +40,11 @@ COLD = QueryOptions(cache="off")
 #: site must each reproduce their solo-run answer.
 CONCURRENT_N = 10
 FUZZ_SEEDS = (17, 42)
+
+#: The execution modes whose requests subscribe to navigation prefixes.
+SHARING_MODES = ("staged", "pipelined")
+
+ADAPTIVE = QueryOptions(execution="adaptive", cache="off")
 
 
 def mixed_requests(env, n: int) -> list[QueryRequest]:
@@ -62,6 +72,23 @@ def solo_runs(env, requests) -> list:
     return results
 
 
+def run_shared(env, plan, options, path):
+    """One plan through the request core, by ``path`` (a one-worker
+    ``QueryServer`` or ``execute_shared``), each with a fresh navigator:
+    ``(result, signatures, navigator log)``."""
+    if path == "execute_shared":
+        shared = execute_shared(env, plan, options=options)
+        return shared.result, shared.signatures, shared.navigator_log
+    server = QueryServer(env, ServerConfig(max_workers=1))
+    try:
+        request = QueryRequest(plan=plan, options=options)
+        outcome = server.submit(request).outcome(timeout=120)
+    finally:
+        server.close()
+    assert outcome.ok, outcome.error
+    return outcome.result, outcome.signatures, server.navigator.log
+
+
 class TestConfig:
     def test_bad_workers_raises(self):
         with pytest.raises(OptionsError):
@@ -74,6 +101,13 @@ class TestConfig:
     def test_bad_default_options_raises(self):
         with pytest.raises(OptionsError):
             ServerConfig(default_options={"cache": "off"})
+
+    @pytest.mark.parametrize("value", [1.5, True, "2", None, -1])
+    @pytest.mark.parametrize("field", ["max_workers", "max_queue"])
+    def test_sizes_must_be_positive_ints(self, field, value):
+        """Checked at construction: no server (and no thread) is made."""
+        with pytest.raises(OptionsError, match=field):
+            ServerConfig(**{field: value})
 
 
 class TestAdmission:
@@ -217,6 +251,41 @@ class TestSharedExecution:
             assert navigation_prefixes(chain) == [(signature, chain)]
 
 
+@pytest.mark.parametrize("path", ["server", "execute_shared"])
+@pytest.mark.parametrize("execution", SHARING_MODES)
+class TestSharingLaws:
+    """A staged or pipelined request shares, through the worker path
+    and through ``execute_shared`` alike, and keeps the attribution law
+    and the one-parse rule."""
+
+    def test_attribution_recomposes_solo_footprint(self, execution, path):
+        env = fuzzed(FUZZ_SEEDS[0])
+        options = QueryOptions(cache="off", execution=execution)
+        for request in mixed_requests(env, 4):
+            plan = env.plan(request.query, cache="off").best.expr
+            solo = env.execute(plan, options=options)
+            result, signatures, navigator_log = run_shared(
+                env, plan, options, path
+            )
+            assert signatures
+            assert result.fingerprint() == solo.fingerprint()
+            assert result.log.pages_shared == navigator_log.page_downloads > 0
+            assert result.pages + result.log.pages_shared == solo.pages
+
+    def test_a_shared_page_is_parsed_by_the_navigator_only(
+        self, execution, path
+    ):
+        env = fuzzed(FUZZ_SEEDS[0])
+        options = QueryOptions(cache="off", execution=execution)
+        plan = env.plan(mixed_requests(env, 1)[0].query, cache="off").best.expr
+        with counted_wraps(env.registry) as wraps:
+            result, _, navigator_log = run_shared(env, plan, options, path)
+        own = result.log.downloaded_urls
+        led = navigator_log.downloaded_urls
+        assert led
+        assert sorted(url for _, url in wraps) == sorted(own + led)
+
+
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 class TestConcurrentDigests:
     """N concurrent mixed queries answer exactly as they would solo."""
@@ -296,13 +365,13 @@ class TestConcurrentDigests:
 
 
 class TestSharingDisabled:
-    def test_share_plans_off_matches_solo_accounting(self, uni_env):
-        request = QueryRequest(query=SQL, options=COLD)
+    def test_adaptive_request_matches_solo_accounting(self, uni_env):
+        """An adaptive request subscribes to no prefix: its executor may
+        prune or switch away pages a prefix would hand it."""
+        request = QueryRequest(query=SQL, options=ADAPTIVE)
         plan = uni_env.plan(SQL, cache="off").best.expr
-        solo = uni_env.execute(plan, options=COLD)
-        server = QueryServer(
-            uni_env, ServerConfig(max_workers=2, share_plans=False)
-        )
+        solo = uni_env.execute(plan, options=ADAPTIVE)
+        server = QueryServer(uni_env, ServerConfig(max_workers=2))
         try:
             outcome = server.submit(request).outcome(timeout=120)
         finally:
@@ -313,3 +382,76 @@ class TestSharingDisabled:
         assert outcome.pages_shared == 0
         assert outcome.result.pages == solo.pages
         assert server.navigator.log.page_downloads == 0
+
+
+def adaptive_footprint(result) -> tuple:
+    """What an adaptive run must reproduce: answer, light connections,
+    and the adaptive golden's record (pages, prunes, switches with their
+    re-planned suffixes, pruned URLs)."""
+    return result.fingerprint(), result.log.light_connections, record(result)
+
+
+#: Each site's query suite and how many of its candidate plans (the
+#: first 12 per query) the adaptive test runs: 92 over the four QA sites,
+#: plus the two skewed fuzz-42 sites, where switches fire and rule 8
+#: re-plans through the planner.
+SUITES = {
+    "university": (university, UNIVERSITY_QUERIES, 28),
+    "movies": (movies, MOVIE_QUERIES, 22),
+    "fuzzed-3": (lambda: fuzzed(3), None, 18),
+    "fuzzed-17": (lambda: fuzzed(17), None, 24),
+    "skew-a": (_skew_a, {"beta_gamma": SKEW_SQL}, 6),
+    "skew-b": (_skew_b, {"beta_gamma": SKEW_SQL}, 6),
+}
+
+
+@pytest.mark.parametrize("site_name", sorted(SUITES))
+def test_adaptive_requests_cost_what_they_cost_solo(site_name):
+    """Every candidate plan run adaptively through a default-config
+    server (four workers, so re-planning runs concurrently, outside the
+    plan lock) and through ``execute_shared`` reproduces the solo run:
+    same answer, pages, light connections, switches and prunes, and no
+    page shared."""
+    make, queries, count = SUITES[site_name]
+    env = make()
+    suite = queries or env.site.queries()
+    plans = [
+        candidate.expr
+        for sql in suite.values()
+        for candidate in env.enumerate_plans(sql, cache="off", limit=12)
+    ]
+    assert len(plans) == count
+    solo = [adaptive_footprint(env.execute(p, options=ADAPTIVE)) for p in plans]
+    with QueryServer(env) as server:
+        tickets = [
+            server.submit(QueryRequest(plan=plan, options=ADAPTIVE))
+            for plan in plans
+        ]
+        outcomes = [ticket.outcome(timeout=300) for ticket in tickets]
+    assert server.navigator.log.page_downloads == 0
+    for index, (plan, outcome) in enumerate(zip(plans, outcomes)):
+        assert outcome.ok, outcome.error
+        assert adaptive_footprint(outcome.result) == solo[index], index
+        assert outcome.signatures == ()
+        assert outcome.pages_shared == 0
+        shared = execute_shared(env, plan, options=ADAPTIVE)
+        assert adaptive_footprint(shared.result) == solo[index], index
+        assert shared.signatures == ()
+        assert shared.pages_shared == 0
+        assert shared.navigator_log.page_downloads == 0
+
+
+def test_an_adaptive_request_prices_with_the_refreshed_statistics():
+    """The server reads the planner and cost model on each request: after
+    ``refresh_statistics`` the skewed site's adaptive request switches as
+    a solo run over the refreshed model does, not as the stale one did."""
+    env = _skew_b()
+    _, candidate = plain_candidate(env.plan(SKEW_SQL))
+    request = QueryRequest(plan=candidate.expr, options=ADAPTIVE)
+    with QueryServer(env, ServerConfig(max_workers=1)) as server:
+        stale = env.execute(candidate.expr, options=ADAPTIVE)
+        env.refresh_statistics()
+        solo = env.execute(candidate.expr, options=ADAPTIVE)
+        outcome = server.submit(request).outcome(timeout=120)
+    assert adaptive_footprint(solo) != adaptive_footprint(stale)
+    assert adaptive_footprint(outcome.result) == adaptive_footprint(solo)
