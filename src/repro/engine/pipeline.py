@@ -73,6 +73,7 @@ from repro.engine.compile import (
 from repro.engine.session import QuerySession
 from repro.errors import AlgebraError, ExecutionModeError
 from repro.nested.relation import Relation
+from repro.obs.progress import ProgressTracer
 from repro.obs.trace import NULL_TRACER
 from repro.web.client import AccessLog
 
@@ -264,7 +265,11 @@ class PipelinedExecutor:
     exporter renders these as a dedicated "pipeline stages" track so
     stage overlap is visible next to the per-lane fetch intervals.  Span
     ``node_id``\\ s are the compiled plan's stable preorder numbers, the
-    same numbering the EXPLAIN ANALYZE renderer uses.
+    same numbering the EXPLAIN ANALYZE renderer uses.  A
+    :class:`~repro.obs.progress.ProgressTracer` also hears each operator
+    start when its stream is first pulled and finish when the stream
+    ends, with the stream's rows and pages (:meth:`_watched`); its chunk
+    spans go to the tracer it wraps.
     """
 
     def __init__(
@@ -279,7 +284,9 @@ class PipelinedExecutor:
         self.session = session
         self.scheduler = scheduler
         self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        tracer = tracer if tracer is not None else NULL_TRACER
+        self.progress = tracer if isinstance(tracer, ProgressTracer) else None
+        self.tracer = tracer if self.progress is None else tracer.inner
 
     @property
     def chunk_size(self) -> Optional[int]:
@@ -307,6 +314,33 @@ class PipelinedExecutor:
     # ------------------------------------------------------------------ #
 
     def _chunks(self, node: CompiledNode) -> Iterator[_Chunk]:
+        stream = self._stream(node)
+        return stream if self.progress is None else self._watched(node, stream)
+
+    def _watched(
+        self, node: CompiledNode, stream: Iterator[_Chunk]
+    ) -> Iterator[_Chunk]:
+        """``stream`` reported to the progress board: its rows summed, and
+        the pages fetched while it ran — its children's included, as a
+        staged operator span counts them, but not what its consumer
+        fetched between its chunks."""
+        progress, log = self.progress, self.scheduler.log
+        assert progress is not None
+        progress.operator_started(node.node_id)
+        rows = pages = 0
+        while True:
+            before = log.page_downloads
+            chunk = next(stream, None)
+            pages += log.page_downloads - before
+            if chunk is None:
+                break
+            rows += chunk.batch.num_rows
+            yield chunk
+        progress.operator_finished(
+            node.node_id, op=node.op, tuples=rows, pages=pages
+        )
+
+    def _stream(self, node: CompiledNode) -> Iterator[_Chunk]:
         if node.kind == "entry":
             return self._entry_chunks(node)
         if node.kind == "follow":

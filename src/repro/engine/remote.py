@@ -199,11 +199,15 @@ class RemoteExecutor:
         block (request / plan / span tree / result) to an event journal;
         ``board`` publishes live per-operator progress into a
         :class:`~repro.obs.progress.ProgressBoard` under ``request_id``
-        (allocated when None).  Both are observational: when either is
-        active and no recording tracer was supplied, an internal one is
-        attached — the tracing layer's non-interference guarantee (same
-        digests, page counts, and cache counters) is what makes that
-        safe, and the QA matrix's journal dimension re-proves it.
+        (allocated when None).  Both are observational.  A journal reads
+        the span tree, so when no recording tracer was supplied an
+        internal one is attached — the tracing layer's non-interference
+        guarantee (same digests, page counts, and cache counters) is what
+        makes that safe, and the QA matrix's journal dimension re-proves
+        it.  The board reads operator spans only: it is fed through a
+        :class:`~repro.obs.progress.ProgressTracer` around whatever
+        tracer the request has, and a request that records nothing gets
+        ``ExecutionResult.trace is None``.
         """
         opts = DEFAULT_OPTIONS if options is None else options
         if not isinstance(opts, QueryOptions):
@@ -230,11 +234,11 @@ class RemoteExecutor:
         )
         journal = opts.journal if opts.journal is not None else NULL_JOURNAL
         tracer = opts.tracer if opts.tracer is not None else NULL_TRACER
-        if (journal.enabled or board is not None) and not tracer.enabled:
-            # journaling and progress both read the span tree; recording
-            # is proven non-interfering (tests/test_obs_noninterference,
-            # QA trace dimension), so forcing a private recorder here
-            # cannot change the answer or the page accounting
+        if journal.enabled and not tracer.enabled:
+            # a journal reads the span tree; recording is proven
+            # non-interfering (tests/test_obs_noninterference, QA trace
+            # dimension), so forcing a private recorder here cannot
+            # change the answer or the page accounting
             tracer = RecordingTracer()
         # rendered only for a reader: a journal forces a recording tracer
         text = render_expr(expr) if tracer.enabled else None
@@ -245,12 +249,15 @@ class RemoteExecutor:
             )
         elif board is not None and request_id is None:
             request_id = f"q{next(self._request_ids):04d}"
+        # what the executor opens operator spans on; the client and the
+        # query span see ``tracer`` alone
+        watcher = tracer
         if board is not None:
             if not board.known(request_id):
                 board.begin(
                     request_id, operator_estimates(expr, self.cost_model)
                 )
-            tracer = ProgressTracer(tracer, board, request_id)
+            watcher = ProgressTracer(tracer, board, request_id)
         provider = _SessionProvider(self.scheme, session)
         client = self.client
         log = client.log
@@ -272,7 +279,7 @@ class RemoteExecutor:
                 session,
                 scheduler,
                 config=opts.pipeline or DEFAULT_PIPELINE_CONFIG,
-                tracer=tracer,
+                tracer=watcher,
             )
         elif opts.execution == "adaptive":
             # staged access pattern: relevance tests need each follow's
@@ -280,14 +287,14 @@ class RemoteExecutor:
             executor = AdaptiveExecutor(
                 self.scheme,
                 provider,
-                tracer=tracer,
+                tracer=watcher,
                 meter=meter,
                 planner=self.planner,
                 cost_model=self.cost_model,
             )
         else:
             executor = LocalExecutor(
-                self.scheme, provider, tracer=tracer, meter=meter
+                self.scheme, provider, tracer=watcher, meter=meter
             )
         before = log.snapshot()
         if shared_pages:

@@ -10,13 +10,15 @@ Three pieces, layered from primitive to report:
   (a request is forgotten when it resolves; its ticket keeps the final
   snapshot).
   The executor seeds it with the plan's per-operator cardinality
-  estimates before the first fetch; a :class:`ProgressTracer` wrapped
-  around the recording tracer marks operators started/finished as their
-  spans open and close.  ``progress(request_id)`` returns a monotone
-  snapshot: the completion fraction counts finished operators fully and
-  started ones half, and operators never un-finish, so the fraction is
-  non-decreasing by construction (``tests/test_server.py`` pins this
-  under a concurrent mixed cohort).
+  estimates (:func:`operator_estimates`, computed once per plan and
+  cost model) before the first fetch; a :class:`ProgressTracer` wrapped
+  around the request's tracer, recording or not, marks operators
+  started/finished as their spans open and close — it needs operator
+  spans only, never the span tree.  ``progress(request_id)`` returns a
+  monotone snapshot: the completion fraction counts finished operators
+  fully and started ones half, and operators never un-finish, so the
+  fraction is non-decreasing by construction (``tests/test_server.py``
+  pins this under a concurrent mixed cohort).
 * :func:`calibration_report` — runs a query suite with recording tracers
   and pairs every operator's estimated cardinality with the tuples it
   actually produced, naming which :mod:`repro.stats` estimates drift
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.obs.trace import Span
+from repro.optimizer.memo import Table
 
 __all__ = [
     "qerror",
@@ -249,75 +252,103 @@ class ProgressBoard:
 
 
 class _ProgressSpanContext:
-    """Wraps an inner span context so operator spans report into the
-    board as they open and close."""
+    """Wraps one operator span's context so the board hears the operator
+    start and finish with it.  ``inner`` is the recording tracer's
+    context, or None: the span is then a bare :class:`Span` nobody keeps,
+    there only for the executor to set its actuals on."""
 
-    def __init__(self, inner, board: ProgressBoard, request_id: str):
+    __slots__ = ("_tracer", "_inner", "_span")
+
+    def __init__(self, tracer: "ProgressTracer", inner, span: Optional[Span]):
+        self._tracer = tracer
         self._inner = inner
-        self._board = board
-        self._request_id = request_id
-        self._span: Optional[Span] = None
+        self._span = span
 
     def __enter__(self) -> Span:
-        span = self._inner.__enter__()
-        self._span = span
-        if getattr(span, "kind", "") == "operator":
-            self._board.operator_started(
-                self._request_id, span.attrs.get("node_id")
-            )
+        if self._inner is not None:
+            self._span = self._inner.__enter__()
+        span = self._span
+        assert span is not None
+        self._tracer.operator_started(span.attrs.get("node_id"))
         return span
 
     def __exit__(self, exc_type, exc, tb):
         span = self._span
-        if span is not None and getattr(span, "kind", "") == "operator":
-            self._board.operator_finished(
-                self._request_id,
-                span.attrs.get("node_id"),
-                op=str(span.attrs.get("op", "")),
-                tuples=float(span.attrs.get("tuples_out", 0) or 0),
-                pages=float(span.attrs.get("pages", 0) or 0),
-            )
+        assert span is not None
+        attrs = span.attrs
+        self._tracer.operator_finished(
+            attrs.get("node_id"),
+            op=str(attrs.get("op", "")),
+            tuples=float(attrs.get("tuples_out", 0) or 0),
+            pages=float(attrs.get("pages", 0) or 0),
+        )
+        if self._inner is None:
+            return False
         return self._inner.__exit__(exc_type, exc, tb)
 
 
 class ProgressTracer:
-    """A tracer decorator: forwards every span/event to the wrapped
-    recording tracer and additionally publishes operator lifecycle into a
-    :class:`ProgressBoard`.  ``enabled`` mirrors the inner tracer, so the
-    executors' fast-path checks keep their meaning."""
+    """A tracer decorator that publishes operator lifecycle into a
+    :class:`ProgressBoard` and forwards every span and event to ``inner``.
+
+    The board needs operator spans whether or not ``inner`` records, so
+    ``enabled`` is always true: an executor opens its operator spans, and
+    when ``inner`` records nothing each is a bare :class:`Span` that
+    lives only until the operator closes.  Hand the web client ``inner``,
+    not this tracer — fetch spans and events feed no board."""
+
+    enabled = True
 
     def __init__(self, inner, board: ProgressBoard, request_id: str):
         self.inner = inner
         self.board = board
         self.request_id = request_id
-
-    @property
-    def enabled(self) -> bool:
-        return bool(getattr(self.inner, "enabled", False))
+        self._records = bool(getattr(inner, "enabled", False))
 
     def span(self, name: str, kind: str = "", **attrs):
-        inner_ctx = self.inner.span(name, kind=kind, **attrs)
         if kind != "operator":
-            return inner_ctx
-        return _ProgressSpanContext(inner_ctx, self.board, self.request_id)
+            return self.inner.span(name, kind=kind, **attrs)
+        if self._records:
+            inner = self.inner.span(name, kind=kind, **attrs)
+            return _ProgressSpanContext(self, inner, None)
+        return _ProgressSpanContext(self, None, Span(name, kind, attrs))
 
     def event(self, name: str, **attrs) -> None:
         self.inner.event(name, **attrs)
+
+    def operator_started(self, node_id: object) -> None:
+        self.board.operator_started(self.request_id, node_id)
+
+    def operator_finished(self, node_id: object, **actuals) -> None:
+        """``actuals``: :meth:`ProgressBoard.operator_finished`'s."""
+        self.board.operator_finished(self.request_id, node_id, **actuals)
 
     def __getattr__(self, name):
         # Renderers and tests reach through for roots/spans/events/render.
         return getattr(self.inner, name)
 
 
+#: per-operator estimates kept across requests, like compiled plans
+MAX_ESTIMATES = 64
+_ESTIMATES = Table(MAX_ESTIMATES)
+
+
 def operator_estimates(expr, cost_model=None) -> dict[int, dict]:
     """Per-operator estimates for a plan, keyed by the preorder node id
-    the tracer stamps on operator spans.
+    the tracer stamps on operator spans; computed once per (plan, cost
+    model) and shared, so a caller must not change it.  A model is never
+    changed either: :meth:`~repro.sites.SiteEnv.refresh_statistics`
+    builds a new one, whose estimates are computed afresh.
 
     With a cost model the estimates come from the EXPLAIN machinery
     (:func:`repro.obs.explain.plan_report`), so the board shows the same
     figures EXPLAIN prints; without one, every operator is listed with a
     zero estimate (progress fractions still work — they count operators,
     not tuples)."""
+    return _ESTIMATES.get(_operator_estimates, expr, cost_model, None)
+
+
+def _operator_estimates(expr, cost_model, _memo: None) -> dict[int, dict]:
     if cost_model is not None:
         from repro.obs.explain import plan_report
 

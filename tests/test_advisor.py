@@ -137,7 +137,7 @@ class TestRandomViewSet:
 class TestServerWarmup:
     def test_warm_up_makes_chosen_queries_download_free(self, workload):
         env = fuzzed(17)  # private env: the warm-up mutates its cache
-        server = QueryServer(env)
+        server = QueryServer(env, start=False)
         report = server.warm_up(workload, mutation_rate=0.1)
         assert report.advisor.chosen
         assert report.warmed_pages > 0
@@ -156,7 +156,7 @@ class TestServerWarmup:
 
     def test_unchosen_pages_stay_out_of_the_cache(self, workload):
         env = fuzzed(17)
-        server = QueryServer(env)
+        server = QueryServer(env, start=False)
         report = server.warm_up(workload, mutation_rate=0.1)
         chosen = report.advisor.materialize_set()
         counts = env.page_cache.scheme_counts()

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
@@ -313,7 +314,9 @@ def test_warm_up_warms_and_transits_the_reachable_pages(seed):
     under the scheme it is first reached by), transit pages the others; the
     cache holds exactly the warmed ones."""
     env = fuzzed(seed)
-    report = QueryServer(env).warm_up(_workload(env), mutation_rate=0.1)
+    report = QueryServer(env, start=False).warm_up(
+        _workload(env), mutation_rate=0.1
+    )
     chosen = report.advisor.materialize_set()
     wrap_page = _wrapper_of(fuzzed(seed))
     live = [
@@ -407,7 +410,7 @@ def test_warm_up_fills_the_cache_warm_cache_filled(site_name, workers):
     old = warm_cache(
         old_env, _warm_workload(old_env), mutation_rate=0.1, workers=workers
     )
-    new = QueryServer(new_env).warm_up(
+    new = QueryServer(new_env, start=False).warm_up(
         _warm_workload(new_env), mutation_rate=0.1, workers=workers
     )
     assert new.warmed_pages > 0
@@ -447,7 +450,7 @@ def test_a_second_warm_up_revalidates_what_the_first_stored(seed, warmed, transi
     pages and opens one light connection per warmed page; the cache is
     the first warm-up's."""
     env = fuzzed(seed)
-    server = QueryServer(env)
+    server = QueryServer(env, start=False)
     first = server.warm_up(_workload(env), mutation_rate=0.1)
     cached = _cached(env)
     with served_gets(env.site.server) as gets:
@@ -474,7 +477,7 @@ def test_a_second_warm_up_downloads_what_changed():
     """After edits the second warm-up's GETs are its transit pages plus the
     chosen pages that changed or newly appeared."""
     env = _university()
-    server = QueryServer(env)
+    server = QueryServer(env, start=False)
     workload = _warm_workload(env)
     server.warm_up(workload, mutation_rate=0.1)
     before = {url: modified for url, modified, _ in _cached(env)}
@@ -509,6 +512,17 @@ def test_a_second_warm_up_drops_what_the_site_no_longer_serves():
     assert sorted(_cached(env)) == sorted(_cached(fresh))
     served = set(env.site.server.urls())
     assert all(url in served for url, _, _ in _cached(env))
+
+
+def test_a_warm_up_without_workers_leaves_the_thread_count():
+    """``start=False`` is all a warm-up needs: the crawl's own pool is
+    joined before it returns, and no query worker is left running."""
+    env = fuzzed(17)
+    before = threading.active_count()
+    QueryServer(env, start=False).warm_up(
+        _workload(env), mutation_rate=0.1, workers=4
+    )
+    assert threading.active_count() == before
 
 
 _PROBE = """

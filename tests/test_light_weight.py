@@ -247,9 +247,11 @@ class TestOneDefault:
     def test_warm_up_defaults_to_the_environments_weight(self):
         env = fuzzed(17)
         workload = _workload(env)
-        report = QueryServer(env).warm_up(workload, mutation_rate=0.1)
+        report = QueryServer(env, start=False).warm_up(
+            workload, mutation_rate=0.1
+        )
         assert report.advisor.light_weight == env.light_weight
-        given = QueryServer(fuzzed(17)).warm_up(
+        given = QueryServer(fuzzed(17), start=False).warm_up(
             workload, mutation_rate=0.1, light_weight=0.25
         )
         assert given.advisor.light_weight == 0.25
